@@ -14,7 +14,6 @@ import json
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -29,15 +28,12 @@ from .config import (
     to_raman,
     to_space,
 )
-from .gates import (
-    GateParams,
-    atom_plus,
-    closed_form_rotation,
-    leakage,
-    pair_gate,
-)
-from .spaces import fidelity, product_state, purity, reduced_oscillator_state
-from .synthesis import execute_plan, plan_general_state, plan_superposition, save_plan
+from .gates import GateParams, closed_form_check, leakage, pair_gate
+from .spaces import fidelity  # noqa: F401  unused; bench/spans.py wraps it here
+from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
+from .spaces import purity, reduced_oscillator_state
+from .synthesis import execute_plan, plan_general_state, save_plan
+from .synthesis import plan_superposition  # noqa: F401  unused; bench/spans.py wraps it here
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -86,25 +82,17 @@ def _write_json(path: Path, payload) -> None:
 def _gate_record(cfg: RunConfig, model: str) -> ResultRecord:
     start = time.perf_counter()
     p = to_raman(cfg)
-    space = to_space(cfg, atom_dim=3 if model == "full" else 2)
+    space = to_space(cfg, model)
     gp = GateParams.from_raman(p, m=cfg.gate.m, phi=cfg.gate.phi)
     U = pair_gate(gp, p, space, model=model)
-    osc = np.zeros(space.fock_cutoff, dtype=complex)
-    osc[gp.m - 1] = 1.0 / np.sqrt(2.0)
-    osc[gp.m] = 1.0 / np.sqrt(2.0)
-    psi = U @ product_state(space, atom_plus(space.atom_dim), osc).amplitudes
-
-    pair = closed_form_rotation(osc[gp.m - 1], osc[gp.m], gp)
-    ref_osc = np.zeros(space.fock_cutoff, dtype=complex)
-    ref_osc[gp.m - 1], ref_osc[gp.m] = pair
-    ref = product_state(space, atom_plus(space.atom_dim), ref_osc).amplitudes
-
+    amp = 1.0 / np.sqrt(2.0)
+    psi, fid = closed_form_check(U, gp, space, amp, amp)
     rho = reduced_oscillator_state(psi, space)
     pops = np.sum(np.abs(psi.reshape(space.atom_dim, space.fock_cutoff)) ** 2, axis=0)
     record = ResultRecord(
         task="gate",
         model=model,
-        fidelity=min(1.0, fidelity(ref, psi, space)),
+        fidelity=min(1.0, fid),
         leakage=leakage(psi, gp.m, gp.k, space),
         guard_population=float(pops[space.guard_level]),
         purity=purity(rho),
@@ -130,13 +118,13 @@ def cmd_gate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_point(cfg: RunConfig, index: int, ratio: float, model: str) -> dict:
+def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
     start = time.perf_counter()
     # common random numbers across grid points: every point sees the same
     # sampled angles and pair amplitudes, so trends are paired comparisons
     rng = np.random.default_rng(cfg.seed)
-    p = to_raman(cfg, m=cfg.sweep.m, omega_l=ratio * cfg.physical.g)
-    space = to_space(cfg, atom_dim=3 if model == "full" else 2)
+    p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
+    space = to_space(cfg, model)
     fids, leaks, times = [], [], []
     for _ in range(cfg.sweep.samples):
         phi = float(rng.uniform(0.15, 0.5 * np.pi))
@@ -145,20 +133,13 @@ def _sweep_point(cfg: RunConfig, index: int, ratio: float, model: str) -> dict:
         beta = complex(z[2], z[3])
         nrm = np.hypot(abs(alpha), abs(beta))
         alpha, beta = alpha / nrm, beta / nrm
-        gp = GateParams.from_raman(p, m=cfg.sweep.m, phi=phi)
+        gp = GateParams.from_raman(p, m=cfg.gate.m, phi=phi)
         U = pair_gate(gp, p, space, model=model)
-        osc = np.zeros(space.fock_cutoff, dtype=complex)
-        osc[gp.m - 1], osc[gp.m] = alpha, beta
-        psi = U @ product_state(space, atom_plus(space.atom_dim), osc).amplitudes
-        pair = closed_form_rotation(alpha, beta, gp)
-        ref_osc = np.zeros(space.fock_cutoff, dtype=complex)
-        ref_osc[gp.m - 1], ref_osc[gp.m] = pair
-        ref = product_state(space, atom_plus(space.atom_dim), ref_osc).amplitudes
-        fids.append(fidelity(ref, psi, space))
+        psi, fid = closed_form_check(U, gp, space, alpha, beta)
+        fids.append(fid)
         leaks.append(leakage(psi, gp.m, gp.k, space))
         times.append(gp.tau)
     return {
-        "index": index,
         "r": ratio,
         "model": model,
         "fidelity": float(np.mean(fids)),
@@ -169,15 +150,13 @@ def _sweep_point(cfg: RunConfig, index: int, ratio: float, model: str) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    jobs = []
-    for model in _models(cfg):
-        for ratio in cfg.sweep.ratios:
-            jobs.append((len(jobs), ratio, model))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # large-ratio points trip the selectivity warning
-        with ThreadPoolExecutor(max_workers=max(1, cfg.sweep.workers)) as pool:
-            rows = list(pool.map(lambda j: _sweep_point(cfg, *j), jobs))
-    rows.sort(key=lambda row: row["index"])
+        rows = [
+            _sweep_point(cfg, ratio, model)
+            for model in _models(cfg)
+            for ratio in cfg.sweep.ratios
+        ]
     header = ["r", "model", "fidelity", "leakage", "gate_time"]
     print(",".join(header))
     for row in rows:
@@ -213,14 +192,8 @@ def cmd_synthesize(cfg: RunConfig) -> int:
         start = time.perf_counter()
         phase_model = "effective" if model in ("effective", "full") else "ideal"
         p = to_raman(cfg, m=1)
-        support = np.nonzero(np.abs(target) > 1e-12)[0]
-        if len(support) <= 2 and support[0] == 0 and len(target) >= 1:
-            n = int(support[-1])
-            plan = plan_superposition(target[0], target[n], n, p, phase_model=phase_model) \
-                if n > 0 else plan_superposition(target[0], 0.0, 0, p, phase_model=phase_model)
-        else:
-            plan = plan_general_state(target, p, phase_model=phase_model)
-        space = to_space(cfg, atom_dim=3 if model == "full" else 2)
+        plan = plan_general_state(target, p, phase_model=phase_model)
+        space = to_space(cfg, model)
         initial = np.zeros(space.fock_cutoff, dtype=complex)
         initial[0] = 1.0
         _, report = execute_plan(plan, initial, model, p, space)
@@ -255,7 +228,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = to_raman(cfg)
-    space = to_space(cfg, atom_dim=2)
+    space = to_space(cfg, "ideal")
     self_test = cfg.validate.self_test
     results = run_validation(
         p, space, tolerances=cfg.tolerances, corrupt_theta0=self_test, seed=cfg.seed

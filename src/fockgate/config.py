@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,13 +39,11 @@ class PhysicalConfig:
 @dataclass
 class SpaceConfig:
     fock_cutoff: int = 12
-    atom_dim: int = 2
 
 
 @dataclass
 class GateConfig:
     m: int = 1
-    k: int = 1
     phi: float = 0.7853981633974483  # pi/4
 
 
@@ -52,8 +51,6 @@ class GateConfig:
 class SweepConfig:
     ratios: list[float] = field(default_factory=lambda: [0.02, 0.05, 0.1, 0.2, 0.5])
     samples: int = 8
-    m: int = 1
-    workers: int = 4
 
 
 @dataclass
@@ -156,43 +153,48 @@ def apply_override(data: dict, item: str) -> dict:
     return data
 
 
+def _check_number(name: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+
+
+def _check_count(name: str, value: Any, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+
+
 def validate_config(cfg: RunConfig) -> None:
     if cfg.task not in TASKS:
         raise ConfigError(f"task: {cfg.task!r} is not one of {TASKS}")
     if cfg.model not in MODEL_CHOICES:
         raise ConfigError(f"model: {cfg.model!r} is not one of {MODEL_CHOICES}")
+    for name in ("g", "omega_l", "theta", "delta"):
+        _check_number(f"physical.{name}", getattr(cfg.physical, name))
+    _check_number("gate.phi", cfg.gate.phi)
     if cfg.physical.g <= 0:
         raise ConfigError(f"physical.g: must be > 0, got {cfg.physical.g}")
     if cfg.physical.omega_l < 0:
         raise ConfigError(f"physical.omega_l: must be >= 0, got {cfg.physical.omega_l}")
     if cfg.physical.delta == 0:
         raise ConfigError("physical.delta: must be nonzero")
-    if cfg.space.fock_cutoff < 2:
-        raise ConfigError(f"space.fock_cutoff: must be >= 2, got {cfg.space.fock_cutoff}")
-    if cfg.space.atom_dim not in (2, 3):
-        raise ConfigError(f"space.atom_dim: must be 2 or 3, got {cfg.space.atom_dim}")
-    if cfg.gate.m < 1:
-        raise ConfigError(f"gate.m: must be >= 1, got {cfg.gate.m}")
-    if cfg.gate.k < 1 or cfg.gate.k > cfg.gate.m:
-        raise ConfigError(f"gate.k: need 1 <= k <= m, got k={cfg.gate.k}, m={cfg.gate.m}")
-    if cfg.task == "gate" and cfg.gate.k != 1:
-        raise ConfigError(
-            "gate.k: the gate task models the single-quantum case; build k > 1 "
-            "couplings through the library API"
-        )
+    _check_count("space.fock_cutoff", cfg.space.fock_cutoff, 2)
+    _check_count("gate.m", cfg.gate.m, 1)
     if cfg.gate.m + 2 > cfg.space.fock_cutoff:
         raise ConfigError(
             f"gate.m: level {cfg.gate.m} needs fock_cutoff >= {cfg.gate.m + 2} "
             f"(guard level), got {cfg.space.fock_cutoff}"
         )
-    if not cfg.sweep.ratios:
-        raise ConfigError("sweep.ratios: grid must not be empty")
-    if any(r <= 0 for r in cfg.sweep.ratios):
-        raise ConfigError("sweep.ratios: all ratios must be > 0")
-    if cfg.sweep.samples < 1:
-        raise ConfigError(f"sweep.samples: must be >= 1, got {cfg.sweep.samples}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
+    if not isinstance(cfg.sweep.ratios, list) or not cfg.sweep.ratios:
+        raise ConfigError("sweep.ratios: grid must be a non-empty list")
+    for r in cfg.sweep.ratios:
+        _check_number("sweep.ratios", r)
+        if r <= 0:
+            raise ConfigError("sweep.ratios: all ratios must be > 0")
+    _check_count("sweep.samples", cfg.sweep.samples, 1)
+    _check_count("seed", cfg.seed, 0)
+    _check_count("target.n", cfg.target.n, 0)
     target_levels = _target_support(cfg)
     if target_levels and max(target_levels) + 2 > cfg.space.fock_cutoff:
         raise ConfigError(
@@ -203,11 +205,12 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _parse_amplitude(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: amplitudes must be numbers or [re, im] pairs")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(part, (int, float)) for part in parts):
+        raise ConfigError(f"{where}: amplitudes must be numbers or [re, im] pairs")
+    for part in parts:
+        _check_number(where, part)
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def target_state(cfg: RunConfig) -> np.ndarray:
@@ -259,7 +262,6 @@ def to_raman(cfg: RunConfig, m: int | None = None, omega_l: float | None = None)
     )
 
 
-def to_space(cfg: RunConfig, atom_dim: int | None = None) -> HilbertSpace:
-    return HilbertSpace(
-        atom_dim if atom_dim is not None else cfg.space.atom_dim, cfg.space.fock_cutoff
-    )
+def to_space(cfg: RunConfig, model: str) -> HilbertSpace:
+    """Working space of one model: three atomic levels for "full", else two."""
+    return HilbertSpace(3 if model == "full" else 2, cfg.space.fock_cutoff)

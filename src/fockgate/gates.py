@@ -49,7 +49,7 @@ from .hamiltonians import (
     multiquantum_hamiltonian,
 )
 from .propagator import Propagator
-from .spaces import HilbertSpace, StateVector, atomic_sigma, tensor
+from .spaces import HilbertSpace, StateVector, atomic_sigma, fidelity, product_state, tensor
 
 MODELS = ("ideal", "effective", "full")
 
@@ -240,6 +240,30 @@ def closed_form_rotation(
     if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
     return rotation_matrix(gp, atom_sign, phase_offset) @ np.array([alpha, beta], dtype=complex)
+
+
+def closed_form_check(
+    U: np.ndarray,
+    gp: GateParams,
+    space: HilbertSpace,
+    alpha: complex,
+    beta: complex,
+    reference: GateParams | None = None,
+) -> tuple[np.ndarray, float]:
+    """Apply U to |+> ⊗ (alpha|m-k> + beta|m>) and score it against the closed form.
+
+    Returns the output joint state and its fidelity with |+> ⊗ the pair as
+    ``closed_form_rotation`` maps it under ``reference`` (default ``gp``).
+    """
+    plus = atom_plus(space.atom_dim)
+    lo, hi = gp.pair
+    osc = np.zeros(space.fock_cutoff, dtype=complex)
+    osc[lo], osc[hi] = alpha, beta
+    psi = U @ product_state(space, plus, osc).amplitudes
+    ref_osc = np.zeros(space.fock_cutoff, dtype=complex)
+    ref_osc[lo], ref_osc[hi] = closed_form_rotation(alpha, beta, reference or gp)
+    ref = product_state(space, plus, ref_osc).amplitudes
+    return psi, fidelity(ref, psi, space)
 
 
 class EchoFactors(NamedTuple):

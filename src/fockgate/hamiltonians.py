@@ -92,20 +92,6 @@ class RamanParams:
         return self.omega_l / self.g if self.g != 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Derived two-level model coefficients."""
-
-    lam: float
-    theta: float
-    m: int
-    delta: float
-
-    @classmethod
-    def from_raman(cls, p: RamanParams) -> "EffectiveParams":
-        return cls(lam=p.coupling, theta=p.theta, m=p.m, delta=p.delta)
-
-
 def _require_cutoff(space: HilbertSpace, m: int):
     if space.fock_cutoff < m + 2:
         raise ValueError(

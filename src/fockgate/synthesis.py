@@ -124,18 +124,13 @@ def _spectator_phase(phase_model: str, gp: GateParams, level: int) -> float:
     return -(gp.eta + level * gp.theta0)
 
 
-def _compile_ladder(
-    target: np.ndarray,
-    p: RamanParams,
-    phase_model: str,
-    phis: list[float] | None = None,
-) -> CircuitPlan:
-    """Angles from target moduli (or given), pulse-phase offsets from the ledger.
+def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> CircuitPlan:
+    """Angles from target moduli, pulse-phase offsets from the ledger.
 
     "calibrated" compiles the "effective" ledger plan and refines it.
     """
     if phase_model == "calibrated":
-        return _calibrate(_compile_ladder(target, p, "effective", phis), p)
+        return _calibrate(_compile_ladder(target, p, "effective"), p)
     if phase_model not in LEDGER_MODELS:
         raise ValueError(f"unknown phase model {phase_model!r}")
     t = np.asarray(target, dtype=complex)
@@ -151,14 +146,11 @@ def _compile_ladder(
 
     # rotation angles: gate j acts on pair {j-1, j}; cos(phi_j) is the share
     # of the remaining weight that stays at level j-1
-    if phis is None:
-        phis = []
-        for j in range(1, top + 1):
-            remaining = float(np.linalg.norm(t[j - 1 :]))
-            ratio = min(1.0, abs(t[j - 1]) / remaining)
-            phis.append(float(np.arccos(ratio)))
-    elif len(phis) != top:
-        raise ValueError(f"need {top} angles, got {len(phis)}")
+    phis = []
+    for j in range(1, top + 1):
+        remaining = float(np.linalg.norm(t[j - 1 :]))
+        ratio = min(1.0, abs(t[j - 1]) / remaining)
+        phis.append(float(np.arccos(ratio)))
 
     gates = [GateParams.from_raman(p, m=j, phi=phis[j - 1]) for j in range(1, top + 1)]
 
@@ -234,14 +226,11 @@ def plan_superposition(
     nrm = abs(alpha) ** 2 + abs(beta) ** 2
     if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
-    target = np.zeros(max(n + 1, 1), dtype=complex)
+    target = np.zeros(n + 1, dtype=complex)
     target[0] = alpha
     if n > 0:
         target[n] = beta
-    if abs(beta) < 1e-12:
-        return CircuitPlan(steps=[], target=target, phase_model=phase_model)
-    phis = [float(np.arccos(min(1.0, abs(alpha))))] + [0.5 * math.pi] * (n - 1)
-    return _compile_ladder(target, p, phase_model, phis=phis)
+    return _compile_ladder(target, p, phase_model)
 
 
 def execute_plan(

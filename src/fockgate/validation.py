@@ -17,7 +17,7 @@ from .gates import (
     GateParams,
     atom_minus,
     atom_plus,
-    closed_form_rotation,
+    closed_form_check,
     combined_echo_coupling,
     echo_factors,
     pair_gate,
@@ -162,15 +162,9 @@ def run_validation(
         alpha, beta = alpha / nrm, beta / nrm
         g_m = GateParams.from_raman(p, m=m, phi=phi)
         U = pair_gate(g_m, p, space, model="ideal")
-        osc = np.zeros(nf, dtype=complex)
-        osc[m - 1], osc[m] = alpha, beta
-        out = U @ product_state(space, atom_plus(2), osc).amplitudes
-        g_cf = replace(g_m, theta0=-g_m.theta0) if corrupt_theta0 else g_m
-        pair = closed_form_rotation(alpha, beta, g_cf)
-        expect = np.zeros(nf, dtype=complex)
-        expect[m - 1], expect[m] = pair
-        ref = product_state(space, atom_plus(2), expect).amplitudes
-        worst = max(worst, 1.0 - float(np.abs(np.vdot(ref, out)) ** 2))
+        g_cf = replace(g_m, theta0=-g_m.theta0) if corrupt_theta0 else None
+        _, fid = closed_form_check(U, g_m, space, alpha, beta, reference=g_cf)
+        worst = max(worst, 1.0 - fid)
     results.append(
         CheckResult("closed-form rotation infidelity", worst, tol["closed_form_infidelity"])
     )

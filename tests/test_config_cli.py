@@ -124,6 +124,38 @@ def test_gate_command_config_error(capsys):
     assert "gate.m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["gate", "--set", "physical.g=NaN"], "physical.g"),
+        (["gate", "--set", "physical.omega_l=Infinity"], "physical.omega_l"),
+        (["gate", "--set", "physical.delta=NaN"], "physical.delta"),
+        (["gate", "--set", "gate.phi=NaN"], "gate.phi"),
+        (["sweep", "--set", "sweep.ratios=[NaN]"], "sweep.ratios"),
+        (["synthesize", "--set", "target.amplitudes=[[NaN,0],[1,0]]"], "target.amplitudes"),
+        (["gate", "--set", "space.fock_cutoff=1e400"], "space.fock_cutoff"),
+        (["sweep", "--set", "sweep.samples=2.5"], "sweep.samples"),
+    ],
+)
+def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):
+    rc = main(argv)
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+def test_sweep_reads_gate_level_and_its_guard(capsys):
+    rc = main(["sweep", "--set", "gate.m=11"])
+    assert rc == 2
+    assert "gate.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k"])
+def test_removed_fields_are_unknown(key, capsys):
+    rc = main(["gate", "--set", f"{key}=1"])
+    assert rc == 2
+    assert f"{key}: unknown field" in capsys.readouterr().err
+
+
 def test_zero_duration_gate(tmp_path):
     rc = main(["gate", "--out", str(tmp_path), "--set", "gate.phi=0.0", "--model", "ideal"])
     assert rc == 0

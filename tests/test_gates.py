@@ -11,6 +11,7 @@ from fockgate import (
     RamanParams,
     atom_minus,
     atom_plus,
+    closed_form_check,
     closed_form_rotation,
     combined_echo_coupling,
     decompose_effective,
@@ -122,6 +123,23 @@ def test_closed_form_includes_global_phase(params, space):
     out = U @ pair_input(space, atom_plus(2), 0.6, 0.8j, 3)
     ref = embed_pair(space, atom_plus(2), closed_form_rotation(0.6, 0.8j, gp), 3)
     assert_allclose(out, ref, atol=1e-11)
+
+
+def test_closed_form_check_scores_against_reference(params, space, rng):
+    # psi is the gate applied to |+> ⊗ the pair input.  A reference with the
+    # dispersive phase negated differs by e^{2i theta0} on the lower level, so
+    # it scores 1 - 4 |c_lo|^2 |c_hi|^2 sin^2(theta0)
+    gp = GateParams.from_raman(params, m=2, phi=0.67)  # theta0 near 3*pi/2
+    U = brute_force_gate(gp, params, space)
+    corrupt = replace(gp, theta0=-gp.theta0)
+    alphas, betas = random_pair_amplitudes(rng, 5)
+    for alpha, beta in zip(alphas, betas):
+        psi, fid = closed_form_check(U, gp, space, alpha, beta)
+        assert_allclose(psi, U @ pair_input(space, atom_plus(2), alpha, beta, 2), atol=1e-14)
+        assert fid == pytest.approx(1.0, abs=1e-10)
+        lo, hi = np.abs(closed_form_rotation(alpha, beta, gp)) ** 2
+        _, bad = closed_form_check(U, gp, space, alpha, beta, reference=corrupt)
+        assert bad == pytest.approx(1.0 - 4.0 * lo * hi * np.sin(gp.theta0) ** 2, abs=1e-10)
 
 
 def test_phase_only_gate_at_zero_angle(params, space):

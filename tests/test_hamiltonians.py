@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from fockgate import (
     HilbertSpace,
     RamanParams,
-    EffectiveParams,
     annihilation,
     creation,
     decompose_effective,
@@ -40,7 +39,6 @@ def test_derived_coefficients():
     assert p.coupling == pytest.approx(0.01)
     assert p.dispersive_rate == pytest.approx(0.1)
     assert p.engineered_shift == pytest.approx((1.0 - 0.01) / 10.0)
-    assert EffectiveParams.from_raman(p).lam == pytest.approx(0.01)
 
 
 # ---- three-level builder -------------------------------------------------
