@@ -39,7 +39,7 @@ def main(argv=None):
     for r in args.ratios:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            p = RamanParams(g=1.0, omega_l=r, delta=20.0, m=1)
+            p = RamanParams(g=1.0, omega_l=r, delta=20.0)
         fids = []
         for n in range(1, args.max_n + 1):
             plan = plan_superposition(alpha, beta, n, p, phase_model="effective")

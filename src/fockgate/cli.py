@@ -191,7 +191,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     for model in _models(cfg):
         start = time.perf_counter()
         phase_model = "effective" if model in ("effective", "full") else "ideal"
-        p = to_raman(cfg, m=1)
+        p = to_raman(cfg)
         plan = plan_general_state(target, p, phase_model=phase_model)
         space = to_space(cfg, model)
         initial = np.zeros(space.fock_cutoff, dtype=complex)
@@ -231,7 +231,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     space = to_space(cfg, "ideal")
     self_test = cfg.validate.self_test
     results = run_validation(
-        p, space, tolerances=cfg.tolerances, corrupt_theta0=self_test, seed=cfg.seed
+        p, space, cfg.gate.m, tolerances=cfg.tolerances, corrupt_theta0=self_test, seed=cfg.seed
     )
     for res in results:
         print(res.describe())

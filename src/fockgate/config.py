@@ -18,6 +18,7 @@ import numpy as np
 
 from .hamiltonians import RamanParams
 from .spaces import HilbertSpace
+from .validation import DEFAULT_TOLERANCES
 
 TASKS = ("gate", "synthesize", "sweep", "validate")
 MODEL_CHOICES = ("ideal", "effective", "full", "all")
@@ -31,7 +32,6 @@ class ConfigError(Exception):
 class PhysicalConfig:
     g: float = 1.0
     omega_l: float = 0.1
-    theta: float = 0.0
     delta: float = 20.0
     include_shift: bool = True
 
@@ -170,7 +170,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"task: {cfg.task!r} is not one of {TASKS}")
     if cfg.model not in MODEL_CHOICES:
         raise ConfigError(f"model: {cfg.model!r} is not one of {MODEL_CHOICES}")
-    for name in ("g", "omega_l", "theta", "delta"):
+    for name in ("g", "omega_l", "delta"):
         _check_number(f"physical.{name}", getattr(cfg.physical, name))
     _check_number("gate.phi", cfg.gate.phi)
     if cfg.physical.g <= 0:
@@ -179,6 +179,20 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"physical.omega_l: must be >= 0, got {cfg.physical.omega_l}")
     if cfg.physical.delta == 0:
         raise ConfigError("physical.delta: must be nonzero")
+    for name, flag in (
+        ("physical.include_shift", cfg.physical.include_shift),
+        ("validate.self_test", cfg.validate.self_test),
+    ):
+        if not isinstance(flag, bool):
+            raise ConfigError(f"{name}: must be true or false, got {flag!r}")
+    if not isinstance(cfg.tolerances, dict):
+        raise ConfigError(f"tolerances: expected an object, got {cfg.tolerances!r}")
+    for key, bound in cfg.tolerances.items():
+        if key not in DEFAULT_TOLERANCES:
+            raise ConfigError(f"tolerances.{key}: unknown field")
+        _check_number(f"tolerances.{key}", bound)
+        if bound <= 0:
+            raise ConfigError(f"tolerances.{key}: must be > 0, got {bound}")
     _check_count("space.fock_cutoff", cfg.space.fock_cutoff, 2)
     _check_count("gate.m", cfg.gate.m, 1)
     if cfg.gate.m + 2 > cfg.space.fock_cutoff:
@@ -250,14 +264,12 @@ def _target_support(cfg: RunConfig) -> list[int]:
     return [int(i) for i in np.nonzero(np.abs(amps) > 1e-12)[0]]
 
 
-def to_raman(cfg: RunConfig, m: int | None = None, omega_l: float | None = None) -> RamanParams:
+def to_raman(cfg: RunConfig, omega_l: float | None = None) -> RamanParams:
     ph = cfg.physical
     return RamanParams(
         g=ph.g,
         omega_l=ph.omega_l if omega_l is None else omega_l,
-        theta=ph.theta,
         delta=ph.delta,
-        m=cfg.gate.m if m is None else m,
         include_shift=ph.include_shift,
     )
 

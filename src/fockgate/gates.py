@@ -35,7 +35,7 @@ variant is noted here but not modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -159,10 +159,9 @@ def atom_minus(atom_dim: int) -> np.ndarray:
 def _pulse_hamiltonian(
     gp: GateParams, p: RamanParams, space: HilbertSpace, model: str, angle: float
 ) -> np.ndarray:
-    pulse_params = replace(p, m=gp.m, theta=angle)
     if model == "ideal":
         if gp.k == 1:
-            parts = decompose_effective(pulse_params, space)
+            parts = decompose_effective(p, space, gp.m, angle)
             return parts.pair_energy + parts.pair_coupling
         full_coupling = multiquantum_hamiltonian(gp.k, gp.lam, angle, gp.m, space)
         keep = np.zeros_like(full_coupling)
@@ -174,11 +173,11 @@ def _pulse_hamiltonian(
     if model == "effective":
         if gp.k != 1:
             raise ValueError("effective model is defined for k = 1 only")
-        return effective_hamiltonian(pulse_params, space)
+        return effective_hamiltonian(p, space, gp.m, angle)
     if model == "full":
         if gp.k != 1:
             raise ValueError("full model is defined for k = 1 only")
-        return full_hamiltonian(pulse_params, space)
+        return full_hamiltonian(p, space, gp.m, angle)
     raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
@@ -267,15 +266,17 @@ def closed_form_check(
 
 
 class EchoFactors(NamedTuple):
-    """sigma_x-conjugated pieces of the pulse Hamiltonian."""
+    """sigma_x-conjugated pieces of the pulse Hamiltonian at drive phase angle."""
 
-    flipped_pulse: np.ndarray     # sigma_x (pair_energy + pair_coupling(0)) sigma_x
-    flipped_coupling: np.ndarray  # sigma_x pair_coupling(0) sigma_x
+    flipped_pulse: np.ndarray     # sigma_x (pair_energy + pair_coupling(angle)) sigma_x
+    flipped_coupling: np.ndarray  # sigma_x pair_coupling(angle) sigma_x
     flipped_energy: np.ndarray    # sigma_x pair_energy sigma_x
 
 
-def echo_factors(gp: GateParams, p: RamanParams, space: HilbertSpace) -> EchoFactors:
-    """Conjugate the ideal pulse terms by the spin flip.
+def echo_factors(
+    gp: GateParams, p: RamanParams, space: HilbertSpace, angle: float = 0.0
+) -> EchoFactors:
+    """Conjugate the ideal pulse terms at drive phase angle by the spin flip.
 
     These satisfy [pair_energy, pair_coupling] = 0 and
     [pair_coupling, flipped_coupling] = 0, the identities behind the
@@ -283,7 +284,7 @@ def echo_factors(gp: GateParams, p: RamanParams, space: HilbertSpace) -> EchoFac
     """
     if space.atom_dim != 2:
         raise ValueError(f"echo factors need atom_dim = 2, got {space.atom_dim}")
-    parts = decompose_effective(replace(p, m=gp.m, theta=0.0), space)
+    parts = decompose_effective(p, space, gp.m, angle)
     flip = tensor(spin_flip(2), np.eye(space.fock_cutoff, dtype=complex))
     flipped_energy = flip @ parts.pair_energy @ flip
     flipped_coupling = flip @ parts.pair_coupling @ flip

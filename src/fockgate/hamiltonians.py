@@ -10,9 +10,11 @@ shifts g^2*n/delta.  An engineered Stark shift on |e> puts exactly one doublet
 {|g,m>, |e,m-1>} on resonance; all other doublets are detuned by
 g^2*(n-m)/delta, which dominates lambda when g >> |Omega_L|.
 
-All builders return dense complex matrices on the joint space (atom-major
-ordering) and are Hermitian by construction.  hbar = 1 throughout; every
-coefficient is an angular frequency.
+``RamanParams`` holds the device; the selected level m and the drive phase
+theta are pulse arguments: ``builder(p, space, m, theta=0.0)``.  All builders
+return dense complex matrices on the joint space (atom-major ordering) and
+are Hermitian by construction.  hbar = 1 throughout; every coefficient is an
+angular frequency.
 """
 
 from __future__ import annotations
@@ -38,13 +40,11 @@ SELECTIVITY_RATIO_WARN = 0.2
 
 @dataclass(frozen=True)
 class RamanParams:
-    """Physical couplings of the driven Raman configuration.
+    """The device: physical couplings of the driven Raman configuration.
 
     g: atom-mode coupling (taken real).
     omega_l: magnitude of the classical drive |Omega_L|.
-    theta: drive phase in radians.
     delta: common detuning of both transitions from |h>; must be nonzero.
-    m: Fock level selected by the engineered shift.
     include_shift: whether the three-level builder applies the engineered
         Stark shift (g^2*m - |Omega_L|^2)/delta to |e>.  The two-level
         effective builder always assumes it.
@@ -52,18 +52,17 @@ class RamanParams:
 
     g: float
     omega_l: float
-    theta: float = 0.0
     delta: float = 20.0
-    m: int = 1
     include_shift: bool = True
 
     def __post_init__(self):
+        for name in ("g", "omega_l", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta == 0.0:
             raise ValueError("delta must be nonzero")
         if self.omega_l < 0.0:
             raise ValueError(f"omega_l must be >= 0, got {self.omega_l}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
         r = self.selectivity_ratio
         if r > SELECTIVITY_RATIO_WARN:
             warnings.warn(
@@ -82,10 +81,9 @@ class RamanParams:
         """Per-quantum dispersive shift g^2/delta."""
         return self.g**2 / self.delta
 
-    @property
-    def engineered_shift(self) -> float:
+    def engineered_shift(self, m: int) -> float:
         """Stark shift applied to |e> to select the doublet at Fock level m."""
-        return (self.g**2 * self.m - self.omega_l**2) / self.delta
+        return (self.g**2 * m - self.omega_l**2) / self.delta
 
     @property
     def selectivity_ratio(self) -> float:
@@ -93,6 +91,8 @@ class RamanParams:
 
 
 def _require_cutoff(space: HilbertSpace, m: int):
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if space.fock_cutoff < m + 2:
         raise ValueError(
             f"fock_cutoff {space.fock_cutoff} too small for selected level m={m}; "
@@ -100,7 +100,7 @@ def _require_cutoff(space: HilbertSpace, m: int):
         )
 
 
-def full_hamiltonian(p: RamanParams, space: HilbertSpace) -> np.ndarray:
+def full_hamiltonian(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> np.ndarray:
     """Three-level rotating-frame Hamiltonian with explicit |h>.
 
     Static frame chosen so that the couplings are time independent: |h> sits
@@ -111,21 +111,23 @@ def full_hamiltonian(p: RamanParams, space: HilbertSpace) -> np.ndarray:
     """
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
-    _require_cutoff(space, p.m)
+    _require_cutoff(space, m)
     nf = space.fock_cutoff
     a = annihilation(nf)
     ident = np.eye(nf, dtype=complex)
     H = -p.delta * tensor(atomic_sigma("h", "h", 3), ident)
     H += p.g * (tensor(atomic_sigma("h", "g", 3), a) + tensor(atomic_sigma("g", "h", 3), creation(nf)))
-    drive = p.omega_l * np.exp(1j * p.theta)
+    drive = p.omega_l * np.exp(1j * theta)
     H += drive * tensor(atomic_sigma("h", "e", 3), ident)
     H += np.conj(drive) * tensor(atomic_sigma("e", "h", 3), ident)
     if p.include_shift:
-        H += p.engineered_shift * tensor(atomic_sigma("e", "e", 3), ident)
+        H += p.engineered_shift(m) * tensor(atomic_sigma("e", "e", 3), ident)
     return H
 
 
-def effective_hamiltonian(p: RamanParams, space: HilbertSpace) -> np.ndarray:
+def effective_hamiltonian(
+    p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0
+) -> np.ndarray:
     """Two-level model after eliminating |h>.
 
     (g^2/delta) a†a on |g>, the shifted constant g^2*m/delta on |e>, and the
@@ -134,18 +136,20 @@ def effective_hamiltonian(p: RamanParams, space: HilbertSpace) -> np.ndarray:
     """
     if space.atom_dim != 2:
         raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
-    _require_cutoff(space, p.m)
+    _require_cutoff(space, m)
     nf = space.fock_cutoff
     rate = p.dispersive_rate
     H = rate * tensor(atomic_sigma("g", "g", 2), number_operator(nf))
-    H += rate * p.m * tensor(atomic_sigma("e", "e", 2), np.eye(nf, dtype=complex))
+    H += rate * m * tensor(atomic_sigma("e", "e", 2), np.eye(nf, dtype=complex))
     lam = p.coupling
-    H += lam * np.exp(1j * p.theta) * tensor(atomic_sigma("g", "e", 2), creation(nf))
-    H += lam * np.exp(-1j * p.theta) * tensor(atomic_sigma("e", "g", 2), annihilation(nf))
+    H += lam * np.exp(1j * theta) * tensor(atomic_sigma("g", "e", 2), creation(nf))
+    H += lam * np.exp(-1j * theta) * tensor(atomic_sigma("e", "g", 2), annihilation(nf))
     return H
 
 
-def selective_hamiltonian(p: RamanParams, space: HilbertSpace) -> np.ndarray:
+def selective_hamiltonian(
+    p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0
+) -> np.ndarray:
     """Effective model with the off-resonant exchange terms projected out.
 
     Keeps the dispersive diagonal and only the resonant doublet coupling
@@ -153,11 +157,11 @@ def selective_hamiltonian(p: RamanParams, space: HilbertSpace) -> np.ndarray:
     effective operator, so it provides a construction route independent of
     the term-by-term decomposition.
     """
-    if p.m < 1:
-        raise ValueError(f"selective model needs m >= 1, got {p.m}")
-    H = effective_hamiltonian(p, space)
+    if m < 1:
+        raise ValueError(f"selective model needs m >= 1, got {m}")
+    H = effective_hamiltonian(p, space, m, theta)
     for n in range(1, space.fock_cutoff):
-        if n == p.m:
+        if n == m:
             continue
         i_g = space.index("g", n)
         i_e = space.index("e", n - 1)
@@ -174,7 +178,9 @@ class SelectiveParts(NamedTuple):
     pair_coupling: np.ndarray # resonant exchange inside {|g,m>, |e,m-1>}
 
 
-def decompose_effective(p: RamanParams, space: HilbertSpace) -> SelectiveParts:
+def decompose_effective(
+    p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0
+) -> SelectiveParts:
     """Split the selective-regime dynamics into its three commout-friendly parts.
 
     dispersive + pair_energy + pair_coupling reproduces
@@ -184,12 +190,11 @@ def decompose_effective(p: RamanParams, space: HilbertSpace) -> SelectiveParts:
     """
     if space.atom_dim != 2:
         raise ValueError(f"decomposition needs atom_dim = 2, got {space.atom_dim}")
-    if p.m < 1:
-        raise ValueError(f"decomposition needs m >= 1, got {p.m}")
-    _require_cutoff(space, p.m)
+    if m < 1:
+        raise ValueError(f"decomposition needs m >= 1, got {m}")
+    _require_cutoff(space, m)
     nf = space.fock_cutoff
     rate = p.dispersive_rate
-    m = p.m
 
     dispersive = np.zeros((space.dim, space.dim), dtype=complex)
     for n in range(nf):
@@ -207,18 +212,18 @@ def decompose_effective(p: RamanParams, space: HilbertSpace) -> SelectiveParts:
     pair_energy[idx_gm1, idx_gm1] -= rate
 
     pair_coupling = np.zeros_like(dispersive)
-    amp = p.coupling * np.sqrt(m) * np.exp(1j * p.theta)
+    amp = p.coupling * np.sqrt(m) * np.exp(1j * theta)
     pair_coupling[space.index("g", m), space.index("e", m - 1)] = amp
     pair_coupling[space.index("e", m - 1), space.index("g", m)] = np.conj(amp)
 
     return SelectiveParts(dispersive, pair_energy, pair_coupling)
 
 
-def effective_detuning(n: int, p: RamanParams) -> float:
+def effective_detuning(n: int, m: int, p: RamanParams) -> float:
     """Detuning g^2*(n-m)/delta of doublet {|g,n>, |e,n-1>}; zero at n = m."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return p.dispersive_rate * (n - p.m)
+    return p.dispersive_rate * (n - m)
 
 
 def multiquantum_hamiltonian(

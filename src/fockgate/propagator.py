@@ -23,14 +23,14 @@ class Propagator:
     rather than silently Schur-decomposed.
     """
 
-    def __init__(self, generator: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL):
+    def __init__(self, generator: np.ndarray):
         H = np.asarray(generator, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError(f"generator must be square, got shape {H.shape}")
         defect = hermiticity_defect(H)
-        if defect >= hermiticity_tol:
+        if defect >= HERMITICITY_TOL:
             raise ValueError(
-                f"generator is not Hermitian: max|H - H†| = {defect:.3e} >= {hermiticity_tol:.1e}"
+                f"generator is not Hermitian: max|H - H†| = {defect:.3e} >= {HERMITICITY_TOL:.1e}"
             )
         H = 0.5 * (H + H.conj().T)
         self.generator = H
@@ -62,9 +62,9 @@ class Propagator:
         return self.eigenvectors @ (phases * (self.eigenvectors.conj().T @ amps))
 
 
-def unitary_of(H: np.ndarray, t: float, hermiticity_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    return Propagator(H, hermiticity_tol).unitary(t)
+def unitary_of(H: np.ndarray, t: float) -> np.ndarray:
+    return Propagator(H).unitary(t)
 
 
-def evolve(psi, H: np.ndarray, t: float, hermiticity_tol: float = HERMITICITY_TOL):
-    return Propagator(H, hermiticity_tol).evolve(psi, t)
+def evolve(psi, H: np.ndarray, t: float):
+    return Propagator(H).evolve(psi, t)

@@ -29,7 +29,8 @@ only at n = 5 does leakage cap it, at 0.964.
 The atom is re-prepared in |+> between gates; since an ideal gate returns the
 atom exactly to |+>, this reset is bookkeeping rather than back-action.
 Gates on disjoint pairs commute, so a plan may be annotated with parallel
-groups; execution remains sequential per group member in any order.
+groups: running the groups in plan order, and the members of one group in
+any order, reproduces the sequential plan.
 """
 
 from __future__ import annotations
@@ -86,25 +87,24 @@ class CircuitPlan:
         return [s.gate.pair for s in self.steps]
 
     def parallel_groups(self) -> list[list[int]]:
-        """Greedy grouping of step indices into mutually disjoint-pair groups.
+        """Group step indices into layers of mutually disjoint pairs.
 
-        Order within the plan is preserved inside each group; no claim of a
-        minimal number of groups is made.
+        Each step joins the group right after the last group holding an
+        earlier step that shares a level with it, so running the groups in
+        order reproduces the sequential plan.  Order within the plan is
+        preserved inside each group; no claim of a minimal number of groups
+        is made.
         """
         groups: list[list[int]] = []
         occupied: list[set[int]] = []
         for i, step in enumerate(self.steps):
             levels = set(step.gate.pair)
-            placed = False
-            for g, occ in zip(groups, occupied):
-                if not occ & levels:
-                    g.append(i)
-                    occ |= levels
-                    placed = True
-                    break
-            if not placed:
-                groups.append([i])
-                occupied.append(set(levels))
+            g = next((j + 1 for j in reversed(range(len(groups))) if occupied[j] & levels), 0)
+            if g == len(groups):
+                groups.append([])
+                occupied.append(set())
+            groups[g].append(i)
+            occupied[g] |= levels
         return groups
 
 

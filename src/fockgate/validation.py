@@ -69,11 +69,12 @@ class CheckResult:
 def run_validation(
     p: RamanParams,
     space: HilbertSpace,
+    m: int,
     tolerances: dict | None = None,
     corrupt_theta0: bool = False,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Run the identity suite for a two-level space; returns one result per check."""
+    """Run the identity suite for a two-level space at level m; one result per check."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update({k: float(v) for k, v in tolerances.items() if k in DEFAULT_TOLERANCES})
@@ -92,19 +93,19 @@ def run_validation(
     comm = (a @ ad - ad @ a)[: nf - 1, : nf - 1] - np.eye(nf - 1)
     results.append(CheckResult("ladder commutator below guard level", max_abs(comm), algebraic))
 
-    h_eff = effective_hamiltonian(p, space)
+    h_eff = effective_hamiltonian(p, space, m)
     results.append(CheckResult("effective model hermiticity", hermiticity_defect(h_eff), algebraic))
     space3 = HilbertSpace(3, nf)
     results.append(
         CheckResult(
             "three-level model hermiticity",
-            hermiticity_defect(full_hamiltonian(p, space3)),
+            hermiticity_defect(full_hamiltonian(p, space3, m)),
             algebraic,
         )
     )
 
-    parts = decompose_effective(p, space)
-    sel = selective_hamiltonian(p, space)
+    parts = decompose_effective(p, space, m)
+    sel = selective_hamiltonian(p, space, m)
     results.append(
         CheckResult(
             "decomposition reproduces selective model",
@@ -120,7 +121,7 @@ def run_validation(
             algebraic,
         )
     )
-    gp = GateParams.from_raman(p, m=max(p.m, 1), phi=0.7)
+    gp = GateParams.from_raman(p, m=m, phi=0.7)
     factors = echo_factors(gp, p, space)
     results.append(
         CheckResult(
@@ -139,13 +140,12 @@ def run_validation(
     rhs = Propagator(factors.flipped_pulse).unitary(gp.tau)
     results.append(CheckResult("spin-echo conjugation identity", max_abs(lhs - rhs), propagation))
 
-    theta0 = gp.theta0
-    coupling_at_theta0 = decompose_effective(replace(p, theta=theta0, m=gp.m), space).pair_coupling
+    coupling_at_theta0 = decompose_effective(p, space, gp.m, gp.theta0).pair_coupling
     combined = (coupling_at_theta0 + flip @ coupling_at_theta0 @ flip) * gp.tau
     results.append(
         CheckResult(
             "combined echo coupling projector form",
-            max_abs(combined - combined_echo_coupling(gp, space, theta0)),
+            max_abs(combined - combined_echo_coupling(gp, space, gp.theta0)),
             propagation,
         )
     )
@@ -153,14 +153,14 @@ def run_validation(
     # closed-form equivalence on sampled gates
     worst = 0.0
     for _ in range(24):
-        m = int(rng.integers(1, min(5, nf - 2) + 1))
+        level = int(rng.integers(1, min(5, nf - 2) + 1))
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         z = rng.normal(size=4)
         alpha = complex(z[0], z[1])
         beta = complex(z[2], z[3])
         nrm = np.hypot(abs(alpha), abs(beta))
         alpha, beta = alpha / nrm, beta / nrm
-        g_m = GateParams.from_raman(p, m=m, phi=phi)
+        g_m = GateParams.from_raman(p, m=level, phi=phi)
         U = pair_gate(g_m, p, space, model="ideal")
         g_cf = replace(g_m, theta0=-g_m.theta0) if corrupt_theta0 else None
         _, fid = closed_form_check(U, g_m, space, alpha, beta, reference=g_cf)

@@ -6,7 +6,7 @@ from fockgate import HilbertSpace, RamanParams
 
 @pytest.fixture
 def params():
-    return RamanParams(g=1.0, omega_l=0.1, theta=0.0, delta=20.0, m=1)
+    return RamanParams(g=1.0, omega_l=0.1, delta=20.0)
 
 
 @pytest.fixture

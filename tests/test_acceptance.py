@@ -7,7 +7,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per check.
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from scipy.linalg import expm
 
 from fockgate import (
@@ -39,7 +38,7 @@ from fockgate import (
 from fockgate.propagator import Propagator
 from fockgate.spaces import fidelity, max_abs
 
-DEFAULTS = dict(g=1.0, omega_l=0.1, theta=0.0, delta=20.0)
+DEFAULTS = dict(g=1.0, omega_l=0.1, delta=20.0)
 
 
 def verdict(tag: str, ok: bool, detail: str = ""):
@@ -51,14 +50,14 @@ def brute_force_product(p, gp, space, model="ideal"):
     """Three-factor circuit via Pade exponentials."""
     if model == "ideal":
         def pulse(angle):
-            parts = decompose_effective(replace(p, m=gp.m, theta=angle), space)
+            parts = decompose_effective(p, space, gp.m, angle)
             return parts.pair_energy + parts.pair_coupling
     elif model == "effective":
         def pulse(angle):
-            return effective_hamiltonian(replace(p, m=gp.m, theta=angle), space)
+            return effective_hamiltonian(p, space, gp.m, angle)
     else:
         def pulse(angle):
-            return full_hamiltonian(replace(p, m=gp.m, theta=angle), space)
+            return full_hamiltonian(p, space, gp.m, angle)
     flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
     return expm(-1j * pulse(-gp.theta0) * gp.tau) @ flip @ expm(-1j * pulse(0.0) * gp.tau)
 
@@ -79,7 +78,7 @@ def random_pair(rng):
 def test_a01_closed_form_oracle_equivalence():
     """200 random gates: the three-factor product matches the closed form."""
     rng = np.random.default_rng(20240801)
-    p = RamanParams(m=1, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space = HilbertSpace(2, 9)
     worst = 1.0
     for _ in range(200):
@@ -101,7 +100,7 @@ def test_a01_closed_form_oracle_equivalence():
 def test_a02_disentanglement():
     """sigma_x eigenstates exit unentangled; bare |g> does not."""
     rng = np.random.default_rng(20240802)
-    p = RamanParams(m=1, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space = HilbertSpace(2, 9)
     worst = 1.0
     for _ in range(40):
@@ -127,10 +126,10 @@ def test_a02_disentanglement():
 
 def test_a03_derivation_identities():
     """Commutators, flip conjugation, and the projector-form coupling."""
-    p = RamanParams(m=3, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space = HilbertSpace(2, 10)
     gp = GateParams.from_raman(p, m=3, phi=0.8)
-    parts = decompose_effective(p, space)
+    parts = decompose_effective(p, space, 3)
     factors = echo_factors(gp, p, space)
 
     c1 = max_abs(parts.pair_energy @ parts.pair_coupling - parts.pair_coupling @ parts.pair_energy)
@@ -146,7 +145,7 @@ def test_a03_derivation_identities():
         - expm(-1j * factors.flipped_pulse * gp.tau)
     )
 
-    coupling_rot = decompose_effective(replace(p, theta=gp.theta0), space).pair_coupling
+    coupling_rot = decompose_effective(p, space, 3, gp.theta0).pair_coupling
     combined = (coupling_rot + flip @ coupling_rot @ flip) * gp.tau
     proj = max_abs(combined - combined_echo_coupling(gp, space, gp.theta0))
 
@@ -168,11 +167,11 @@ def test_a04_decomposition_consistency():
     worst_sum = 0.0
     worst_residual = 0.0
     for m in range(1, 7):
-        p = RamanParams(m=m, **DEFAULTS)
-        parts = decompose_effective(p, space)
+        p = RamanParams(**DEFAULTS)
+        parts = decompose_effective(p, space, m)
         total = parts.dispersive + parts.pair_energy + parts.pair_coupling
-        worst_sum = max(worst_sum, max_abs(total - selective_hamiltonian(p, space)))
-        residual = effective_hamiltonian(p, space) - total
+        worst_sum = max(worst_sum, max_abs(total - selective_hamiltonian(p, space, m)))
+        residual = effective_hamiltonian(p, space, m) - total
         expected = np.zeros_like(residual)
         for n in range(1, space.fock_cutoff):
             if n == m:
@@ -194,7 +193,7 @@ def test_a05_selectivity_scaling():
     m, phi = 2, np.pi / 4
 
     def one_gate_leak(ratio, angle):
-        p = RamanParams(m=m, **{**DEFAULTS, "omega_l": ratio * DEFAULTS["g"]})
+        p = RamanParams(**{**DEFAULTS, "omega_l": ratio * DEFAULTS["g"]})
         gp = GateParams.from_raman(p, m=m, phi=angle)
         out = pair_gate(gp, p, space, "effective") @ pair_input(
             space, atom_plus(2), 1.0, 0.0, m
@@ -225,7 +224,7 @@ def test_a05_selectivity_scaling():
 
 def test_a06_full_vs_effective_agreement():
     """Three-level and eliminated models agree at g/delta = 0.05, r = 0.1."""
-    p = RamanParams(m=1, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space2 = HilbertSpace(2, 12)
     space3 = HilbertSpace(3, 12)
     gp = GateParams.from_raman(p, m=1, phi=np.pi / 4)
@@ -238,8 +237,8 @@ def test_a06_full_vs_effective_agreement():
 
     # transient population of the eliminated level, sampled along both pulses
     psi0 = pair_input(space3, atom_plus(3), 0.0, 1.0, 1)
-    h_first = full_hamiltonian(replace(p, theta=0.0), space3)
-    h_second = full_hamiltonian(replace(p, theta=-gp.theta0), space3)
+    h_first = full_hamiltonian(p, space3, gp.m, 0.0)
+    h_second = full_hamiltonian(p, space3, gp.m, -gp.theta0)
     flip = tensor(spin_flip(3), np.eye(space3.fock_cutoff))
     h_max = 0.0
     prop1, prop2 = Propagator(h_first), Propagator(h_second)
@@ -274,7 +273,7 @@ def test_a07_preparation_recipe():
     n <= 4 and 4e-3 at n = 5.
     """
     rng = np.random.default_rng(20240807)
-    p = RamanParams(m=1, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space = HilbertSpace(2, 9)
     rows = []
     ok = True
@@ -304,7 +303,7 @@ def test_a07_preparation_recipe():
 def test_a08_general_synthesis_round_trip():
     """50 random targets with support <= 6 compile and execute exactly."""
     rng = np.random.default_rng(20240808)
-    p = RamanParams(m=1, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space = HilbertSpace(2, 9)
     worst = 1.0
     for _ in range(50):
@@ -325,7 +324,7 @@ def test_a08_general_synthesis_round_trip():
 
 def test_a09_parallelizability():
     """Disjoint pairs commute; overlapping pairs do not."""
-    p = RamanParams(m=1, **DEFAULTS)
+    p = RamanParams(**DEFAULTS)
     space = HilbertSpace(2, 8)
     ga = GateParams.from_raman(p, m=1, phi=np.pi / 3)
     gb = GateParams.from_raman(p, m=3, phi=np.pi / 3)

@@ -135,6 +135,13 @@ def test_gate_command_config_error(capsys):
         (["synthesize", "--set", "target.amplitudes=[[NaN,0],[1,0]]"], "target.amplitudes"),
         (["gate", "--set", "space.fock_cutoff=1e400"], "space.fock_cutoff"),
         (["sweep", "--set", "sweep.samples=2.5"], "sweep.samples"),
+        (["validate", "--set", "tolerances.algebraic=abc"], "tolerances.algebraic"),
+        (["validate", "--set", "tolerances=5"], "tolerances"),
+        (["validate", "--set", "tolerances.algebra=1e-30"], "tolerances.algebra: unknown field"),
+        (["validate", "--set", "tolerances.algebraic=NaN"], "tolerances.algebraic"),
+        (["validate", "--set", "tolerances.propagation=0"], "tolerances.propagation"),
+        (["gate", "--set", "physical.include_shift=no"], "physical.include_shift"),
+        (["validate", "--set", "validate.self_test=no"], "validate.self_test"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):
@@ -149,7 +156,9 @@ def test_sweep_reads_gate_level_and_its_guard(capsys):
     assert "gate.m" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k"])
+@pytest.mark.parametrize(
+    "key", ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k", "physical.theta"]
+)
 def test_removed_fields_are_unknown(key, capsys):
     rc = main(["gate", "--set", f"{key}=1"])
     assert rc == 2

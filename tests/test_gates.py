@@ -23,6 +23,7 @@ from fockgate import (
     purity,
     reduced_oscillator_state,
     rotation_matrix,
+    selective_hamiltonian,
     spin_flip,
     tensor,
 )
@@ -67,7 +68,7 @@ def test_from_raman_derived_quantities(params):
 @settings(max_examples=30)
 @given(st.integers(1, 6), st.floats(0.01, 6.0))
 def test_from_raman_invariants(m, phi):
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=m)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     gp = GateParams.from_raman(p, m=m, phi=phi)
     assert gp.phi == pytest.approx(gp.lam * np.sqrt(m) * gp.tau, rel=1e-12)
     assert gp.eta == pytest.approx(m * gp.theta0, rel=1e-12)
@@ -271,7 +272,7 @@ def test_full_model_agrees_with_effective(params):
 
 def test_echo_factor_commutators(params, space):
     gp = GateParams.from_raman(params, m=3, phi=0.5)
-    parts = decompose_effective(replace(params, m=3), space)
+    parts = decompose_effective(params, space, 3)
     factors = echo_factors(gp, params, space)
     c1 = parts.pair_energy @ parts.pair_coupling - parts.pair_coupling @ parts.pair_energy
     c2 = (
@@ -285,7 +286,7 @@ def test_echo_factor_commutators(params, space):
 def test_echo_conjugation_identity(params, space):
     # flip . exp(-iH tau) . flip computed two independent ways
     gp = GateParams.from_raman(params, m=2, phi=0.8)
-    parts = decompose_effective(replace(params, m=2), space)
+    parts = decompose_effective(params, space, 2)
     pulse = parts.pair_energy + parts.pair_coupling
     flip = tensor(spin_flip(2), np.eye(space.fock_cutoff))
     lhs = flip @ expm(-1j * pulse * gp.tau) @ flip
@@ -293,10 +294,35 @@ def test_echo_conjugation_identity(params, space):
     assert max_abs(lhs - rhs) < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.floats(-np.pi, np.pi), st.floats(0.05, 3.0))
+def test_pulse_terms_at_any_drive_phase(m, theta, phi):
+    # the echo identities hold at every drive phase, with level and phase
+    # passed to the builders explicitly
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    space = HilbertSpace(2, 9)
+    gp = GateParams.from_raman(p, m=m, phi=phi)
+    parts = decompose_effective(p, space, m, theta)
+    factors = echo_factors(gp, p, space, theta)
+    flip = tensor(spin_flip(2), np.eye(space.fock_cutoff))
+    pulse = parts.pair_energy + parts.pair_coupling
+    lhs = flip @ expm(-1j * pulse * gp.tau) @ flip
+    assert max_abs(lhs - expm(-1j * factors.flipped_pulse * gp.tau)) < 1e-10
+    c1 = parts.pair_energy @ parts.pair_coupling - parts.pair_coupling @ parts.pair_energy
+    c2 = (
+        parts.pair_coupling @ factors.flipped_coupling
+        - factors.flipped_coupling @ parts.pair_coupling
+    )
+    assert max_abs(c1) < 1e-12
+    assert max_abs(c2) < 1e-12
+    total = parts.dispersive + parts.pair_energy + parts.pair_coupling
+    assert max_abs(total - selective_hamiltonian(p, space, m, theta)) < 1e-12
+
+
 def test_combined_coupling_projector_form(params, space):
     gp = GateParams.from_raman(params, m=2, phi=0.8)
     angle = gp.theta0
-    coupling = decompose_effective(replace(params, m=2, theta=angle), space).pair_coupling
+    coupling = decompose_effective(params, space, 2, angle).pair_coupling
     flip = tensor(spin_flip(2), np.eye(space.fock_cutoff))
     combined = (coupling + flip @ coupling @ flip) * gp.tau
     assert max_abs(combined - combined_echo_coupling(gp, space, angle)) < 1e-12

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -26,7 +25,10 @@ def test_raman_params_validation():
     with pytest.raises(ValueError):
         RamanParams(g=1.0, omega_l=-0.1, delta=20.0)
     with pytest.raises(ValueError):
-        RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=-1)
+        full_hamiltonian(RamanParams(g=1.0, omega_l=0.1, delta=20.0), HilbertSpace(3, 8), -1)
+    for bad in (dict(g=np.nan), dict(omega_l=np.inf), dict(delta=np.nan), dict(delta=-np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            RamanParams(**{"g": 1.0, "omega_l": 0.1, "delta": 20.0, **bad})
 
 
 def test_selectivity_ratio_warning():
@@ -35,10 +37,10 @@ def test_selectivity_ratio_warning():
 
 
 def test_derived_coefficients():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0, m=1)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0)
     assert p.coupling == pytest.approx(0.01)
     assert p.dispersive_rate == pytest.approx(0.1)
-    assert p.engineered_shift == pytest.approx((1.0 - 0.01) / 10.0)
+    assert p.engineered_shift(1) == pytest.approx((1.0 - 0.01) / 10.0)
 
 
 # ---- three-level builder -------------------------------------------------
@@ -46,8 +48,8 @@ def test_derived_coefficients():
 
 @pytest.mark.filterwarnings("ignore:selectivity ratio")
 def test_full_couplings_off(space3):
-    p = RamanParams(g=0.0, omega_l=0.0, delta=20.0, m=1, include_shift=False)
-    H = full_hamiltonian(p, space3)
+    p = RamanParams(g=0.0, omega_l=0.0, delta=20.0, include_shift=False)
+    H = full_hamiltonian(p, space3, 1)
     expected = np.zeros_like(H)
     for n in range(space3.fock_cutoff):
         expected[space3.index("h", n), space3.index("h", n)] = -20.0
@@ -55,14 +57,14 @@ def test_full_couplings_off(space3):
 
 
 def test_full_ladder_element(params, space3):
-    H = full_hamiltonian(params, space3)
+    H = full_hamiltonian(params, space3, 1)
     assert H[space3.index("h", 0), space3.index("g", 1)] == pytest.approx(params.g)
     assert H[space3.index("h", 1), space3.index("g", 2)] == pytest.approx(params.g * np.sqrt(2))
 
 
 def test_full_closed_subspace_spectrum(params, space3):
     # {|g,1>, |h,0>, |e,0>} is invariant; compare against a directly built 3x3
-    H = full_hamiltonian(params, space3)
+    H = full_hamiltonian(params, space3, 1)
     idx = [space3.index("g", 1), space3.index("h", 0), space3.index("e", 0)]
     block = H[np.ix_(idx, idx)]
     other = [i for i in range(space3.dim) if i not in idx]
@@ -71,7 +73,7 @@ def test_full_closed_subspace_spectrum(params, space3):
         [
             [0.0, params.g, 0.0],
             [params.g, -params.delta, params.omega_l],
-            [0.0, params.omega_l, params.engineered_shift],
+            [0.0, params.omega_l, params.engineered_shift(1)],
         ],
         dtype=complex,
     )
@@ -80,7 +82,7 @@ def test_full_closed_subspace_spectrum(params, space3):
 
 def test_full_sparsity_pattern(params, space3):
     # couplings only |g,n> <-> |h,n-1> and |h,n> <-> |e,n>
-    H = full_hamiltonian(params, space3).copy()
+    H = full_hamiltonian(params, space3, 1).copy()
     np.fill_diagonal(H, 0.0)
     nf = space3.fock_cutoff
     allowed = set()
@@ -96,12 +98,12 @@ def test_full_sparsity_pattern(params, space3):
 
 def test_full_requires_three_levels(params, space):
     with pytest.raises(ValueError):
-        full_hamiltonian(params, space)
+        full_hamiltonian(params, space, 1)
 
 
 def test_full_cutoff_guard(params):
     with pytest.raises(ValueError):
-        full_hamiltonian(replace(params, m=5), HilbertSpace(3, 6))
+        full_hamiltonian(params, HilbertSpace(3, 6), 5)
 
 
 @pytest.mark.filterwarnings("ignore:selectivity ratio")
@@ -114,20 +116,21 @@ def test_full_cutoff_guard(params):
     st.floats(-np.pi, np.pi),
 )
 def test_builders_hermitian(g, wl, delta, m, theta):
-    p = RamanParams(g=g, omega_l=wl, theta=theta, delta=delta, m=m)
-    assert hermiticity_defect(full_hamiltonian(p, HilbertSpace(3, 8))) < 1e-12
-    assert hermiticity_defect(effective_hamiltonian(p, HilbertSpace(2, 8))) < 1e-12
+    p = RamanParams(g=g, omega_l=wl, delta=delta)
+    assert hermiticity_defect(full_hamiltonian(p, HilbertSpace(3, 8), m, theta)) < 1e-12
+    assert hermiticity_defect(effective_hamiltonian(p, HilbertSpace(2, 8), m, theta)) < 1e-12
 
 
 def test_dressed_level_matches_dispersive_shift(space3):
     # adiabatic regime: eigenvalue tracking |g,n> stays near g^2 n / delta
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=2)
-    H = full_hamiltonian(p, space3)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    m = 2
+    H = full_hamiltonian(p, space3, m)
     evals, vecs = np.linalg.eigh(H)
     rate = p.dispersive_rate
     bound = 5.0 * (p.g / p.delta)
     for n in range(space3.fock_cutoff - 1):
-        if n == p.m:
+        if n == m:
             continue  # the selected doublet hybridizes with |e, m-1>
         overlaps = np.abs(vecs[space3.index("g", n)]) ** 2
         ev = evals[int(np.argmax(overlaps))]
@@ -141,16 +144,16 @@ def test_dressed_level_matches_dispersive_shift(space3):
 
 
 def test_effective_diagonal(params, space):
-    H = effective_hamiltonian(params, space)
+    H = effective_hamiltonian(params, space, 1)
     rate = params.dispersive_rate
     for n in range(space.fock_cutoff):
         assert H[space.index("g", n), space.index("g", n)] == pytest.approx(rate * n)
-        assert H[space.index("e", n), space.index("e", n)] == pytest.approx(rate * params.m)
+        assert H[space.index("e", n), space.index("e", n)] == pytest.approx(rate)
 
 
 def test_effective_selected_doublet_entry(space):
-    p = RamanParams(g=1.0, omega_l=0.1, theta=0.7, delta=20.0, m=3)
-    H = effective_hamiltonian(p, space)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    H = effective_hamiltonian(p, space, 3, 0.7)
     lam = p.coupling
     got = H[space.index("e", 2), space.index("g", 3)]
     assert got == pytest.approx(lam * np.sqrt(3) * np.exp(-1j * 0.7))
@@ -159,13 +162,13 @@ def test_effective_selected_doublet_entry(space):
 
 
 def test_lambda_arithmetic():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0, m=1)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0)
     assert p.coupling == pytest.approx(0.01)
 
 
 def test_effective_requires_two_levels(params, space3):
     with pytest.raises(ValueError):
-        effective_hamiltonian(params, space3)
+        effective_hamiltonian(params, space3, 1)
 
 
 # ---- decomposition ---------------------------------------------------------
@@ -174,10 +177,10 @@ def test_effective_requires_two_levels(params, space3):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_decomposition_sum_matches_selective(m):
     space = HilbertSpace(2, 10)
-    p = RamanParams(g=1.0, omega_l=0.1, theta=0.3, delta=20.0, m=m)
-    parts = decompose_effective(p, space)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    parts = decompose_effective(p, space, m, 0.3)
     total = parts.dispersive + parts.pair_energy + parts.pair_coupling
-    assert max_abs(total - selective_hamiltonian(p, space)) < 1e-12
+    assert max_abs(total - selective_hamiltonian(p, space, m, 0.3)) < 1e-12
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -185,9 +188,10 @@ def test_decomposition_residual_is_detuned_exchange(m):
     # versus the exact effective operator the decomposition omits exactly the
     # detuned exchange channels lambda*sqrt(n), n != m
     space = HilbertSpace(2, 10)
-    p = RamanParams(g=1.0, omega_l=0.1, theta=0.3, delta=20.0, m=m)
-    parts = decompose_effective(p, space)
-    residual = effective_hamiltonian(p, space) - (
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    theta = 0.3
+    parts = decompose_effective(p, space, m, theta)
+    residual = effective_hamiltonian(p, space, m, theta) - (
         parts.dispersive + parts.pair_energy + parts.pair_coupling
     )
     lam = p.coupling
@@ -195,15 +199,15 @@ def test_decomposition_residual_is_detuned_exchange(m):
     for n in range(1, space.fock_cutoff):
         if n == m:
             continue
-        amp = lam * np.sqrt(n) * np.exp(1j * p.theta)
+        amp = lam * np.sqrt(n) * np.exp(1j * theta)
         expected[space.index("g", n), space.index("e", n - 1)] = amp
         expected[space.index("e", n - 1), space.index("g", n)] = np.conj(amp)
     assert max_abs(residual - expected) < 1e-12
 
 
 def test_pair_coupling_structure(space):
-    p = RamanParams(g=1.0, omega_l=0.1, theta=1.1, delta=20.0, m=4)
-    parts = decompose_effective(p, space)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    parts = decompose_effective(p, space, 4, 1.1)
     nz = np.nonzero(np.abs(parts.pair_coupling) > 1e-15)
     assert len(nz[0]) == 2
     assert_allclose(
@@ -212,8 +216,8 @@ def test_pair_coupling_structure(space):
 
 
 def test_dispersive_annihilates_pair_support(space, rng):
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=3)
-    parts = decompose_effective(p, space)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    parts = decompose_effective(p, space, 3)
     vec = np.zeros(space.dim, dtype=complex)
     for atom in ("g", "e"):
         for n in (2, 3):
@@ -222,8 +226,8 @@ def test_dispersive_annihilates_pair_support(space, rng):
 
 
 def test_pair_energy_values(space):
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=2)
-    parts = decompose_effective(p, space)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    parts = decompose_effective(p, space, 2)
     rate = p.dispersive_rate
     assert parts.pair_energy[space.index("g", 1), space.index("g", 1)] == pytest.approx(rate)
     assert parts.pair_energy[space.index("g", 2), space.index("g", 2)] == pytest.approx(2 * rate)
@@ -235,18 +239,18 @@ def test_pair_energy_values(space):
 
 
 def test_effective_detuning_zero_at_selected():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=3)
-    assert effective_detuning(3, p) == 0.0
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    assert effective_detuning(3, 3, p) == 0.0
 
 
 def test_effective_detuning_value():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0, m=2)
-    assert effective_detuning(3, p) == pytest.approx(0.1)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0)
+    assert effective_detuning(3, 2, p) == pytest.approx(0.1)
 
 
 def test_detuning_to_coupling_ratio_is_inverse_selectivity():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=2)
-    ratio = abs(effective_detuning(3, p)) / p.coupling
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    ratio = abs(effective_detuning(3, 2, p)) / p.coupling
     assert ratio == pytest.approx(p.g / p.omega_l)
 
 
@@ -254,8 +258,8 @@ def test_detuning_to_coupling_ratio_is_inverse_selectivity():
 
 
 def test_multiquantum_reduces_to_single_quantum(space):
-    p = RamanParams(g=1.0, omega_l=0.1, theta=0.4, delta=20.0, m=3)
-    parts = decompose_effective(p, space)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    parts = decompose_effective(p, space, 3, 0.4)
     H1 = multiquantum_hamiltonian(1, p.coupling, 0.4, 3, space)
     # k = 1 carries the full ladder; the selected entry matches the pair term
     i_g, i_e = space.index("g", 3), space.index("e", 2)

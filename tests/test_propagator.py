@@ -39,8 +39,8 @@ def test_two_level_rabi_oscillation():
 def test_selected_doublet_half_period():
     # |g,m> goes to -i|e,m-1> after a quarter Rabi cycle of the pure coupling
     space = HilbertSpace(2, 6)
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0, m=2)
-    coupling = decompose_effective(p, space).pair_coupling
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    coupling = decompose_effective(p, space, 2).pair_coupling
     t = 0.5 * np.pi / (p.coupling * np.sqrt(2))
     psi = evolve(basis_state(space, "g", 2), coupling, t)
     expected = -1j * basis_state(space, "e", 1).amplitudes

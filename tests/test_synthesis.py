@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from fockgate import (
+    CircuitPlan,
     GateParams,
     HilbertSpace,
     RamanParams,
@@ -21,6 +21,7 @@ from fockgate import (
     plan_general_state,
     plan_superposition,
     plan_to_dict,
+    PlanStep,
     load_plan,
     save_plan,
     spin_flip,
@@ -67,7 +68,7 @@ def test_recipe_executes_exactly_under_ideal_model(params, n, rng):
 
 def test_recipe_under_effective_model_in_selective_regime():
     # deep selectivity: detuned-exchange leakage is quadratically suppressed
-    p = RamanParams(g=1.0, omega_l=0.02, delta=20.0, m=1)
+    p = RamanParams(g=1.0, omega_l=0.02, delta=20.0)
     plan = plan_superposition(
         1 / np.sqrt(2), 1j / np.sqrt(2), 3, p, phase_model="effective"
     )
@@ -80,7 +81,7 @@ def test_effective_phase_model_beats_ideal_bookkeeping_when_selective():
     # radians; a plan compiled without them lands at an essentially random
     # relative phase, while the matched ledger stays within the small
     # second-order residuals
-    p = RamanParams(g=1.0, omega_l=0.02, delta=20.0, m=1)
+    p = RamanParams(g=1.0, omega_l=0.02, delta=20.0)
     a = b = 1 / np.sqrt(2)
     plan_ideal_phases = plan_superposition(a, b, 3, p, phase_model="ideal")
     plan_matched = plan_superposition(a, b, 3, p, phase_model="effective")
@@ -114,7 +115,7 @@ def expm_execution(plan, p, space):
         gp, chi = step.gate, step.phase_correction
 
         def pulse(angle):
-            return effective_hamiltonian(replace(p, m=gp.m, theta=angle), space)
+            return effective_hamiltonian(p, space, gp.m, angle)
 
         U = expm(-1j * pulse(chi - gp.theta0) * gp.tau) @ flip @ expm(-1j * pulse(chi) * gp.tau)
         branch = np.kron(plus.conj(), np.eye(nf)) @ (U @ np.kron(plus, osc))
@@ -125,7 +126,7 @@ def expm_execution(plan, p, space):
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from([0.02, 0.1]), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_calibration_keeps_pairs_and_never_lowers_fidelity(ratio, top, seed):
-    p = RamanParams(g=1.0, omega_l=ratio, delta=20.0, m=1)
+    p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
     target = random_target(np.random.default_rng(seed), top)
     ledger = plan_general_state(target, p, phase_model="effective")
     calibrated = plan_general_state(target, p, phase_model="calibrated")
@@ -244,7 +245,7 @@ def test_plan_exceeding_cutoff_rejected(params):
 
 
 def test_execution_under_full_model():
-    p = RamanParams(g=1.0, omega_l=0.05, delta=20.0, m=1)
+    p = RamanParams(g=1.0, omega_l=0.05, delta=20.0)
     plan = plan_superposition(0.6, 0.8, 1, p, phase_model="effective")
     _, report = execute_plan(plan, np.array([1.0]), "full", p, HilbertSpace(3, 5))
     assert report.fidelity > 0.98
@@ -307,6 +308,32 @@ def test_parallel_grouping_is_disjoint(params):
             levels = set(plan.steps[i].gate.pair)
             assert not levels & seen
             seen |= levels
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [[1, 2, 3, 4, 5], [1, 3, 5, 2, 4, 1, 6], [2, 4, 3, 1, 5, 2], [6, 1, 3, 2, 2, 5, 4]],
+)
+def test_parallel_groups_run_in_order_reproduce_sequential_plan(params, levels, rng):
+    # hand-built plans mixing disjoint and overlapping pairs: running the
+    # groups in order, each group's members in reverse, must match the plan
+    steps = [
+        PlanStep(
+            GateParams.from_raman(params, m=m, phi=float(rng.uniform(0.2, 1.4))),
+            phase_correction=float(rng.uniform(-np.pi, np.pi)),
+        )
+        for m in levels
+    ]
+    plan = CircuitPlan(steps=steps, schedule="parallel-groups")
+    groups = plan.parallel_groups()
+    assert sorted(i for g in groups for i in g) == list(range(len(plan)))
+    regrouped = CircuitPlan(steps=[steps[i] for g in groups for i in reversed(g)])
+    space = HilbertSpace(2, max(levels) + 3)
+    initial = rng.normal(size=max(levels) + 1) + 1j * rng.normal(size=max(levels) + 1)
+    sequential, _ = execute_plan(plan, initial, "ideal", params, space)
+    grouped, _ = execute_plan(regrouped, initial, "ideal", params, space)
+    assert_allclose(grouped, sequential, atol=1e-12)
+    assert plan_to_dict(plan)["groups"] == groups
 
 
 # ---- serialization ---------------------------------------------------------------
