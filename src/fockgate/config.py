@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamiltonians import RamanParams
 from .spaces import HilbertSpace
-from .validation import DEFAULT_TOLERANCES
+from .validation import check_tolerances
 
 TASKS = ("gate", "synthesize", "sweep", "validate")
 MODEL_CHOICES = ("ideal", "effective", "full", "all")
@@ -185,14 +185,10 @@ def validate_config(cfg: RunConfig) -> None:
     ):
         if not isinstance(flag, bool):
             raise ConfigError(f"{name}: must be true or false, got {flag!r}")
-    if not isinstance(cfg.tolerances, dict):
-        raise ConfigError(f"tolerances: expected an object, got {cfg.tolerances!r}")
-    for key, bound in cfg.tolerances.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerances.{key}: unknown field")
-        _check_number(f"tolerances.{key}", bound)
-        if bound <= 0:
-            raise ConfigError(f"tolerances.{key}: must be > 0, got {bound}")
+    try:
+        check_tolerances(cfg.tolerances)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _check_count("space.fock_cutoff", cfg.space.fock_cutoff, 2)
     _check_count("gate.m", cfg.gate.m, 1)
     if cfg.gate.m + 2 > cfg.space.fock_cutoff:

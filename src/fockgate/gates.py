@@ -266,17 +266,15 @@ def closed_form_check(
 
 
 class EchoFactors(NamedTuple):
-    """sigma_x-conjugated pieces of the pulse Hamiltonian at drive phase angle."""
+    """sigma_x-conjugated pieces of the pulse Hamiltonian."""
 
-    flipped_pulse: np.ndarray     # sigma_x (pair_energy + pair_coupling(angle)) sigma_x
-    flipped_coupling: np.ndarray  # sigma_x pair_coupling(angle) sigma_x
+    flipped_pulse: np.ndarray     # sigma_x (pair_energy + pair_coupling(0)) sigma_x
+    flipped_coupling: np.ndarray  # sigma_x pair_coupling(0) sigma_x
     flipped_energy: np.ndarray    # sigma_x pair_energy sigma_x
 
 
-def echo_factors(
-    gp: GateParams, p: RamanParams, space: HilbertSpace, angle: float = 0.0
-) -> EchoFactors:
-    """Conjugate the ideal pulse terms at drive phase angle by the spin flip.
+def echo_factors(gp: GateParams, p: RamanParams, space: HilbertSpace) -> EchoFactors:
+    """Conjugate the ideal pulse terms at drive phase 0 by the spin flip.
 
     These satisfy [pair_energy, pair_coupling] = 0 and
     [pair_coupling, flipped_coupling] = 0, the identities behind the
@@ -284,7 +282,7 @@ def echo_factors(
     """
     if space.atom_dim != 2:
         raise ValueError(f"echo factors need atom_dim = 2, got {space.atom_dim}")
-    parts = decompose_effective(p, space, gp.m, angle)
+    parts = decompose_effective(p, space, gp.m)
     flip = tensor(spin_flip(2), np.eye(space.fock_cutoff, dtype=complex))
     flipped_energy = flip @ parts.pair_energy @ flip
     flipped_coupling = flip @ parts.pair_coupling @ flip

@@ -28,9 +28,12 @@ only at n = 5 does leakage cap it, at 0.964.
 
 The atom is re-prepared in |+> between gates; since an ideal gate returns the
 atom exactly to |+>, this reset is bookkeeping rather than back-action.
-Gates on disjoint pairs commute, so a plan may be annotated with parallel
-groups: running the groups in plan order, and the members of one group in
-any order, reproduces the sequential plan.
+Ideal gates on disjoint pairs commute, so a plan may be annotated with
+parallel groups: under the "ideal" model, running the groups in plan order,
+and the members of one group in any order, reproduces the sequential plan.
+Under "effective" and "full" it does not: every gate puts its own
+level-dependent dispersive phase on the spectator levels, so gates on
+disjoint pairs no longer commute.
 """
 
 from __future__ import annotations
@@ -91,9 +94,10 @@ class CircuitPlan:
 
         Each step joins the group right after the last group holding an
         earlier step that shares a level with it, so running the groups in
-        order reproduces the sequential plan.  Order within the plan is
-        preserved inside each group; no claim of a minimal number of groups
-        is made.
+        order reproduces the sequential plan under the "ideal" model (not
+        under "effective" or "full"; see the module docstring).  Order
+        within the plan is preserved inside each group; no claim of a
+        minimal number of groups is made.
         """
         groups: list[list[int]] = []
         occupied: list[set[int]] = []

@@ -9,6 +9,8 @@ teeth.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +53,27 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def check_tolerances(tolerances: dict | None) -> dict:
+    """DEFAULT_TOLERANCES updated by ``tolerances``.
+
+    Raises ValueError for an unknown key or a bound that is not a finite
+    number > 0.
+    """
+    tol = dict(DEFAULT_TOLERANCES)
+    if tolerances is None:
+        return tol
+    if not isinstance(tolerances, dict):
+        raise ValueError(f"tolerances: expected an object, got {tolerances!r}")
+    for key, bound in tolerances.items():
+        if key not in DEFAULT_TOLERANCES:
+            raise ValueError(f"tolerances.{key}: unknown field")
+        number = isinstance(bound, numbers.Real) and not isinstance(bound, bool)
+        if not number or not math.isfinite(bound) or bound <= 0:
+            raise ValueError(f"tolerances.{key}: must be a finite number > 0, got {bound!r}")
+        tol[key] = float(bound)
+    return tol
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -75,9 +98,7 @@ def run_validation(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the identity suite for a two-level space at level m; one result per check."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update({k: float(v) for k, v in tolerances.items() if k in DEFAULT_TOLERANCES})
+    tol = check_tolerances(tolerances)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     algebraic = tol["algebraic"]

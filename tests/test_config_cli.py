@@ -12,6 +12,9 @@ from fockgate.config import (
     load_config,
     target_state,
 )
+from fockgate.hamiltonians import RamanParams
+from fockgate.spaces import HilbertSpace
+from fockgate.validation import run_validation
 
 
 # ---- configuration ----------------------------------------------------------
@@ -148,6 +151,24 @@ def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):
     rc = main(argv)
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tolerances, field",
+    [
+        ({"algebra": 1e-30}, "tolerances.algebra: unknown field"),
+        ({"propagation": float("nan")}, "tolerances.propagation"),
+        ({"algebraic": "1e-9"}, "tolerances.algebraic"),
+        ({"purity_deficit": -1.0}, "tolerances.purity_deficit"),
+        (5, "tolerances"),
+    ],
+)
+def test_run_validation_rejects_bad_tolerances(tolerances, field):
+    # the library entry point applies the same rules as the config check
+    with pytest.raises(ValueError, match=field):
+        run_validation(
+            RamanParams(g=1.0, omega_l=0.1), HilbertSpace(2, 12), 1, tolerances=tolerances
+        )
 
 
 def test_sweep_reads_gate_level_and_its_guard(capsys):
