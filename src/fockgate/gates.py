@@ -30,6 +30,13 @@ near-degenerate level pairs (e.g. hyperfine partners) the same echo can be
 produced without a flip, by briefly shifting the levels so that their roles
 in the exchange swap (an anti-Jaynes-Cummings stretch); that hardware
 variant is noted here but not modeled.
+
+Both pulses are propagated by excitation-number blocks
+(``hamiltonians.PulseBlocks``) and the flip is a permutation of joint
+indices.  ``apply_pair_gate`` applies the gate to joint states without
+building a joint-space matrix; ``pair_gate`` assembles the dense unitary
+from the same blocks.  The dense builders and ``Propagator`` serve as the
+oracle in validation and the tests.
 """
 
 from __future__ import annotations
@@ -41,14 +48,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import (
+    PulseBlocks,
     RamanParams,
     decompose_effective,
-    effective_hamiltonian,
-    full_hamiltonian,
+    effective_blocks,
+    full_blocks,
+    ideal_blocks,
+    multiquantum_blocks,
     multiquantum_coupling_element,
-    multiquantum_hamiltonian,
 )
-from .propagator import Propagator
+from .hamiltonians import effective_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
+from .hamiltonians import full_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
+from .hamiltonians import multiquantum_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
+from .propagator import Propagator  # noqa: F401  unused; bench/spans.py replaces it here
+from .propagator import apply_blocks, block_unitaries
 from .spaces import HilbertSpace, StateVector, atomic_sigma, fidelity, product_state, tensor
 
 MODELS = ("ideal", "effective", "full")
@@ -75,6 +88,9 @@ class GateParams:
     k: int = 1
 
     def __post_init__(self):
+        for name in ("lam", "tau", "phi", "theta0", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.k < 1:
@@ -105,16 +121,8 @@ class GateParams:
         tau: float | None = None,
     ) -> "GateParams":
         """Single-quantum gate parameters; give exactly one of phi or tau."""
-        if (phi is None) == (tau is None):
-            raise ValueError("give exactly one of phi or tau")
         lam = p.coupling
-        element = lam * math.sqrt(m)
-        if tau is None:
-            if element == 0.0:
-                raise ValueError("cannot derive tau from phi with zero coupling")
-            tau = phi / element
-        else:
-            phi = element * tau
+        phi, tau = _phi_and_tau(lam * math.sqrt(m), phi, tau)
         theta0 = p.dispersive_rate * tau
         return cls(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, eta=m * theta0, k=1)
 
@@ -123,16 +131,22 @@ class GateParams:
         cls, lam_k: float, m: int, k: int, phi: float | None = None, tau: float | None = None
     ) -> "GateParams":
         """k-quantum gate on {m-k, m}; pure exchange, no dispersive phases."""
-        if (phi is None) == (tau is None):
-            raise ValueError("give exactly one of phi or tau")
-        element = multiquantum_coupling_element(lam_k, m, k)
-        if tau is None:
-            if element == 0.0:
-                raise ValueError("cannot derive tau from phi with zero coupling")
-            tau = phi / element
-        else:
-            phi = element * tau
+        phi, tau = _phi_and_tau(multiquantum_coupling_element(lam_k, m, k), phi, tau)
         return cls(m=m, tau=tau, lam=lam_k, theta0=0.0, phi=phi, eta=0.0, k=k)
+
+
+def _phi_and_tau(element: float, phi: float | None, tau: float | None) -> tuple[float, float]:
+    """(phi, tau) from exactly one of them, with phi = element * tau."""
+    if (phi is None) == (tau is None):
+        raise ValueError("give exactly one of phi or tau")
+    name, value = ("phi", phi) if tau is None else ("tau", tau)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if tau is None:
+        if element == 0.0:
+            raise ValueError("cannot derive tau from phi with zero coupling")
+        return phi, phi / element
+    return element * tau, tau
 
 
 def spin_flip(atom_dim: int) -> np.ndarray:
@@ -156,29 +170,63 @@ def atom_minus(atom_dim: int) -> np.ndarray:
     return v
 
 
-def _pulse_hamiltonian(
+def _pulse_blocks(
     gp: GateParams, p: RamanParams, space: HilbertSpace, model: str, angle: float
-) -> np.ndarray:
+) -> PulseBlocks:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if model == "ideal":
         if gp.k == 1:
-            parts = decompose_effective(p, space, gp.m, angle)
-            return parts.pair_energy + parts.pair_coupling
-        full_coupling = multiquantum_hamiltonian(gp.k, gp.lam, angle, gp.m, space)
-        keep = np.zeros_like(full_coupling)
-        i_g = space.index("g", gp.m)
-        i_e = space.index("e", gp.m - gp.k)
-        keep[i_g, i_e] = full_coupling[i_g, i_e]
-        keep[i_e, i_g] = full_coupling[i_e, i_g]
-        return keep
+            return ideal_blocks(p, space, gp.m, angle)
+        return multiquantum_blocks(gp.k, gp.lam, angle, gp.m, space)
+    if gp.k != 1:
+        raise ValueError(f"{model} model is defined for k = 1 only")
     if model == "effective":
-        if gp.k != 1:
-            raise ValueError("effective model is defined for k = 1 only")
-        return effective_hamiltonian(p, space, gp.m, angle)
-    if model == "full":
-        if gp.k != 1:
-            raise ValueError("full model is defined for k = 1 only")
-        return full_hamiltonian(p, space, gp.m, angle)
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+        return effective_blocks(p, space, gp.m, angle)
+    return full_blocks(p, space, gp.m, angle)
+
+
+def _flip_order(space: HilbertSpace) -> np.ndarray:
+    """Joint row order x[order] that applies spin_flip ⊗ I to x: |g,n> <-> |e,n>."""
+    nf = space.fock_cutoff
+    order = np.arange(space.dim)
+    order[: 2 * nf] = np.roll(order[: 2 * nf], nf)
+    return order
+
+
+def _gate_pulses(gp: GateParams, p: RamanParams, space: HilbertSpace, model: str, chi: float):
+    """Block layouts and block unitaries of the pulses at drive phases chi and chi - theta0."""
+    if space.fock_cutoff < gp.m + 2:
+        raise ValueError(
+            f"fock_cutoff {space.fock_cutoff} too small for m={gp.m}; need >= m + 2"
+        )
+    first = _pulse_blocks(gp, p, space, model, chi)
+    second = _pulse_blocks(gp, p, space, model, chi - gp.theta0)
+    u1, u2 = block_unitaries(np.stack([first.generator, second.generator]), gp.tau)
+    return (first.index, u1), (second.index, u2)
+
+
+def apply_pair_gate(
+    gp: GateParams,
+    p: RamanParams,
+    space: HilbertSpace,
+    x: np.ndarray,
+    model: str = "ideal",
+    phase_offset: float = 0.0,
+) -> np.ndarray:
+    """The three-step gate pulse(chi) -> flip -> pulse(chi - theta0) applied to x.
+
+    x is a joint state of shape (dim,) or a (dim, k) stack of columns.  Each
+    pulse acts block by block (see ``hamiltonians.PulseBlocks``) and the
+    spin flip is a row permutation, so the work is O(dim * b^2) per column
+    and no joint-space matrix is built.  model selects the pulse: "ideal"
+    keeps only the pair self-energy and resonant coupling (exactly confined
+    to {m-k, m}); "effective" uses the eliminated two-level model with all
+    its detuned exchange channels; "full" keeps the explicit third level.
+    """
+    (index1, u1), (index2, u2) = _gate_pulses(gp, p, space, model, phase_offset)
+    x = apply_blocks(index1, u1, x)
+    return apply_blocks(index2, u2, x[_flip_order(space)])
 
 
 def pair_gate(
@@ -188,24 +236,30 @@ def pair_gate(
     model: str = "ideal",
     phase_offset: float = 0.0,
 ) -> np.ndarray:
-    """Unitary of the three-step gate: pulse(chi) -> flip -> pulse(chi - theta0).
+    """Dense unitary of ``apply_pair_gate``, assembled entry by entry from the blocks.
 
-    model selects the pulse Hamiltonian: "ideal" keeps only the pair
-    self-energy and resonant coupling (exactly confined to {m-1, m});
-    "effective" uses the eliminated two-level model with all its detuned
-    exchange channels; "full" keeps the explicit third level.
+    U = B2 F B1 with block-diagonal pulses B1, B2 and the flip F.  Row s of
+    F B1 is row order[s] of B1, nonzero only on the columns of one B1
+    block.  The flip moves the members of one B2 block into distinct B1
+    blocks (it shifts N by +k on |g>, -k on |e> and 0 on |h>), so the
+    b^3 products per B2 block land on distinct entries of U.
     """
-    if space.fock_cutoff < gp.m + 2:
-        raise ValueError(
-            f"fock_cutoff {space.fock_cutoff} too small for m={gp.m}; need >= m + 2"
-        )
-    chi = phase_offset
-    h_first = _pulse_hamiltonian(gp, p, space, model, chi)
-    h_second = _pulse_hamiltonian(gp, p, space, model, chi - gp.theta0)
-    flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff, dtype=complex))
-    u_first = Propagator(h_first).unitary(gp.tau)
-    u_second = Propagator(h_second).unitary(gp.tau)
-    return u_second @ flip @ u_first
+    dim = space.dim
+    (index1, u1), (index2, u2) = _gate_pulses(gp, p, space, model, phase_offset)
+    nb, b = index1.shape
+    block = np.empty(dim + 1, dtype=int)
+    position = np.empty(dim + 1, dtype=int)
+    block[index1] = np.arange(nb)[:, None]
+    position[index1] = np.arange(b)
+    source = np.append(_flip_order(space), dim)[index2]  # B1 row read by each B2 column
+    columns = index1[block[source]]
+    # a missing B2 member has no B1 row: its products go to the dropped
+    # column, not onto entries that another product sets
+    columns[source == dim] = dim
+    values = u2[:, :, :, None] * u1[block[source], position[source]][:, None, :, :]
+    out = np.zeros((dim + 1, dim + 1), dtype=complex)
+    out[index2[:, :, None, None], columns[:, None, :, :]] = values
+    return out[:dim, :dim]
 
 
 def rotation_matrix(gp: GateParams, atom_sign: int = +1, phase_offset: float = 0.0) -> np.ndarray:

@@ -11,10 +11,19 @@ shifts g^2*n/delta.  An engineered Stark shift on |e> puts exactly one doublet
 g^2*(n-m)/delta, which dominates lambda when g >> |Omega_L|.
 
 ``RamanParams`` holds the device; the selected level m and the drive phase
-theta are pulse arguments: ``builder(p, space, m, theta=0.0)``.  All builders
-return dense complex matrices on the joint space (atom-major ordering) and
-are Hermitian by construction.  hbar = 1 throughout; every coefficient is an
-angular frequency.
+theta are pulse arguments: ``builder(p, space, m, theta=0.0)``.  The
+``*_hamiltonian`` builders return dense complex matrices on the joint space
+(atom-major ordering) and are Hermitian by construction.  hbar = 1
+throughout; every coefficient is an angular frequency.
+
+Every pulse conserves the excitation number N = a†a + |e><e| + |h><h|, so
+its generator is block diagonal: doublets {|g,N>, |e,N-1>} (effective and
+ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full); a k-quantum pulse
+conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
+``*_blocks`` builders return that structure directly as ``PulseBlocks``: an
+index layout and a stack of small Hermitian generators.  Gates run on
+these; the dense builders are the oracle that validation and the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -226,6 +235,17 @@ def effective_detuning(n: int, m: int, p: RamanParams) -> float:
     return p.dispersive_rate * (n - m)
 
 
+def _require_doublet(k: int, m: int, space: HilbertSpace):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m < k:
+        raise ValueError(f"no doublet {{|g,{m}>, |e,{m - k}>}}: need m >= k")
+    if space.atom_dim != 2:
+        raise ValueError(f"multiquantum model needs atom_dim = 2, got {space.atom_dim}")
+    if space.fock_cutoff < m + 1:
+        raise ValueError(f"fock_cutoff {space.fock_cutoff} too small for m={m}")
+
+
 def multiquantum_hamiltonian(
     k: int, lam_k: float, theta: float, m: int, space: HilbertSpace
 ) -> np.ndarray:
@@ -237,14 +257,7 @@ def multiquantum_hamiltonian(
     The raising term carries e^{i theta} so the operator is Hermitian for any
     phase.  Fock levels below k are annihilated by a^k and stay uncoupled.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < k:
-        raise ValueError(f"no doublet {{|g,{m}>, |e,{m - k}>}}: need m >= k")
-    if space.atom_dim != 2:
-        raise ValueError(f"multiquantum model needs atom_dim = 2, got {space.atom_dim}")
-    if space.fock_cutoff < m + 1:
-        raise ValueError(f"fock_cutoff {space.fock_cutoff} too small for m={m}")
+    _require_doublet(k, m, space)
     a_k = np.linalg.matrix_power(annihilation(space.fock_cutoff), k)
     raise_term = lam_k * np.exp(1j * theta) * tensor(atomic_sigma("g", "e", 2), a_k.conj().T)
     return raise_term + raise_term.conj().T
@@ -255,3 +268,98 @@ def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
     if m < k:
         raise ValueError(f"need m >= k, got m={m}, k={k}")
     return lam_k * math.sqrt(math.factorial(m) / math.factorial(m - k))
+
+
+class PulseBlocks(NamedTuple):
+    """A pulse generator as a stack of blocks of fixed excitation number.
+
+    Block i acts on the joint basis indices ``index[i]``; every joint state
+    appears in exactly one block.  An entry equal to the space dimension
+    stands for a state cut off by the Fock truncation, which the generator
+    couples to nothing.
+    """
+
+    index: np.ndarray      # (nb, b) joint basis indices
+    generator: np.ndarray  # (nb, b, b) Hermitian blocks
+
+
+def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
+    """Excitation numbers N, their (nb, b) index layout and an empty generator stack.
+
+    The first atomic level of ``atoms`` sits at Fock level N, the others at
+    N - k, for N = 0..fock_cutoff - 1 + k; states outside the truncated
+    ladder get the index ``space.dim``.
+    """
+    nf = space.fock_cutoff
+    n = np.arange(nf + k)
+    levels = n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)
+    index = np.asarray(atoms) * nf + levels
+    index[(levels < 0) | (levels >= nf)] = space.dim
+    return n, index, np.zeros((len(n), len(atoms), len(atoms)), dtype=complex)
+
+
+def effective_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> PulseBlocks:
+    """``effective_hamiltonian`` as doublets {|g,N>, |e,N-1>}, N = 0..fock_cutoff."""
+    if space.atom_dim != 2:
+        raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
+    _require_cutoff(space, m)
+    n, index, H = _excitation_blocks(space, (0, 1))
+    rate = p.dispersive_rate
+    H[:, 0, 0] = rate * n
+    H[:, 1, 1] = rate * m
+    exchange = p.coupling * np.exp(1j * theta) * np.sqrt(n) * (n < space.fock_cutoff)
+    H[:, 0, 1] = exchange
+    H[:, 1, 0] = exchange.conj()
+    return PulseBlocks(index, H)
+
+
+def full_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> PulseBlocks:
+    """``full_hamiltonian`` as triplets {|g,N>, |h,N-1>, |e,N-1>}, N = 0..fock_cutoff."""
+    if space.atom_dim != 3:
+        raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
+    _require_cutoff(space, m)
+    n, index, H = _excitation_blocks(space, (0, 2, 1))
+    H[:, 1, 1] = -p.delta
+    H[:, 0, 1] = H[:, 1, 0] = p.g * np.sqrt(n) * (n < space.fock_cutoff)
+    drive = p.omega_l * np.exp(1j * theta)
+    H[:, 1, 2] = drive
+    H[:, 2, 1] = np.conj(drive)
+    if p.include_shift:
+        H[:, 2, 2] = p.engineered_shift(m)
+    return PulseBlocks(index, H)
+
+
+def ideal_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> PulseBlocks:
+    """The ideal pulse, pair_energy + pair_coupling of ``decompose_effective``.
+
+    Laid out as doublets {|g,N>, |e,N-1>} like ``effective_blocks``; only
+    N = m-1, m, m+1 carry terms: the pair self-energy on {|g,m-1>, |g,m>,
+    |e,m-1>, |e,m>} and the resonant coupling inside N = m.
+    """
+    if space.atom_dim != 2:
+        raise ValueError(f"ideal model needs atom_dim = 2, got {space.atom_dim}")
+    if m < 1:
+        raise ValueError(f"ideal model needs m >= 1, got {m}")
+    _require_cutoff(space, m)
+    _, index, H = _excitation_blocks(space, (0, 1))
+    rate = p.dispersive_rate
+    H[m - 1, 0, 0] = rate * m - rate
+    H[m, 0, 0] = H[m, 1, 1] = H[m + 1, 1, 1] = rate * m
+    coupling = p.coupling * np.sqrt(m) * np.exp(1j * theta)
+    H[m, 0, 1] = coupling
+    H[m, 1, 0] = np.conj(coupling)
+    return PulseBlocks(index, H)
+
+
+def multiquantum_blocks(k: int, lam_k: float, theta: float, m: int, space: HilbertSpace) -> PulseBlocks:
+    """The ideal k-quantum pulse: the selected doublet of ``multiquantum_hamiltonian`` alone.
+
+    Laid out as doublets {|g,N>, |e,N-k>}; only N = m, the doublet
+    {|g,m>, |e,m-k>}, carries a coupling.
+    """
+    _require_doublet(k, m, space)
+    _, index, H = _excitation_blocks(space, (0, 1), k)
+    coupling = multiquantum_coupling_element(lam_k, m, k) * np.exp(1j * theta)
+    H[m, 0, 1] = coupling
+    H[m, 1, 0] = np.conj(coupling)
+    return PulseBlocks(index, H)

@@ -1,8 +1,16 @@
 """Exact unitary propagation of time-independent Hermitian generators.
 
-Dimensions here stay small (tens), so eigendecomposition beats
-scaling-and-squaring: the factorization is reused across arbitrarily many
-evolution times and the resulting propagators are unitary to round-off.
+Gates propagate by blocks.  A pulse generator splits into small blocks of
+fixed excitation number (``hamiltonians.PulseBlocks``); ``block_unitaries``
+exponentiates the whole (nb, b, b) stack with one batched eigendecomposition,
+and ``apply_blocks`` applies the result to the rows of a joint state or
+matrix with O(nb*b^2) work per column.  No joint-space matrix is
+diagonalised on this path.
+
+``Propagator`` diagonalises one dense generator.  It is the oracle that
+validation and the tests compare the block path against; the factorization
+is reused across evolution times and the propagators are unitary to
+round-off.
 """
 
 from __future__ import annotations
@@ -12,7 +20,26 @@ import numpy as np
 from .spaces import StateVector, hermiticity_defect
 
 HERMITICITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
+
+
+def block_unitaries(generators: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) of every block of a (nb, b, b) Hermitian stack."""
+    evals, evecs = np.linalg.eigh(generators)
+    phases = np.exp(-1j * evals * t)
+    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+
+
+def apply_blocks(index: np.ndarray, unitaries: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply a block-diagonal unitary to the leading axis of x.
+
+    ``unitaries[i]`` acts on the rows ``index[i]``; an index equal to
+    ``len(x)`` names a missing state, which reads as zero and is dropped.
+    Rows that appear in no block are returned unchanged.
+    """
+    x = np.asarray(x, dtype=complex)
+    rows = np.concatenate([x.reshape(len(x), -1), np.zeros((1, x[0].size), dtype=complex)])
+    rows[index] = unitaries @ rows[index]
+    return rows[:-1].reshape(x.shape)
 
 
 class Propagator:
@@ -35,10 +62,6 @@ class Propagator:
         H = 0.5 * (H + H.conj().T)
         self.generator = H
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
-        recon = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        err = np.max(np.abs(recon - H))
-        if err > RECONSTRUCTION_TOL:
-            raise ArithmeticError(f"eigendecomposition reconstruction error {err:.3e}")
 
     @property
     def dim(self) -> int:

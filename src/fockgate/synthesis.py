@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gates import GateParams, atom_plus, induced_oscillator_unitary, pair_gate
+from .gates import GateParams, apply_pair_gate, atom_plus, induced_oscillator_unitary, pair_gate
 from .hamiltonians import RamanParams
 from .spaces import HilbertSpace, purity, reduced_oscillator_state
 
@@ -246,7 +246,9 @@ def execute_plan(
 ) -> tuple[np.ndarray, ExecutionReport]:
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
-    Returns the final oscillator state and a report; fidelity is measured
+    Each gate acts on |+> ⊗ osc through ``apply_pair_gate``, block by block,
+    so applying a gate costs O(fock_cutoff) and no joint-space matrix is
+    formed.  Returns the final oscillator state and a report; fidelity is measured
     against the plan target (padded to the working cutoff) when one is set,
     otherwise against the initial state.
     """
@@ -272,12 +274,13 @@ def execute_plan(
     purities: list[float] = []
     atom_overlaps: list[float] = []
     for step in plan.steps:
-        U = pair_gate(step.gate, p, space, model=model, phase_offset=step.phase_correction)
-        joint = U @ np.kron(plus, osc)
+        joint = apply_pair_gate(
+            step.gate, p, space, np.outer(plus, osc).ravel(), model, step.phase_correction
+        )
         rho = reduced_oscillator_state(joint, space)
         purities.append(purity(rho))
         # projective reset of the atom to |+>
-        branch = np.kron(plus.conj(), np.eye(space.fock_cutoff)) @ joint
+        branch = _project_atom(plus, joint, space)
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
         if weight == 0.0:
@@ -306,6 +309,12 @@ def execute_plan(
     return osc, report
 
 
+def _project_atom(atom: np.ndarray, joint: np.ndarray, space: HilbertSpace) -> np.ndarray:
+    """(<atom| ⊗ I) applied to a joint state (dim,) or a (dim, k) stack of columns."""
+    projected = atom.conj() @ joint.reshape(space.atom_dim, -1)
+    return projected.reshape((space.fock_cutoff,) + joint.shape[1:])
+
+
 def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     """Refine an effective-ledger plan against the effective dynamics it runs.
 
@@ -330,6 +339,7 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     ref = np.zeros(space.fock_cutoff, dtype=complex)
     ref[: len(plan.target)] = plan.target
     plus = atom_plus(2)
+    prepared = np.kron(plus.reshape(-1, 1), np.eye(space.fock_cutoff))  # |+> ⊗ I
 
     def plan_step(i: int, x: np.ndarray) -> PlanStep:
         gate = GateParams.from_raman(p, m=levels[i], phi=float(x[i]))
@@ -339,8 +349,8 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
         # the oscillator map of one gate with the atom prepared and reset in
         # |+>: execute_plan's step before it renormalizes
         step = plan_step(i, x)
-        u = pair_gate(step.gate, p, space, "effective", phase_offset=step.phase_correction)
-        return induced_oscillator_unitary(u, space, plus)
+        out = apply_pair_gate(step.gate, p, space, prepared, "effective", step.phase_correction)
+        return _project_atom(plus, out, space)
 
     def residual(osc: np.ndarray) -> np.ndarray:
         osc = osc / np.linalg.norm(osc)
@@ -421,6 +431,7 @@ def plan_to_dict(plan: CircuitPlan) -> dict:
                 "phi": s.gate.phi,
                 "theta0": s.gate.theta0,
                 "tau": s.gate.tau,
+                "lam": s.gate.lam,
                 "phase_correction": s.phase_correction,
             }
             for s in plan.steps
@@ -437,9 +448,11 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
     steps = []
     for raw in doc["steps"]:
         m, k, phi, tau = raw["m"], raw.get("k", 1), raw["phi"], raw["tau"]
-        element = phi / tau if tau != 0.0 else 0.0
-        ratio = math.sqrt(math.factorial(m) / math.factorial(m - k))
-        lam = element / ratio if ratio else 0.0
+        lam = raw.get("lam")
+        if lam is None:  # files written before lam was stored
+            element = phi / tau if tau != 0.0 else 0.0
+            ratio = math.sqrt(math.factorial(m) / math.factorial(m - k))
+            lam = element / ratio if ratio else 0.0
         gate = GateParams(
             m=m, tau=tau, lam=lam, theta0=raw["theta0"], phi=phi, eta=m * raw["theta0"], k=k
         )

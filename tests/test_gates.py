@@ -27,9 +27,12 @@ from fockgate import (
     spin_flip,
     tensor,
 )
+from fockgate.gates import apply_pair_gate
+from fockgate.hamiltonians import effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
+from fockgate.propagator import Propagator, apply_blocks, block_unitaries
 from fockgate.spaces import fidelity, max_abs
 
-from conftest import random_pair_amplitudes
+from conftest import dense_pulse, random_pair_amplitudes
 
 
 def pair_input(space, atom, alpha, beta, m, k=1):
@@ -45,12 +48,10 @@ def embed_pair(space, atom, pair, m, k=1):
 
 
 def brute_force_gate(gp, p, space, model="ideal", phase_offset=0.0):
-    """Independent route: Pade exponentials of the two pulse generators."""
-    from fockgate.gates import _pulse_hamiltonian
-
+    """Independent route: Pade exponentials of the two dense pulse generators."""
     chi = phase_offset
-    h1 = _pulse_hamiltonian(gp, p, space, model, chi)
-    h2 = _pulse_hamiltonian(gp, p, space, model, chi - gp.theta0)
+    h1 = dense_pulse(gp, p, space, model, chi)
+    h2 = dense_pulse(gp, p, space, model, chi - gp.theta0)
     flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
     return expm(-1j * h2 * gp.tau) @ flip @ expm(-1j * h1 * gp.tau)
 
@@ -222,12 +223,9 @@ def test_bare_ground_input_entangles(params, space):
 def test_second_pulse_phase_sign_is_load_bearing(params, space):
     # advancing instead of retarding the second pulse leaves the systems
     # entangled; this pins the pulse-phase convention
-    from fockgate.gates import _pulse_hamiltonian
-    from fockgate.propagator import Propagator
-
     gp = GateParams.from_raman(params, m=2, phi=0.7)
-    h1 = _pulse_hamiltonian(gp, params, space, "ideal", 0.0)
-    h2 = _pulse_hamiltonian(gp, params, space, "ideal", +gp.theta0)
+    h1 = dense_pulse(gp, params, space, "ideal", 0.0)
+    h2 = dense_pulse(gp, params, space, "ideal", +gp.theta0)
     flip = tensor(spin_flip(2), np.eye(space.fock_cutoff))
     wrong = Propagator(h2).unitary(gp.tau) @ flip @ Propagator(h1).unitary(gp.tau)
     out = wrong @ pair_input(space, atom_plus(2), 0.6, 0.8, 2)
@@ -375,3 +373,89 @@ def test_multiquantum_gate_rejects_other_models(params, space):
     gp = GateParams.from_multiquantum(lam_k=0.005, m=2, k=2, phi=0.6)
     with pytest.raises(ValueError):
         pair_gate(gp, params, space, "effective")
+
+
+# ---- input checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["tau", "phi", "lam", "theta0", "eta"])
+def test_gate_params_reject_non_finite(name, value):
+    fields = dict(m=1, tau=1.0, lam=0.01, theta0=0.05, phi=0.01, eta=0.05)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GateParams(**fields)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["tau", "phi"])
+def test_gate_factories_reject_non_finite(params, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GateParams.from_raman(params, m=2, **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GateParams.from_multiquantum(0.004, m=2, k=2, **{name: value})
+    with pytest.raises(ValueError, match="lam must be finite"):
+        GateParams.from_multiquantum(value, m=2, k=2, tau=1.0)
+
+
+# ---- block propagation against the dense oracle ---------------------------------------
+
+
+BLOCK_BUILDERS = {
+    "ideal": lambda p, space, gp, chi: ideal_blocks(p, space, gp.m, chi),
+    "effective": lambda p, space, gp, chi: effective_blocks(p, space, gp.m, chi),
+    "full": lambda p, space, gp, chi: full_blocks(p, space, gp.m, chi),
+    "ideal-k2": lambda p, space, gp, chi: multiquantum_blocks(2, gp.lam, chi, gp.m, space),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(BLOCK_BUILDERS)),
+    st.data(),
+    st.floats(0.05, np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_block_path_matches_dense_oracles(case, data, phi, chi):
+    """Blocks, the dense builders with Propagator, and scipy expm agree to 1e-12.
+
+    Pulses are cut to ||H||*tau <= 10, where all three routes are
+    round-off limited; the gate composes two such pulses around the flip.
+    """
+    model = case.split("-")[0]
+    k = 2 if case == "ideal-k2" else 1
+    cutoff = data.draw(st.integers(k + 2, 20), label="cutoff")
+    m = data.draw(st.integers(k, cutoff - 2), label="m")
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    space = HilbertSpace(3 if model == "full" else 2, cutoff)
+
+    def gate(**kw):
+        if k == 1:
+            return GateParams.from_raman(p, m=m, **kw)
+        return GateParams.from_multiquantum(0.004, m=m, k=k, **kw)
+
+    gp = gate(phi=phi)
+    norm = np.linalg.norm(dense_pulse(gp, p, space, model, chi), 2)
+    gp = gate(tau=min(gp.tau, 10.0 / norm))
+    eye = np.eye(space.dim, dtype=complex)
+
+    dense = []
+    for angle in (chi, chi - gp.theta0):
+        h = dense_pulse(gp, p, space, model, angle)
+        blocks = BLOCK_BUILDERS[case](p, space, gp, angle)
+        assert max_abs(apply_blocks(blocks.index, blocks.generator, eye) - h) < 1e-15
+        u_blocks = apply_blocks(blocks.index, block_unitaries(blocks.generator, gp.tau), eye)
+        u_expm = expm(-1j * h * gp.tau)
+        u_prop = Propagator(h).unitary(gp.tau)
+        assert max_abs(u_blocks - u_expm) < 1e-12
+        assert max_abs(u_blocks - u_prop) < 1e-12
+        assert max_abs(u_prop - u_expm) < 1e-12
+        dense.append(u_expm)
+
+    flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
+    U = pair_gate(gp, p, space, model, chi)
+    assert max_abs(U - dense[1] @ flip @ dense[0]) < 1e-12
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    states = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+    assert max_abs(apply_pair_gate(gp, p, space, states, model, chi) - U @ states) < 1e-12
+    assert max_abs(apply_pair_gate(gp, p, space, states[:, 0], model, chi) - U @ states[:, 0]) < 1e-12

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from fockgate import HilbertSpace, Propagator, RamanParams, evolve, unitary_of
+from fockgate.propagator import apply_blocks, block_unitaries
 from fockgate.hamiltonians import decompose_effective
 from fockgate.spaces import basis_state, fidelity, max_abs
 
@@ -128,3 +129,34 @@ def test_norm_preserved(rng):
     psi /= np.linalg.norm(psi)
     out = Propagator(H).evolve(psi, 3.3)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(1e-3, 1e2))
+def test_eigendecomposition_reconstructs_generator(seed, dim, scale):
+    # V diag(lambda) V† must rebuild the symmetrized generator
+    rng = np.random.default_rng(seed)
+    prop = Propagator(random_hermitian(rng, dim, scale))
+    recon = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
+    assert max_abs(recon - prop.generator) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6), st.floats(-5.0, 5.0))
+def test_block_unitaries_match_expm(seed, size, count, t):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, size) for _ in range(count)])
+    blocks = block_unitaries(stack, t)
+    for h, u in zip(stack, blocks):
+        assert max_abs(u - expm(-1j * h * t)) < 1e-12
+
+
+def test_apply_blocks_drops_missing_states():
+    # rows 0 and 2 rotate together; index 3 (= len(x)) is a state the
+    # truncation removed, so row 1 meets only a zero and row 3 is never written
+    x = np.array([1.0, 2.0, 3.0], dtype=complex)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    out = apply_blocks(np.array([[0, 2], [1, 3]]), np.array([swap, np.eye(2)]), x)
+    assert_allclose(out, [3.0, 2.0, 1.0])
+    out = apply_blocks(np.array([[0, 2], [1, 3]]), np.array([swap, swap]), x)
+    assert_allclose(out, [3.0, 0.0, 1.0])

@@ -27,6 +27,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
+from fockgate.spaces import max_abs
 
 
 def random_target(rng, top):
@@ -377,6 +378,59 @@ def test_calibrated_plan_json_round_trip(params, tmp_path):
 def test_plan_document_fields(params):
     plan = plan_superposition(0.6, 0.8, 2, params)
     doc = plan_to_dict(plan)
-    assert set(doc["steps"][0]) == {"m", "k", "phi", "theta0", "tau", "phase_correction"}
+    assert set(doc["steps"][0]) == {"m", "k", "phi", "theta0", "tau", "lam", "phase_correction"}
     rebuilt = plan_from_dict(json.loads(json.dumps(doc)))
     assert rebuilt.steps[0].gate.m == 1
+
+
+def test_plan_json_stores_lam_at_zero_tau_and_k2(params):
+    # lam cannot be recovered from phi/tau when tau = 0; the file carries it
+    steps = [
+        PlanStep(GateParams.from_raman(params, m=1, tau=0.0), phase_correction=0.3),
+        PlanStep(GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), phase_correction=-0.2),
+    ]
+    plan = CircuitPlan(steps=steps)
+    loaded = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
+    assert [s.gate for s in loaded.steps] == [s.gate for s in plan.steps]
+    assert loaded.steps[0].gate.lam == params.coupling
+    space = HilbertSpace(2, 6)
+    initial = np.array([0.6, 0.0, 0.0, 0.8j])
+    osc_a, _ = execute_plan(plan, initial, "ideal", params, space)
+    osc_b, _ = execute_plan(loaded, initial, "ideal", params, space)
+    assert np.array_equal(osc_a, osc_b)
+
+
+def test_plan_without_lam_derives_it(params):
+    doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
+    for step in doc["steps"]:
+        del step["lam"]
+    for step in plan_from_dict(doc).steps:
+        assert step.gate.lam == pytest.approx(params.coupling, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.sampled_from(["ideal", "effective", "full"]),
+    st.integers(0, 4),
+)
+def test_execute_plan_cutoff_invariance(seed, top, model, extra):
+    """Levels above the reach of a plan change nothing, to round-off.
+
+    An ideal gate never leaves its pair, so cutoff top + 3 suffices.  Under
+    "effective" and "full" each gate carries amplitude up to two levels
+    higher through the detuned doublets, so a plan of s gates from the
+    vacuum reaches level 2s and needs cutoff 2s + 1; at cutoff top + 3 the
+    state differs by up to ~1e-5 from top = 3 on.
+    """
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    rng = np.random.default_rng(seed)
+    plan = plan_general_state(random_target(rng, top), p, "ideal" if model == "ideal" else "effective")
+    low = top + 3 if model == "ideal" else 2 * len(plan) + 1
+    atom_dim = 3 if model == "full" else 2
+    vacuum = np.array([1.0])
+    osc, _ = execute_plan(plan, vacuum, model, p, HilbertSpace(atom_dim, low + extra))
+    ref, _ = execute_plan(plan, vacuum, model, p, HilbertSpace(atom_dim, low + 5))
+    assert max_abs(ref[len(osc):]) == 0.0
+    assert max_abs(osc - ref[: len(osc)]) < 1e-12
