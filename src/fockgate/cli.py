@@ -158,28 +158,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
             for ratio in cfg.sweep.ratios
         ]
     header = ["r", "model", "fidelity", "leakage", "gate_time"]
-    print(",".join(header))
-    for row in rows:
-        print(
-            f"{_fmt(row['r'])},{row['model']},{_fmt(row['fidelity'])},"
-            f"{_fmt(row['leakage'])},{_fmt(row['gate_time'])}"
-        )
+    table = [
+        [_fmt(row["r"]), row["model"], _fmt(row["fidelity"]), _fmt(row["leakage"]), _fmt(row["gate_time"])]
+        for row in rows
+    ]
+    for cells in [header] + table:
+        print(",".join(cells))
     out = _out_dir(cfg)
     if out is not None:
         path = out / "sweep.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [
-                        _fmt(row["r"]),
-                        row["model"],
-                        _fmt(row["fidelity"]),
-                        _fmt(row["leakage"]),
-                        _fmt(row["gate_time"]),
-                    ]
-                )
+            csv.writer(fh).writerows([header] + table)
         print(f"wrote {path}")
     return EXIT_OK
 

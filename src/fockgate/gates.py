@@ -62,7 +62,7 @@ from .hamiltonians import full_hamiltonian  # noqa: F401  unused; bench/spans.py
 from .hamiltonians import multiquantum_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
 from .propagator import Propagator  # noqa: F401  unused; bench/spans.py replaces it here
 from .propagator import apply_blocks, block_unitaries
-from .spaces import HilbertSpace, StateVector, atomic_sigma, fidelity, product_state, tensor
+from .spaces import HilbertSpace, StateVector, _amplitudes, atomic_sigma, fidelity, product_state, tensor
 
 MODELS = ("ideal", "effective", "full")
 
@@ -360,13 +360,7 @@ def combined_echo_coupling(gp: GateParams, space: HilbertSpace, angle: float) ->
 
 def leakage(psi: StateVector | np.ndarray, m: int, k: int = 1, space: HilbertSpace | None = None) -> float:
     """Population outside the Fock pair {m-k, m}, summed over atomic levels."""
-    if isinstance(psi, StateVector):
-        space = psi.space
-        amps = psi.amplitudes
-    else:
-        if space is None:
-            raise ValueError("a HilbertSpace is required when passing a bare array")
-        amps = np.asarray(psi, dtype=complex)
+    amps, space = _amplitudes(psi, space)
     pops = np.sum(np.abs(amps.reshape(space.atom_dim, space.fock_cutoff)) ** 2, axis=0)
     kept = pops[m - k] + pops[m]
     return float(np.sum(pops) - kept)

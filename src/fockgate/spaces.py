@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ALGEBRA_ATOL = 1e-12
-
 ATOM_LEVELS = {"g": 0, "e": 1, "h": 2}
 
 
@@ -89,9 +87,6 @@ class StateVector:
     def fock_populations(self) -> np.ndarray:
         """Population per Fock level, summed over atomic levels."""
         return np.sum(np.abs(self.as_matrix()) ** 2, axis=0)
-
-    def atom_populations(self) -> np.ndarray:
-        return np.sum(np.abs(self.as_matrix()) ** 2, axis=1)
 
     @property
     def guard_population(self) -> float:
@@ -186,10 +181,6 @@ def fidelity(a, b, space: HilbertSpace | None = None) -> float:
     if amps_a.shape != amps_b.shape:
         raise ValueError(f"state dimensions differ: {amps_a.shape} vs {amps_b.shape}")
     return float(np.abs(np.vdot(amps_a, amps_b)) ** 2)
-
-
-def is_hermitian(mat: np.ndarray, atol: float = ALGEBRA_ATOL) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) < atol)
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:

@@ -26,14 +26,12 @@ the (alpha|0> + beta|n>) draws of acceptance check A7 at r = 0.1, phase-only
 re-optimisation already reaches 0.998, 0.998, 0.997 and 0.997 for n = 1..4;
 only at n = 5 does leakage cap it, at 0.964.
 
-The atom is re-prepared in |+> between gates; since an ideal gate returns the
-atom exactly to |+>, this reset is bookkeeping rather than back-action.
-Ideal gates on disjoint pairs commute, so a plan may be annotated with
-parallel groups: under the "ideal" model, running the groups in plan order,
-and the members of one group in any order, reproduces the sequential plan.
-Under "effective" and "full" it does not: every gate puts its own
-level-dependent dispersive phase on the spectator levels, so gates on
-disjoint pairs no longer commute.
+A plan runs its gates one after another through one auxiliary atom, which is
+re-prepared in |+> between gates; since an ideal gate returns the atom
+exactly to |+>, this reset is bookkeeping rather than back-action.  Only
+under the "ideal" model do gates on disjoint pairs commute: under
+"effective" and "full" every gate puts its own level-dependent dispersive
+phase on the spectator levels.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,12 +71,10 @@ class CircuitPlan:
 
     steps: list[PlanStep]
     target: np.ndarray | None = None
-    schedule: str = "sequential"
     phase_model: str = "ideal"
+    schedule: ClassVar[str] = "sequential"
 
     def __post_init__(self):
-        if self.schedule not in ("sequential", "parallel-groups"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"unknown phase model {self.phase_model!r}")
         if self.target is not None:
@@ -89,28 +86,6 @@ class CircuitPlan:
     def pairs(self) -> list[tuple[int, int]]:
         return [s.gate.pair for s in self.steps]
 
-    def parallel_groups(self) -> list[list[int]]:
-        """Group step indices into layers of mutually disjoint pairs.
-
-        Each step joins the group right after the last group holding an
-        earlier step that shares a level with it, so running the groups in
-        order reproduces the sequential plan under the "ideal" model (not
-        under "effective" or "full"; see the module docstring).  Order
-        within the plan is preserved inside each group; no claim of a
-        minimal number of groups is made.
-        """
-        groups: list[list[int]] = []
-        occupied: list[set[int]] = []
-        for i, step in enumerate(self.steps):
-            levels = set(step.gate.pair)
-            g = next((j + 1 for j in reversed(range(len(groups))) if occupied[j] & levels), 0)
-            if g == len(groups):
-                groups.append([])
-                occupied.append(set())
-            groups[g].append(i)
-            occupied[g] |= levels
-        return groups
-
 
 @dataclass
 class ExecutionReport:
@@ -119,13 +94,6 @@ class ExecutionReport:
     guard_population: float
     step_purities: list[float] = field(default_factory=list)
     step_atom_overlaps: list[float] = field(default_factory=list)
-
-
-def _spectator_phase(phase_model: str, gp: GateParams, level: int) -> float:
-    """Phase a non-pair Fock level accumulates during one gate."""
-    if phase_model == "ideal":
-        return 0.0
-    return -(gp.eta + level * gp.theta0)
 
 
 def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> CircuitPlan:
@@ -161,12 +129,15 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     # phase ledger: solve per-gate chi so every frozen level ends at the
     # target phase up to one global constant
     future = [0.0] * (top + 1)  # spectator phase level i gains after its freeze
-    for i in range(top + 1):
-        freeze_gate = min(i + 1, top)  # level i frozen after gate i+1 (level top: gate top)
-        future[i] = sum(
-            _spectator_phase(phase_model, gates[j - 1], i)
-            for j in range(freeze_gate + 1, top + 1)
-        )
+    if phase_model == "effective":
+        # gate j puts -(eta_j + i*theta0_j) on spectator level i; level i
+        # freezes after gate min(i+1, top) and collects every later gate, so
+        # it needs the suffix sums eta_after[k], theta0_after[k] over gates > k
+        eta_after = np.append(np.cumsum([gp.eta for gp in gates][::-1])[::-1], 0.0)
+        theta0_after = np.append(np.cumsum([gp.theta0 for gp in gates][::-1])[::-1], 0.0)
+        levels = np.arange(top + 1)
+        freeze = np.minimum(levels + 1, top)
+        future = (-(eta_after[freeze] + levels * theta0_after[freeze])).tolist()
 
     chis = [0.0] * top
     moving_base = 0.0  # chi-free phase of the moving amplitude
@@ -250,13 +221,18 @@ def execute_plan(
     so applying a gate costs O(fock_cutoff) and no joint-space matrix is
     formed.  Returns the final oscillator state and a report; fidelity is measured
     against the plan target (padded to the working cutoff) when one is set,
-    otherwise against the initial state.
+    otherwise against the initial state.  Without a ``space`` the cutoff is
+    max_m + 2 (and at least len(initial)); under "effective" and "full" it is
+    at least len(initial) + 2 * len(plan), the reach of the detuned doublets.
     """
     initial = np.asarray(initial, dtype=complex)
     if space is None:
         atom_dim = 3 if model == "full" else 2
         max_m = max((s.gate.m for s in plan.steps), default=0)
         cutoff = max(len(initial), max_m + 2)
+        if model != "ideal":
+            # the detuned doublets carry amplitude two levels up per gate
+            cutoff = max(cutoff, len(initial) + 2 * len(plan))
         space = HilbertSpace(atom_dim, cutoff)
     if len(initial) > space.fock_cutoff:
         raise ValueError("initial state longer than the Fock cutoff")
@@ -287,14 +263,10 @@ def execute_plan(
             raise ArithmeticError("atom reset branch has zero weight")
         osc = branch / weight
 
-    if plan.target is not None:
-        ref = np.zeros(space.fock_cutoff, dtype=complex)
-        ref[: len(plan.target)] = plan.target
-        support = np.nonzero(np.abs(ref) > 1e-12)[0]
-    else:
-        ref = np.zeros(space.fock_cutoff, dtype=complex)
-        ref[: len(initial)] = initial / np.linalg.norm(initial)
-        support = np.nonzero(np.abs(ref) > 1e-12)[0]
+    source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
+    ref = np.zeros(space.fock_cutoff, dtype=complex)
+    ref[: len(source)] = source
+    support = np.nonzero(np.abs(ref) > 1e-12)[0]
 
     fid = float(np.abs(np.vdot(ref, osc)) ** 2)
     pops = np.abs(osc) ** 2
@@ -439,8 +411,6 @@ def plan_to_dict(plan: CircuitPlan) -> dict:
     }
     if plan.target is not None:
         doc["target"] = [[float(c.real), float(c.imag)] for c in plan.target]
-    if plan.schedule == "parallel-groups":
-        doc["groups"] = plan.parallel_groups()
     return doc
 
 
@@ -460,12 +430,8 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
     target = None
     if "target" in doc:
         target = np.array([complex(re, im) for re, im in doc["target"]])
-    return CircuitPlan(
-        steps=steps,
-        target=target,
-        schedule=doc.get("schedule", "sequential"),
-        phase_model=doc.get("phase_model", "ideal"),
-    )
+    # other keys, such as an older file's schedule, are ignored: steps run in order
+    return CircuitPlan(steps=steps, target=target, phase_model=doc.get("phase_model", "ideal"))
 
 
 def save_plan(plan: CircuitPlan, path) -> None:

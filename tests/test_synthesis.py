@@ -22,12 +22,14 @@ from fockgate import (
     plan_superposition,
     plan_to_dict,
     PlanStep,
+    rotation_matrix,
     load_plan,
     save_plan,
     spin_flip,
     tensor,
 )
 from fockgate.spaces import max_abs
+from fockgate.synthesis import LEDGER_MODELS
 
 
 def random_target(rng, top):
@@ -197,6 +199,40 @@ def test_round_trip_random_targets(params, rng):
         assert report.fidelity > 1 - 1e-9, f"target support {top}: {report.fidelity}"
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 120),
+    st.sampled_from(LEDGER_MODELS),
+    st.sampled_from([0.02, 0.1]),
+)
+def test_ledger_replay_reaches_target(seed, top, phase_model, ratio):
+    """Replaying a plan with the closed-form pair maps lands on its target.
+
+    Each step applies ``rotation_matrix`` to its pair; under "effective"
+    every other level n also picks up -(eta + n*theta0).  Interior zero
+    amplitudes exercise the full-transfer steps.
+    """
+    p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
+    rng = np.random.default_rng(seed)
+    target = random_target(rng, top)
+    target[:top][rng.random(top) < 0.2] = 0.0
+    target /= np.linalg.norm(target)
+    plan = plan_general_state(target, p, phase_model)
+    levels = np.arange(top + 1)
+    osc = np.zeros(top + 1, dtype=complex)
+    osc[0] = 1.0
+    for step in plan.steps:
+        gp = step.gate
+        pair = list(gp.pair)
+        rotated = rotation_matrix(gp, phase_offset=step.phase_correction) @ osc[pair]
+        if phase_model == "effective":
+            osc = osc * np.exp(-1j * (gp.eta + levels * gp.theta0))
+        osc[pair] = rotated
+    overlap = np.vdot(target, osc)
+    assert max_abs(osc - overlap / abs(overlap) * target) < 1e-9
+
+
 def test_interior_zero_amplitude(params):
     target = np.array([0.6, 0.0, 0.8], dtype=complex)
     plan = plan_general_state(target, params)
@@ -252,7 +288,24 @@ def test_execution_under_full_model():
     assert report.fidelity > 0.98
 
 
-# ---- commutation and parallel groups -------------------------------------------
+@pytest.mark.parametrize("model", ["ideal", "effective", "full"])
+def test_default_cutoff(model):
+    # ideal gates stay in their pairs (max_m + 2); effective and full ones
+    # carry amplitude two levels up per gate (1 + 2s from the vacuum)
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    plan = plan_superposition(2**-0.5, 2**-0.5, 3, p, "ideal" if model == "ideal" else "effective")
+    vacuum = np.array([1.0])
+    cutoff = 5 if model == "ideal" else 2 * len(plan) + 1
+    space = HilbertSpace(3 if model == "full" else 2, cutoff)
+    osc, report = execute_plan(plan, vacuum, model, p)
+    ref, ref_report = execute_plan(plan, vacuum, model, p, space)
+    assert np.array_equal(osc, ref)
+    assert report == ref_report
+    if model == "effective":
+        assert report.fidelity == pytest.approx(0.840114, abs=1e-6)
+
+
+# ---- commutation ---------------------------------------------------------------
 
 
 def test_disjoint_pairs_commute(params):
@@ -298,45 +351,6 @@ def test_parallel_group_order_invariance(params, rng):
     assert np.max(np.abs(results[0] - results[2])) < 1e-9
 
 
-def test_parallel_grouping_is_disjoint(params):
-    plan = plan_general_state(np.ones(6, dtype=complex) / np.sqrt(6), params)
-    plan.schedule = "parallel-groups"
-    groups = plan.parallel_groups()
-    assert sorted(i for g in groups for i in g) == list(range(len(plan)))
-    for group in groups:
-        seen = set()
-        for i in group:
-            levels = set(plan.steps[i].gate.pair)
-            assert not levels & seen
-            seen |= levels
-
-
-@pytest.mark.parametrize(
-    "levels",
-    [[1, 2, 3, 4, 5], [1, 3, 5, 2, 4, 1, 6], [2, 4, 3, 1, 5, 2], [6, 1, 3, 2, 2, 5, 4]],
-)
-def test_parallel_groups_run_in_order_reproduce_sequential_plan(params, levels, rng):
-    # hand-built plans mixing disjoint and overlapping pairs: running the
-    # groups in order, each group's members in reverse, must match the plan
-    steps = [
-        PlanStep(
-            GateParams.from_raman(params, m=m, phi=float(rng.uniform(0.2, 1.4))),
-            phase_correction=float(rng.uniform(-np.pi, np.pi)),
-        )
-        for m in levels
-    ]
-    plan = CircuitPlan(steps=steps, schedule="parallel-groups")
-    groups = plan.parallel_groups()
-    assert sorted(i for g in groups for i in g) == list(range(len(plan)))
-    regrouped = CircuitPlan(steps=[steps[i] for g in groups for i in reversed(g)])
-    space = HilbertSpace(2, max(levels) + 3)
-    initial = rng.normal(size=max(levels) + 1) + 1j * rng.normal(size=max(levels) + 1)
-    sequential, _ = execute_plan(plan, initial, "ideal", params, space)
-    grouped, _ = execute_plan(regrouped, initial, "ideal", params, space)
-    assert_allclose(grouped, sequential, atol=1e-12)
-    assert plan_to_dict(plan)["groups"] == groups
-
-
 # ---- serialization ---------------------------------------------------------------
 
 
@@ -373,6 +387,60 @@ def test_calibrated_plan_json_round_trip(params, tmp_path):
     assert_allclose(osc_b, osc_a, atol=1e-12)
     assert rep_b.fidelity == pytest.approx(rep_a.fidelity, abs=1e-12)
     assert rep_b.leakage == pytest.approx(rep_a.leakage, abs=1e-12)
+
+
+def test_plans_are_sequential_only(params):
+    plan = plan_superposition(0.6, 0.8, 2, params)
+    assert plan.schedule == "sequential"
+    assert plan_to_dict(plan)["schedule"] == "sequential"
+    assert "groups" not in plan_to_dict(plan)
+    with pytest.raises(TypeError):
+        CircuitPlan(steps=plan.steps, schedule="sequential")
+
+
+def test_legacy_parallel_groups_document_loads_in_order(params):
+    plan = plan_general_state(random_target(np.random.default_rng(3), 5), params, "effective")
+    legacy = dict(plan_to_dict(plan), schedule="parallel-groups", groups=[[0, 2, 4], [1, 3]])
+    loaded = plan_from_dict(json.loads(json.dumps(legacy)))
+    assert loaded.steps == plan.steps
+    assert loaded.schedule == "sequential"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from(LEDGER_MODELS),
+    st.lists(st.sampled_from(["tau0", "k2"]), max_size=3),
+)
+def test_plan_round_trip_reproduces_execution(tmp_path_factory, seed, top, phase_model, extras):
+    """save_plan/load_plan keep every step bit for bit, so execution is identical.
+
+    Ladder plans get optional extra steps with tau = 0 (lam not derivable
+    from phi/tau) and k = 2 (run under "ideal", the only model defined
+    for k > 1).
+    """
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    rng = np.random.default_rng(seed)
+    plan = plan_general_state(random_target(rng, top), p, phase_model)
+    for kind in extras:
+        m = int(rng.integers(2, top + 2))
+        gate = (
+            GateParams.from_raman(p, m=m, tau=0.0)
+            if kind == "tau0"
+            else GateParams.from_multiquantum(0.004, m=m, k=2, phi=float(rng.uniform(0.1, 1.5)))
+        )
+        plan.steps.append(PlanStep(gate, phase_correction=float(rng.uniform(-np.pi, np.pi))))
+    path = tmp_path_factory.getbasetemp() / "round_trip_plan.json"
+    save_plan(plan, path)
+    loaded = load_plan(path)
+    assert loaded.steps == plan.steps
+    model = "ideal" if "k2" in extras else phase_model
+    space = HilbertSpace(2, 2 * len(plan) + top + 4)
+    osc_a, rep_a = execute_plan(plan, np.array([1.0]), model, p, space)
+    osc_b, rep_b = execute_plan(loaded, np.array([1.0]), model, p, space)
+    assert np.array_equal(osc_a, osc_b)
+    assert rep_a == rep_b
 
 
 def test_plan_document_fields(params):
