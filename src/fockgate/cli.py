@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    MODEL_CHOICES,
     ConfigError,
     RunConfig,
     config_to_dict,
@@ -28,10 +29,10 @@ from .config import (
     to_raman,
     to_space,
 )
-from .gates import GateParams, closed_form_check, leakage, pair_gate
+from .gates import MODELS, GateParams, closed_form_check, leakage, pair_gate
 from .spaces import fidelity  # noqa: F401  unused; bench/spans.py wraps it here
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
-from .spaces import purity, reduced_oscillator_state
+from .spaces import fock_populations, purity, reduced_oscillator_state
 from .synthesis import execute_plan, plan_general_state, save_plan
 from .synthesis import plan_superposition  # noqa: F401  unused; bench/spans.py wraps it here
 from .validation import run_validation
@@ -63,7 +64,7 @@ def _fmt(x: float) -> str:
 
 
 def _models(cfg: RunConfig) -> list[str]:
-    return ["ideal", "effective", "full"] if cfg.model == "all" else [cfg.model]
+    return list(MODELS) if cfg.model == "all" else [cfg.model]
 
 
 def _out_dir(cfg: RunConfig) -> Path | None:
@@ -88,19 +89,17 @@ def _gate_record(cfg: RunConfig, model: str) -> ResultRecord:
     amp = 1.0 / np.sqrt(2.0)
     psi, fid = closed_form_check(U, gp, space, amp, amp)
     rho = reduced_oscillator_state(psi, space)
-    pops = np.sum(np.abs(psi.reshape(space.atom_dim, space.fock_cutoff)) ** 2, axis=0)
-    record = ResultRecord(
+    return ResultRecord(
         task="gate",
         model=model,
         fidelity=min(1.0, fid),
         leakage=leakage(psi, gp.m, gp.k, space),
-        guard_population=float(pops[space.guard_level]),
+        guard_population=float(fock_populations(psi, space)[space.guard_level]),
         purity=purity(rho),
         duration_s=time.perf_counter() - start,
         config=config_to_dict(cfg),
         extra={"m": gp.m, "phi": gp.phi, "theta0": gp.theta0, "tau": gp.tau},
     )
-    return record
 
 
 def cmd_gate(cfg: RunConfig) -> int:
@@ -182,10 +181,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
         phase_model = "effective" if model in ("effective", "full") else "ideal"
         p = to_raman(cfg)
         plan = plan_general_state(target, p, phase_model=phase_model)
-        space = to_space(cfg, model)
-        initial = np.zeros(space.fock_cutoff, dtype=complex)
-        initial[0] = 1.0
-        _, report = execute_plan(plan, initial, model, p, space)
+        _, report = execute_plan(plan, np.array([1.0]), model, p, to_space(cfg, model))
         record = ResultRecord(
             task="synthesize",
             model=model,
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="random seed for sampled checks")
         cmd.add_argument(
             "--model",
-            choices=("ideal", "effective", "full", "all"),
+            choices=MODEL_CHOICES,
             help="dynamics model to run",
         )
     return parser
@@ -287,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.out is not None:
-        overrides.append(f"out_dir={args.out}")
+        overrides.append("out_dir=" + json.dumps(args.out))  # a path, never a JSON value
     try:
         cfg = load_config(args.config, overrides)
         handler = {

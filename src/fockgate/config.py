@@ -16,12 +16,13 @@ from typing import Any
 
 import numpy as np
 
+from .gates import MODELS, model_space
 from .hamiltonians import RamanParams
 from .spaces import HilbertSpace
 from .validation import check_tolerances
 
 TASKS = ("gate", "synthesize", "sweep", "validate")
-MODEL_CHOICES = ("ideal", "effective", "full", "all")
+MODEL_CHOICES = MODELS + ("all",)
 
 
 class ConfigError(Exception):
@@ -170,6 +171,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"task: {cfg.task!r} is not one of {TASKS}")
     if cfg.model not in MODEL_CHOICES:
         raise ConfigError(f"model: {cfg.model!r} is not one of {MODEL_CHOICES}")
+    if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir: must be a path string, got {cfg.out_dir!r}")
     for name in ("g", "omega_l", "delta"):
         _check_number(f"physical.{name}", getattr(cfg.physical, name))
     _check_number("gate.phi", cfg.gate.phi)
@@ -205,6 +208,8 @@ def validate_config(cfg: RunConfig) -> None:
     _check_count("sweep.samples", cfg.sweep.samples, 1)
     _check_count("seed", cfg.seed, 0)
     _check_count("target.n", cfg.target.n, 0)
+    if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
+        raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     target_levels = _target_support(cfg)
     if target_levels and max(target_levels) + 2 > cfg.space.fock_cutoff:
         raise ConfigError(
@@ -271,5 +276,5 @@ def to_raman(cfg: RunConfig, omega_l: float | None = None) -> RamanParams:
 
 
 def to_space(cfg: RunConfig, model: str) -> HilbertSpace:
-    """Working space of one model: three atomic levels for "full", else two."""
-    return HilbertSpace(3 if model == "full" else 2, cfg.space.fock_cutoff)
+    """Working space of one model (``gates.model_space``) at the configured cutoff."""
+    return model_space(model, cfg.space.fock_cutoff)

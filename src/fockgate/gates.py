@@ -62,11 +62,14 @@ from .hamiltonians import full_hamiltonian  # noqa: F401  unused; bench/spans.py
 from .hamiltonians import multiquantum_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
 from .propagator import Propagator  # noqa: F401  unused; bench/spans.py replaces it here
 from .propagator import apply_blocks, block_unitaries
-from .spaces import HilbertSpace, StateVector, _amplitudes, atomic_sigma, fidelity, product_state, tensor
+from .spaces import HilbertSpace, atomic_sigma, fidelity, fock_populations, product_state, project_atom, tensor
 
 MODELS = ("ideal", "effective", "full")
 
-_INVARIANT_RTOL = 1e-12
+
+def model_space(model: str, fock_cutoff: int) -> HilbertSpace:
+    """Working space of one model: three atomic levels (|h> kept) for "full", else two."""
+    return HilbertSpace(3 if model == "full" else 2, fock_cutoff)
 
 
 @dataclass(frozen=True)
@@ -312,10 +315,10 @@ def closed_form_check(
     lo, hi = gp.pair
     osc = np.zeros(space.fock_cutoff, dtype=complex)
     osc[lo], osc[hi] = alpha, beta
-    psi = U @ product_state(space, plus, osc).amplitudes
+    psi = U @ product_state(space, plus, osc)
     ref_osc = np.zeros(space.fock_cutoff, dtype=complex)
     ref_osc[lo], ref_osc[hi] = closed_form_rotation(alpha, beta, reference or gp)
-    ref = product_state(space, plus, ref_osc).amplitudes
+    ref = product_state(space, plus, ref_osc)
     return psi, fidelity(ref, psi, space)
 
 
@@ -358,10 +361,9 @@ def combined_echo_coupling(gp: GateParams, space: HilbertSpace, angle: float) ->
     return gp.phi * tensor(atom_part, osc)
 
 
-def leakage(psi: StateVector | np.ndarray, m: int, k: int = 1, space: HilbertSpace | None = None) -> float:
+def leakage(psi: np.ndarray, m: int, k: int, space: HilbertSpace) -> float:
     """Population outside the Fock pair {m-k, m}, summed over atomic levels."""
-    amps, space = _amplitudes(psi, space)
-    pops = np.sum(np.abs(amps.reshape(space.atom_dim, space.fock_cutoff)) ** 2, axis=0)
+    pops = fock_populations(psi, space)
     kept = pops[m - k] + pops[m]
     return float(np.sum(pops) - kept)
 
@@ -374,8 +376,5 @@ def induced_oscillator_unitary(
     Unitary (up to round-off) exactly when the gate leaves that atomic state
     unentangled from the oscillator.
     """
-    atom_state = np.asarray(atom_state, dtype=complex)
-    nf = space.fock_cutoff
-    bra = np.kron(atom_state.conj(), np.eye(nf, dtype=complex))
-    ket = np.kron(atom_state.reshape(-1, 1), np.eye(nf, dtype=complex))
-    return bra @ gate @ ket
+    prepared = product_state(space, atom_state, np.eye(space.fock_cutoff))
+    return project_atom(atom_state, gate @ prepared, space)

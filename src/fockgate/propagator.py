@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import StateVector, hermiticity_defect
+from .spaces import hermiticity_defect
 
 HERMITICITY_TOL = 1e-10
 
@@ -74,10 +74,8 @@ class Propagator:
         phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
-    def evolve(self, psi, t: float):
-        """Apply exp(-i H t) to a state (array or StateVector)."""
-        if isinstance(psi, StateVector):
-            return StateVector(psi.space, self.evolve(psi.amplitudes, t))
+    def evolve(self, psi, t: float) -> np.ndarray:
+        """Apply exp(-i H t) to a state vector."""
         amps = np.asarray(psi, dtype=complex)
         if amps.shape != (self.dim,):
             raise ValueError(f"state has shape {amps.shape}, expected ({self.dim},)")

@@ -1,14 +1,16 @@
 """Hilbert-space bookkeeping for a few-level atom coupled to a truncated oscillator.
 
+States are plain complex arrays, read through an explicit ``HilbertSpace``.
 Joint states live on atom ⊗ oscillator with atom-major ordering: the joint
-index of atomic level ``a`` and Fock level ``n`` is ``a * fock_cutoff + n``.
+index of atomic level ``a`` and Fock level ``n`` is ``a * fock_cutoff + n``;
+``product_state`` and ``project_atom`` apply |atom> ⊗ I and <atom| ⊗ I.
 The topmost retained Fock level acts as a guard level: population there means
 the truncation is biting and results should not be trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,63 +55,37 @@ class HilbertSpace:
         return atom
 
 
-@dataclass
-class StateVector:
-    """Complex amplitudes over a joint (atom ⊗ Fock) basis."""
-
-    space: HilbertSpace
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.space.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)"
-            )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        self.amplitudes = amps
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.space, self.amplitudes / n)
-
-    def as_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (atom_dim, fock_cutoff)."""
-        return self.amplitudes.reshape(self.space.atom_dim, self.space.fock_cutoff)
-
-    def fock_populations(self) -> np.ndarray:
-        """Population per Fock level, summed over atomic levels."""
-        return np.sum(np.abs(self.as_matrix()) ** 2, axis=0)
-
-    @property
-    def guard_population(self) -> float:
-        return float(self.fock_populations()[self.space.guard_level])
-
-
-def basis_state(space: HilbertSpace, atom: int | str, n: int) -> StateVector:
+def basis_state(space: HilbertSpace, atom: int | str, n: int) -> np.ndarray:
     amps = np.zeros(space.dim, dtype=complex)
     amps[space.index(atom, n)] = 1.0
-    return StateVector(space, amps)
+    return amps
 
 
-def product_state(space: HilbertSpace, atom_amps, osc_amps) -> StateVector:
-    """|atom> ⊗ |oscillator> under the atom-major layout."""
+def product_state(space: HilbertSpace, atom_amps, osc_amps) -> np.ndarray:
+    """|atom> ⊗ x for an oscillator state x (fock_cutoff,) or a (fock_cutoff, k) stack.
+
+    ``project_atom`` undoes it for a normalized atomic state.
+    """
     atom_amps = np.asarray(atom_amps, dtype=complex)
     osc_amps = np.asarray(osc_amps, dtype=complex)
     if atom_amps.shape != (space.atom_dim,):
         raise ValueError(f"atom factor has shape {atom_amps.shape}, expected ({space.atom_dim},)")
-    if osc_amps.shape != (space.fock_cutoff,):
+    if osc_amps.ndim not in (1, 2) or len(osc_amps) != space.fock_cutoff:
         raise ValueError(
-            f"oscillator factor has shape {osc_amps.shape}, expected ({space.fock_cutoff},)"
+            f"oscillator factor has shape {osc_amps.shape}, expected ({space.fock_cutoff},) "
+            f"or ({space.fock_cutoff}, k)"
         )
-    return StateVector(space, np.kron(atom_amps, osc_amps))
+    if not (np.all(np.isfinite(atom_amps)) and np.all(np.isfinite(osc_amps))):
+        raise ValueError("amplitudes must be finite")
+    joint = atom_amps.reshape((-1,) + (1,) * osc_amps.ndim) * osc_amps
+    return joint.reshape((space.dim,) + osc_amps.shape[1:])
+
+
+def project_atom(atom_amps, joint, space: HilbertSpace) -> np.ndarray:
+    """(<atom| ⊗ I) applied to a joint state (dim,) or a (dim, k) stack of columns."""
+    joint = np.asarray(joint, dtype=complex)
+    projected = np.asarray(atom_amps, dtype=complex).conj() @ joint.reshape(space.atom_dim, -1)
+    return projected.reshape((space.fock_cutoff,) + joint.shape[1:])
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -148,25 +124,26 @@ def tensor(atomic: np.ndarray, oscillator: np.ndarray) -> np.ndarray:
     return np.kron(atomic, oscillator)
 
 
-def _amplitudes(psi, space: HilbertSpace | None):
-    if isinstance(psi, StateVector):
-        return psi.amplitudes, psi.space
+def _amplitudes(psi, space: HilbertSpace) -> np.ndarray:
     amps = np.asarray(psi, dtype=complex)
-    if space is None:
-        raise ValueError("a HilbertSpace is required when passing a bare array")
     if amps.shape != (space.dim,):
         raise ValueError(f"state has shape {amps.shape}, expected ({space.dim},)")
-    return amps, space
+    return amps
 
 
-def reduced_oscillator_state(psi, space: HilbertSpace | None = None) -> np.ndarray:
+def fock_populations(psi, space: HilbertSpace) -> np.ndarray:
+    """Population per Fock level of a joint state, summed over atomic levels."""
+    mat = _amplitudes(psi, space).reshape(space.atom_dim, space.fock_cutoff)
+    return np.sum(np.abs(mat) ** 2, axis=0)
+
+
+def reduced_oscillator_state(psi, space: HilbertSpace) -> np.ndarray:
     """Density matrix of the oscillator after tracing out the atom.
 
     Returns a (fock_cutoff, fock_cutoff) positive matrix with unit trace for a
     normalized input.
     """
-    amps, space = _amplitudes(psi, space)
-    mat = amps.reshape(space.atom_dim, space.fock_cutoff)
+    mat = _amplitudes(psi, space).reshape(space.atom_dim, space.fock_cutoff)
     return np.einsum("an,am->nm", mat, mat.conj())
 
 
@@ -174,13 +151,9 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def fidelity(a, b, space: HilbertSpace | None = None) -> float:
+def fidelity(a, b, space: HilbertSpace) -> float:
     """Squared modulus of the overlap, |<a|b>|^2."""
-    amps_a, space_a = _amplitudes(a, space)
-    amps_b, space_b = _amplitudes(b, space if space is not None else space_a)
-    if amps_a.shape != amps_b.shape:
-        raise ValueError(f"state dimensions differ: {amps_a.shape} vs {amps_b.shape}")
-    return float(np.abs(np.vdot(amps_a, amps_b)) ** 2)
+    return float(np.abs(np.vdot(_amplitudes(a, space), _amplitudes(b, space))) ** 2)
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:

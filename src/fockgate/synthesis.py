@@ -43,9 +43,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, apply_pair_gate, atom_plus, induced_oscillator_unitary, pair_gate
+from .gates import GateParams, apply_pair_gate, atom_plus, induced_oscillator_unitary, model_space, pair_gate
 from .hamiltonians import RamanParams
-from .spaces import HilbertSpace, purity, reduced_oscillator_state
+from .spaces import HilbertSpace, product_state, project_atom, purity, reduced_oscillator_state
 
 LEDGER_MODELS = ("ideal", "effective")
 PHASE_MODELS = LEDGER_MODELS + ("calibrated",)
@@ -227,13 +227,12 @@ def execute_plan(
     """
     initial = np.asarray(initial, dtype=complex)
     if space is None:
-        atom_dim = 3 if model == "full" else 2
         max_m = max((s.gate.m for s in plan.steps), default=0)
         cutoff = max(len(initial), max_m + 2)
         if model != "ideal":
             # the detuned doublets carry amplitude two levels up per gate
             cutoff = max(cutoff, len(initial) + 2 * len(plan))
-        space = HilbertSpace(atom_dim, cutoff)
+        space = model_space(model, cutoff)
     if len(initial) > space.fock_cutoff:
         raise ValueError("initial state longer than the Fock cutoff")
     for step in plan.steps:
@@ -242,8 +241,7 @@ def execute_plan(
                 f"plan touches level {step.gate.m} but cutoff is {space.fock_cutoff}"
             )
 
-    osc = np.zeros(space.fock_cutoff, dtype=complex)
-    osc[: len(initial)] = initial
+    osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
     osc = osc / np.linalg.norm(osc)
     plus = atom_plus(space.atom_dim)
 
@@ -251,12 +249,12 @@ def execute_plan(
     atom_overlaps: list[float] = []
     for step in plan.steps:
         joint = apply_pair_gate(
-            step.gate, p, space, np.outer(plus, osc).ravel(), model, step.phase_correction
+            step.gate, p, space, product_state(space, plus, osc), model, step.phase_correction
         )
         rho = reduced_oscillator_state(joint, space)
         purities.append(purity(rho))
         # projective reset of the atom to |+>
-        branch = _project_atom(plus, joint, space)
+        branch = project_atom(plus, joint, space)
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
         if weight == 0.0:
@@ -264,8 +262,7 @@ def execute_plan(
         osc = branch / weight
 
     source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
-    ref = np.zeros(space.fock_cutoff, dtype=complex)
-    ref[: len(source)] = source
+    ref = np.pad(source, (0, space.fock_cutoff - len(source)))
     support = np.nonzero(np.abs(ref) > 1e-12)[0]
 
     fid = float(np.abs(np.vdot(ref, osc)) ** 2)
@@ -279,12 +276,6 @@ def execute_plan(
         step_atom_overlaps=atom_overlaps,
     )
     return osc, report
-
-
-def _project_atom(atom: np.ndarray, joint: np.ndarray, space: HilbertSpace) -> np.ndarray:
-    """(<atom| ⊗ I) applied to a joint state (dim,) or a (dim, k) stack of columns."""
-    projected = atom.conj() @ joint.reshape(space.atom_dim, -1)
-    return projected.reshape((space.fock_cutoff,) + joint.shape[1:])
 
 
 def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
@@ -308,10 +299,9 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     count = len(plan.steps)
     levels = [s.gate.m for s in plan.steps]
     space = HilbertSpace(2, max(max(levels) + CALIBRATION_HEADROOM, len(plan.target)))
-    ref = np.zeros(space.fock_cutoff, dtype=complex)
-    ref[: len(plan.target)] = plan.target
+    ref = np.pad(plan.target, (0, space.fock_cutoff - len(plan.target)))
     plus = atom_plus(2)
-    prepared = np.kron(plus.reshape(-1, 1), np.eye(space.fock_cutoff))  # |+> ⊗ I
+    prepared = product_state(space, plus, np.eye(space.fock_cutoff))  # |+> ⊗ I
 
     def plan_step(i: int, x: np.ndarray) -> PlanStep:
         gate = GateParams.from_raman(p, m=levels[i], phi=float(x[i]))
@@ -322,7 +312,7 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
         # |+>: execute_plan's step before it renormalizes
         step = plan_step(i, x)
         out = apply_pair_gate(step.gate, p, space, prepared, "effective", step.phase_correction)
-        return _project_atom(plus, out, space)
+        return project_atom(plus, out, space)
 
     def residual(osc: np.ndarray) -> np.ndarray:
         osc = osc / np.linalg.norm(osc)

@@ -200,7 +200,7 @@ def run_validation(
     for atom in (atom_plus(2), atom_minus(2)):
         osc = np.zeros(nf, dtype=complex)
         osc[gp.m - 1], osc[gp.m] = 0.6, 0.8
-        out = pair_gate(gp, p, space, "ideal") @ product_state(space, atom, osc).amplitudes
+        out = pair_gate(gp, p, space, "ideal") @ product_state(space, atom, osc)
         worst_purity = max(worst_purity, 1.0 - purity(reduced_oscillator_state(out, space)))
     results.append(
         CheckResult("disentanglement purity deficit", worst_purity, tol["purity_deficit"])

@@ -65,7 +65,7 @@ def brute_force_product(p, gp, space, model="ideal"):
 def pair_input(space, atom, alpha, beta, m, k=1):
     osc = np.zeros(space.fock_cutoff, dtype=complex)
     osc[m - k], osc[m] = alpha, beta
-    return product_state(space, atom, osc).amplitudes
+    return product_state(space, atom, osc)
 
 
 def random_pair(rng):

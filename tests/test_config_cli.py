@@ -112,6 +112,13 @@ def test_gate_command_writes_report(tmp_path, capsys):
     assert "closed-form fidelity" in capsys.readouterr().out
 
 
+def test_out_flag_is_a_directory_name(tmp_path, monkeypatch):
+    # "--out 5" names the directory 5, not the JSON number 5
+    monkeypatch.chdir(tmp_path)
+    assert main(["gate", "--out", "5"]) == 0
+    assert (tmp_path / "5" / "gate_report.json").exists()
+
+
 def test_gate_command_all_models(tmp_path):
     rc = main(["gate", "--out", str(tmp_path), "--model", "all"])
     assert rc == 0
@@ -145,6 +152,9 @@ def test_gate_command_config_error(capsys):
         (["validate", "--set", "tolerances.propagation=0"], "tolerances.propagation"),
         (["gate", "--set", "physical.include_shift=no"], "physical.include_shift"),
         (["validate", "--set", "validate.self_test=no"], "validate.self_test"),
+        (["gate", "--set", "target.amplitudes=5"], "target.amplitudes"),
+        (["synthesize", "--set", "target.amplitudes=5"], "target.amplitudes"),
+        (["gate", "--set", "out_dir=5"], "out_dir"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):

@@ -38,13 +38,13 @@ from conftest import dense_pulse, random_pair_amplitudes
 def pair_input(space, atom, alpha, beta, m, k=1):
     osc = np.zeros(space.fock_cutoff, dtype=complex)
     osc[m - k], osc[m] = alpha, beta
-    return product_state(space, atom, osc).amplitudes
+    return product_state(space, atom, osc)
 
 
 def embed_pair(space, atom, pair, m, k=1):
     osc = np.zeros(space.fock_cutoff, dtype=complex)
     osc[m - k], osc[m] = pair
-    return product_state(space, atom, osc).amplitudes
+    return product_state(space, atom, osc)
 
 
 def brute_force_gate(gp, p, space, model="ideal", phase_offset=0.0):

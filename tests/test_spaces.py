@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fockgate import (
     HilbertSpace,
-    StateVector,
     annihilation,
     atomic_sigma,
     basis_state,
@@ -17,6 +16,7 @@ from fockgate import (
     reduced_oscillator_state,
     tensor,
 )
+from fockgate.spaces import fock_populations, project_atom
 
 st_cutoff = st.integers(2, 16)
 
@@ -94,8 +94,8 @@ def test_tensor_excitation_exchange():
     space = HilbertSpace(2, 4)
     op = tensor(atomic_sigma("g", "e", 2), creation(4))
     psi = basis_state(space, "e", 0)
-    out = op @ psi.amplitudes
-    assert_allclose(out, basis_state(space, "g", 1).amplitudes, atol=1e-15)
+    out = op @ psi
+    assert_allclose(out, basis_state(space, "g", 1), atol=1e-15)
 
 
 def test_exchange_squared_vanishes():
@@ -123,15 +123,15 @@ def test_tensor_rejects_nonsquare():
 def test_reduced_state_product_is_pure():
     space = HilbertSpace(2, 5)
     psi = basis_state(space, "g", 2)
-    rho = reduced_oscillator_state(psi)
+    rho = reduced_oscillator_state(psi, space)
     assert rho[2, 2] == pytest.approx(1.0)
     assert purity(rho) == pytest.approx(1.0)
 
 
 def test_reduced_state_bell_like_is_mixed():
     space = HilbertSpace(2, 4)
-    amps = (basis_state(space, "g", 0).amplitudes + basis_state(space, "e", 1).amplitudes) / np.sqrt(2)
-    rho = reduced_oscillator_state(StateVector(space, amps))
+    psi = (basis_state(space, "g", 0) + basis_state(space, "e", 1)) / np.sqrt(2)
+    rho = reduced_oscillator_state(psi, space)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert purity(rho) == pytest.approx(0.5, abs=1e-12)
 
@@ -142,8 +142,7 @@ def test_reduced_state_trace_and_positivity(da, df, seed):
     rng = np.random.default_rng(seed)
     space = HilbertSpace(da, df)
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi = StateVector(space, amps).normalized()
-    rho = reduced_oscillator_state(psi)
+    rho = reduced_oscillator_state(amps / np.linalg.norm(amps), space)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     evals = np.linalg.eigvalsh(rho)
     assert evals.min() > -1e-12
@@ -152,8 +151,8 @@ def test_reduced_state_trace_and_positivity(da, df, seed):
 def test_fidelity_trivial_cases():
     space = HilbertSpace(2, 4)
     psi = basis_state(space, "g", 0)
-    assert fidelity(psi, psi) == pytest.approx(1.0)
-    assert fidelity(psi, basis_state(space, "g", 1)) == pytest.approx(0.0, abs=1e-15)
+    assert fidelity(psi, psi, space) == pytest.approx(1.0)
+    assert fidelity(psi, basis_state(space, "g", 1), space) == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=40)
@@ -161,43 +160,67 @@ def test_fidelity_trivial_cases():
 def test_fidelity_symmetric_and_phase_invariant(seed, chi):
     rng = np.random.default_rng(seed)
     space = HilbertSpace(2, 5)
-    a = StateVector(space, rng.normal(size=10) + 1j * rng.normal(size=10)).normalized()
-    b = StateVector(space, rng.normal(size=10) + 1j * rng.normal(size=10)).normalized()
-    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
-    rotated = StateVector(space, np.exp(1j * chi) * a.amplitudes)
-    assert fidelity(a, rotated) == pytest.approx(1.0, abs=1e-12)
+    a, b = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    assert fidelity(a, b, space) == pytest.approx(fidelity(b, a, space), abs=1e-12)
+    assert fidelity(a, np.exp(1j * chi) * a, space) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_dimension_mismatch():
     a = basis_state(HilbertSpace(2, 4), "g", 0)
     b = basis_state(HilbertSpace(2, 5), "g", 0)
-    with pytest.raises(ValueError):
-        fidelity(a, b)
+    for space in (HilbertSpace(2, 4), HilbertSpace(2, 5)):
+        with pytest.raises(ValueError):
+            fidelity(a, b, space)
 
 
 def test_state_vector_validation():
     space = HilbertSpace(2, 3)
     with pytest.raises(ValueError):
-        StateVector(space, np.ones(5))
+        product_state(space, [1.0, 0.0], np.ones(5))
     with pytest.raises(ValueError):
-        StateVector(space, np.array([np.nan] + [0.0] * 5))
-
-
-def test_normalized_within_tolerance(rng):
-    space = HilbertSpace(2, 6)
-    psi = StateVector(space, rng.normal(size=12) + 1j * rng.normal(size=12)).normalized()
-    assert abs(psi.norm - 1.0) < 1e-12
+        product_state(space, [1.0, 0.0], np.ones((3, 2, 1)))
+    with pytest.raises(ValueError):
+        product_state(space, [1.0, 0.0, 0.0], np.ones(3))
+    with pytest.raises(ValueError):
+        product_state(space, [1.0, 0.0], np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        product_state(space, [1.0, 0.0], np.array([[0.0], [np.inf], [0.0]]))
 
 
 def test_guard_population():
     space = HilbertSpace(2, 4)
     psi = basis_state(space, "e", 3)
-    assert psi.guard_population == pytest.approx(1.0)
-    assert basis_state(space, "e", 0).guard_population == pytest.approx(0.0)
+    assert fock_populations(psi, space)[space.guard_level] == pytest.approx(1.0)
+    assert fock_populations(basis_state(space, "e", 0), space)[space.guard_level] == pytest.approx(0.0)
 
 
 def test_product_state_layout():
     space = HilbertSpace(2, 3)
     psi = product_state(space, [0.0, 1.0], [0.0, 1.0, 0.0])
-    assert psi.amplitudes[space.index("e", 1)] == pytest.approx(1.0)
-    assert np.count_nonzero(psi.amplitudes) == 1
+    assert psi[space.index("e", 1)] == pytest.approx(1.0)
+    assert np.count_nonzero(psi) == 1
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 3), st.integers(2, 8), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_embed_and_project_atom_round_trip(da, nf, k, seed):
+    """project_atom undoes product_state for a normalized atomic state, on one
+    oscillator state (k = 0) or a stack of k columns, and a stack embeds as
+    its columns do one by one.  fock_populations of any joint state sums to
+    its squared norm and is the diagonal of its reduced oscillator state."""
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(da, nf)
+    atom = rng.normal(size=da) + 1j * rng.normal(size=da)
+    atom /= np.linalg.norm(atom)
+    shape = (nf,) if k == 0 else (nf, k)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    joint = product_state(space, atom, x)
+    assert joint.shape == (space.dim,) + shape[1:]
+    assert_allclose(project_atom(atom, joint, space), x, atol=1e-12)
+    for j in range(k):
+        assert_array_equal(joint[:, j], product_state(space, atom, x[:, j]))
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    pops = fock_populations(psi, space)
+    assert pops.sum() == pytest.approx(np.vdot(psi, psi).real, rel=1e-12)
+    assert_allclose(pops, np.diag(reduced_oscillator_state(psi, space)).real, rtol=1e-12)
