@@ -29,10 +29,11 @@ from .config import (
     to_raman,
     to_space,
 )
-from .gates import MODELS, GateParams, closed_form_check, leakage, pair_gate
-from .spaces import fidelity  # noqa: F401  unused; bench/spans.py wraps it here
+from .gates import MODELS, GateParams, apply_echo, closed_form_check, closed_form_states, leakage, pair_gate
+from .gates import pulse_generator
+from .propagator import block_unitaries
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
-from .spaces import fock_populations, purity, reduced_oscillator_state
+from .spaces import fidelity, fock_populations, purity, reduced_oscillator_state
 from .synthesis import execute_plan, plan_general_state, save_plan
 from .synthesis import plan_superposition  # noqa: F401  unused; bench/spans.py wraps it here
 from .validation import run_validation
@@ -124,20 +125,24 @@ def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
     rng = np.random.default_rng(cfg.seed)
     p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
     space = to_space(cfg, model)
-    fids, leaks, times = [], [], []
+    gates, states = [], []
     for _ in range(cfg.sweep.samples):
         phi = float(rng.uniform(0.15, 0.5 * np.pi))
         z = rng.normal(size=4)
         alpha = complex(z[0], z[1])
         beta = complex(z[2], z[3])
         nrm = np.hypot(abs(alpha), abs(beta))
-        alpha, beta = alpha / nrm, beta / nrm
-        gp = GateParams.from_raman(p, m=cfg.gate.m, phi=phi)
-        U = pair_gate(gp, p, space, model=model)
-        psi, fid = closed_form_check(U, gp, space, alpha, beta)
-        fids.append(fid)
+        gates.append(GateParams.from_raman(p, m=cfg.gate.m, phi=phi))
+        states.append(closed_form_states(gates[-1], space, alpha / nrm, beta / nrm))
+    # the samples differ only in tau and input: one eigensystem for the point
+    index, generator = pulse_generator(gates[0], p, space, model)
+    times = [gp.tau for gp in gates]
+    pulses = block_unitaries(generator, np.reshape(times, (-1, 1)))
+    fids, leaks = [], []
+    for gp, (prepared, expected), pulse in zip(gates, states, pulses):
+        psi = apply_echo(index, pulse, gp.theta0, space, prepared)
+        fids.append(fidelity(expected, psi, space))
         leaks.append(leakage(psi, gp.m, gp.k, space))
-        times.append(gp.tau)
     return {
         "r": ratio,
         "model": model,

@@ -210,10 +210,10 @@ def validate_config(cfg: RunConfig) -> None:
     _check_count("target.n", cfg.target.n, 0)
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
-    target_levels = _target_support(cfg)
-    if target_levels and max(target_levels) + 2 > cfg.space.fock_cutoff:
+    top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])
+    if top + 2 > cfg.space.fock_cutoff:
         raise ConfigError(
-            f"target: support reaches level {max(target_levels)} but fock_cutoff "
+            f"target: support reaches level {top} but fock_cutoff "
             f"{cfg.space.fock_cutoff} requires support <= {cfg.space.fock_cutoff - 3} "
             "(guard level)"
         )
@@ -252,17 +252,9 @@ def target_state(cfg: RunConfig) -> np.ndarray:
     nrm = np.linalg.norm(amps)
     if nrm == 0:
         raise ConfigError("target: amplitudes are all zero")
+    if not math.isfinite(nrm):
+        raise ConfigError("target: amplitudes too large to normalize")
     return amps / nrm
-
-
-def _target_support(cfg: RunConfig) -> list[int]:
-    try:
-        amps = target_state(cfg)
-    except ConfigError:
-        if cfg.task == "synthesize":
-            raise
-        return []
-    return [int(i) for i in np.nonzero(np.abs(amps) > 1e-12)[0]]
 
 
 def to_raman(cfg: RunConfig, omega_l: float | None = None) -> RamanParams:

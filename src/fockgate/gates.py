@@ -33,10 +33,14 @@ variant is noted here but not modeled.
 
 Both pulses are propagated by excitation-number blocks
 (``hamiltonians.PulseBlocks``) and the flip is a permutation of joint
-indices.  ``apply_pair_gate`` applies the gate to joint states without
-building a joint-space matrix; ``pair_gate`` assembles the dense unitary
-from the same blocks.  The dense builders and ``Propagator`` serve as the
-oracle in validation and the tests.
+indices.  The drive phase theta enters only the g-e (or h-e) coupling, so a
+pulse at theta is Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I
+and B = exp(-i H0 tau) from the real theta = 0 generator H0: one eigensystem
+per level and device serves both pulses and every offset and duration.
+``apply_pair_gate`` applies the gate to joint states without building a
+joint-space matrix; ``pair_gate`` assembles the dense unitary from the same
+blocks.  The dense builders and ``Propagator`` serve as the oracle in
+validation and the tests.
 """
 
 from __future__ import annotations
@@ -173,40 +177,42 @@ def atom_minus(atom_dim: int) -> np.ndarray:
     return v
 
 
-def _pulse_blocks(
-    gp: GateParams, p: RamanParams, space: HilbertSpace, model: str, angle: float
-) -> PulseBlocks:
+def pulse_generator(gp: GateParams, p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
+    """H0, the block generator of the pulses of ``gp`` at drive phase 0 (real for every model)."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if space.fock_cutoff < gp.m + 2:
+        raise ValueError(f"fock_cutoff {space.fock_cutoff} too small for m={gp.m}; need >= m + 2")
     if model == "ideal":
         if gp.k == 1:
-            return ideal_blocks(p, space, gp.m, angle)
-        return multiquantum_blocks(gp.k, gp.lam, angle, gp.m, space)
+            return ideal_blocks(p, space, gp.m)
+        return multiquantum_blocks(gp.k, gp.lam, 0.0, gp.m, space)
     if gp.k != 1:
         raise ValueError(f"{model} model is defined for k = 1 only")
     if model == "effective":
-        return effective_blocks(p, space, gp.m, angle)
-    return full_blocks(p, space, gp.m, angle)
+        return effective_blocks(p, space, gp.m)
+    return full_blocks(p, space, gp.m)
 
 
 def _flip_order(space: HilbertSpace) -> np.ndarray:
     """Joint row order x[order] that applies spin_flip ⊗ I to x: |g,n> <-> |e,n>."""
     nf = space.fock_cutoff
     order = np.arange(space.dim)
-    order[: 2 * nf] = np.roll(order[: 2 * nf], nf)
+    order[: 2 * nf] = (order[: 2 * nf] + nf) % (2 * nf)
     return order
 
 
-def _gate_pulses(gp: GateParams, p: RamanParams, space: HilbertSpace, model: str, chi: float):
-    """Block layouts and block unitaries of the pulses at drive phases chi and chi - theta0."""
-    if space.fock_cutoff < gp.m + 2:
-        raise ValueError(
-            f"fock_cutoff {space.fock_cutoff} too small for m={gp.m}; need >= m + 2"
-        )
-    first = _pulse_blocks(gp, p, space, model, chi)
-    second = _pulse_blocks(gp, p, space, model, chi - gp.theta0)
-    u1, u2 = block_unitaries(np.stack([first.generator, second.generator]), gp.tau)
-    return (first.index, u1), (second.index, u2)
+def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta: float) -> np.ndarray:
+    """Z(theta) B Z(theta)†: the phase e^{-i theta} on each block's |e> members."""
+    nf = space.fock_cutoff
+    z = np.exp(-1j * theta * ((index >= nf) & (index < 2 * nf)))
+    return z[:, :, None] * pulse * z.conj()[:, None, :]
+
+
+def apply_echo(index, pulse, theta0, space: HilbertSpace, x, phase_offset: float = 0.0) -> np.ndarray:
+    """pulse(chi) -> flip -> pulse(chi - theta0) on x, from the phase-0 block unitaries ``pulse``."""
+    u1, u2 = (pulse_at(index, pulse, space, theta) for theta in (phase_offset, phase_offset - theta0))
+    return apply_blocks(index, u2, apply_blocks(index, u1, x)[_flip_order(space)])
 
 
 def apply_pair_gate(
@@ -227,9 +233,8 @@ def apply_pair_gate(
     to {m-k, m}); "effective" uses the eliminated two-level model with all
     its detuned exchange channels; "full" keeps the explicit third level.
     """
-    (index1, u1), (index2, u2) = _gate_pulses(gp, p, space, model, phase_offset)
-    x = apply_blocks(index1, u1, x)
-    return apply_blocks(index2, u2, x[_flip_order(space)])
+    index, generator = pulse_generator(gp, p, space, model)
+    return apply_echo(index, block_unitaries(generator, gp.tau), gp.theta0, space, x, phase_offset)
 
 
 def pair_gate(
@@ -248,20 +253,22 @@ def pair_gate(
     b^3 products per B2 block land on distinct entries of U.
     """
     dim = space.dim
-    (index1, u1), (index2, u2) = _gate_pulses(gp, p, space, model, phase_offset)
-    nb, b = index1.shape
+    index, generator = pulse_generator(gp, p, space, model)
+    pulse = block_unitaries(generator, gp.tau)
+    u1, u2 = (pulse_at(index, pulse, space, theta) for theta in (phase_offset, phase_offset - gp.theta0))
+    nb, b = index.shape
     block = np.empty(dim + 1, dtype=int)
     position = np.empty(dim + 1, dtype=int)
-    block[index1] = np.arange(nb)[:, None]
-    position[index1] = np.arange(b)
-    source = np.append(_flip_order(space), dim)[index2]  # B1 row read by each B2 column
-    columns = index1[block[source]]
+    block[index] = np.arange(nb)[:, None]
+    position[index] = np.arange(b)
+    source = np.append(_flip_order(space), dim)[index]  # B1 row read by each B2 column
+    columns = index[block[source]]
     # a missing B2 member has no B1 row: its products go to the dropped
     # column, not onto entries that another product sets
     columns[source == dim] = dim
     values = u2[:, :, :, None] * u1[block[source], position[source]][:, None, :, :]
     out = np.zeros((dim + 1, dim + 1), dtype=complex)
-    out[index2[:, :, None, None], columns[:, None, :, :]] = values
+    out[index[:, :, None, None], columns[:, None, :, :]] = values
     return out[:dim, :dim]
 
 
@@ -298,6 +305,15 @@ def closed_form_rotation(
     return rotation_matrix(gp, atom_sign, phase_offset) @ np.array([alpha, beta], dtype=complex)
 
 
+def closed_form_states(
+    gp: GateParams, space: HilbertSpace, alpha: complex, beta: complex, reference: GateParams | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """|+> ⊗ (alpha|m-k> + beta|m>) and |+> ⊗ its ``closed_form_rotation`` under ``reference`` (or ``gp``)."""
+    osc = np.zeros((2, space.fock_cutoff), dtype=complex)
+    osc[:, list(gp.pair)] = [alpha, beta], closed_form_rotation(alpha, beta, reference or gp)
+    return tuple(product_state(space, atom_plus(space.atom_dim), osc.T).T)
+
+
 def closed_form_check(
     U: np.ndarray,
     gp: GateParams,
@@ -311,15 +327,9 @@ def closed_form_check(
     Returns the output joint state and its fidelity with |+> ⊗ the pair as
     ``closed_form_rotation`` maps it under ``reference`` (default ``gp``).
     """
-    plus = atom_plus(space.atom_dim)
-    lo, hi = gp.pair
-    osc = np.zeros(space.fock_cutoff, dtype=complex)
-    osc[lo], osc[hi] = alpha, beta
-    psi = U @ product_state(space, plus, osc)
-    ref_osc = np.zeros(space.fock_cutoff, dtype=complex)
-    ref_osc[lo], ref_osc[hi] = closed_form_rotation(alpha, beta, reference or gp)
-    ref = product_state(space, plus, ref_osc)
-    return psi, fidelity(ref, psi, space)
+    prepared, expected = closed_form_states(gp, space, alpha, beta, reference)
+    psi = U @ prepared
+    return psi, fidelity(expected, psi, space)
 
 
 class EchoFactors(NamedTuple):

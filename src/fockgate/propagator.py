@@ -2,10 +2,11 @@
 
 Gates propagate by blocks.  A pulse generator splits into small blocks of
 fixed excitation number (``hamiltonians.PulseBlocks``); ``block_unitaries``
-exponentiates the whole (nb, b, b) stack with one batched eigendecomposition,
+exponentiates a whole stack, for one time or an array of times, from one
+batched eigendecomposition (``eigen_unitaries`` reuses it for other times),
 and ``apply_blocks`` applies the result to the rows of a joint state or
-matrix with O(nb*b^2) work per column.  No joint-space matrix is
-diagonalised on this path.
+matrix with O(nb*b^2) work per column.  Every eigh of the package runs in
+this module.
 
 ``Propagator`` diagonalises one dense generator.  It is the oracle that
 validation and the tests compare the block path against; the factorization
@@ -22,10 +23,22 @@ from .spaces import hermiticity_defect
 HERMITICITY_TOL = 1e-10
 
 
-def block_unitaries(generators: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) of every block of a (nb, b, b) Hermitian stack."""
-    evals, evecs = np.linalg.eigh(generators)
-    phases = np.exp(-1j * evals * t)
+def block_eigensystem(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a (..., b, b) Hermitian stack, by one batched eigh."""
+    return np.linalg.eigh(generators)
+
+
+def block_unitaries(generators: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) of every block of a (..., b, b) Hermitian stack; t broadcasts against its leading axes."""
+    return eigen_unitaries(*block_eigensystem(generators), t)
+
+
+def eigen_unitaries(evals: np.ndarray, evecs: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) from a ``block_eigensystem`` of H, for t as in ``block_unitaries``."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"time must be finite, got {t}")
+    phases = np.exp(-1j * evals * t[..., None])
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
 
 

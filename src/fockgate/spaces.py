@@ -147,6 +147,12 @@ def reduced_oscillator_state(psi, space: HilbertSpace) -> np.ndarray:
     return np.einsum("an,am->nm", mat, mat.conj())
 
 
+def reduced_atom_state(psi, space: HilbertSpace) -> np.ndarray:
+    """Density matrix of the atom after tracing out the oscillator (same purity for a pure state)."""
+    mat = _amplitudes(psi, space).reshape(space.atom_dim, space.fock_cutoff)
+    return mat @ mat.conj().T
+
+
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 

@@ -43,9 +43,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, apply_pair_gate, atom_plus, induced_oscillator_unitary, model_space, pair_gate
+from .gates import GateParams, apply_echo, atom_plus, induced_oscillator_unitary, model_space, pair_gate
+from .gates import pulse_generator
 from .hamiltonians import RamanParams
-from .spaces import HilbertSpace, product_state, project_atom, purity, reduced_oscillator_state
+from .propagator import block_eigensystem, block_unitaries, eigen_unitaries
+from .spaces import HilbertSpace, product_state, project_atom, purity, reduced_atom_state
+from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
 LEDGER_MODELS = ("ideal", "effective")
 PHASE_MODELS = LEDGER_MODELS + ("calibrated",)
@@ -217,11 +220,12 @@ def execute_plan(
 ) -> tuple[np.ndarray, ExecutionReport]:
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
-    Each gate acts on |+> ⊗ osc through ``apply_pair_gate``, block by block,
-    so applying a gate costs O(fock_cutoff) and no joint-space matrix is
-    formed.  Returns the final oscillator state and a report; fidelity is measured
-    against the plan target (padded to the working cutoff) when one is set,
-    otherwise against the initial state.  Without a ``space`` the cutoff is
+    Each gate acts on |+> ⊗ osc block by block (``gates.apply_echo``), from
+    one batched eigendecomposition for all steps, so applying a gate costs
+    O(fock_cutoff) and no joint-space matrix is formed.  Returns the final
+    oscillator state and a report; fidelity is measured against the plan
+    target (padded to the working cutoff) when one is set, otherwise against
+    the initial state.  Without a ``space`` the cutoff is
     max_m + 2 (and at least len(initial)); under "effective" and "full" it is
     at least len(initial) + 2 * len(plan), the reach of the detuned doublets.
     """
@@ -245,14 +249,19 @@ def execute_plan(
     osc = osc / np.linalg.norm(osc)
     plus = atom_plus(space.atom_dim)
 
+    # one eigh for the plan: every step's phase-0 blocks in one stack, each at its step's tau
+    blocks = [pulse_generator(step.gate, p, space, model) for step in plan.steps]
+    ends = np.cumsum([len(b.index) for b in blocks], dtype=int)
+    taus = np.repeat([step.gate.tau for step in plan.steps], np.diff(ends, prepend=0))
+    stack = block_unitaries(np.concatenate([b.generator for b in blocks]), taus) if blocks else []
+    pulses = np.split(stack, ends[:-1])
+
     purities: list[float] = []
     atom_overlaps: list[float] = []
-    for step in plan.steps:
-        joint = apply_pair_gate(
-            step.gate, p, space, product_state(space, plus, osc), model, step.phase_correction
-        )
-        rho = reduced_oscillator_state(joint, space)
-        purities.append(purity(rho))
+    for step, b, pulse in zip(plan.steps, blocks, pulses):
+        prepared = product_state(space, plus, osc)
+        joint = apply_echo(b.index, pulse, step.gate.theta0, space, prepared, step.phase_correction)
+        purities.append(purity(reduced_atom_state(joint, space)))  # the oscillator's, joint being pure
         # projective reset of the atom to |+>
         branch = project_atom(plus, joint, space)
         weight = float(np.linalg.norm(branch))
@@ -302,6 +311,9 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     ref = np.pad(plan.target, (0, space.fock_cutoff - len(plan.target)))
     plus = atom_plus(2)
     prepared = product_state(space, plus, np.eye(space.fock_cutoff))  # |+> ⊗ I
+    # one eigensystem per step level: tau and chi then enter as phases only
+    blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
+    evals, evecs = block_eigensystem(np.array([b.generator for b in blocks]))
 
     def plan_step(i: int, x: np.ndarray) -> PlanStep:
         gate = GateParams.from_raman(p, m=levels[i], phi=float(x[i]))
@@ -311,7 +323,8 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
         # the oscillator map of one gate with the atom prepared and reset in
         # |+>: execute_plan's step before it renormalizes
         step = plan_step(i, x)
-        out = apply_pair_gate(step.gate, p, space, prepared, "effective", step.phase_correction)
+        pulse = eigen_unitaries(evals[i], evecs[i], step.gate.tau)
+        out = apply_echo(blocks[i].index, pulse, step.gate.theta0, space, prepared, step.phase_correction)
         return project_atom(plus, out, space)
 
     def residual(osc: np.ndarray) -> np.ndarray:

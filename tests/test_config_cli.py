@@ -1,10 +1,11 @@
+import contextlib
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from fockgate.cli import main
+from fockgate.cli import _sweep_point, main
 from fockgate.config import (
     ConfigError,
     config_from_dict,
@@ -12,7 +13,9 @@ from fockgate.config import (
     load_config,
     target_state,
 )
+from fockgate.gates import GateParams, closed_form_check, leakage, pair_gate
 from fockgate.hamiltonians import RamanParams
+from fockgate.config import to_raman, to_space
 from fockgate.spaces import HilbertSpace
 from fockgate.validation import run_validation
 
@@ -155,6 +158,9 @@ def test_gate_command_config_error(capsys):
         (["gate", "--set", "target.amplitudes=5"], "target.amplitudes"),
         (["synthesize", "--set", "target.amplitudes=5"], "target.amplitudes"),
         (["gate", "--set", "out_dir=5"], "out_dir"),
+        (["gate", "--set", "target.amplitudes=[[NaN,0]]"], "target.amplitudes"),
+        (["validate", "--set", "target.preset=bogus"], "target.preset"),
+        (["sweep", "--set", "target.alpha=[1,2,3]"], "target.alpha"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):
@@ -251,6 +257,34 @@ def test_sweep_gate_time_scaling(tmp_path):
     with open(tmp_path / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["gate_time"]) == pytest.approx(2 * float(rows[1]["gate_time"]))
+
+
+@pytest.mark.parametrize("model", ["ideal", "effective", "full"])
+@pytest.mark.parametrize("ratio", [0.02, 0.1, 0.5])
+def test_sweep_point_matches_dense_gate_per_sample(model, ratio):
+    # reference: the same draws in the same order, one dense pair_gate per sample
+    cfg = load_config(None, ["task=sweep", "gate.m=3", "sweep.samples=5", "seed=7"])
+    rng = np.random.default_rng(cfg.seed)
+    with pytest.warns(UserWarning) if ratio > 0.2 else contextlib.nullcontext():
+        p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
+        row = _sweep_point(cfg, ratio, model)
+    space = to_space(cfg, model)
+    fids, leaks, times = [], [], []
+    for _ in range(cfg.sweep.samples):
+        phi = float(rng.uniform(0.15, 0.5 * np.pi))
+        z = rng.normal(size=4)
+        nrm = np.hypot(abs(complex(z[0], z[1])), abs(complex(z[2], z[3])))
+        gp = GateParams.from_raman(p, m=cfg.gate.m, phi=phi)
+        psi, fid = closed_form_check(
+            pair_gate(gp, p, space, model), gp, space, complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
+        )
+        fids.append(fid)
+        leaks.append(leakage(psi, gp.m, gp.k, space))
+        times.append(gp.tau)
+    assert (row["r"], row["model"]) == (ratio, model)
+    assert abs(row["fidelity"] - np.mean(fids)) < 1e-12
+    assert abs(row["leakage"] - np.mean(leaks)) < 1e-12
+    assert row["gate_time"] == float(np.mean(times))
 
 
 def test_sweep_reproducible(tmp_path):

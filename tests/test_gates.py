@@ -27,7 +27,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import apply_pair_gate
+from fockgate.gates import apply_pair_gate, pulse_at
 from fockgate.hamiltonians import effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
 from fockgate.propagator import Propagator, apply_blocks, block_unitaries
 from fockgate.spaces import fidelity, max_abs
@@ -459,3 +459,50 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     states = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
     assert max_abs(apply_pair_gate(gp, p, space, states, model, chi) - U @ states) < 1e-12
     assert max_abs(apply_pair_gate(gp, p, space, states[:, 0], model, chi) - U @ states[:, 0]) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(BLOCK_BUILDERS)),
+    st.data(),
+    st.floats(0.05, np.pi),
+    st.floats(-2.0 * np.pi, 2.0 * np.pi),
+)
+def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
+    """A pulse at theta from the real theta = 0 generator and row phases.
+
+    Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I, built block
+    by block (``pulse_at``) and as dense row phases, equals the eigh of the
+    builder at theta and scipy's expm of the dense generator to 1e-12.
+    """
+    model = case.split("-")[0]
+    k = 2 if case == "ideal-k2" else 1
+    cutoff = data.draw(st.integers(k + 2, 16), label="cutoff")
+    m = data.draw(st.integers(k, cutoff - 2), label="m")
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    space = HilbertSpace(3 if model == "full" else 2, cutoff)
+    if k == 1:
+        gp = GateParams.from_raman(p, m=m, phi=phi)
+    else:
+        gp = GateParams.from_multiquantum(0.004, m=m, k=k, phi=phi)
+    dense = dense_pulse(gp, p, space, model, theta)
+    tau = min(gp.tau, 10.0 / np.linalg.norm(dense, 2))
+
+    base = BLOCK_BUILDERS[case](p, space, gp, 0.0)
+    assert not np.any(base.generator.imag)
+    b0 = block_unitaries(base.generator, tau)
+    at_theta = BLOCK_BUILDERS[case](p, space, gp, theta)
+    assert np.array_equal(at_theta.index, base.index)
+    framed = pulse_at(base.index, b0, space, theta)
+    eye = np.eye(space.dim, dtype=complex)
+    # compared on the joint space: entries of states cut off by the
+    # truncation (index == dim) carry no frame and are dropped
+    eigh_theta = apply_blocks(base.index, block_unitaries(at_theta.generator, tau), eye)
+    assert max_abs(apply_blocks(base.index, framed, eye) - eigh_theta) < 1e-12
+
+    z = np.ones(space.dim, dtype=complex)
+    z[space.fock_cutoff : 2 * space.fock_cutoff] = np.exp(-1j * theta)
+    rows = z[:, None] * apply_blocks(base.index, b0, eye) * z.conj()[None, :]
+    u_expm = expm(-1j * dense * tau)
+    assert max_abs(rows - u_expm) < 1e-12
+    assert max_abs(apply_blocks(base.index, framed, eye) - u_expm) < 1e-12

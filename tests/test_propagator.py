@@ -160,3 +160,33 @@ def test_apply_blocks_drops_missing_states():
     assert_allclose(out, [3.0, 2.0, 1.0])
     out = apply_blocks(np.array([[0, 2], [1, 3]]), np.array([swap, swap]), x)
     assert_allclose(out, [3.0, 0.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(1, 4),
+)
+def test_block_unitaries_broadcast_times(seed, size, count, samples):
+    # one call with an array of times equals one call per time; a (samples, 1)
+    # array broadcasts one stack to samples stacks, a (samples, count) array
+    # gives each block its own time
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, size) for _ in range(count)])
+    times = rng.uniform(-5.0, 5.0, size=(samples, count))
+    per_sample = block_unitaries(stack, times[:, :1])
+    per_block = block_unitaries(stack, times)
+    assert per_sample.shape == per_block.shape == (samples, count, size, size)
+    for i in range(samples):
+        assert max_abs(per_sample[i] - block_unitaries(stack, times[i, 0])) < 1e-13
+        for j in range(count):
+            assert max_abs(per_block[i, j] - block_unitaries(stack[j], times[i, j])) < 1e-13
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, [0.5, -np.inf]])
+def test_block_unitaries_reject_nonfinite_time(rng, t):
+    stack = np.array([random_hermitian(rng, 2) for _ in range(2)])
+    with pytest.raises(ValueError, match="time must be finite"):
+        block_unitaries(stack, t)

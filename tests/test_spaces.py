@@ -16,7 +16,7 @@ from fockgate import (
     reduced_oscillator_state,
     tensor,
 )
-from fockgate.spaces import fock_populations, project_atom
+from fockgate.spaces import fock_populations, project_atom, reduced_atom_state
 
 st_cutoff = st.integers(2, 16)
 
@@ -224,3 +224,24 @@ def test_embed_and_project_atom_round_trip(da, nf, k, seed):
     pops = fock_populations(psi, space)
     assert pops.sum() == pytest.approx(np.vdot(psi, psi).real, rel=1e-12)
     assert_allclose(pops, np.diag(reduced_oscillator_state(psi, space)).real, rtol=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3), st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_atom_and_oscillator_purities_agree(da, nf, seed, product):
+    """A pure joint state has one Schmidt spectrum: the atom's reduced state and
+    the oscillator's have the same purity, entangled or (purity 1) not."""
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(da, nf)
+    if product:
+        psi = product_state(
+            space, rng.normal(size=da) + 1j * rng.normal(size=da), rng.normal(size=nf) + 1j * rng.normal(size=nf)
+        )
+    else:
+        psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi /= np.linalg.norm(psi)
+    atom_side = purity(reduced_atom_state(psi, space))
+    assert reduced_atom_state(psi, space).shape == (da, da)
+    assert atom_side == pytest.approx(purity(reduced_oscillator_state(psi, space)), abs=1e-12)
+    if product:
+        assert atom_side == pytest.approx(1.0, abs=1e-12)

@@ -28,7 +28,8 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.spaces import max_abs
+from fockgate.gates import apply_pair_gate, model_space
+from fockgate.spaces import max_abs, product_state, project_atom, purity, reduced_oscillator_state
 from fockgate.synthesis import LEDGER_MODELS
 
 
@@ -502,3 +503,62 @@ def test_execute_plan_cutoff_invariance(seed, top, model, extra):
     ref, _ = execute_plan(plan, vacuum, model, p, HilbertSpace(atom_dim, low + 5))
     assert max_abs(ref[len(osc):]) == 0.0
     assert max_abs(osc - ref[: len(osc)]) < 1e-12
+
+
+def per_step_execution(plan, initial, model, p, space):
+    """execute_plan's result by one ``apply_pair_gate`` per step.
+
+    Each gate diagonalises its own generator, and each step's purity is read
+    from the nf x nf reduced oscillator state.
+    """
+    osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
+    osc = osc / np.linalg.norm(osc)
+    plus = atom_plus(space.atom_dim)
+    purities, overlaps = [], []
+    for step in plan.steps:
+        prepared = product_state(space, plus, osc)
+        joint = apply_pair_gate(step.gate, p, space, prepared, model, step.phase_correction)
+        purities.append(purity(reduced_oscillator_state(joint, space)))
+        branch = project_atom(plus, joint, space)
+        overlaps.append(float(np.linalg.norm(branch)) ** 2)
+        osc = branch / np.linalg.norm(branch)
+    ref = np.pad(plan.target, (0, space.fock_cutoff - len(plan.target)))
+    pops = np.abs(osc) ** 2
+    support = np.abs(ref) > 1e-12
+    return osc, {
+        "fidelity": float(np.abs(np.vdot(ref, osc)) ** 2),
+        "leakage": float(np.sum(pops) - np.sum(pops[support])),
+        "guard_population": float(pops[space.guard_level]),
+        "step_purities": purities,
+        "step_atom_overlaps": overlaps,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from(["ideal", "effective", "full"]),
+    st.sampled_from([0.02, 0.1, 0.2]),
+    st.integers(0, 2),
+)
+def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_steps):
+    """One eigendecomposition per plan gives the per-step result to 1e-12.
+
+    Ideal plans get up to two extra k = 2 steps, whose block layout is one
+    block longer than the k = 1 steps'.
+    """
+    p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
+    rng = np.random.default_rng(seed)
+    plan = plan_general_state(random_target(rng, top), p, "ideal" if model == "ideal" else "effective")
+    if model == "ideal":
+        for _ in range(k2_steps):
+            gate = GateParams.from_multiquantum(0.004, m=int(rng.integers(2, top + 2)), k=2, phi=1.0)
+            plan.steps.insert(int(rng.integers(0, len(plan) + 1)), PlanStep(gate, 0.3))
+    space = model_space(model, 2 * len(plan) + top + 3)
+    initial = random_target(rng, 2)
+    osc, report = execute_plan(plan, initial, model, p, space)
+    ref_osc, ref = per_step_execution(plan, initial, model, p, space)
+    assert max_abs(osc - ref_osc) < 1e-12
+    for name, value in ref.items():
+        assert max_abs(np.subtract(getattr(report, name), value)) < 1e-12, name
