@@ -186,7 +186,7 @@ def pulse_generator(gp: GateParams, p: RamanParams, space: HilbertSpace, model: 
     if model == "ideal":
         if gp.k == 1:
             return ideal_blocks(p, space, gp.m)
-        return multiquantum_blocks(gp.k, gp.lam, 0.0, gp.m, space)
+        return multiquantum_blocks(gp.k, gp.lam, gp.m, space)
     if gp.k != 1:
         raise ValueError(f"{model} model is defined for k = 1 only")
     if model == "effective":
@@ -202,16 +202,19 @@ def _flip_order(space: HilbertSpace) -> np.ndarray:
     return order
 
 
-def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta: float) -> np.ndarray:
-    """Z(theta) B Z(theta)†: the phase e^{-i theta} on each block's |e> members."""
+def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -> np.ndarray:
+    """Z(theta) B Z(theta)†: the phase e^{-i theta} on each block's |e> members, for each theta given."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"drive phase must be finite, got {theta}")
     nf = space.fock_cutoff
-    z = np.exp(-1j * theta * ((index >= nf) & (index < 2 * nf)))
-    return z[:, :, None] * pulse * z.conj()[:, None, :]
+    z = np.exp(-1j * theta[..., None, None] * ((index >= nf) & (index < 2 * nf)))
+    return z[..., :, None] * pulse * z.conj()[..., None, :]
 
 
 def apply_echo(index, pulse, theta0, space: HilbertSpace, x, phase_offset: float = 0.0) -> np.ndarray:
     """pulse(chi) -> flip -> pulse(chi - theta0) on x, from the phase-0 block unitaries ``pulse``."""
-    u1, u2 = (pulse_at(index, pulse, space, theta) for theta in (phase_offset, phase_offset - theta0))
+    u1, u2 = pulse_at(index, pulse, space, [phase_offset, phase_offset - theta0])
     return apply_blocks(index, u2, apply_blocks(index, u1, x)[_flip_order(space)])
 
 
@@ -255,7 +258,7 @@ def pair_gate(
     dim = space.dim
     index, generator = pulse_generator(gp, p, space, model)
     pulse = block_unitaries(generator, gp.tau)
-    u1, u2 = (pulse_at(index, pulse, space, theta) for theta in (phase_offset, phase_offset - gp.theta0))
+    u1, u2 = pulse_at(index, pulse, space, [phase_offset, phase_offset - gp.theta0])
     nb, b = index.shape
     block = np.empty(dim + 1, dtype=int)
     position = np.empty(dim + 1, dtype=int)

@@ -11,9 +11,9 @@ shifts g^2*n/delta.  An engineered Stark shift on |e> puts exactly one doublet
 g^2*(n-m)/delta, which dominates lambda when g >> |Omega_L|.
 
 ``RamanParams`` holds the device; the selected level m and the drive phase
-theta are pulse arguments: ``builder(p, space, m, theta=0.0)``.  The
-``*_hamiltonian`` builders return dense complex matrices on the joint space
-(atom-major ordering) and are Hermitian by construction.  hbar = 1
+theta are pulse arguments.  The dense ``*_hamiltonian`` builders take both,
+``builder(p, space, m, theta=0.0)``, and return complex matrices on the joint
+space (atom-major ordering), Hermitian by construction.  hbar = 1
 throughout; every coefficient is an angular frequency.
 
 Every pulse conserves the excitation number N = a†a + |e><e| + |h><h|, so
@@ -21,9 +21,9 @@ its generator is block diagonal: doublets {|g,N>, |e,N-1>} (effective and
 ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full); a k-quantum pulse
 conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
 ``*_blocks`` builders return that structure directly as ``PulseBlocks``: an
-index layout and a stack of small Hermitian generators.  Gates run on
-these; the dense builders are the oracle that validation and the tests
-compare against.
+index layout and a stack of small real generators at drive phase 0 (no
+theta: ``gates.pulse_at`` applies it as a diagonal frame).  Gates run on
+these; the dense builders are the oracle of validation and the tests.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
     return n, index, np.zeros((len(n), len(atoms), len(atoms)), dtype=complex)
 
 
-def effective_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> PulseBlocks:
+def effective_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
     """``effective_hamiltonian`` as doublets {|g,N>, |e,N-1>}, N = 0..fock_cutoff."""
     if space.atom_dim != 2:
         raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
@@ -307,13 +307,11 @@ def effective_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float =
     rate = p.dispersive_rate
     H[:, 0, 0] = rate * n
     H[:, 1, 1] = rate * m
-    exchange = p.coupling * np.exp(1j * theta) * np.sqrt(n) * (n < space.fock_cutoff)
-    H[:, 0, 1] = exchange
-    H[:, 1, 0] = exchange.conj()
+    H[:, 0, 1] = H[:, 1, 0] = p.coupling * np.sqrt(n) * (n < space.fock_cutoff)
     return PulseBlocks(index, H)
 
 
-def full_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> PulseBlocks:
+def full_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
     """``full_hamiltonian`` as triplets {|g,N>, |h,N-1>, |e,N-1>}, N = 0..fock_cutoff."""
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
@@ -321,15 +319,13 @@ def full_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0)
     n, index, H = _excitation_blocks(space, (0, 2, 1))
     H[:, 1, 1] = -p.delta
     H[:, 0, 1] = H[:, 1, 0] = p.g * np.sqrt(n) * (n < space.fock_cutoff)
-    drive = p.omega_l * np.exp(1j * theta)
-    H[:, 1, 2] = drive
-    H[:, 2, 1] = np.conj(drive)
+    H[:, 1, 2] = H[:, 2, 1] = p.omega_l
     if p.include_shift:
         H[:, 2, 2] = p.engineered_shift(m)
     return PulseBlocks(index, H)
 
 
-def ideal_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> PulseBlocks:
+def ideal_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
     """The ideal pulse, pair_energy + pair_coupling of ``decompose_effective``.
 
     Laid out as doublets {|g,N>, |e,N-1>} like ``effective_blocks``; only
@@ -345,13 +341,11 @@ def ideal_blocks(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0
     rate = p.dispersive_rate
     H[m - 1, 0, 0] = rate * m - rate
     H[m, 0, 0] = H[m, 1, 1] = H[m + 1, 1, 1] = rate * m
-    coupling = p.coupling * np.sqrt(m) * np.exp(1j * theta)
-    H[m, 0, 1] = coupling
-    H[m, 1, 0] = np.conj(coupling)
+    H[m, 0, 1] = H[m, 1, 0] = p.coupling * np.sqrt(m)
     return PulseBlocks(index, H)
 
 
-def multiquantum_blocks(k: int, lam_k: float, theta: float, m: int, space: HilbertSpace) -> PulseBlocks:
+def multiquantum_blocks(k: int, lam_k: float, m: int, space: HilbertSpace) -> PulseBlocks:
     """The ideal k-quantum pulse: the selected doublet of ``multiquantum_hamiltonian`` alone.
 
     Laid out as doublets {|g,N>, |e,N-k>}; only N = m, the doublet
@@ -359,7 +353,5 @@ def multiquantum_blocks(k: int, lam_k: float, theta: float, m: int, space: Hilbe
     """
     _require_doublet(k, m, space)
     _, index, H = _excitation_blocks(space, (0, 1), k)
-    coupling = multiquantum_coupling_element(lam_k, m, k) * np.exp(1j * theta)
-    H[m, 0, 1] = coupling
-    H[m, 1, 0] = np.conj(coupling)
+    H[m, 0, 1] = H[m, 1, 0] = multiquantum_coupling_element(lam_k, m, k)
     return PulseBlocks(index, H)

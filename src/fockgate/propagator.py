@@ -33,12 +33,16 @@ def block_unitaries(generators: np.ndarray, t) -> np.ndarray:
     return eigen_unitaries(*block_eigensystem(generators), t)
 
 
+def _finite_time(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"time must be finite, got {t}")
+    return t
+
+
 def eigen_unitaries(evals: np.ndarray, evecs: np.ndarray, t) -> np.ndarray:
     """exp(-i H t) from a ``block_eigensystem`` of H, for t as in ``block_unitaries``."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"time must be finite, got {t}")
-    phases = np.exp(-1j * evals * t[..., None])
+    phases = np.exp(-1j * evals * _finite_time(t)[..., None])
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
 
 
@@ -82,23 +86,13 @@ class Propagator:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i H t) via V e^{-i lambda t} V†."""
-        if not np.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        return eigen_unitaries(self.eigenvalues, self.eigenvectors, t)
 
     def evolve(self, psi, t: float) -> np.ndarray:
         """Apply exp(-i H t) to a state vector."""
         amps = np.asarray(psi, dtype=complex)
         if amps.shape != (self.dim,):
             raise ValueError(f"state has shape {amps.shape}, expected ({self.dim},)")
-        phases = np.exp(-1j * self.eigenvalues * t)
+        phases = np.exp(-1j * self.eigenvalues * _finite_time(t))
         return self.eigenvectors @ (phases * (self.eigenvectors.conj().T @ amps))
 
-
-def unitary_of(H: np.ndarray, t: float) -> np.ndarray:
-    return Propagator(H).unitary(t)
-
-
-def evolve(psi, H: np.ndarray, t: float):
-    return Propagator(H).evolve(psi, t)

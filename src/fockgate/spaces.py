@@ -25,6 +25,9 @@ class HilbertSpace:
     fock_cutoff: int
 
     def __post_init__(self):
+        for name, value in (("atom_dim", self.atom_dim), ("fock_cutoff", self.fock_cutoff)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.atom_dim < 2:
             raise ValueError(f"atom_dim must be >= 2, got {self.atom_dim}")
         if self.fock_cutoff < 2:
@@ -75,7 +78,7 @@ def product_state(space: HilbertSpace, atom_amps, osc_amps) -> np.ndarray:
             f"oscillator factor has shape {osc_amps.shape}, expected ({space.fock_cutoff},) "
             f"or ({space.fock_cutoff}, k)"
         )
-    if not (np.all(np.isfinite(atom_amps)) and np.all(np.isfinite(osc_amps))):
+    if not (np.isfinite(atom_amps).all() and np.isfinite(osc_amps).all()):
         raise ValueError("amplitudes must be finite")
     joint = atom_amps.reshape((-1,) + (1,) * osc_amps.ndim) * osc_amps
     return joint.reshape((space.dim,) + osc_amps.shape[1:])

@@ -67,6 +67,10 @@ class PlanStep:
     gate: GateParams
     phase_correction: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.phase_correction):
+            raise ValueError(f"phase_correction must be finite, got {self.phase_correction}")
+
 
 @dataclass
 class CircuitPlan:
@@ -211,6 +215,18 @@ def plan_superposition(
     return _compile_ladder(target, p, phase_model)
 
 
+def _apply_step(step: PlanStep, index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, osc):
+    """|+> ⊗ osc through the gate of ``step`` from its phase-0 block unitaries ``pulse``.
+
+    osc is an oscillator state or an (fock_cutoff, k) stack.  Returns the
+    joint state and its <+| branch: the oscillator, unnormalized, after the atom reset.
+    """
+    plus = atom_plus(space.atom_dim)
+    prepared = product_state(space, plus, osc)
+    joint = apply_echo(index, pulse, step.gate.theta0, space, prepared, step.phase_correction)
+    return joint, project_atom(plus, joint, space)
+
+
 def execute_plan(
     plan: CircuitPlan,
     initial: np.ndarray,
@@ -220,7 +236,7 @@ def execute_plan(
 ) -> tuple[np.ndarray, ExecutionReport]:
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
-    Each gate acts on |+> ⊗ osc block by block (``gates.apply_echo``), from
+    Each gate acts on |+> ⊗ osc block by block (``_apply_step``), from
     one batched eigendecomposition for all steps, so applying a gate costs
     O(fock_cutoff) and no joint-space matrix is formed.  Returns the final
     oscillator state and a report; fidelity is measured against the plan
@@ -230,6 +246,8 @@ def execute_plan(
     at least len(initial) + 2 * len(plan), the reach of the detuned doublets.
     """
     initial = np.asarray(initial, dtype=complex)
+    if initial.ndim != 1 or not np.isfinite(initial).all() or not initial.any():
+        raise ValueError(f"initial must be a finite 1-d state of nonzero norm, shape {initial.shape}")
     if space is None:
         max_m = max((s.gate.m for s in plan.steps), default=0)
         cutoff = max(len(initial), max_m + 2)
@@ -247,7 +265,6 @@ def execute_plan(
 
     osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
     osc = osc / np.linalg.norm(osc)
-    plus = atom_plus(space.atom_dim)
 
     # one eigh for the plan: every step's phase-0 blocks in one stack, each at its step's tau
     blocks = [pulse_generator(step.gate, p, space, model) for step in plan.steps]
@@ -259,11 +276,9 @@ def execute_plan(
     purities: list[float] = []
     atom_overlaps: list[float] = []
     for step, b, pulse in zip(plan.steps, blocks, pulses):
-        prepared = product_state(space, plus, osc)
-        joint = apply_echo(b.index, pulse, step.gate.theta0, space, prepared, step.phase_correction)
+        joint, branch = _apply_step(step, b.index, pulse, space, osc)
         purities.append(purity(reduced_atom_state(joint, space)))  # the oscillator's, joint being pure
         # projective reset of the atom to |+>
-        branch = project_atom(plus, joint, space)
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
         if weight == 0.0:
@@ -287,6 +302,39 @@ def execute_plan(
     return osc, report
 
 
+def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
+    """Calibration's ``steps_at`` and ``images`` on the levels of ``plan``, from one eigh per level.
+
+    ``steps_at(x)`` gives the steps at (phi_i, chi_i) = x[2i:2i+2] and their
+    phase-0 block unitaries.  ``images(x, columns=False)`` runs the vacuum
+    through them by ``_apply_step`` under the effective model, without
+    renormalizing: column 0 is the image at x; with ``columns``, column 1 + k
+    has x[k] moved by CALIBRATION_FD_STEP and branches off column 0 just
+    before the step of x[k].
+    """
+    blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
+    evals, evecs = block_eigensystem(np.array([b.generator for b in blocks]))
+
+    def steps_at(x: np.ndarray) -> tuple[list[PlanStep], np.ndarray]:
+        steps = [
+            PlanStep(GateParams.from_raman(p, m=s.gate.m, phi=float(phi)), float(chi))
+            for s, (phi, chi) in zip(plan.steps, x.reshape(-1, 2))
+        ]
+        return steps, eigen_unitaries(evals, evecs, np.array([s.gate.tau for s in steps])[:, None])
+
+    def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
+        # x, then (with columns) x with every phi moved and x with every chi moved
+        moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
+        (steps, pulses), *moved = [steps_at(x + np.tile(d, len(blocks))) for d in moves]
+        osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
+        for i, b in enumerate(blocks):
+            branches = [_apply_step(m[i], b.index, u[i], space, osc[:, :1])[1] for m, u in moved]
+            osc = np.hstack([_apply_step(steps[i], b.index, pulses[i], space, osc)[1], *branches])
+        return osc
+
+    return steps_at, images
+
+
 def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     """Refine an effective-ledger plan against the effective dynamics it runs.
 
@@ -296,88 +344,49 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     and lands mostly in the relative phases of the target levels.  Damped
     Gauss-Newton with a finite-difference Jacobian adjusts each step's phi
     (tau follows, theta0 = (g^2/delta)*tau) and phase_correction.  The
-    residual is the vacuum's image under the plan, executed as in
-    ``execute_plan`` under the effective model at cutoff
-    top + CALIBRATION_HEADROOM, minus the target after removing the best
-    global phase.  Steps are accepted only when they lower that residual and
-    keep every tau > 0; the pairs stay those of the input plan.
+    residual is the vacuum's image under the plan, run by ``execute_plan``'s
+    step routine under the effective model at cutoff top +
+    CALIBRATION_HEADROOM, minus the target after removing the best global
+    phase.  Each iteration runs the image and its 2n finite-difference
+    columns through the plan as one (fock_cutoff, 1 + 2n) stack
+    (``_calibration_runner``); trial points run the image alone.  Steps are
+    accepted only when they lower the residual and keep every tau > 0; the
+    pairs stay those of the input plan.
     """
-    calibrated = replace(plan, phase_model="calibrated")
     if not plan.steps:
-        return calibrated
-    count = len(plan.steps)
-    levels = [s.gate.m for s in plan.steps]
-    space = HilbertSpace(2, max(max(levels) + CALIBRATION_HEADROOM, len(plan.target)))
+        return replace(plan, phase_model="calibrated")
+    space = HilbertSpace(2, max(max(s.gate.m for s in plan.steps) + CALIBRATION_HEADROOM, len(plan.target)))
     ref = np.pad(plan.target, (0, space.fock_cutoff - len(plan.target)))
-    plus = atom_plus(2)
-    prepared = product_state(space, plus, np.eye(space.fock_cutoff))  # |+> ⊗ I
-    # one eigensystem per step level: tau and chi then enter as phases only
-    blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
-    evals, evecs = block_eigensystem(np.array([b.generator for b in blocks]))
+    steps_at, images = _calibration_runner(plan, p, space)
 
-    def plan_step(i: int, x: np.ndarray) -> PlanStep:
-        gate = GateParams.from_raman(p, m=levels[i], phi=float(x[i]))
-        return PlanStep(gate, float(x[count + i]))
-
-    def step_map(i: int, x: np.ndarray) -> np.ndarray:
-        # the oscillator map of one gate with the atom prepared and reset in
-        # |+>: execute_plan's step before it renormalizes
-        step = plan_step(i, x)
-        pulse = eigen_unitaries(evals[i], evecs[i], step.gate.tau)
-        out = apply_echo(blocks[i].index, pulse, step.gate.theta0, space, prepared, step.phase_correction)
-        return project_atom(plus, out, space)
-
-    def residual(osc: np.ndarray) -> np.ndarray:
-        osc = osc / np.linalg.norm(osc)
-        overlap = np.vdot(osc, ref)
-        diff = osc * (overlap / abs(overlap) if overlap else 1.0) - ref
+    def residuals(osc: np.ndarray) -> np.ndarray:
+        # per column: normalized, best global phase removed, minus the target
+        osc = osc / np.linalg.norm(osc, axis=0)
+        diff = osc * np.exp(1j * np.angle(osc.conj().T @ ref)) - ref[:, None]
         return np.concatenate([diff.real, diff.imag])
 
-    def run(maps: list[np.ndarray], start: int, osc: np.ndarray) -> np.ndarray:
-        for u in maps[start:]:
-            osc = u @ osc
-        return osc
-
-    vacuum = np.zeros(space.fock_cutoff, dtype=complex)
-    vacuum[0] = 1.0
-    x = np.array([s.gate.phi for s in plan.steps] + [s.phase_correction for s in plan.steps])
-    maps = [step_map(i, x) for i in range(count)]
-    res = residual(run(maps, 0, vacuum))
-    cost = float(res @ res)
+    x = np.ravel([(s.gate.phi, s.phase_correction) for s in plan.steps])
     damping = 1e-3
     for _ in range(CALIBRATION_MAX_ITER):
-        # a parameter of step i changes only that step's map: start from the
-        # cached state before step i and reuse the later maps
-        prefix = [vacuum]
-        for u in maps[:-1]:
-            prefix.append(u @ prefix[-1])
-        jac = np.empty((len(res), len(x)))
-        for k in range(len(x)):
-            i = k % count
-            shifted = x.copy()
-            shifted[k] += CALIBRATION_FD_STEP
-            osc = run(maps, i + 1, step_map(i, shifted) @ prefix[i])
-            jac[:, k] = (residual(osc) - res) / CALIBRATION_FD_STEP
+        columns = residuals(images(x, columns=True))
+        cost = float(np.sum(columns[:, 0] ** 2))
+        jac = (columns[:, 1:] - columns[:, :1]) / CALIBRATION_FD_STEP
         normal = jac.T @ jac
-        grad = jac.T @ res
         scale = np.diag(np.diag(normal)) + 1e-12 * np.eye(len(x))
         while damping < 1e8:
-            trial = x - np.linalg.solve(normal + damping * scale, grad)
-            if np.all(trial[:count] > 0.0):
-                trial_maps = [step_map(i, trial) for i in range(count)]
-                trial_res = residual(run(trial_maps, 0, vacuum))
-                trial_cost = float(trial_res @ trial_res)
+            trial = x - np.linalg.solve(normal + damping * scale, jac.T @ columns[:, 0])
+            if np.all(trial[0::2] > 0.0):
+                trial_cost = float(np.sum(residuals(images(trial))[:, 0] ** 2))
                 if trial_cost < cost:
                     break
             damping *= 4.0
         else:
             break
         damping = max(damping / 3.0, 1e-9)
-        converged = cost - trial_cost <= CALIBRATION_RTOL * cost
-        x, maps, res, cost = trial, trial_maps, trial_res, trial_cost
+        x, converged = trial, cost - trial_cost <= CALIBRATION_RTOL * cost
         if converged:
             break
-    return replace(calibrated, steps=[plan_step(i, x) for i in range(count)])
+    return replace(plan, phase_model="calibrated", steps=steps_at(x)[0])
 
 
 def commutation_check(

@@ -401,11 +401,13 @@ def test_gate_factories_reject_non_finite(params, name, value):
 # ---- block propagation against the dense oracle ---------------------------------------
 
 
+# the block builders take no drive phase: a pulse at phase theta is the
+# phase-0 pulse in the frame Z(theta) of ``pulse_at``
 BLOCK_BUILDERS = {
-    "ideal": lambda p, space, gp, chi: ideal_blocks(p, space, gp.m, chi),
-    "effective": lambda p, space, gp, chi: effective_blocks(p, space, gp.m, chi),
-    "full": lambda p, space, gp, chi: full_blocks(p, space, gp.m, chi),
-    "ideal-k2": lambda p, space, gp, chi: multiquantum_blocks(2, gp.lam, chi, gp.m, space),
+    "ideal": lambda p, space, gp: ideal_blocks(p, space, gp.m),
+    "effective": lambda p, space, gp: effective_blocks(p, space, gp.m),
+    "full": lambda p, space, gp: full_blocks(p, space, gp.m),
+    "ideal-k2": lambda p, space, gp: multiquantum_blocks(2, gp.lam, gp.m, space),
 }
 
 
@@ -417,7 +419,7 @@ BLOCK_BUILDERS = {
     st.floats(0.0, 2.0 * np.pi),
 )
 def test_block_path_matches_dense_oracles(case, data, phi, chi):
-    """Blocks, the dense builders with Propagator, and scipy expm agree to 1e-12.
+    """Framed blocks, the dense builders with Propagator, and scipy expm agree to 1e-12.
 
     Pulses are cut to ||H||*tau <= 10, where all three routes are
     round-off limited; the gate composes two such pulses around the flip.
@@ -439,12 +441,14 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     gp = gate(tau=min(gp.tau, 10.0 / norm))
     eye = np.eye(space.dim, dtype=complex)
 
+    blocks = BLOCK_BUILDERS[case](p, space, gp)
+    pulse = block_unitaries(blocks.generator, gp.tau)
     dense = []
     for angle in (chi, chi - gp.theta0):
         h = dense_pulse(gp, p, space, model, angle)
-        blocks = BLOCK_BUILDERS[case](p, space, gp, angle)
-        assert max_abs(apply_blocks(blocks.index, blocks.generator, eye) - h) < 1e-15
-        u_blocks = apply_blocks(blocks.index, block_unitaries(blocks.generator, gp.tau), eye)
+        framed = pulse_at(blocks.index, blocks.generator, space, angle)
+        assert max_abs(apply_blocks(blocks.index, framed, eye) - h) < 1e-15
+        u_blocks = apply_blocks(blocks.index, pulse_at(blocks.index, pulse, space, angle), eye)
         u_expm = expm(-1j * h * gp.tau)
         u_prop = Propagator(h).unitary(gp.tau)
         assert max_abs(u_blocks - u_expm) < 1e-12
@@ -473,7 +477,7 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
 
     Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I, built block
     by block (``pulse_at``) and as dense row phases, equals the eigh of the
-    builder at theta and scipy's expm of the dense generator to 1e-12.
+    framed generator and scipy's expm of the dense generator at theta to 1e-12.
     """
     model = case.split("-")[0]
     k = 2 if case == "ideal-k2" else 1
@@ -488,16 +492,15 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     dense = dense_pulse(gp, p, space, model, theta)
     tau = min(gp.tau, 10.0 / np.linalg.norm(dense, 2))
 
-    base = BLOCK_BUILDERS[case](p, space, gp, 0.0)
+    base = BLOCK_BUILDERS[case](p, space, gp)
     assert not np.any(base.generator.imag)
     b0 = block_unitaries(base.generator, tau)
-    at_theta = BLOCK_BUILDERS[case](p, space, gp, theta)
-    assert np.array_equal(at_theta.index, base.index)
+    at_theta = pulse_at(base.index, base.generator, space, theta)
     framed = pulse_at(base.index, b0, space, theta)
     eye = np.eye(space.dim, dtype=complex)
     # compared on the joint space: entries of states cut off by the
     # truncation (index == dim) carry no frame and are dropped
-    eigh_theta = apply_blocks(base.index, block_unitaries(at_theta.generator, tau), eye)
+    eigh_theta = apply_blocks(base.index, block_unitaries(at_theta, tau), eye)
     assert max_abs(apply_blocks(base.index, framed, eye) - eigh_theta) < 1e-12
 
     z = np.ones(space.dim, dtype=complex)
@@ -506,3 +509,13 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     u_expm = expm(-1j * dense * tau)
     assert max_abs(rows - u_expm) < 1e-12
     assert max_abs(apply_blocks(base.index, framed, eye) - u_expm) < 1e-12
+
+
+@pytest.mark.parametrize("phase", [np.nan, np.inf])
+def test_non_finite_drive_phase_rejected(params, phase):
+    gp = GateParams.from_raman(params, m=2, phi=0.4)
+    space = HilbertSpace(2, 6)
+    with pytest.raises(ValueError, match="drive phase must be finite"):
+        pair_gate(gp, params, space, "effective", phase_offset=phase)
+    with pytest.raises(ValueError, match="drive phase must be finite"):
+        apply_pair_gate(gp, params, space, np.ones(space.dim), "ideal", phase_offset=phase)

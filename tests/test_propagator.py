@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from fockgate import HilbertSpace, Propagator, RamanParams, evolve, unitary_of
+from fockgate import HilbertSpace, Propagator, RamanParams
 from fockgate.propagator import apply_blocks, block_unitaries
 from fockgate.hamiltonians import decompose_effective
 from fockgate.spaces import basis_state, fidelity, max_abs
@@ -17,12 +17,12 @@ def random_hermitian(rng, dim, scale=1.0):
 
 def test_zero_time_is_identity(rng):
     H = random_hermitian(rng, 7)
-    assert_allclose(unitary_of(H, 0.0), np.eye(7), atol=1e-14)
+    assert_allclose(Propagator(H).unitary(0.0), np.eye(7), atol=1e-14)
 
 
 def test_diagonal_generator_phases():
     H = np.diag([0.0, 1.0, -2.5]).astype(complex)
-    U = unitary_of(H, 0.3)
+    U = Propagator(H).unitary(0.3)
     assert_allclose(np.diag(U), np.exp(-1j * np.diag(H) * 0.3), atol=1e-14)
 
 
@@ -43,7 +43,7 @@ def test_selected_doublet_half_period():
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     coupling = decompose_effective(p, space, 2).pair_coupling
     t = 0.5 * np.pi / (p.coupling * np.sqrt(2))
-    psi = evolve(basis_state(space, "g", 2), coupling, t)
+    psi = Propagator(coupling).evolve(basis_state(space, "g", 2), t)
     expected = -1j * basis_state(space, "e", 1)
     assert_allclose(psi, expected, atol=1e-10)
 
@@ -93,15 +93,15 @@ def test_commuting_generators_factorize(rng):
     # diagonal pieces commute, so the joint exponential splits exactly
     d1 = np.diag(rng.normal(size=8)).astype(complex)
     d2 = np.diag(rng.normal(size=8)).astype(complex)
-    lhs = unitary_of(d1 + d2, 0.9)
-    rhs = unitary_of(d1, 0.9) @ unitary_of(d2, 0.9)
+    lhs = Propagator(d1 + d2).unitary(0.9)
+    rhs = Propagator(d1).unitary(0.9) @ Propagator(d2).unitary(0.9)
     assert max_abs(lhs - rhs) < 1e-9
 
 
 def test_matches_pade_exponential(rng):
     # independent route: scipy's scaling-and-squaring
     H = random_hermitian(rng, 10)
-    assert max_abs(unitary_of(H, 1.7) - expm(-1j * H * 1.7)) < 1e-10
+    assert max_abs(Propagator(H).unitary(1.7) - expm(-1j * H * 1.7)) < 1e-10
 
 
 def test_rejects_non_hermitian(rng):
@@ -111,9 +111,13 @@ def test_rejects_non_hermitian(rng):
 
 
 def test_rejects_nonfinite_time(rng):
-    H = random_hermitian(rng, 4)
-    with pytest.raises(ValueError):
-        Propagator(H).unitary(np.inf)
+    # unitary and evolve share one check
+    prop = Propagator(random_hermitian(rng, 4))
+    for t in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="time must be finite"):
+            prop.unitary(t)
+        with pytest.raises(ValueError, match="time must be finite"):
+            prop.evolve(np.array([1.0, 0.0, 0.0, 0.0]), t)
 
 
 def test_symmetrizes_small_defect(rng):

@@ -188,6 +188,21 @@ def test_state_vector_validation():
         product_state(space, [1.0, 0.0], np.array([[0.0], [np.inf], [0.0]]))
 
 
+@pytest.mark.parametrize(
+    "dims, name",
+    [((2, 2.5), "fock_cutoff"), ((2, np.nan), "fock_cutoff"), ((2.5, 4), "atom_dim"),
+     ((2, 4.0), "fock_cutoff"), ((True, 4), "atom_dim"), ((2, "4"), "fock_cutoff")],
+)
+def test_space_dimensions_must_be_integers(dims, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        HilbertSpace(*dims)
+
+
+def test_space_accepts_numpy_integers():
+    space = HilbertSpace(np.int64(3), np.int32(5))
+    assert space.dim == 15
+
+
 def test_guard_population():
     space = HilbertSpace(2, 4)
     psi = basis_state(space, "e", 3)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fockgate import (
 )
 from fockgate.gates import apply_pair_gate, model_space
 from fockgate.spaces import max_abs, product_state, project_atom, purity, reduced_oscillator_state
-from fockgate.synthesis import LEDGER_MODELS
+from fockgate.synthesis import CALIBRATION_FD_STEP, LEDGER_MODELS, _calibration_runner
 
 
 def random_target(rng, top):
@@ -145,6 +146,38 @@ def test_calibration_keeps_pairs_and_never_lowers_fidelity(ratio, top, seed):
     _, rep_ledger = execute_plan(ledger, np.array([1.0]), "effective", p, space)
     _, rep_calibrated = execute_plan(calibrated, np.array([1.0]), "effective", p, space)
     assert rep_calibrated.fidelity >= rep_ledger.fidelity - 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([0.02, 0.1]), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_calibration_runs_plans_through_execute_plans_step(top, ratio, seed, extra):
+    """The calibrator's images are execute_plan runs from the vacuum at the same cutoff.
+
+    Column 0 is the plan itself; column 1 + k is the plan with parameter k
+    moved by the finite-difference step, phi of step k // 2 for even k and
+    its chi for odd k.
+    """
+    p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
+    plan = plan_general_state(random_target(np.random.default_rng(seed), top), p, "effective")
+    space = HilbertSpace(2, top + 2 + extra)
+    x = np.ravel([(s.gate.phi, s.phase_correction) for s in plan.steps])
+    _, images = _calibration_runner(plan, p, space)
+    stack = images(x, columns=True)
+    assert stack.shape == (space.fock_cutoff, 1 + len(x))
+    assert max_abs(images(x)[:, 0] - stack[:, 0]) < 1e-12
+
+    def executed(steps):
+        return execute_plan(replace(plan, steps=steps), np.array([1.0]), "effective", p, space)[0]
+
+    assert max_abs(stack[:, 0] / np.linalg.norm(stack[:, 0]) - executed(plan.steps)) < 1e-12
+    for k in range(len(x)):
+        moved = x.copy()
+        moved[k] += CALIBRATION_FD_STEP
+        i = k // 2
+        steps = list(plan.steps)
+        steps[i] = PlanStep(GateParams.from_raman(p, m=steps[i].gate.m, phi=moved[2 * i]), moved[2 * i + 1])
+        column = stack[:, 1 + k]
+        assert max_abs(column / np.linalg.norm(column) - executed(steps)) < 1e-12
 
 
 def test_calibrated_plan_matches_expm_oracle(params):
@@ -266,6 +299,31 @@ def test_empty_plan_returns_initial(params):
     state, report = execute_plan(plan, initial, "ideal", params, HilbertSpace(2, 4))
     assert report.fidelity == pytest.approx(1.0)
     assert_allclose(state[:2], initial, atol=1e-15)
+
+
+@pytest.mark.parametrize("with_steps", [False, True])
+@pytest.mark.parametrize(
+    "initial",
+    [np.array([]), np.array([0.0, 0.0]), np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.ones((2, 1))],
+)
+def test_execute_plan_rejects_bad_initial(params, initial, with_steps):
+    # empty, zero, non-finite or not 1-d: named up front, not NaN fidelities one step in
+    plan = plan_superposition(0.6, 0.8, 2, params) if with_steps else CircuitPlan(steps=[])
+    with pytest.raises(ValueError, match="initial must be"):
+        execute_plan(plan, initial, "effective", params, HilbertSpace(2, 6))
+
+
+def test_plan_step_rejects_non_finite_phase_correction(params, tmp_path):
+    gate = GateParams.from_raman(params, m=1, phi=0.3)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="phase_correction must be finite"):
+            PlanStep(gate, value)
+    doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
+    doc["steps"][1]["phase_correction"] = float("nan")
+    path = tmp_path / "nan_plan.json"
+    path.write_text(json.dumps(doc))  # json writes NaN and reads it back
+    with pytest.raises(ValueError, match="phase_correction must be finite"):
+        load_plan(path)
 
 
 def test_execution_reports_step_purities(params):
