@@ -95,6 +95,10 @@ class GateParams:
     k: int = 1
 
     def __post_init__(self):
+        for name in ("m", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("lam", "tau", "phi", "theta0", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

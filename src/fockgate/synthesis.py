@@ -7,7 +7,11 @@ carrying the rest upward.  The rotation angles come from the target moduli
 (descending accumulation, so gate j sees the combined weight of levels >= j);
 the per-gate pulse-phase offsets come from an exact phase ledger, because
 each gate contributes -i factors and dispersive phases (theta0 on the lower
-pair level, a global 2*eta) that the bare magnitude recipe ignores.
+pair level, a global 2*eta) that the bare magnitude recipe ignores.  The
+offset chi_j of gate j shifts every level >= j alike, so each level's end
+phase at chi = 0 is a cumulative sum over the gates, and each offset closes
+the phase gap between two neighbouring occupied levels (the step-by-step
+ladder of C. K. Law and J. H. Eberly, PRL 76, 1055 (1996)).
 
 The ledger can book phases for two device models: "ideal" (gates touch
 nothing outside their pair) and "effective" (spectator Fock levels n pick up
@@ -85,13 +89,24 @@ class CircuitPlan:
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"unknown phase model {self.phase_model!r}")
         if self.target is not None:
-            self.target = np.asarray(self.target, dtype=complex)
+            self.target = _checked_target(self.target)
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [s.gate.pair for s in self.steps]
+
+
+def _checked_target(target) -> np.ndarray:
+    """A complex copy of ``target``, which must be a finite 1-d state of norm 1 (to 1e-9)."""
+    t = np.array(target, dtype=complex)
+    if t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError(f"target must be a finite 1-d state, got shape {t.shape}")
+    nrm = float(np.linalg.norm(t))
+    if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
+        raise ValueError(f"target norm {nrm} != 1")
+    return t
 
 
 @dataclass
@@ -106,22 +121,20 @@ class ExecutionReport:
 def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> CircuitPlan:
     """Angles from target moduli, pulse-phase offsets from the ledger.
 
-    "calibrated" compiles the "effective" ledger plan and refines it.
+    The ledger needs no running state: each level's end phase at chi = 0 is
+    a cumulative sum, and the offset of the gate that carries amplitude up
+    to an occupied level closes that level's phase gap to the occupied level
+    below it.  "calibrated" compiles the "effective" ledger plan and refines it.
     """
     if phase_model == "calibrated":
         return _calibrate(_compile_ladder(target, p, "effective"), p)
     if phase_model not in LEDGER_MODELS:
         raise ValueError(f"unknown phase model {phase_model!r}")
-    t = np.asarray(target, dtype=complex)
-    nrm = np.linalg.norm(t)
-    if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(f"target norm {nrm} != 1")
-    nonzero = np.nonzero(np.abs(t) > 1e-12)[0]
-    if len(nonzero) == 0:
+    t = _checked_target(target)
+    occupied = np.nonzero(np.abs(t) > 1e-12)[0]
+    if len(occupied) == 0:
         raise ValueError("target has no support")
-    top = int(nonzero[-1])
-    if top == 0:
-        return CircuitPlan(steps=[], target=t.copy(), phase_model=phase_model)
+    top = int(occupied[-1])
 
     # rotation angles: gate j acts on pair {j-1, j}; cos(phi_j) is the share
     # of the remaining weight that stays at level j-1
@@ -132,51 +145,37 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
         phis.append(float(np.arccos(ratio)))
 
     gates = [GateParams.from_raman(p, m=j, phi=phis[j - 1]) for j in range(1, top + 1)]
+    eta = np.array([gp.eta for gp in gates])
+    theta0 = np.array([gp.theta0 for gp in gates])
 
-    # phase ledger: solve per-gate chi so every frozen level ends at the
-    # target phase up to one global constant
-    future = [0.0] * (top + 1)  # spectator phase level i gains after its freeze
+    # phase ledger: chi_j multiplies the amplitude carried to level j, so it
+    # shifts every level >= j alike.  At chi = 0 each level's end phase is a
+    # cumulative sum; each offset then closes the phase gap between two
+    # neighbouring occupied levels, up to one global phase.
+    future = np.zeros(top + 1)  # spectator phase level i gains after its freeze
     if phase_model == "effective":
         # gate j puts -(eta_j + i*theta0_j) on spectator level i; level i
         # freezes after gate min(i+1, top) and collects every later gate, so
         # it needs the suffix sums eta_after[k], theta0_after[k] over gates > k
-        eta_after = np.append(np.cumsum([gp.eta for gp in gates][::-1])[::-1], 0.0)
-        theta0_after = np.append(np.cumsum([gp.theta0 for gp in gates][::-1])[::-1], 0.0)
+        eta_after = np.append(np.cumsum(eta[::-1])[::-1], 0.0)
+        theta0_after = np.append(np.cumsum(theta0[::-1])[::-1], 0.0)
         levels = np.arange(top + 1)
         freeze = np.minimum(levels + 1, top)
-        future = (-(eta_after[freeze] + levels * theta0_after[freeze])).tolist()
-
-    chis = [0.0] * top
-    moving_base = 0.0  # chi-free phase of the moving amplitude
-    chi_sum = 0.0
-    global_phase: float | None = None
-    for j in range(1, top + 1):
-        gp = gates[j - 1]
-        # level j-1 freezes here with phase: moving + (-2 eta + theta0) + future spectator phases
-        frozen = moving_base + chi_sum + (-2.0 * gp.eta + gp.theta0) + future[j - 1]
-        if abs(t[j - 1]) > 1e-12:
-            if global_phase is None:
-                global_phase = frozen - float(np.angle(t[j - 1]))
-            else:
-                # steer with the previous gate's offset, which multiplies the
-                # amplitude that arrived at level j-1
-                correction = (float(np.angle(t[j - 1])) + global_phase) - frozen
-                chis[j - 2] += correction
-                chi_sum += correction
-        moving_base += -2.0 * gp.eta - 0.5 * math.pi
-    # moving amplitude ends at level `top`
-    final_phase = moving_base + chi_sum
-    if global_phase is None:
-        global_phase = final_phase - float(np.angle(t[top]))
-    else:
-        chis[top - 1] += (float(np.angle(t[top])) + global_phase) - final_phase
+        future = -(eta_after[freeze] + levels * theta0_after[freeze])
+    # end phase at chi = 0: arrival (each climb gives -i and -2 eta), the
+    # freezing gate's -2 eta + theta0 (no gate freezes the top), spectators
+    arrival = np.append(0.0, np.cumsum(-2.0 * eta - 0.5 * math.pi))
+    ends = arrival + np.append(-2.0 * eta + theta0, 0.0) + future
+    gap = np.angle(t[occupied]) - ends[occupied]
+    chis = np.zeros(top)
+    chis[occupied[1:] - 1] = np.diff(gap)
 
     steps = [
         PlanStep(gate=gp, phase_correction=chi)
-        for gp, chi in zip(gates, chis)
+        for gp, chi in zip(gates, chis.tolist())
         if gp.phi > 1e-15
     ]
-    return CircuitPlan(steps=steps, target=t.copy(), phase_model=phase_model)
+    return CircuitPlan(steps=steps, target=t, phase_model=phase_model)
 
 
 def plan_general_state(
@@ -257,11 +256,6 @@ def execute_plan(
         space = model_space(model, cutoff)
     if len(initial) > space.fock_cutoff:
         raise ValueError("initial state longer than the Fock cutoff")
-    for step in plan.steps:
-        if step.gate.m + 2 > space.fock_cutoff:
-            raise ValueError(
-                f"plan touches level {step.gate.m} but cutoff is {space.fock_cutoff}"
-            )
 
     osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
     osc = osc / np.linalg.norm(osc)
@@ -431,10 +425,9 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
     for raw in doc["steps"]:
         m, k, phi, tau = raw["m"], raw.get("k", 1), raw["phi"], raw["tau"]
         lam = raw.get("lam")
-        if lam is None:  # files written before lam was stored
-            element = phi / tau if tau != 0.0 else 0.0
-            ratio = math.sqrt(math.factorial(m) / math.factorial(m - k))
-            lam = element / ratio if ratio else 0.0
+        if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
+            ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, eta=0.0, k=k).coupling_element
+            lam = phi / tau / ratio if tau != 0.0 else 0.0
         gate = GateParams(
             m=m, tau=tau, lam=lam, theta0=raw["theta0"], phi=phi, eta=m * raw["theta0"], k=k
         )

@@ -31,7 +31,7 @@ from fockgate import (
 )
 from fockgate.gates import apply_pair_gate, model_space
 from fockgate.spaces import max_abs, product_state, project_atom, purity, reduced_oscillator_state
-from fockgate.synthesis import CALIBRATION_FD_STEP, LEDGER_MODELS, _calibration_runner
+from fockgate.synthesis import CALIBRATION_FD_STEP, LEDGER_MODELS, PHASE_MODELS, _calibration_runner
 
 
 def random_target(rng, top):
@@ -200,9 +200,13 @@ def test_calibrated_plan_matches_expm_oracle(params):
 # ---- general targets ---------------------------------------------------------
 
 
-def test_general_vacuum_is_empty(params):
-    plan = plan_general_state(np.array([1.0 + 0j]), params)
+@pytest.mark.parametrize("phase_model", PHASE_MODELS)
+@pytest.mark.parametrize("target", [[1.0], [1.0, 0.0, 0.0]])
+def test_general_vacuum_is_empty(params, phase_model, target):
+    plan = plan_general_state(np.array(target, dtype=complex), params, phase_model)
     assert len(plan) == 0
+    assert plan.phase_model == phase_model
+    assert np.array_equal(plan.target, target)
 
 
 def test_three_level_flat_target(params):
@@ -525,6 +529,30 @@ def test_plan_json_stores_lam_at_zero_tau_and_k2(params):
     osc_a, _ = execute_plan(plan, initial, "ideal", params, space)
     osc_b, _ = execute_plan(loaded, initial, "ideal", params, space)
     assert np.array_equal(osc_a, osc_b)
+
+
+@pytest.mark.parametrize("target", [[[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.0], [0.0, 0.0], [0.8, 0.0]]])
+def test_plan_document_rejects_bad_target(params, target):
+    # unnormalised or NaN: named on load, not a fidelity of 0.1296 or NaN on execution
+    doc = dict(plan_to_dict(plan_superposition(0.6, 0.8, 2, params)), target=target)
+    with pytest.raises(ValueError, match="target"):
+        plan_from_dict(json.loads(json.dumps(doc)))
+
+
+def test_plan_rejects_target_not_1d():
+    with pytest.raises(ValueError, match="target must be a finite 1-d state"):
+        CircuitPlan(steps=[], target=np.eye(2) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("with_lam", [True, False])
+@pytest.mark.parametrize("field, value", [("m", 2.5), ("k", 1.0), ("m", True)])
+def test_plan_document_rejects_non_integer_level(params, field, value, with_lam):
+    doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
+    doc["steps"][0][field] = value
+    if not with_lam:
+        del doc["steps"][0]["lam"]
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        plan_from_dict(json.loads(json.dumps(doc)))
 
 
 def test_plan_without_lam_derives_it(params):
