@@ -34,7 +34,7 @@ from .gates import pulse_generator
 from .propagator import block_unitaries
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
 from .spaces import fidelity, fock_populations, purity, reduced_oscillator_state
-from .synthesis import execute_plan, plan_general_state, save_plan
+from .synthesis import _write_json, execute_plan, plan_general_state, save_plan
 from .synthesis import plan_superposition  # noqa: F401  unused; bench/spans.py wraps it here
 from .validation import run_validation
 
@@ -74,11 +74,6 @@ def _out_dir(cfg: RunConfig) -> Path | None:
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
 
 
 def _gate_record(cfg: RunConfig, model: str) -> ResultRecord:

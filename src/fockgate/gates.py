@@ -95,13 +95,13 @@ class GateParams:
     k: int = 1
 
     def __post_init__(self):
-        for name in ("m", "k"):
-            value = getattr(self, name)
+        for name, value in (("m", self.m), ("k", self.k)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("lam", "tau", "phi", "theta0", "eta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, value in (("lam", self.lam), ("tau", self.tau), ("phi", self.phi),
+                            ("theta0", self.theta0), ("eta", self.eta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.k < 1:

@@ -267,7 +267,7 @@ def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
     """|<g,m|H|e,m-k>| = lam_k*sqrt(m!/(m-k)!)."""
     if m < k:
         raise ValueError(f"need m >= k, got m={m}, k={k}")
-    return lam_k * math.sqrt(math.factorial(m) / math.factorial(m - k))
+    return lam_k * math.sqrt(math.perm(m, k))
 
 
 class PulseBlocks(NamedTuple):

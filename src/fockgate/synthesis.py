@@ -137,14 +137,12 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     top = int(occupied[-1])
 
     # rotation angles: gate j acts on pair {j-1, j}; cos(phi_j) is the share
-    # of the remaining weight that stays at level j-1
-    phis = []
-    for j in range(1, top + 1):
-        remaining = float(np.linalg.norm(t[j - 1 :]))
-        ratio = min(1.0, abs(t[j - 1]) / remaining)
-        phis.append(float(np.arccos(ratio)))
+    # of the remaining weight ||t[j-1:]|| (a suffix sum) that stays at level j-1
+    moduli = np.abs(t)
+    remaining = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
+    phis = np.arccos(np.minimum(1.0, moduli[:top] / remaining[:top])).tolist()
 
-    gates = [GateParams.from_raman(p, m=j, phi=phis[j - 1]) for j in range(1, top + 1)]
+    gates = [GateParams.from_raman(p, m=j, phi=phi) for j, phi in enumerate(phis, start=1)]
     eta = np.array([gp.eta for gp in gates])
     theta0 = np.array([gp.theta0 for gp in gates])
 
@@ -239,8 +237,9 @@ def execute_plan(
     one batched eigendecomposition for all steps, so applying a gate costs
     O(fock_cutoff) and no joint-space matrix is formed.  Returns the final
     oscillator state and a report; fidelity is measured against the plan
-    target (padded to the working cutoff) when one is set, otherwise against
-    the initial state.  Without a ``space`` the cutoff is
+    target (padded to the working cutoff, a zero tail beyond it dropped)
+    when one is set, otherwise against the initial state; target support
+    beyond the cutoff is an error.  Without a ``space`` the cutoff is
     max_m + 2 (and at least len(initial)); under "effective" and "full" it is
     at least len(initial) + 2 * len(plan), the reach of the detuned doublets.
     """
@@ -256,6 +255,9 @@ def execute_plan(
         space = model_space(model, cutoff)
     if len(initial) > space.fock_cutoff:
         raise ValueError("initial state longer than the Fock cutoff")
+    source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
+    if np.any(np.abs(source[space.fock_cutoff :]) > 1e-12):
+        raise ValueError(f"target has support beyond the Fock cutoff {space.fock_cutoff}")
 
     osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
     osc = osc / np.linalg.norm(osc)
@@ -279,8 +281,8 @@ def execute_plan(
             raise ArithmeticError("atom reset branch has zero weight")
         osc = branch / weight
 
-    source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
-    ref = np.pad(source, (0, space.fock_cutoff - len(source)))
+    ref = np.zeros(space.fock_cutoff, dtype=complex)
+    ref[: len(source)] = source[: space.fock_cutoff]
     support = np.nonzero(np.abs(ref) > 1e-12)[0]
 
     fid = float(np.abs(np.vdot(ref, osc)) ** 2)
@@ -416,32 +418,45 @@ def plan_to_dict(plan: CircuitPlan) -> dict:
         ],
     }
     if plan.target is not None:
-        doc["target"] = [[float(c.real), float(c.imag)] for c in plan.target]
+        doc["target"] = np.column_stack((plan.target.real, plan.target.imag)).tolist()
     return doc
 
 
 def plan_from_dict(doc: dict) -> CircuitPlan:
     steps = []
-    for raw in doc["steps"]:
-        m, k, phi, tau = raw["m"], raw.get("k", 1), raw["phi"], raw["tau"]
-        lam = raw.get("lam")
+    for i, raw in enumerate(doc["steps"]):
+        try:
+            m, phi, tau, theta0 = raw["m"], raw["phi"], raw["tau"], raw["theta0"]
+        except KeyError as exc:
+            raise ValueError(f"plan step {i} has no {exc.args[0]!r} field") from None
+        k, lam = raw.get("k", 1), raw.get("lam")
         if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
             ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, eta=0.0, k=k).coupling_element
             lam = phi / tau / ratio if tau != 0.0 else 0.0
-        gate = GateParams(
-            m=m, tau=tau, lam=lam, theta0=raw["theta0"], phi=phi, eta=m * raw["theta0"], k=k
-        )
+        gate = GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, eta=m * theta0, k=k)
         steps.append(PlanStep(gate=gate, phase_correction=raw.get("phase_correction", 0.0)))
     target = None
     if "target" in doc:
-        target = np.array([complex(re, im) for re, im in doc["target"]])
+        try:  # a ragged list fails in asarray
+            pairs = np.asarray(doc["target"])
+            if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biuf":
+                raise ValueError
+        except ValueError:
+            raise ValueError("target must be a list of [re, im] number pairs") from None
+        target = np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]  # exact, signed zeros kept
     # other keys, such as an older file's schedule, are ignored: steps run in order
     return CircuitPlan(steps=steps, target=target, phase_model=doc.get("phase_model", "ideal"))
 
 
-def save_plan(plan: CircuitPlan, path) -> None:
+def _write_json(path, payload) -> None:
+    """One line of JSON, written by the C encoder (``json.dump`` with ``indent`` runs the Python one)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_dict(plan), fh, indent=2)
+        fh.write(json.dumps(payload))
+
+
+def save_plan(plan: CircuitPlan, path) -> None:
+    """Write ``plan_to_dict(plan)`` as single-line JSON; ``load_plan`` also reads indented files."""
+    _write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path) -> CircuitPlan:

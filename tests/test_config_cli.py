@@ -347,6 +347,15 @@ def test_synthesize_vacuum_is_empty_plan(tmp_path):
     assert report["ideal"]["fidelity"] == pytest.approx(1.0)
 
 
+def test_synthesize_zero_tail_beyond_cutoff_prints_as_trimmed(capsys):
+    # 13 amplitudes at the default cutoff 12, support 0..1
+    assert main(["synthesize", "--model", "all", "--set", "target.amplitudes=[1, 1" + ", 0" * 11 + "]"]) == 0
+    long_out = capsys.readouterr().out
+    assert main(["synthesize", "--model", "all", "--set", "target.amplitudes=[1, 1]"]) == 0
+    assert long_out == capsys.readouterr().out
+    assert long_out.count("steps=1 ") == 3
+
+
 def test_synthesize_rejects_overflowing_target():
     rc = main(["synthesize", "--set", "target.preset=fock", "--set", "target.n=11"])
     assert rc == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +277,14 @@ def test_multiquantum_two_quantum_element(space):
     H = multiquantum_hamiltonian(2, 0.03, 0.0, 2, space)
     assert abs(H[space.index("g", 2), space.index("e", 0)]) == pytest.approx(0.03 * amp)
     assert multiquantum_coupling_element(0.03, 2, 2) == pytest.approx(0.03 * np.sqrt(2))
+
+
+def test_multiquantum_element_is_the_factorial_ratio_bit_for_bit():
+    for m in range(400):
+        for k in range(min(m, 30) + 1):
+            for lam in (1.0, 0.03):
+                expected = lam * math.sqrt(math.factorial(m) / math.factorial(m - k))
+                assert multiquantum_coupling_element(lam, m, k) == expected, (m, k, lam)
 
 
 def test_multiquantum_skips_low_levels(space):

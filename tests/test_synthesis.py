@@ -271,6 +271,30 @@ def test_ledger_replay_reaches_target(seed, top, phase_model, ratio):
     assert max_abs(osc - overlap / abs(overlap) * target) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from(LEDGER_MODELS))
+def test_angles_are_suffix_norm_ratios(seed, top, phase_model):
+    """Step j keeps arccos(|t[j-1]| / ||t[j-1:]||) of the remaining weight; no zero angle is kept."""
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    rng = np.random.default_rng(seed)
+    target = random_target(rng, top)
+    target[:top][rng.random(top) < 0.15] = 0.0
+    target /= np.linalg.norm(target)
+    plan = plan_general_state(target, p, phase_model)
+    kept = {s.gate.m: s.gate.phi for s in plan.steps}
+    assert all(phi > 1e-15 for phi in kept.values())
+    for j in range(1, top + 1):
+        expected = np.arccos(min(1.0, abs(target[j - 1]) / np.linalg.norm(target[j - 1 :])))
+        assert abs(kept.get(j, 0.0) - expected) <= 1e-14, (j, kept.get(j), expected)
+
+
+def test_zero_angle_gate_is_dropped(params):
+    # |t[0]|^2 absorbs the 1e-22 of level 2 in the suffix sum: gate 1 has phi = 0
+    plan = plan_general_state(np.array([1.0, 0.0, 1e-11]), params)
+    assert plan.pairs() == [(1, 2)]
+    assert plan.steps[0].gate.phi == pytest.approx(np.pi / 2)
+
+
 def test_interior_zero_amplitude(params):
     target = np.array([0.6, 0.0, 0.8], dtype=complex)
     plan = plan_general_state(target, params)
@@ -342,6 +366,23 @@ def test_plan_exceeding_cutoff_rejected(params):
     plan = plan_superposition(0.6, 0.8, 4, params)
     with pytest.raises(ValueError, match="cutoff"):
         execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 5))
+
+
+@pytest.mark.parametrize("model", ["ideal", "effective"])
+def test_target_zero_tail_beyond_cutoff_is_dropped(params, model):
+    a = 2**-0.5
+    long = plan_general_state(np.array([a, a, 0, 0, 0, 0, 0, 0]), params, model)
+    short = plan_general_state(np.array([a, a]), params, model)
+    osc_long, rep_long = execute_plan(long, np.array([1.0]), model, params)  # default cutoff < 8
+    osc_short, rep_short = execute_plan(short, np.array([1.0]), model, params)
+    assert np.array_equal(osc_long, osc_short)
+    assert rep_long == rep_short
+
+
+def test_target_support_beyond_cutoff_rejected(params):
+    plan = CircuitPlan(steps=plan_superposition(0.6, 0.8, 1, params).steps, target=np.array([0.6, 0, 0, 0, 0.8]))
+    with pytest.raises(ValueError, match="target has support beyond the Fock cutoff 4"):
+        execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 4))
 
 
 def test_execution_under_full_model():
@@ -452,6 +493,41 @@ def test_calibrated_plan_json_round_trip(params, tmp_path):
     assert rep_b.leakage == pytest.approx(rep_a.leakage, abs=1e-12)
 
 
+def test_indented_plan_file_loads_like_a_compact_one(params, tmp_path):
+    target = random_target(np.random.default_rng(5), 12)
+    target[3], target[5] = complex(-0.0, target[3].imag), complex(target[5].real, -0.0)
+    plan = plan_general_state(target / np.linalg.norm(target), params, "effective")
+    indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump(plan_to_dict(plan), fh, indent=2)  # the layout of earlier plan files
+    save_plan(plan, compact)
+    assert len(compact.read_text(encoding="utf-8").splitlines()) == 1
+    old, new = load_plan(indented), load_plan(compact)
+    assert old.steps == new.steps == plan.steps
+    assert old.target.tobytes() == new.target.tobytes() == plan.target.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("index", [0, 2])
+@pytest.mark.parametrize("field", ["m", "phi", "tau", "theta0"])
+def test_plan_document_names_missing_step_field(params, field, index):
+    doc = plan_to_dict(plan_superposition(0.6, 0.8, 3, params))
+    del doc["steps"][index][field]
+    with pytest.raises(ValueError, match=f"plan step {index} has no '{field}' field"):
+        plan_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
+def test_plan_document_optional_step_fields(params, field):
+    plan = plan_superposition(0.6, 0.8j, 3, params, "effective")
+    doc = plan_to_dict(plan)
+    for step in doc["steps"]:
+        del step[field]
+    loaded = plan_from_dict(doc)
+    for a, b in zip(plan.steps, loaded.steps):
+        assert b.gate == a.gate
+        assert b.phase_correction == (0.0 if field == "phase_correction" else a.phase_correction)
+
+
 def test_plans_are_sequential_only(params):
     plan = plan_superposition(0.6, 0.8, 2, params)
     assert plan.schedule == "sequential"
@@ -531,9 +607,21 @@ def test_plan_json_stores_lam_at_zero_tau_and_k2(params):
     assert np.array_equal(osc_a, osc_b)
 
 
-@pytest.mark.parametrize("target", [[[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.0], [0.0, 0.0], [0.8, 0.0]]])
+@pytest.mark.parametrize(
+    "target",
+    [
+        [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[float("nan"), 0.0], [0.0, 0.0], [0.8, 0.0]],
+        [[0.6, 0.0, 0.0], [0.0, 0.0, 0.0], [0.8, 0.0, 0.0]],
+        [0.6, 0.0, 0.8],
+        [[0.6, 0.0], [0.0], [0.8, 0.0]],
+        [["0.6", "0"], ["0", "0"], ["0.8", "0"]],
+        [[0.6, 0.0], None, [0.8, 0.0]],
+    ],
+)
 def test_plan_document_rejects_bad_target(params, target):
-    # unnormalised or NaN: named on load, not a fidelity of 0.1296 or NaN on execution
+    # unnormalised or NaN: named on load, not a fidelity of 0.1296 or NaN on
+    # execution; entries that are not [re, im] number pairs: named, not an unpacking error
     doc = dict(plan_to_dict(plan_superposition(0.6, 0.8, 2, params)), target=target)
     with pytest.raises(ValueError, match="target"):
         plan_from_dict(json.loads(json.dumps(doc)))
