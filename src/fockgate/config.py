@@ -2,12 +2,15 @@
 
 Override syntax is a dotted path, e.g. ``--set physical.delta=10`` or
 ``--set sweep.ratios=[0.02,0.1]``; values parse as JSON with a plain-string
-fallback.  Defaults put the model in both the adiabatic (g/delta = 0.05) and
-selective (|Omega_L|/g = 0.1) regimes; they are conventions of this package.
+fallback.  Every field's type is checked from its declaration.  The subcommand
+is the task, so ``task`` is an unknown field.  A device with no usable coupling
+(lambda = g*|Omega_L|/delta zero or not finite, 1/lambda or g^2/delta not
+finite) is a configuration error.  Defaults put the model in both the adiabatic
+(g/delta = 0.05) and selective (|Omega_L|/g = 0.1) regimes; they are
+conventions of this package.
 """
 
-from __future__ import annotations
-
+# no `from __future__ import annotations`: _build needs each field's type as a class, not a string
 import dataclasses
 import json
 import math
@@ -21,7 +24,6 @@ from .hamiltonians import RamanParams
 from .spaces import HilbertSpace
 from .validation import check_tolerances
 
-TASKS = ("gate", "synthesize", "sweep", "validate")
 MODEL_CHOICES = MODELS + ("all",)
 
 
@@ -72,7 +74,6 @@ class ValidateConfig:
 
 @dataclass
 class RunConfig:
-    task: str = "gate"
     model: str = "ideal"
     seed: int = 1234
     out_dir: str | None = None
@@ -88,23 +89,22 @@ class RunConfig:
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
-    sections = {
-        "physical": PhysicalConfig,
-        "space": SpaceConfig,
-        "gate": GateConfig,
-        "sweep": SweepConfig,
-        "target": TargetConfig,
-        "validate": ValidateConfig,
-    }
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
-    names = {f.name for f in dataclasses.fields(cls)}
     for key, value in data.items():
-        if key not in names:
-            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown field")
-        if key in sections:
-            kwargs[key] = _build(sections[key], value, f"{path + '.' if path else ''}{key}")
-        else:
-            kwargs[key] = value
+        name = f"{path}.{key}" if path else key
+        kind = types.get(key)
+        if kind is None:
+            raise ConfigError(f"{name}: unknown field")
+        if dataclasses.is_dataclass(kind):
+            value = _build(kind, value, name)
+        elif kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"{name}: must be true or false, got {value!r}")
+        elif kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        elif kind is float:
+            _check_number(name, value)
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -159,41 +159,34 @@ def _check_number(name: str, value: Any) -> None:
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
 
 
-def _check_count(name: str, value: Any, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
-
-
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.task not in TASKS:
-        raise ConfigError(f"task: {cfg.task!r} is not one of {TASKS}")
     if cfg.model not in MODEL_CHOICES:
         raise ConfigError(f"model: {cfg.model!r} is not one of {MODEL_CHOICES}")
     if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
         raise ConfigError(f"out_dir: must be a path string, got {cfg.out_dir!r}")
-    for name in ("g", "omega_l", "delta"):
-        _check_number(f"physical.{name}", getattr(cfg.physical, name))
-    _check_number("gate.phi", cfg.gate.phi)
-    if cfg.physical.g <= 0:
-        raise ConfigError(f"physical.g: must be > 0, got {cfg.physical.g}")
-    if cfg.physical.omega_l < 0:
-        raise ConfigError(f"physical.omega_l: must be >= 0, got {cfg.physical.omega_l}")
-    if cfg.physical.delta == 0:
+    ph = cfg.physical
+    if ph.g <= 0:
+        raise ConfigError(f"physical.g: must be > 0, got {ph.g}")
+    if ph.omega_l < 0:
+        raise ConfigError(f"physical.omega_l: must be >= 0, got {ph.omega_l}")
+    if ph.delta == 0:
         raise ConfigError("physical.delta: must be nonzero")
-    for name, flag in (
-        ("physical.include_shift", cfg.physical.include_shift),
-        ("validate.self_test", cfg.validate.self_test),
-    ):
-        if not isinstance(flag, bool):
-            raise ConfigError(f"{name}: must be true or false, got {flag!r}")
+    lam, shift = ph.g * ph.omega_l / ph.delta, ph.g * ph.g / ph.delta  # products overflow to inf; g**2 raises
+    if lam == 0 or not all(map(math.isfinite, (lam, 1 / lam, shift))):
+        raise ConfigError(f"physical: no usable coupling, g*omega_l/delta = {lam!r} and g*g/delta = {shift!r}")
     try:
         check_tolerances(cfg.tolerances)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_count("space.fock_cutoff", cfg.space.fock_cutoff, 2)
-    _check_count("gate.m", cfg.gate.m, 1)
+    for name, value, minimum in (
+        ("space.fock_cutoff", cfg.space.fock_cutoff, 2),
+        ("gate.m", cfg.gate.m, 1),
+        ("sweep.samples", cfg.sweep.samples, 1),
+        ("seed", cfg.seed, 0),
+        ("target.n", cfg.target.n, 0),
+    ):
+        if value < minimum:
+            raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
     if cfg.gate.m + 2 > cfg.space.fock_cutoff:
         raise ConfigError(
             f"gate.m: level {cfg.gate.m} needs fock_cutoff >= {cfg.gate.m + 2} "
@@ -205,9 +198,6 @@ def validate_config(cfg: RunConfig) -> None:
         _check_number("sweep.ratios", r)
         if r <= 0:
             raise ConfigError("sweep.ratios: all ratios must be > 0")
-    _check_count("sweep.samples", cfg.sweep.samples, 1)
-    _check_count("seed", cfg.seed, 0)
-    _check_count("target.n", cfg.target.n, 0)
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])
@@ -258,13 +248,9 @@ def target_state(cfg: RunConfig) -> np.ndarray:
 
 
 def to_raman(cfg: RunConfig, omega_l: float | None = None) -> RamanParams:
-    ph = cfg.physical
-    return RamanParams(
-        g=ph.g,
-        omega_l=ph.omega_l if omega_l is None else omega_l,
-        delta=ph.delta,
-        include_shift=ph.include_shift,
-    )
+    """The configured device (``PhysicalConfig`` has ``RamanParams``' fields); ``omega_l`` overrides the drive."""
+    device = vars(cfg.physical)
+    return RamanParams(**(device if omega_l is None else dict(device, omega_l=omega_l)))
 
 
 def to_space(cfg: RunConfig, model: str) -> HilbertSpace:

@@ -423,12 +423,20 @@ def plan_to_dict(plan: CircuitPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> CircuitPlan:
+    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
+        raise ValueError("plan document must be an object whose 'steps' is a list")
     steps = []
     for i, raw in enumerate(doc["steps"]):
+        if not isinstance(raw, dict):
+            raise ValueError(f"plan step {i} must be an object, got {raw!r}")
         try:
             m, phi, tau, theta0 = raw["m"], raw["phi"], raw["tau"], raw["theta0"]
         except KeyError as exc:
             raise ValueError(f"plan step {i} has no {exc.args[0]!r} field") from None
+        for name in ("phi", "tau", "theta0", "lam", "phase_correction"):
+            value = raw.get(name, 0.0)  # a null lam is derived below, like an absent one
+            if (isinstance(value, bool) or not isinstance(value, (int, float))) and not (name == "lam" and value is None):
+                raise ValueError(f"plan step {i} field {name!r} must be a number, got {value!r}")
         k, lam = raw.get("k", 1), raw.get("lam")
         if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
             ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, eta=0.0, k=k).coupling_element

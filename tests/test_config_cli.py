@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fockgate.cli import _sweep_point, main
 from fockgate.config import (
     ConfigError,
+    RunConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -97,9 +99,9 @@ def test_target_amplitude_list():
 
 def test_target_support_guard():
     # support may reach cutoff - 2; the guard level itself stays reserved
-    load_config(None, ["task=synthesize", "target.preset=fock", "target.n=10"])
+    load_config(None, ["target.preset=fock", "target.n=10"])
     with pytest.raises(ConfigError, match="target"):
-        load_config(None, ["task=synthesize", "target.preset=fock", "target.n=11"])
+        load_config(None, ["target.preset=fock", "target.n=11"])
 
 
 # ---- CLI ---------------------------------------------------------------------
@@ -161,6 +163,11 @@ def test_gate_command_config_error(capsys):
         (["gate", "--set", "target.amplitudes=[[NaN,0]]"], "target.amplitudes"),
         (["validate", "--set", "target.preset=bogus"], "target.preset"),
         (["sweep", "--set", "target.alpha=[1,2,3]"], "target.alpha"),
+        # a device with no usable coupling: lambda = g*omega_l/delta zero, 1/lambda or g*g/delta not finite
+        (["gate", "--set", "physical.omega_l=0"], "physical: no usable coupling"),
+        (["synthesize", "--set", "physical.g=1e300"], "physical: no usable coupling"),
+        (["validate", "--set", "physical.delta=1e-320"], "physical: no usable coupling"),
+        (["sweep", "--set", "physical.omega_l=1e-320"], "physical: no usable coupling"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):
@@ -194,12 +201,41 @@ def test_sweep_reads_gate_level_and_its_guard(capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k", "physical.theta"]
+    "key", ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k", "physical.theta", "task"]
 )
 def test_removed_fields_are_unknown(key, capsys):
     rc = main(["gate", "--set", f"{key}=1"])
     assert rc == 2
     assert f"{key}: unknown field" in capsys.readouterr().err
+
+
+def test_subcommand_is_the_task(capsys):
+    assert main(["gate", "--set", "task=validate"]) == 2
+    assert "task: unknown field" in capsys.readouterr().err
+
+
+def _leaves(cls, prefix=""):
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _leaves(f.type, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.type
+
+
+TYPED_LEAVES = [(path, kind) for path, kind in _leaves(RunConfig) if kind in (bool, int, float)]
+WRONG_VALUE = {float: '"x"', int: "2.5", bool: "1"}
+
+
+def test_field_types_are_classes_not_strings():
+    # a string annotation (from __future__ import annotations) would leave its field unchecked
+    assert not [path for path, kind in _leaves(RunConfig) if isinstance(kind, str)]
+    assert {kind for _, kind in TYPED_LEAVES} == {bool, int, float}
+
+
+@pytest.mark.parametrize("path, kind", TYPED_LEAVES, ids=[path for path, _ in TYPED_LEAVES])
+def test_every_typed_field_rejects_a_wrong_type(path, kind, capsys):
+    assert main(["gate", "--set", f"{path}={WRONG_VALUE[kind]}"]) == 2
+    assert f"{path}: must be" in capsys.readouterr().err
 
 
 def test_zero_duration_gate(tmp_path):
@@ -263,7 +299,7 @@ def test_sweep_gate_time_scaling(tmp_path):
 @pytest.mark.parametrize("ratio", [0.02, 0.1, 0.5])
 def test_sweep_point_matches_dense_gate_per_sample(model, ratio):
     # reference: the same draws in the same order, one dense pair_gate per sample
-    cfg = load_config(None, ["task=sweep", "gate.m=3", "sweep.samples=5", "seed=7"])
+    cfg = load_config(None, ["gate.m=3", "sweep.samples=5", "seed=7"])
     rng = np.random.default_rng(cfg.seed)
     with pytest.warns(UserWarning) if ratio > 0.2 else contextlib.nullcontext():
         p = to_raman(cfg, omega_l=ratio * cfg.physical.g)

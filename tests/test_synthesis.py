@@ -516,6 +516,36 @@ def test_plan_document_names_missing_step_field(params, field, index):
         plan_from_dict(doc)
 
 
+def _with_step_field(field, value):
+    def edit(doc):
+        doc["steps"][1][field] = value
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc["steps"], "'steps' is a list"),  # a list, not an object
+        (lambda doc: {key: doc[key] for key in doc if key != "steps"}, "'steps' is a list"),
+        (lambda doc: dict(doc, steps={"0": doc["steps"][0]}), "'steps' is a list"),
+        (lambda doc: dict(doc, steps=[doc["steps"][0], 5]), "plan step 1 must be an object"),
+        (_with_step_field("tau", "abc"), "plan step 1 field 'tau' must be a number"),
+        (_with_step_field("phi", None), "plan step 1 field 'phi' must be a number"),
+        (_with_step_field("theta0", True), "plan step 1 field 'theta0' must be a number"),
+        (_with_step_field("phase_correction", "0.1"), "plan step 1 field 'phase_correction' must be a number"),
+        (_with_step_field("lam", "0.005"), "plan step 1 field 'lam' must be a number"),
+    ],
+    ids=["document-list", "no-steps", "steps-object", "step-number", "tau-string", "phi-null",
+         "theta0-bool", "phase_correction-string", "lam-string"],
+)
+def test_plan_document_rejects_wrong_types(params, edit, match):
+    doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
+    with pytest.raises(ValueError, match=match):
+        plan_from_dict(json.loads(json.dumps(edit(doc))))
+
+
 @pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
 def test_plan_document_optional_step_fields(params, field):
     plan = plan_superposition(0.6, 0.8j, 3, params, "effective")
