@@ -14,7 +14,6 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,23 +42,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-@dataclass
-class ResultRecord:
-    task: str
-    model: str
-    fidelity: float
-    leakage: float
-    guard_population: float
-    purity: float
-    duration_s: float
-    config: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
-            raise ArithmeticError(f"fidelity {self.fidelity} outside [0, 1]")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -69,26 +51,19 @@ def _models(cfg: RunConfig) -> list[str]:
 
 
 def _out_dir(cfg: RunConfig) -> Path | None:
-    if cfg.out_dir is None:
-        return None
-    path = Path(cfg.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The ``--out`` directory, which ``main`` has created, or None."""
+    return None if cfg.out_dir is None else Path(cfg.out_dir)
 
 
 def _write_report(cfg: RunConfig, name: str, payload) -> None:
-    """Write ``payload`` as JSON to ``name`` in the ``--out`` directory, if there is one.
-
-    Callers build the payload on every run, so records go in as ``vars(record)``:
-    ``asdict`` deep-copies, about 0.2 ms per gate record.
-    """
+    """Write ``payload`` as JSON to ``name`` in the ``--out`` directory, if there is one."""
     out = _out_dir(cfg)
     if out is not None:
         _write_json(out / name, payload)
         print(f"wrote {out / name}")
 
 
-def _gate_record(cfg: RunConfig, model: str) -> ResultRecord:
+def _gate_record(cfg: RunConfig, model: str, config: dict) -> dict:
     start = time.perf_counter()
     p = to_raman(cfg)
     space = to_space(cfg, model)
@@ -97,28 +72,29 @@ def _gate_record(cfg: RunConfig, model: str) -> ResultRecord:
     amp = 1.0 / np.sqrt(2.0)
     psi, fid = closed_form_check(U, gp, space, amp, amp)
     rho = reduced_oscillator_state(psi, space)
-    return ResultRecord(
-        task="gate",
-        model=model,
-        fidelity=min(1.0, fid),
-        leakage=leakage(psi, gp.m, gp.k, space),
-        guard_population=float(fock_populations(psi, space)[space.guard_level]),
-        purity=purity(rho),
-        duration_s=time.perf_counter() - start,
-        config=config_to_dict(cfg),
-        extra={"m": gp.m, "phi": gp.phi, "theta0": gp.theta0, "tau": gp.tau},
-    )
+    return {
+        "task": "gate",
+        "model": model,
+        "fidelity": min(1.0, fid),
+        "leakage": leakage(psi, gp.m, gp.k, space),
+        "guard_population": float(fock_populations(psi, space)[space.guard_level]),
+        "purity": purity(rho),
+        "duration_s": time.perf_counter() - start,
+        "config": config,
+        "extra": {"m": gp.m, "phi": gp.phi, "theta0": gp.theta0, "tau": gp.tau},
+    }
 
 
 def cmd_gate(cfg: RunConfig) -> int:
-    records = [_gate_record(cfg, model) for model in _models(cfg)]
-    for rec in records:
+    config = config_to_dict(cfg)
+    rows = [_gate_record(cfg, model, config) for model in _models(cfg)]
+    for row in rows:
         print(
-            f"gate m={rec.extra['m']} model={rec.model}: "
-            f"closed-form fidelity={rec.fidelity:.12f} leakage={rec.leakage:.3e} "
-            f"purity={rec.purity:.12f} guard={rec.guard_population:.3e}"
+            f"gate m={row['extra']['m']} model={row['model']}: "
+            f"closed-form fidelity={row['fidelity']:.12f} leakage={row['leakage']:.3e} "
+            f"purity={row['purity']:.12f} guard={row['guard_population']:.3e}"
         )
-    _write_report(cfg, "gate_report.json", [vars(r) for r in records])
+    _write_report(cfg, "gate_report.json", rows)
     return EXIT_OK
 
 
@@ -183,7 +159,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_synthesize(cfg: RunConfig) -> int:
     target = target_state(cfg)
-    reports = {}
+    config = config_to_dict(cfg)
+    rows = {}
     out = _out_dir(cfg)
     for model in _models(cfg):
         start = time.perf_counter()
@@ -191,30 +168,25 @@ def cmd_synthesize(cfg: RunConfig) -> int:
         p = to_raman(cfg)
         plan = plan_general_state(target, p, phase_model=phase_model)
         _, report = execute_plan(plan, np.array([1.0]), model, p, to_space(cfg, model))
-        record = ResultRecord(
-            task="synthesize",
-            model=model,
-            fidelity=min(1.0, report.fidelity),
-            leakage=report.leakage,
-            guard_population=report.guard_population,
-            purity=min(report.step_purities, default=1.0),
-            duration_s=time.perf_counter() - start,
-            config=config_to_dict(cfg),
-            extra={
-                "steps": len(plan),
-                "phase_model": phase_model,
-                "step_purities": report.step_purities,
-            },
-        )
-        reports[model] = record
+        row = rows[model] = {
+            "task": "synthesize",
+            "model": model,
+            "fidelity": min(1.0, report.fidelity),
+            "leakage": report.leakage,
+            "guard_population": report.guard_population,
+            "purity": min(report.step_purities, default=1.0),
+            "duration_s": time.perf_counter() - start,
+            "config": config,
+            "extra": {"steps": len(plan), "phase_model": phase_model, "step_purities": report.step_purities},
+        }
         print(
             f"synthesize model={model}: steps={len(plan)} "
-            f"fidelity={record.fidelity:.12f} leakage={record.leakage:.3e} "
-            f"guard={record.guard_population:.3e}"
+            f"fidelity={row['fidelity']:.12f} leakage={row['leakage']:.3e} "
+            f"guard={row['guard_population']:.3e}"
         )
         if out is not None:
             save_plan(plan, out / f"plan_{model}.json")
-    _write_report(cfg, "synth_report.json", {k: vars(v) for k, v in reports.items()})
+    _write_report(cfg, "synth_report.json", rows)
     return EXIT_OK
 
 
@@ -282,7 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     flags = {"model": args.model, "seed": args.seed, "out_dir": args.out}
     overrides = args.overrides + [f"{key}={json.dumps(value)}" for key, value in flags.items() if value is not None]
     try:
-        return args.handler(load_config(args.config, overrides))
+        cfg = load_config(args.config, overrides)
+        if cfg.out_dir is not None:
+            try:
+                Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"out_dir: {exc}") from exc
+        return args.handler(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .gates import MODELS, model_space
-from .hamiltonians import RamanParams
+from .hamiltonians import RamanParams, _require_cutoff
 from .spaces import HilbertSpace
 from .validation import check_tolerances
 
@@ -124,9 +124,9 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"config file {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError before it
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     for item in overrides or []:
         data = apply_override(data, item)
@@ -147,9 +147,9 @@ def apply_override(data: dict, item: str) -> dict:
     node = data
     parts = key.split(".")
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"override path {key!r} crosses a non-object field")
+        node = node.setdefault(part, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):  # the document itself may be a list from --config
+        raise ConfigError(f"override path {key!r} crosses a non-object field")
     node[parts[-1]] = value
     return data
 
@@ -187,11 +187,10 @@ def validate_config(cfg: RunConfig) -> None:
     ):
         if value < minimum:
             raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
-    if cfg.gate.m + 2 > cfg.space.fock_cutoff:
-        raise ConfigError(
-            f"gate.m: level {cfg.gate.m} needs fock_cutoff >= {cfg.gate.m + 2} "
-            f"(guard level), got {cfg.space.fock_cutoff}"
-        )
+    try:  # the guard rule (fock_cutoff >= level + 2) is hamiltonians'
+        _require_cutoff(HilbertSpace(2, cfg.space.fock_cutoff), cfg.gate.m)
+    except ValueError as exc:
+        raise ConfigError(f"gate.m: {exc}") from exc
     if not isinstance(cfg.sweep.ratios, list) or not cfg.sweep.ratios:
         raise ConfigError("sweep.ratios: grid must be a non-empty list")
     for r in cfg.sweep.ratios:
@@ -201,12 +200,10 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])
-    if top + 2 > cfg.space.fock_cutoff:
-        raise ConfigError(
-            f"target: support reaches level {top} but fock_cutoff "
-            f"{cfg.space.fock_cutoff} requires support <= {cfg.space.fock_cutoff - 3} "
-            "(guard level)"
-        )
+    try:
+        _require_cutoff(HilbertSpace(2, cfg.space.fock_cutoff), top)
+    except ValueError as exc:
+        raise ConfigError(f"target: support reaches level {top}; {exc}") from exc
 
 
 def _parse_amplitude(value: Any, where: str) -> complex:

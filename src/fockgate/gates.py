@@ -54,6 +54,7 @@ import numpy as np
 from .hamiltonians import (
     PulseBlocks,
     RamanParams,
+    _require_cutoff,
     decompose_effective,
     effective_blocks,
     full_blocks,
@@ -185,8 +186,7 @@ def pulse_generator(gp: GateParams, p: RamanParams, space: HilbertSpace, model: 
     """H0, the block generator of the pulses of ``gp`` at drive phase 0 (real for every model)."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if space.fock_cutoff < gp.m + 2:
-        raise ValueError(f"fock_cutoff {space.fock_cutoff} too small for m={gp.m}; need >= m + 2")
+    _require_cutoff(space, gp.m)
     if model == "ideal":
         if gp.k == 1:
             return ideal_blocks(p, space, gp.m)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fockgate import cli
 from fockgate.cli import _sweep_point, main
 from fockgate.config import (
     ConfigError,
@@ -97,11 +98,14 @@ def test_target_amplitude_list():
     assert amps[2] == pytest.approx(0.8j)
 
 
-def test_target_support_guard():
+def test_target_support_guard(capsys):
     # support may reach cutoff - 2; the guard level itself stays reserved
     load_config(None, ["target.preset=fock", "target.n=10"])
-    with pytest.raises(ConfigError, match="target"):
+    with pytest.raises(ConfigError, match=r"^target: .*fock_cutoff 12 .*m \+ 2 = 13 \(guard level\)"):
         load_config(None, ["target.preset=fock", "target.n=11"])
+    assert main(["synthesize", "--set", "target.preset=fock", "--set", "target.n=10"]) == 0
+    assert main(["synthesize", "--set", "target.preset=fock", "--set", "target.n=11"]) == 2
+    assert "= 13 (guard level)" in capsys.readouterr().err
 
 
 # ---- CLI ---------------------------------------------------------------------
@@ -115,6 +119,41 @@ def test_gate_command_writes_report(tmp_path, capsys):
     assert report[0]["fidelity"] > 1 - 1e-9
     assert report[0]["leakage"] < 1e-20
     assert "closed-form fidelity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["gate", "sweep", "synthesize", "validate"])
+@pytest.mark.parametrize("flag", ["--out", "--set out_dir="])
+def test_out_naming_a_file_is_config_error(command, flag, tmp_path, capsys):
+    taken = tmp_path / "report"
+    taken.write_text("not a directory")
+    for path in (taken, taken / "sub"):
+        out = ["--out", str(path)] if flag == "--out" else ["--set", f"out_dir={path}"]
+        assert main([command, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: out_dir: ")
+        assert captured.out == ""  # the handler never ran
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command, report", [("gate", "gate_report.json"), ("synthesize", "synth_report.json")])
+def test_report_rows_share_one_config_copy(command, report, tmp_path, monkeypatch):
+    copies = []
+
+    def counted_copy(cfg):
+        copies.append(config_to_dict(cfg))
+        return copies[-1]
+
+    monkeypatch.setattr(cli, "config_to_dict", counted_copy)
+    assert main([command, "--model", "all", "--out", str(tmp_path)]) == 0
+    assert len(copies) == 1
+    rows = json.loads((tmp_path / report).read_text())
+    rows = rows if command == "gate" else list(rows.values())
+    assert [row["model"] for row in rows] == ["ideal", "effective", "full"]
+    for row in rows:
+        assert list(row) == [
+            "task", "model", "fidelity", "leakage", "guard_population", "purity", "duration_s", "config", "extra"
+        ]
+        assert (row["task"], row["config"]) == (command, copies[0])
 
 
 def test_out_flag_is_a_directory_name(tmp_path, monkeypatch):
@@ -168,9 +207,28 @@ def test_gate_command_config_error(capsys):
         (["synthesize", "--set", "physical.g=1e300"], "physical: no usable coupling"),
         (["validate", "--set", "physical.delta=1e-320"], "physical: no usable coupling"),
         (["sweep", "--set", "physical.omega_l=1e-320"], "physical: no usable coupling"),
+        # --config: missing, a directory, not JSON, not UTF-8, not an object (with and without overrides)
+        (["gate", "--config", "missing.json"], "config file missing.json: No such file"),
+        (["gate", "--config", "."], "config file .: "),
+        (["sweep", "--config", "broken.json"], "config file is not valid JSON"),
+        (["validate", "--config", "binary.json"], "config file is not valid JSON"),
+        (["gate", "--config", "array.json"], "config: expected an object, got list"),
+        (["gate", "--config", "array.json", "--model", "full"], "override path 'model' crosses a non-object"),
+        (["gate", "--set", "physical=3", "--set", "physical.g=2"], "override path 'physical.g' crosses"),
+        (["gate", "--set", "=3"], "empty key path"),
+        (["gate", "--set", "model=bogus"], "model: 'bogus' is not one of"),
+        (["gate", "--set", "physical.g=-1"], "physical.g: must be > 0"),
+        (["sweep", "--set", "physical.omega_l=-0.1"], "physical.omega_l: must be >= 0"),
+        (["sweep", "--set", "sweep.ratios=[0.1,-1]"], "sweep.ratios: all ratios must be > 0"),
+        (["synthesize", "--set", "target.amplitudes=[0,0]"], "target: amplitudes are all zero"),
+        (["synthesize", "--set", "target.amplitudes=[]"], "target: amplitudes are all zero"),
     ],
 )
-def test_non_finite_or_non_integer_input_is_config_error(argv, field, capsys):
+def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "array.json").write_text("[1, 2]")
     rc = main(argv)
     assert rc == 2
     assert field in capsys.readouterr().err

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -273,8 +273,13 @@ def test_ledger_replay_reaches_target(seed, top, phase_model, ratio):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from(LEDGER_MODELS))
+@example(seed=30118, top=52, phase_model="ideal")  # phi ~ 0.016: arccos would amplify rounding ~61x
 def test_angles_are_suffix_norm_ratios(seed, top, phase_model):
-    """Step j keeps arccos(|t[j-1]| / ||t[j-1:]||) of the remaining weight; no zero angle is kept."""
+    """Step j keeps cos(phi) = |t[j-1]| / ||t[j-1:]|| of the remaining weight; no zero angle is kept.
+
+    The cosine is compared, not the angle: that ratio is what the compiler computes, and
+    near phi = 0 the slope 1/sin(phi) of arccos magnifies its last-digit rounding.
+    """
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     rng = np.random.default_rng(seed)
     target = random_target(rng, top)
@@ -284,8 +289,8 @@ def test_angles_are_suffix_norm_ratios(seed, top, phase_model):
     kept = {s.gate.m: s.gate.phi for s in plan.steps}
     assert all(phi > 1e-15 for phi in kept.values())
     for j in range(1, top + 1):
-        expected = np.arccos(min(1.0, abs(target[j - 1]) / np.linalg.norm(target[j - 1 :])))
-        assert abs(kept.get(j, 0.0) - expected) <= 1e-14, (j, kept.get(j), expected)
+        ratio = min(1.0, abs(target[j - 1]) / np.linalg.norm(target[j - 1 :]))
+        assert abs(np.cos(kept.get(j, 0.0)) - ratio) <= 1e-14, (j, kept.get(j), ratio)
 
 
 def test_zero_angle_gate_is_dropped(params):
