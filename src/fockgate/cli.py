@@ -26,10 +26,9 @@ from .config import (
     load_config,
     target_state,
     to_raman,
-    to_space,
 )
 from .gates import MODELS, GateParams, apply_echo, closed_form_check, closed_form_states, leakage, pair_gate
-from .gates import pulse_generator
+from .gates import model_space, pulse_generator
 from .propagator import block_unitaries
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
 from .spaces import fidelity, fock_populations, purity, reduced_oscillator_state
@@ -66,7 +65,7 @@ def _write_report(cfg: RunConfig, name: str, payload) -> None:
 def _gate_record(cfg: RunConfig, model: str, config: dict) -> dict:
     start = time.perf_counter()
     p = to_raman(cfg)
-    space = to_space(cfg, model)
+    space = model_space(model, cfg.space.fock_cutoff)
     gp = GateParams.from_raman(p, m=cfg.gate.m, phi=cfg.gate.phi)
     U = pair_gate(gp, p, space, model=model)
     amp = 1.0 / np.sqrt(2.0)
@@ -104,7 +103,7 @@ def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
     # sampled angles and pair amplitudes, so trends are paired comparisons
     rng = np.random.default_rng(cfg.seed)
     p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
-    space = to_space(cfg, model)
+    space = model_space(model, cfg.space.fock_cutoff)
     gates, states = [], []
     for _ in range(cfg.sweep.samples):
         phi = float(rng.uniform(0.15, 0.5 * np.pi))
@@ -167,7 +166,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
         phase_model = "effective" if model in ("effective", "full") else "ideal"
         p = to_raman(cfg)
         plan = plan_general_state(target, p, phase_model=phase_model)
-        _, report = execute_plan(plan, np.array([1.0]), model, p, to_space(cfg, model))
+        _, report = execute_plan(plan, np.array([1.0]), model, p, model_space(model, cfg.space.fock_cutoff))
         row = rows[model] = {
             "task": "synthesize",
             "model": model,
@@ -192,7 +191,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = to_raman(cfg)
-    space = to_space(cfg, "ideal")
+    space = model_space("ideal", cfg.space.fock_cutoff)
     self_test = cfg.validate.self_test
     results = run_validation(
         p, space, cfg.gate.m, tolerances=cfg.tolerances, corrupt_theta0=self_test, seed=cfg.seed

@@ -5,9 +5,10 @@ Override syntax is a dotted path, e.g. ``--set physical.delta=10`` or
 fallback.  Every field's type is checked from its declaration.  The subcommand
 is the task, so ``task`` is an unknown field.  A device with no usable coupling
 (lambda = g*|Omega_L|/delta zero or not finite, 1/lambda or g^2/delta not
-finite) is a configuration error.  Defaults put the model in both the adiabatic
-(g/delta = 0.05) and selective (|Omega_L|/g = 0.1) regimes; they are
-conventions of this package.
+finite), at the configured drive or at a sweep drive r*g, is a configuration
+error, and so is a ``gate.phi`` with a non-finite tau, theta0 or eta.  Defaults
+put the model in both the adiabatic (g/delta = 0.05) and selective
+(|Omega_L|/g = 0.1) regimes; they are conventions of this package.
 """
 
 # no `from __future__ import annotations`: _build needs each field's type as a class, not a string
@@ -19,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .gates import MODELS, model_space
+from .gates import MODELS
 from .hamiltonians import RamanParams, _require_cutoff
 from .spaces import HilbertSpace
 from .validation import check_tolerances
@@ -36,7 +37,6 @@ class PhysicalConfig:
     g: float = 1.0
     omega_l: float = 0.1
     delta: float = 20.0
-    include_shift: bool = True
 
 
 @dataclass
@@ -154,6 +154,12 @@ def apply_override(data: dict, item: str) -> dict:
     return data
 
 
+def _require_coupling(name: str, lam: float, shift: float) -> None:
+    """The device rule: lambda = g*omega_l/delta nonzero, lambda, 1/lambda and g*g/delta finite."""
+    if lam == 0 or not all(map(math.isfinite, (lam, 1 / lam, shift))):
+        raise ConfigError(f"{name}: no usable coupling, g*omega_l/delta = {lam!r} and g*g/delta = {shift!r}")
+
+
 def _check_number(name: str, value: Any) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
@@ -172,8 +178,7 @@ def validate_config(cfg: RunConfig) -> None:
     if ph.delta == 0:
         raise ConfigError("physical.delta: must be nonzero")
     lam, shift = ph.g * ph.omega_l / ph.delta, ph.g * ph.g / ph.delta  # products overflow to inf; g**2 raises
-    if lam == 0 or not all(map(math.isfinite, (lam, 1 / lam, shift))):
-        raise ConfigError(f"physical: no usable coupling, g*omega_l/delta = {lam!r} and g*g/delta = {shift!r}")
+    _require_coupling("physical", lam, shift)
     try:
         check_tolerances(cfg.tolerances)
     except ValueError as exc:
@@ -197,6 +202,11 @@ def validate_config(cfg: RunConfig) -> None:
         _check_number("sweep.ratios", r)
         if r <= 0:
             raise ConfigError("sweep.ratios: all ratios must be > 0")
+        _require_coupling(f"sweep.ratios (r = {r!r})", ph.g * (r * ph.g) / ph.delta, shift)  # omega_l = r*g
+    # GateParams.from_raman's arithmetic: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, eta = m*theta0
+    tau = cfg.gate.phi / (lam * math.sqrt(cfg.gate.m))
+    if not all(map(math.isfinite, (tau, shift * tau, cfg.gate.m * (shift * tau)))):
+        raise ConfigError(f"gate.phi: {cfg.gate.phi!r} gives a gate with non-finite tau, theta0 or eta")
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])
@@ -248,8 +258,3 @@ def to_raman(cfg: RunConfig, omega_l: float | None = None) -> RamanParams:
     """The configured device (``PhysicalConfig`` has ``RamanParams``' fields); ``omega_l`` overrides the drive."""
     device = vars(cfg.physical)
     return RamanParams(**(device if omega_l is None else dict(device, omega_l=omega_l)))
-
-
-def to_space(cfg: RunConfig, model: str) -> HilbertSpace:
-    """Working space of one model (``gates.model_space``) at the configured cutoff."""
-    return model_space(model, cfg.space.fock_cutoff)

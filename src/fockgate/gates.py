@@ -82,9 +82,9 @@ class GateParams:
     """Derived quantities of one three-step gate on the pair {m-k, m}.
 
     phi is the rotation half-angle, equal to the doublet coupling element
-    times tau; theta0 and eta are the dispersive phases (g^2/delta)*tau and
-    (g^2 m/delta)*tau accumulated per pulse.  k = 1 is the cavity case; for
-    k > 1 the dispersive structure is not modeled and theta0 = eta = 0.
+    times tau; theta0 = (g^2/delta)*tau is the dispersive phase per pulse and
+    eta = m*theta0 its echo on level m.  k = 1 is the cavity case; for k > 1
+    the dispersive structure is not modeled and theta0 = eta = 0.
     """
 
     m: int
@@ -92,7 +92,6 @@ class GateParams:
     lam: float
     theta0: float
     phi: float
-    eta: float
     k: int = 1
 
     def __post_init__(self):
@@ -116,6 +115,11 @@ class GateParams:
             )
 
     @property
+    def eta(self) -> float:
+        """Echoed dispersive phase m*theta0 = (g^2 m/delta)*tau."""
+        return self.m * self.theta0
+
+    @property
     def coupling_element(self) -> float:
         """Exchange matrix element of the selected doublet."""
         return multiquantum_coupling_element(self.lam, self.m, self.k)
@@ -125,40 +129,26 @@ class GateParams:
         return (self.m - self.k, self.m)
 
     @classmethod
-    def from_raman(
-        cls,
-        p: RamanParams,
-        m: int,
-        phi: float | None = None,
-        tau: float | None = None,
-    ) -> "GateParams":
-        """Single-quantum gate parameters; give exactly one of phi or tau."""
+    def from_raman(cls, p: RamanParams, m: int, phi: float) -> "GateParams":
+        """Single-quantum gate at angle phi: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau."""
         lam = p.coupling
-        phi, tau = _phi_and_tau(lam * math.sqrt(m), phi, tau)
-        theta0 = p.dispersive_rate * tau
-        return cls(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, eta=m * theta0, k=1)
+        tau = _duration(phi, lam * math.sqrt(m))
+        return cls(m=m, tau=tau, lam=lam, theta0=p.dispersive_rate * tau, phi=phi, k=1)
 
     @classmethod
-    def from_multiquantum(
-        cls, lam_k: float, m: int, k: int, phi: float | None = None, tau: float | None = None
-    ) -> "GateParams":
-        """k-quantum gate on {m-k, m}; pure exchange, no dispersive phases."""
-        phi, tau = _phi_and_tau(multiquantum_coupling_element(lam_k, m, k), phi, tau)
-        return cls(m=m, tau=tau, lam=lam_k, theta0=0.0, phi=phi, eta=0.0, k=k)
+    def from_multiquantum(cls, lam_k: float, m: int, k: int, phi: float) -> "GateParams":
+        """k-quantum gate on {m-k, m} at angle phi; pure exchange, no dispersive phases."""
+        tau = _duration(phi, multiquantum_coupling_element(lam_k, m, k))
+        return cls(m=m, tau=tau, lam=lam_k, theta0=0.0, phi=phi, k=k)
 
 
-def _phi_and_tau(element: float, phi: float | None, tau: float | None) -> tuple[float, float]:
-    """(phi, tau) from exactly one of them, with phi = element * tau."""
-    if (phi is None) == (tau is None):
-        raise ValueError("give exactly one of phi or tau")
-    name, value = ("phi", phi) if tau is None else ("tau", tau)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if tau is None:
-        if element == 0.0:
-            raise ValueError("cannot derive tau from phi with zero coupling")
-        return phi, phi / element
-    return element * tau, tau
+def _duration(phi: float, element: float) -> float:
+    """Pulse duration tau = phi / element of a gate at angle phi on a doublet with coupling ``element``."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    if element == 0.0:
+        raise ValueError("cannot derive tau from phi with zero coupling")
+    return phi / element
 
 
 def spin_flip(atom_dim: int) -> np.ndarray:

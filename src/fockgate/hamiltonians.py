@@ -6,9 +6,9 @@ an intermediate level |e> couples to |h> through a classical drive (strength
 |Omega_L|, phase theta), both detuned by delta.  Adiabatic elimination of |h>
 leaves a two-level atom exchanging quanta with the oscillator at the reduced
 rate lambda = g*|Omega_L|/delta, on top of photon-number-dependent dispersive
-shifts g^2*n/delta.  An engineered Stark shift on |e> puts exactly one doublet
-{|g,m>, |e,m-1>} on resonance; all other doublets are detuned by
-g^2*(n-m)/delta, which dominates lambda when g >> |Omega_L|.
+shifts g^2*n/delta.  An engineered Stark shift on |e>, in every model, puts
+exactly one doublet {|g,m>, |e,m-1>} on resonance; all other doublets are
+detuned by g^2*(n-m)/delta, which dominates lambda when g >> |Omega_L|.
 
 ``RamanParams`` holds the device; the selected level m and the drive phase
 theta are pulse arguments.  The dense ``*_hamiltonian`` builders take both,
@@ -54,15 +54,11 @@ class RamanParams:
     g: atom-mode coupling (taken real).
     omega_l: magnitude of the classical drive |Omega_L|.
     delta: common detuning of both transitions from |h>; must be nonzero.
-    include_shift: whether the three-level builder applies the engineered
-        Stark shift (g^2*m - |Omega_L|^2)/delta to |e>.  The two-level
-        effective builder always assumes it.
     """
 
     g: float
     omega_l: float
     delta: float = 20.0
-    include_shift: bool = True
 
     def __post_init__(self):
         for name in ("g", "omega_l", "delta"):
@@ -115,8 +111,8 @@ def full_hamiltonian(p: RamanParams, space: HilbertSpace, m: int, theta: float =
     Static frame chosen so that the couplings are time independent: |h> sits
     at -delta, which reproduces the +g^2*n/delta dispersive shifts of the
     eliminated model for delta > 0.  Couplings: g*(|h><g| a + h.c.) and
-    |Omega_L|*(e^{i theta}|h><e| + h.c.); the engineered shift acts on |e>
-    when include_shift is set.
+    |Omega_L|*(e^{i theta}|h><e| + h.c.); the engineered shift
+    (g^2*m - |Omega_L|^2)/delta acts on |e>.
     """
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
@@ -129,8 +125,7 @@ def full_hamiltonian(p: RamanParams, space: HilbertSpace, m: int, theta: float =
     drive = p.omega_l * np.exp(1j * theta)
     H += drive * tensor(atomic_sigma("h", "e", 3), ident)
     H += np.conj(drive) * tensor(atomic_sigma("e", "h", 3), ident)
-    if p.include_shift:
-        H += p.engineered_shift(m) * tensor(atomic_sigma("e", "e", 3), ident)
+    H += p.engineered_shift(m) * tensor(atomic_sigma("e", "e", 3), ident)
     return H
 
 
@@ -320,8 +315,7 @@ def full_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
     H[:, 1, 1] = -p.delta
     H[:, 0, 1] = H[:, 1, 0] = p.g * np.sqrt(n) * (n < space.fock_cutoff)
     H[:, 1, 2] = H[:, 2, 1] = p.omega_l
-    if p.include_shift:
-        H[:, 2, 2] = p.engineered_shift(m)
+    H[:, 2, 2] = p.engineered_shift(m)
     return PulseBlocks(index, H)
 
 

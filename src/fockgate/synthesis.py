@@ -47,7 +47,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, apply_echo, atom_plus, induced_oscillator_unitary, model_space, pair_gate
+from .gates import GateParams, apply_echo, atom_plus, induced_oscillator_unitary, pair_gate
 from .gates import pulse_generator
 from .hamiltonians import RamanParams
 from .propagator import block_eigensystem, block_unitaries, eigen_unitaries
@@ -229,30 +229,22 @@ def execute_plan(
     initial: np.ndarray,
     model: str,
     p: RamanParams,
-    space: HilbertSpace | None = None,
+    space: HilbertSpace,
 ) -> tuple[np.ndarray, ExecutionReport]:
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
-    Each gate acts on |+> ⊗ osc block by block (``_apply_step``), from
-    one batched eigendecomposition for all steps, so applying a gate costs
-    O(fock_cutoff) and no joint-space matrix is formed.  Returns the final
-    oscillator state and a report; fidelity is measured against the plan
-    target (padded to the working cutoff, a zero tail beyond it dropped)
-    when one is set, otherwise against the initial state; target support
-    beyond the cutoff is an error.  Without a ``space`` the cutoff is
-    max_m + 2 (and at least len(initial)); under "effective" and "full" it is
-    at least len(initial) + 2 * len(plan), the reach of the detuned doublets.
+    The gates run in ``space``, the working space of ``model``
+    (``gates.model_space``).  Each gate acts on |+> ⊗ osc block by block
+    (``_apply_step``), from one batched eigendecomposition for all steps, so
+    applying a gate costs O(fock_cutoff) and no joint-space matrix is formed.
+    Returns the final oscillator state and a report; fidelity is measured
+    against the plan target (padded to the working cutoff, a zero tail beyond
+    it dropped) when one is set, otherwise against the initial state; target
+    support beyond the cutoff is an error.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim != 1 or not np.isfinite(initial).all() or not initial.any():
         raise ValueError(f"initial must be a finite 1-d state of nonzero norm, shape {initial.shape}")
-    if space is None:
-        max_m = max((s.gate.m for s in plan.steps), default=0)
-        cutoff = max(len(initial), max_m + 2)
-        if model != "ideal":
-            # the detuned doublets carry amplitude two levels up per gate
-            cutoff = max(cutoff, len(initial) + 2 * len(plan))
-        space = model_space(model, cutoff)
     if len(initial) > space.fock_cutoff:
         raise ValueError("initial state longer than the Fock cutoff")
     source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
@@ -439,9 +431,9 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
                 raise ValueError(f"plan step {i} field {name!r} must be a number, got {value!r}")
         k, lam = raw.get("k", 1), raw.get("lam")
         if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
-            ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, eta=0.0, k=k).coupling_element
+            ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
             lam = phi / tau / ratio if tau != 0.0 else 0.0
-        gate = GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, eta=m * theta0, k=k)
+        gate = GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k)
         steps.append(PlanStep(gate=gate, phase_correction=raw.get("phase_correction", 0.0)))
     target = None
     if "target" in doc:

@@ -190,17 +190,16 @@ def run_validation(
         CheckResult("closed-form rotation infidelity", worst, tol["closed_form_infidelity"])
     )
 
-    worst_unit = 0.0
-    for model, sp in (("ideal", space), ("effective", space), ("full", space3)):
-        U = pair_gate(gp, p, sp, model=model)
-        worst_unit = max(worst_unit, max_abs(U.conj().T @ U - np.eye(sp.dim)))
+    gates = {model: pair_gate(gp, p, sp, model=model)
+             for model, sp in (("ideal", space), ("effective", space), ("full", space3))}
+    worst_unit = max(max_abs(U.conj().T @ U - np.eye(len(U))) for U in gates.values())
     results.append(CheckResult("gate unitarity across models", worst_unit, propagation))
 
     worst_purity = 0.0
     for atom in (atom_plus(2), atom_minus(2)):
         osc = np.zeros(nf, dtype=complex)
         osc[gp.m - 1], osc[gp.m] = 0.6, 0.8
-        out = pair_gate(gp, p, space, "ideal") @ product_state(space, atom, osc)
+        out = gates["ideal"] @ product_state(space, atom, osc)
         worst_purity = max(worst_purity, 1.0 - purity(reduced_oscillator_state(out, space)))
     results.append(
         CheckResult("disentanglement purity deficit", worst_purity, tol["purity_deficit"])

@@ -16,9 +16,9 @@ from fockgate.config import (
     load_config,
     target_state,
 )
-from fockgate.gates import GateParams, closed_form_check, leakage, pair_gate
+from fockgate.gates import GateParams, closed_form_check, leakage, model_space, pair_gate
 from fockgate.hamiltonians import RamanParams
-from fockgate.config import to_raman, to_space
+from fockgate.config import to_raman
 from fockgate.spaces import HilbertSpace
 from fockgate.validation import run_validation
 
@@ -50,13 +50,13 @@ def test_override_paths_and_json_values():
         [
             "physical.omega_l=0.05",
             "sweep.ratios=[0.1, 0.2]",
-            "physical.include_shift=false",
+            "validate.self_test=true",
             "target.preset=fock",
         ],
     )
     assert cfg.physical.omega_l == 0.05
     assert cfg.sweep.ratios == [0.1, 0.2]
-    assert cfg.physical.include_shift is False
+    assert cfg.validate.self_test is True
     assert cfg.target.preset == "fock"
 
 
@@ -222,6 +222,10 @@ def test_gate_command_config_error(capsys):
         (["sweep", "--set", "sweep.ratios=[0.1,-1]"], "sweep.ratios: all ratios must be > 0"),
         (["synthesize", "--set", "target.amplitudes=[0,0]"], "target: amplitudes are all zero"),
         (["synthesize", "--set", "target.amplitudes=[]"], "target: amplitudes are all zero"),
+        # every sweep drive omega_l = r*g needs a usable coupling, and the configured gate a finite duration
+        (["sweep", "--set", "sweep.ratios=[1e-320]"], "sweep.ratios (r = 1e-320): no usable coupling"),
+        (["sweep", "--set", "physical.g=1e-200"], "sweep.ratios (r = 0.02): no usable coupling"),
+        (["gate", "--set", "gate.phi=1e307"], "gate.phi: 1e+307 gives a gate with non-finite tau"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):
@@ -259,7 +263,8 @@ def test_sweep_reads_gate_level_and_its_guard(capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k", "physical.theta", "task"]
+    "key",
+    ["sweep.workers", "sweep.m", "space.atom_dim", "gate.k", "physical.theta", "physical.include_shift", "task"],
 )
 def test_removed_fields_are_unknown(key, capsys):
     rc = main(["gate", "--set", f"{key}=1"])
@@ -362,7 +367,7 @@ def test_sweep_point_matches_dense_gate_per_sample(model, ratio):
     with pytest.warns(UserWarning) if ratio > 0.2 else contextlib.nullcontext():
         p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
         row = _sweep_point(cfg, ratio, model)
-    space = to_space(cfg, model)
+    space = model_space(model, cfg.space.fock_cutoff)
     fids, leaks, times = [], [], []
     for _ in range(cfg.sweep.samples):
         phi = float(rng.uniform(0.15, 0.5 * np.pi))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -75,11 +75,19 @@ def test_from_raman_invariants(m, phi):
     assert gp.eta == pytest.approx(m * gp.theta0, rel=1e-12)
 
 
+def test_eta_is_derived_from_theta0(params):
+    # eta is no field of its own: a replaced theta0 carries it along
+    assert [f.name for f in fields(GateParams)] == ["m", "tau", "lam", "theta0", "phi", "k"]
+    gp = GateParams.from_raman(params, m=3, phi=0.7)
+    corrupt = replace(gp, theta0=-gp.theta0)
+    assert (gp.eta, corrupt.eta) == (3 * gp.theta0, -3 * gp.theta0)
+
+
 def test_gate_params_consistency_enforced():
     with pytest.raises(ValueError, match="phi"):
-        GateParams(m=1, tau=1.0, lam=0.01, theta0=0.05, phi=0.5, eta=0.05)
+        GateParams(m=1, tau=1.0, lam=0.01, theta0=0.05, phi=0.5)
     with pytest.raises(ValueError, match="infeasible"):
-        GateParams(m=1, tau=0.0, lam=0.01, theta0=0.0, phi=0.0, eta=0.0, k=2)
+        GateParams(m=1, tau=0.0, lam=0.01, theta0=0.0, phi=0.0, k=2)
 
 
 def test_gate_rejects_small_cutoff(params):
@@ -92,7 +100,8 @@ def test_gate_rejects_small_cutoff(params):
 
 
 def test_zero_duration_is_pure_spin_flip(params, space):
-    gp = GateParams.from_raman(params, m=1, tau=0.0)
+    gp = GateParams.from_raman(params, m=1, phi=0.0)
+    assert gp.tau == 0.0
     U = pair_gate(gp, params, space, "ideal")
     assert_allclose(U, tensor(spin_flip(2), np.eye(space.fock_cutoff)), atol=1e-14)
 
@@ -150,16 +159,14 @@ def test_phase_only_gate_at_zero_angle(params, space):
     gp = GateParams.from_raman(params, m=2, phi=0.0)
     pair = closed_form_rotation(0.8, 0.6, gp)
     assert_allclose(pair, [0.8, 0.6], atol=1e-12)
-    gp_t = GateParams.from_raman(params, m=2, tau=50.0)
+    gp_t = GateParams.from_raman(params, m=2, phi=params.coupling * np.sqrt(2) * 50.0)  # tau = 50
     pair_t = closed_form_rotation(1.0, 0.0, replace(gp_t, phi=0.0, lam=0.0))
     assert pair_t[0] == pytest.approx(np.exp(-2j * gp_t.eta) * np.exp(1j * gp_t.theta0))
     assert pair_t[1] == pytest.approx(0.0)
 
 
 def test_quarter_rotation_swaps_with_i(params):
-    gp = replace(
-        GateParams.from_raman(params, m=2, phi=0.5 * np.pi), theta0=0.0, eta=0.0
-    )
+    gp = replace(GateParams.from_raman(params, m=2, phi=0.5 * np.pi), theta0=0.0)
     pair = closed_form_rotation(0.6, 0.8, gp)
     assert_allclose(pair, [-1j * 0.8, -1j * 0.6], atol=1e-12)
 
@@ -379,23 +386,39 @@ def test_multiquantum_gate_rejects_other_models(params, space):
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("name", ["tau", "phi", "lam", "theta0", "eta"])
+@pytest.mark.parametrize("name", ["tau", "phi", "lam", "theta0"])
 def test_gate_params_reject_non_finite(name, value):
-    fields = dict(m=1, tau=1.0, lam=0.01, theta0=0.05, phi=0.01, eta=0.05)
-    fields[name] = value
+    kwargs = dict(m=1, tau=1.0, lam=0.01, theta0=0.05, phi=0.01)
+    kwargs[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        GateParams(**fields)
+        GateParams(**kwargs)
+
+
+@pytest.mark.parametrize("theta0", [1e308, -1e308])
+def test_gate_params_reject_overflowing_eta(theta0):
+    # eta = m*theta0 is derived, and checked like the stored phases
+    with pytest.raises(ValueError, match="eta must be finite"):
+        GateParams(m=2, tau=1.0, lam=0.01, theta0=theta0, phi=0.01 * np.sqrt(2))
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-@pytest.mark.parametrize("name", ["tau", "phi"])
+@pytest.mark.parametrize("name", ["phi", "lam"])
 def test_gate_factories_reject_non_finite(params, name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        GateParams.from_raman(params, m=2, **{name: value})
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        GateParams.from_multiquantum(0.004, m=2, k=2, **{name: value})
-    with pytest.raises(ValueError, match="lam must be finite"):
-        GateParams.from_multiquantum(value, m=2, k=2, tau=1.0)
+    if name == "phi":
+        with pytest.raises(ValueError, match="phi must be finite"):
+            GateParams.from_raman(params, m=2, phi=value)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            GateParams.from_multiquantum(0.004, m=2, k=2, phi=value)
+    else:
+        with pytest.raises(ValueError, match="lam must be finite"):
+            GateParams.from_multiquantum(value, m=2, k=2, phi=1.0)
+
+
+def test_gate_factories_reject_overflowing_duration(params):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        GateParams.from_raman(params, m=2, phi=1e307)
+    with pytest.raises(ValueError, match="cannot derive tau from phi with zero coupling"):
+        GateParams.from_multiquantum(0.0, m=2, k=2, phi=1.0)
 
 
 # ---- block propagation against the dense oracle ---------------------------------------
@@ -438,7 +461,7 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
 
     gp = gate(phi=phi)
     norm = np.linalg.norm(dense_pulse(gp, p, space, model, chi), 2)
-    gp = gate(tau=min(gp.tau, 10.0 / norm))
+    gp = gate(phi=gp.coupling_element * min(gp.tau, 10.0 / norm))
     eye = np.eye(space.dim, dtype=complex)
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)

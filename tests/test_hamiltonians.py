@@ -50,7 +50,7 @@ def test_derived_coefficients():
 
 @pytest.mark.filterwarnings("ignore:selectivity ratio")
 def test_full_couplings_off(space3):
-    p = RamanParams(g=0.0, omega_l=0.0, delta=20.0, include_shift=False)
+    p = RamanParams(g=0.0, omega_l=0.0, delta=20.0)  # the engineered shift is 0 too
     H = full_hamiltonian(p, space3, 1)
     expected = np.zeros_like(H)
     for n in range(space3.fock_cutoff):
