@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -20,6 +21,7 @@ import numpy as np
 
 from .config import (
     MODEL_CHOICES,
+    SWEEP_ANGLES,
     ConfigError,
     RunConfig,
     config_to_dict,
@@ -106,7 +108,7 @@ def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
     space = model_space(model, cfg.space.fock_cutoff)
     gates, states = [], []
     for _ in range(cfg.sweep.samples):
-        phi = float(rng.uniform(0.15, 0.5 * np.pi))
+        phi = float(rng.uniform(*SWEEP_ANGLES))
         z = rng.normal(size=4)
         alpha = complex(z[0], z[1])
         beta = complex(z[2], z[3])
@@ -214,20 +216,24 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` only parses with it.
+
+    The subcommand is the task: ``main`` runs ``cmd_<subcommand>``, looked up when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="fockgate",
         description="Selective pair gates on a harmonic oscillator: validate, sweep, synthesize.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in (
-        ("gate", cmd_gate, "build one pair gate and report closed-form fidelity, purity, leakage"),
-        ("sweep", cmd_sweep, "scan the drive ratio |Omega_L|/g and tabulate fidelity and leakage"),
-        ("synthesize", cmd_synthesize, "compile a target oscillator state into a gate plan and run it"),
-        ("validate", cmd_validate, "run the algebraic and propagation identity checks"),
+    for name, help_text in (
+        ("gate", "build one pair gate and report closed-form fidelity, purity, leakage"),
+        ("sweep", "scan the drive ratio |Omega_L|/g and tabulate fidelity and leakage"),
+        ("synthesize", "compile a target oscillator state into a gate plan and run it"),
+        ("validate", "run the algebraic and propagation identity checks"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(handler=handler)  # the subcommand is the task
         cmd.add_argument("--config", help="path to a JSON configuration document")
         cmd.add_argument(
             "--set",
@@ -259,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
                 Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"out_dir: {exc}") from exc
-        return args.handler(cfg)
+        return globals()[f"cmd_{args.command}"](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

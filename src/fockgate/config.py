@@ -6,7 +6,8 @@ fallback.  Every field's type is checked from its declaration.  The subcommand
 is the task, so ``task`` is an unknown field.  A device with no usable coupling
 (lambda = g*|Omega_L|/delta zero or not finite, 1/lambda or g^2/delta not
 finite), at the configured drive or at a sweep drive r*g, is a configuration
-error, and so is a ``gate.phi`` with a non-finite tau, theta0 or eta.  Defaults
+error, and so is a ``gate.phi``, or at any sweep drive the largest angle of
+``SWEEP_ANGLES``, with a non-finite tau, theta0 or eta.  Defaults
 put the model in both the adiabatic (g/delta = 0.05) and selective
 (|Omega_L|/g = 0.1) regimes; they are conventions of this package.
 """
@@ -26,6 +27,10 @@ from .spaces import HilbertSpace
 from .validation import check_tolerances
 
 MODEL_CHOICES = MODELS + ("all",)
+
+# the interval a sweep sample's rotation angle phi is drawn from (uniform,
+# upper end excluded): the sweep itself and the check of its largest gate read it
+SWEEP_ANGLES = (0.15, 0.5 * math.pi)
 
 
 class ConfigError(Exception):
@@ -160,6 +165,13 @@ def _require_coupling(name: str, lam: float, shift: float) -> None:
         raise ConfigError(f"{name}: no usable coupling, g*omega_l/delta = {lam!r} and g*g/delta = {shift!r}")
 
 
+def _require_finite_gate(name: str, phi: float, lam: float, shift: float, m: int) -> None:
+    """``GateParams.from_raman``'s arithmetic: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, eta = m*theta0."""
+    tau = phi / (lam * math.sqrt(m))
+    if not all(map(math.isfinite, (tau, shift * tau, m * (shift * tau)))):
+        raise ConfigError(f"{name} gives a gate with non-finite tau, theta0 or eta")
+
+
 def _check_number(name: str, value: Any) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
@@ -202,11 +214,11 @@ def validate_config(cfg: RunConfig) -> None:
         _check_number("sweep.ratios", r)
         if r <= 0:
             raise ConfigError("sweep.ratios: all ratios must be > 0")
-        _require_coupling(f"sweep.ratios (r = {r!r})", ph.g * (r * ph.g) / ph.delta, shift)  # omega_l = r*g
-    # GateParams.from_raman's arithmetic: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, eta = m*theta0
-    tau = cfg.gate.phi / (lam * math.sqrt(cfg.gate.m))
-    if not all(map(math.isfinite, (tau, shift * tau, cfg.gate.m * (shift * tau)))):
-        raise ConfigError(f"gate.phi: {cfg.gate.phi!r} gives a gate with non-finite tau, theta0 or eta")
+        lam_r = ph.g * (r * ph.g) / ph.delta  # omega_l = r*g
+        _require_coupling(f"sweep.ratios (r = {r!r})", lam_r, shift)
+        # tau grows with phi: the sample nearest the top of SWEEP_ANGLES has the largest gate
+        _require_finite_gate(f"sweep.ratios (r = {r!r}): phi = {SWEEP_ANGLES[1]!r}", SWEEP_ANGLES[1], lam_r, shift, cfg.gate.m)
+    _require_finite_gate(f"gate.phi: {cfg.gate.phi!r}", cfg.gate.phi, lam, shift, cfg.gate.m)
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])

@@ -197,19 +197,34 @@ def _flip_order(space: HilbertSpace) -> np.ndarray:
 
 
 def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -> np.ndarray:
-    """Z(theta) B Z(theta)†: the phase e^{-i theta} on each block's |e> members, for each theta given."""
+    """Z(theta) B Z(theta)†: the phase e^{-i theta} on the |e> members of each block of ``pulse``.
+
+    ``theta`` holds drive phases per block row: its last axis broadcasts
+    against the leading (block) axis of ``index`` (length 1 for one phase
+    for every block, or nb for one phase per block), and any axes before it
+    stack frames.  So ``[[chi], [chi - theta0]]`` frames both pulses of one
+    gate, and phases repeated over each step's rows frame both pulses of
+    every step of a plan from the plan's concatenated (nb, b, b) stack in
+    one call.  The result has shape theta.shape[:-1] + broadcast(theta's
+    last axis, nb) + (b, b); a non-finite phase is an error.
+    """
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError(f"drive phase must be finite, got {theta}")
     nf = space.fock_cutoff
-    z = np.exp(-1j * theta[..., None, None] * ((index >= nf) & (index < 2 * nf)))
+    z = np.where((index >= nf) & (index < 2 * nf), np.exp(-1j * theta)[..., None], 1.0)
     return z[..., :, None] * pulse * z.conj()[..., None, :]
+
+
+def echo_framed(index: np.ndarray, u1: np.ndarray, u2: np.ndarray, order: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Framed block pulse u1, the spin flip as the joint row order ``order`` (``_flip_order``), framed u2, on x."""
+    return apply_blocks(index, u2, apply_blocks(index, u1, x)[order])
 
 
 def apply_echo(index, pulse, theta0, space: HilbertSpace, x, phase_offset: float = 0.0) -> np.ndarray:
     """pulse(chi) -> flip -> pulse(chi - theta0) on x, from the phase-0 block unitaries ``pulse``."""
-    u1, u2 = pulse_at(index, pulse, space, [phase_offset, phase_offset - theta0])
-    return apply_blocks(index, u2, apply_blocks(index, u1, x)[_flip_order(space)])
+    u1, u2 = pulse_at(index, pulse, space, [[phase_offset], [phase_offset - theta0]])
+    return echo_framed(index, u1, u2, _flip_order(space), x)
 
 
 def apply_pair_gate(
@@ -252,7 +267,7 @@ def pair_gate(
     dim = space.dim
     index, generator = pulse_generator(gp, p, space, model)
     pulse = block_unitaries(generator, gp.tau)
-    u1, u2 = pulse_at(index, pulse, space, [phase_offset, phase_offset - gp.theta0])
+    u1, u2 = pulse_at(index, pulse, space, [[phase_offset], [phase_offset - gp.theta0]])
     nb, b = index.shape
     block = np.empty(dim + 1, dtype=int)
     position = np.empty(dim + 1, dtype=int)

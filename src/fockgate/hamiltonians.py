@@ -28,6 +28,7 @@ these; the dense builders are the oracle of validation and the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -271,11 +272,24 @@ class PulseBlocks(NamedTuple):
     Block i acts on the joint basis indices ``index[i]``; every joint state
     appears in exactly one block.  An entry equal to the space dimension
     stands for a state cut off by the Fock truncation, which the generator
-    couples to nothing.
+    couples to nothing.  ``index`` is shared by every pulse of the same
+    layout and is read-only.
     """
 
     index: np.ndarray      # (nb, b) joint basis indices
     generator: np.ndarray  # (nb, b, b) Hermitian blocks
+
+
+@functools.lru_cache(maxsize=64)
+def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Excitation numbers N and their (nb, b) index layout, built once per layout and read-only."""
+    nf = space.fock_cutoff
+    n = np.arange(nf + k)
+    levels = n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)
+    index = np.asarray(atoms) * nf + levels
+    index[(levels < 0) | (levels >= nf)] = space.dim
+    n.flags.writeable = index.flags.writeable = False  # every caller shares them
+    return n, index
 
 
 def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
@@ -283,13 +297,11 @@ def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
 
     The first atomic level of ``atoms`` sits at Fock level N, the others at
     N - k, for N = 0..fock_cutoff - 1 + k; states outside the truncated
-    ladder get the index ``space.dim``.
+    ladder get the index ``space.dim``.  The layout depends only on
+    ``(space, atoms, k)``: it is computed once per layout (``_block_layout``)
+    and its arrays are read-only; the builders fill the generator alone.
     """
-    nf = space.fock_cutoff
-    n = np.arange(nf + k)
-    levels = n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)
-    index = np.asarray(atoms) * nf + levels
-    index[(levels < 0) | (levels >= nf)] = space.dim
+    n, index = _block_layout(space, atoms, k)
     return n, index, np.zeros((len(n), len(atoms), len(atoms)), dtype=complex)
 
 

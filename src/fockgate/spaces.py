@@ -156,8 +156,11 @@ def reduced_atom_state(psi, space: HilbertSpace) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
+def purity(rho: np.ndarray):
+    """Tr(rho^2) of a density matrix (a float), or of each matrix of a (..., d, d) stack (an array)."""
+    rho = np.asarray(rho)
+    value = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
+    return float(value) if rho.ndim == 2 else value
 
 
 def fidelity(a, b, space: HilbertSpace) -> float:

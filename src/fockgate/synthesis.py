@@ -47,11 +47,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, apply_echo, atom_plus, induced_oscillator_unitary, pair_gate
-from .gates import pulse_generator
+from .gates import GateParams, _flip_order, atom_plus, echo_framed, induced_oscillator_unitary, pair_gate
+from .gates import pulse_at, pulse_generator
 from .hamiltonians import RamanParams
 from .propagator import block_eigensystem, block_unitaries, eigen_unitaries
-from .spaces import HilbertSpace, product_state, project_atom, purity, reduced_atom_state
+from .spaces import HilbertSpace, product_state, project_atom, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
 LEDGER_MODELS = ("ideal", "effective")
@@ -212,15 +212,32 @@ def plan_superposition(
     return _compile_ladder(target, p, phase_model)
 
 
-def _apply_step(step: PlanStep, index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, osc):
-    """|+> ⊗ osc through the gate of ``step`` from its phase-0 block unitaries ``pulse``.
+def _drive_phases(steps: list[PlanStep]) -> np.ndarray:
+    """The (2, len(steps)) drive phases chi and chi - theta0 of both pulses of every step.
 
+    Computed in Python floats, so an overflow is a ValueError naming its step, not a NumPy warning.
+    """
+    phases = np.array([(s.phase_correction, s.phase_correction - s.gate.theta0) for s in steps]).reshape(-1, 2)
+    if not np.isfinite(phases).all():
+        i = int(np.flatnonzero(~np.isfinite(phases).all(axis=1))[0])
+        chi, second = phases[i].tolist()
+        raise ValueError(f"plan step {i}: drive phases chi = {chi!r}, chi - theta0 = {second!r} must be finite")
+    return phases.T
+
+
+def _apply_step(index: np.ndarray, framed: np.ndarray, flip: np.ndarray, space: HilbertSpace, osc):
+    """|+> ⊗ osc through one gate: framed pulse ``framed[0]``, the spin flip, framed pulse ``framed[1]``.
+
+    ``framed`` is the gate's (2, nb, b, b) pulse pair on the block layout
+    ``index``, framed by ``pulse_at`` at chi and chi - theta0, and ``flip``
+    the joint row order of the spin flip (``gates._flip_order``); callers
+    compute both once per plan, so a step does only the state's own work.
     osc is an oscillator state or an (fock_cutoff, k) stack.  Returns the
-    joint state and its <+| branch: the oscillator, unnormalized, after the atom reset.
+    joint state and its <+| branch: the oscillator, unnormalized, after the
+    atom reset.
     """
     plus = atom_plus(space.atom_dim)
-    prepared = product_state(space, plus, osc)
-    joint = apply_echo(index, pulse, step.gate.theta0, space, prepared, step.phase_correction)
+    joint = echo_framed(index, framed[0], framed[1], flip, product_state(space, plus, osc))
     return joint, project_atom(plus, joint, space)
 
 
@@ -234,13 +251,22 @@ def execute_plan(
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
     The gates run in ``space``, the working space of ``model``
-    (``gates.model_space``).  Each gate acts on |+> ⊗ osc block by block
-    (``_apply_step``), from one batched eigendecomposition for all steps, so
-    applying a gate costs O(fock_cutoff) and no joint-space matrix is formed.
-    Returns the final oscillator state and a report; fidelity is measured
-    against the plan target (padded to the working cutoff, a zero tail beyond
-    it dropped) when one is set, otherwise against the initial state; target
-    support beyond the cutoff is an error.
+    (``gates.model_space``).  Everything that does not depend on the state
+    is done once per plan: every step's phase-0 blocks go into one stack,
+    which one batched eigendecomposition exponentiates (each block at its
+    step's tau) and one ``pulse_at`` call frames for both pulses of every
+    step; the spin flip's row order is computed once.  The loop then only
+    runs |+> ⊗ osc through each gate block by block (``_apply_step``, also
+    calibration's step) and resets the atom, so a gate costs O(fock_cutoff)
+    and no joint-space matrix is formed.  The joint states are kept in one
+    (steps, atom_dim, fock_cutoff) array, and the step purities come from
+    it after the loop, in one ``purity`` call on the stack of reduced atom
+    states.  A step whose drive phase chi or chi - theta0 is not finite is
+    a ValueError naming the step.  Returns the final oscillator state and a
+    report; fidelity is measured against the plan target (padded to the
+    working cutoff, a zero tail beyond it dropped) when one is set,
+    otherwise against the initial state; target support beyond the cutoff
+    is an error.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim != 1 or not np.isfinite(initial).all() or not initial.any():
@@ -250,28 +276,34 @@ def execute_plan(
     source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
     if np.any(np.abs(source[space.fock_cutoff :]) > 1e-12):
         raise ValueError(f"target has support beyond the Fock cutoff {space.fock_cutoff}")
+    phases = _drive_phases(plan.steps)
 
-    osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
-    osc = osc / np.linalg.norm(osc)
+    osc = np.zeros(space.fock_cutoff, dtype=complex)
+    osc[: len(initial)] = initial / np.linalg.norm(initial)
 
-    # one eigh for the plan: every step's phase-0 blocks in one stack, each at its step's tau
     blocks = [pulse_generator(step.gate, p, space, model) for step in plan.steps]
-    ends = np.cumsum([len(b.index) for b in blocks], dtype=int)
-    taus = np.repeat([step.gate.tau for step in plan.steps], np.diff(ends, prepend=0))
-    stack = block_unitaries(np.concatenate([b.generator for b in blocks]), taus) if blocks else []
-    pulses = np.split(stack, ends[:-1])
+    counts = [len(b.index) for b in blocks]
+    starts = np.cumsum([0] + counts)
+    if blocks:  # one eigh and one framing for the plan; each step owns rows starts[i]:starts[i + 1]
+        index = np.concatenate([b.index for b in blocks])
+        taus = np.repeat([step.gate.tau for step in plan.steps], counts)
+        stack = block_unitaries(np.concatenate([b.generator for b in blocks]), taus)
+        framed = pulse_at(index, stack, space, np.repeat(phases, counts, axis=1))
+    flip = _flip_order(space)
 
-    purities: list[float] = []
+    joints = np.empty((len(plan), space.atom_dim, space.fock_cutoff), dtype=complex)
     atom_overlaps: list[float] = []
-    for step, b, pulse in zip(plan.steps, blocks, pulses):
-        joint, branch = _apply_step(step, b.index, pulse, space, osc)
-        purities.append(purity(reduced_atom_state(joint, space)))  # the oscillator's, joint being pure
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        joint, branch = _apply_step(index[lo:hi], framed[:, lo:hi], flip, space, osc)
+        joints[i] = joint.reshape(space.atom_dim, space.fock_cutoff)
         # projective reset of the atom to |+>
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
         if weight == 0.0:
             raise ArithmeticError("atom reset branch has zero weight")
         osc = branch / weight
+    # the reduced atom states; their purity is the oscillator's, each joint state being pure
+    purities = purity(joints @ joints.conj().swapaxes(1, 2)).tolist()
 
     ref = np.zeros(space.fock_cutoff, dtype=complex)
     ref[: len(source)] = source[: space.fock_cutoff]
@@ -298,10 +330,13 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     through them by ``_apply_step`` under the effective model, without
     renormalizing: column 0 is the image at x; with ``columns``, column 1 + k
     has x[k] moved by CALIBRATION_FD_STEP and branches off column 0 just
-    before the step of x[k].
+    before the step of x[k].  Every step shares one block layout, and each
+    parameter set's pulses are framed by one ``pulse_at`` call.
     """
     blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
+    index = blocks[0].index  # one layout: every step is an effective k = 1 pulse in ``space``
     evals, evecs = block_eigensystem(np.array([b.generator for b in blocks]))
+    flip = _flip_order(space)
 
     def steps_at(x: np.ndarray) -> tuple[list[PlanStep], np.ndarray]:
         steps = [
@@ -313,11 +348,14 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        (steps, pulses), *moved = [steps_at(x + np.tile(d, len(blocks))) for d in moves]
+        base, *moved = [
+            pulse_at(index, pulses, space, _drive_phases(steps)[..., None])
+            for steps, pulses in (steps_at(x + np.tile(d, len(blocks))) for d in moves)
+        ]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
-        for i, b in enumerate(blocks):
-            branches = [_apply_step(m[i], b.index, u[i], space, osc[:, :1])[1] for m, u in moved]
-            osc = np.hstack([_apply_step(steps[i], b.index, pulses[i], space, osc)[1], *branches])
+        for i in range(len(blocks)):
+            branches = [_apply_step(index, f[:, i], flip, space, osc[:, :1])[1] for f in moved]
+            osc = np.hstack([_apply_step(index, base[:, i], flip, space, osc)[1], *branches])
         return osc
 
     return steps_at, images

@@ -226,6 +226,11 @@ def test_gate_command_config_error(capsys):
         (["sweep", "--set", "sweep.ratios=[1e-320]"], "sweep.ratios (r = 1e-320): no usable coupling"),
         (["sweep", "--set", "physical.g=1e-200"], "sweep.ratios (r = 0.02): no usable coupling"),
         (["gate", "--set", "gate.phi=1e307"], "gate.phi: 1e+307 gives a gate with non-finite tau"),
+        # and so does the sweep's largest sampled gate (phi up to pi/2) at every sweep drive
+        (
+            ["sweep", "--set", "physical.g=1e154", "--set", "physical.delta=1", "--set", "sweep.ratios=[1e-310]"],
+            "sweep.ratios (r = 1e-310): phi = 1.5707963267948966 gives a gate with non-finite tau",
+        ),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):

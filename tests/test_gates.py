@@ -532,6 +532,24 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     u_expm = expm(-1j * dense * tau)
     assert max_abs(rows - u_expm) < 1e-12
     assert max_abs(apply_blocks(base.index, framed, eye) - u_expm) < 1e-12
+    # phases per block row, stacked over two frames, match one call per block and frame
+    per_row = theta * np.linspace(-1.0, 1.0, len(base.index))
+    stacked = pulse_at(base.index, b0, space, [per_row, -per_row])
+    for frame, phases in zip(stacked, (per_row, -per_row)):
+        for i, phase in enumerate(phases):
+            assert np.array_equal(frame[i], pulse_at(base.index[i : i + 1], b0[i : i + 1], space, phase)[0])
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_BUILDERS))
+def test_block_layout_is_memoized_and_read_only(params, case):
+    # every builder call on one (space, atoms, k) shares one layout, which no caller can change
+    space = HilbertSpace(3 if case == "full" else 2, 9)
+    first, second = (BLOCK_BUILDERS[case](params, space, GateParams.from_raman(params, m=m, phi=0.3)) for m in (2, 5))
+    assert first.index is second.index
+    assert not first.index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.index[0, 0] = 0
+    assert first.generator.flags.writeable and first.generator is not second.generator
 
 
 @pytest.mark.parametrize("phase", [np.nan, np.inf])

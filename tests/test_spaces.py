@@ -134,6 +134,11 @@ def test_reduced_state_bell_like_is_mixed():
     rho = reduced_oscillator_state(psi, space)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert purity(rho) == pytest.approx(0.5, abs=1e-12)
+    # a (..., d, d) stack gives each matrix's purity
+    pure = reduced_oscillator_state(basis_state(space, "g", 2), space)
+    stack = np.array([[rho, pure], [pure, rho]])
+    assert purity(stack).shape == (2, 2)
+    assert np.array_equal(purity(stack), [[purity(rho), purity(pure)], [purity(pure), purity(rho)]])
 
 
 @settings(max_examples=40)

@@ -359,6 +359,14 @@ def test_plan_step_rejects_non_finite_phase_correction(params, tmp_path):
         load_plan(path)
 
 
+def test_execute_plan_names_the_step_whose_drive_phase_overflows(params):
+    # chi is finite, chi - theta0 is not: an error before any pulse is built, not an inf phase
+    gate = GateParams.from_raman(params, m=1, phi=-1e305)
+    plan = CircuitPlan(steps=[PlanStep(GateParams.from_raman(params, m=1, phi=0.3)), PlanStep(gate, 1.79e308)])
+    with pytest.raises(ValueError, match=r"plan step 1: drive phases chi = 1\.79e\+308, chi - theta0 = inf"):
+        execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 4))
+
+
 def test_execution_reports_step_purities(params):
     plan = plan_superposition(0.6, 0.8, 2, params)
     _, report = execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 6))
@@ -734,20 +742,27 @@ def per_step_execution(plan, initial, model, p, space):
     st.sampled_from(["ideal", "effective", "full"]),
     st.sampled_from([0.02, 0.1, 0.2]),
     st.integers(0, 2),
+    st.integers(0, 2),
 )
-def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_steps):
-    """One eigendecomposition per plan gives the per-step result to 1e-12.
+def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_steps, tau0_steps):
+    """One eigendecomposition and one framing per plan give the per-step result to 1e-12.
 
-    Ideal plans get up to two extra k = 2 steps, whose block layout is one
-    block longer than the k = 1 steps'.
+    Every model gets up to two extra tau = 0 steps (a bare spin flip), and
+    ideal plans up to two extra k = 2 steps, whose block layout is one block
+    longer than the k = 1 steps'.  The extra steps carry pulse phases chi
+    drawn from [-100, 100].
     """
     p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
     rng = np.random.default_rng(seed)
     plan = plan_general_state(random_target(rng, top), p, "ideal" if model == "ideal" else "effective")
+    extra = [GateParams.from_raman(p, m=int(rng.integers(1, top + 2)), phi=0.0) for _ in range(tau0_steps)]
     if model == "ideal":
-        for _ in range(k2_steps):
-            gate = GateParams.from_multiquantum(0.004, m=int(rng.integers(2, top + 2)), k=2, phi=1.0)
-            plan.steps.insert(int(rng.integers(0, len(plan) + 1)), PlanStep(gate, 0.3))
+        extra += [
+            GateParams.from_multiquantum(0.004, m=int(rng.integers(2, top + 2)), k=2, phi=1.0)
+            for _ in range(k2_steps)
+        ]
+    for gate in extra:
+        plan.steps.insert(int(rng.integers(0, len(plan) + 1)), PlanStep(gate, float(rng.uniform(-100.0, 100.0))))
     space = model_space(model, 2 * len(plan) + top + 3)
     initial = random_target(rng, 2)
     osc, report = execute_plan(plan, initial, model, p, space)
