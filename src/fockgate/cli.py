@@ -115,7 +115,7 @@ def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
         nrm = np.hypot(abs(alpha), abs(beta))
         gates.append(GateParams.from_raman(p, m=cfg.gate.m, phi=phi))
         states.append(closed_form_states(gates[-1], space, alpha / nrm, beta / nrm))
-    # the samples differ only in tau and input: one eigensystem for the point
+    # the samples differ only in tau and input: one block stack for the point
     index, generator = pulse_generator(gates[0], p, space, model)
     times = [gp.tau for gp in gates]
     pulses = block_unitaries(generator, np.reshape(times, (-1, 1)))

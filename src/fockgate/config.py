@@ -7,7 +7,8 @@ is the task, so ``task`` is an unknown field.  A device with no usable coupling
 (lambda = g*|Omega_L|/delta zero or not finite, 1/lambda or g^2/delta not
 finite), at the configured drive or at a sweep drive r*g, is a configuration
 error, and so is a ``gate.phi``, or at any sweep drive the largest angle of
-``SWEEP_ANGLES``, with a non-finite tau, theta0 or eta.  Defaults
+``SWEEP_ANGLES``, with a non-finite tau, theta0 or eta, or a pulse-block entry
+(``_block_entries``) that is not finite alone or times such a tau.  Defaults
 put the model in both the adiabatic (g/delta = 0.05) and selective
 (|Omega_L|/g = 0.1) regimes; they are conventions of this package.
 """
@@ -165,11 +166,19 @@ def _require_coupling(name: str, lam: float, shift: float) -> None:
         raise ConfigError(f"{name}: no usable coupling, g*omega_l/delta = {lam!r} and g*g/delta = {shift!r}")
 
 
-def _require_finite_gate(name: str, phi: float, lam: float, shift: float, m: int) -> None:
-    """``GateParams.from_raman``'s arithmetic: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, eta = m*theta0."""
+def _block_entries(g: float, omega_l: float, delta: float, nf: int) -> dict[str, float]:
+    """The largest pulse-block entries at cutoff nf (``hamiltonians.*_blocks``), computed as the builders would."""
+    return {"g*sqrt(fock_cutoff)": g * math.sqrt(nf), "lambda*sqrt(fock_cutoff)": g * omega_l / delta * math.sqrt(nf),
+            "(g*g/delta)*fock_cutoff": g * g / delta * nf, "delta": delta, "omega_l": omega_l,
+            "omega_l*omega_l/delta": omega_l * omega_l / delta}
+
+
+def _require_finite_gate(name: str, phi: float, lam: float, shift: float, m: int) -> float:
+    """``GateParams.from_raman``'s tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, eta = m*theta0, all finite."""
     tau = phi / (lam * math.sqrt(m))
     if not all(map(math.isfinite, (tau, shift * tau, m * (shift * tau)))):
         raise ConfigError(f"{name} gives a gate with non-finite tau, theta0 or eta")
+    return tau
 
 
 def _check_number(name: str, value: Any) -> None:
@@ -210,6 +219,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"gate.m: {exc}") from exc
     if not isinstance(cfg.sweep.ratios, list) or not cfg.sweep.ratios:
         raise ConfigError("sweep.ratios: grid must be a non-empty list")
+    gates = []  # (name, tau, omega_l): the sweep's largest gate at each drive, then the configured gate
     for r in cfg.sweep.ratios:
         _check_number("sweep.ratios", r)
         if r <= 0:
@@ -217,8 +227,18 @@ def validate_config(cfg: RunConfig) -> None:
         lam_r = ph.g * (r * ph.g) / ph.delta  # omega_l = r*g
         _require_coupling(f"sweep.ratios (r = {r!r})", lam_r, shift)
         # tau grows with phi: the sample nearest the top of SWEEP_ANGLES has the largest gate
-        _require_finite_gate(f"sweep.ratios (r = {r!r}): phi = {SWEEP_ANGLES[1]!r}", SWEEP_ANGLES[1], lam_r, shift, cfg.gate.m)
-    _require_finite_gate(f"gate.phi: {cfg.gate.phi!r}", cfg.gate.phi, lam, shift, cfg.gate.m)
+        name = f"sweep.ratios (r = {r!r}): phi = {SWEEP_ANGLES[1]!r}"
+        gates.append((name, _require_finite_gate(name, SWEEP_ANGLES[1], lam_r, shift, cfg.gate.m), r * ph.g))
+    name = f"gate.phi: {cfg.gate.phi!r}"
+    gates.append((name, _require_finite_gate(name, cfg.gate.phi, lam, shift, cfg.gate.m), ph.omega_l))
+    nf = cfg.space.fock_cutoff
+    for label, entry in _block_entries(ph.g, ph.omega_l, ph.delta, nf).items():
+        if not math.isfinite(entry):
+            raise ConfigError(f"physical: the pulse generator's {label} = {entry!r} is not finite")
+    for name, tau, omega_l in gates:  # each entry times tau is a phase of the pulse's exponential
+        for label, entry in _block_entries(ph.g, omega_l, ph.delta, nf).items():
+            if not math.isfinite(entry * tau):
+                raise ConfigError(f"{name} gives a pulse whose {label} = {entry!r} times tau = {tau!r} is not finite")
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])

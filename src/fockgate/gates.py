@@ -35,7 +35,7 @@ Both pulses are propagated by excitation-number blocks
 (``hamiltonians.PulseBlocks``) and the flip is a permutation of joint
 indices.  The drive phase theta enters only the g-e (or h-e) coupling, so a
 pulse at theta is Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I
-and B = exp(-i H0 tau) from the real theta = 0 generator H0: one eigensystem
+and B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
 per level and device serves both pulses and every offset and duration.
 ``apply_pair_gate`` applies the gate to joint states without building a
 joint-space matrix; ``pair_gate`` assembles the dense unitary from the same
@@ -203,28 +203,26 @@ def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -
     against the leading (block) axis of ``index`` (length 1 for one phase
     for every block, or nb for one phase per block), and any axes before it
     stack frames.  So ``[[chi], [chi - theta0]]`` frames both pulses of one
-    gate, and phases repeated over each step's rows frame both pulses of
-    every step of a plan from the plan's concatenated (nb, b, b) stack in
-    one call.  The result has shape theta.shape[:-1] + broadcast(theta's
-    last axis, nb) + (b, b); a non-finite phase is an error.
+    gate.  The result has shape theta.shape[:-1] + broadcast(theta's last
+    axis, nb) + (b, b); a non-finite phase is an error.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError(f"drive phase must be finite, got {theta}")
+    return framed_pulses(index, pulse, space, np.exp(-1j * theta))
+
+
+def framed_pulses(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, phase: np.ndarray) -> np.ndarray:
+    """``pulse_at`` from the factors e^{-i theta} (shaped like its theta): a plan takes one exp per pulse and step."""
     nf = space.fock_cutoff
-    z = np.where((index >= nf) & (index < 2 * nf), np.exp(-1j * theta)[..., None], 1.0)
+    z = np.where((index >= nf) & (index < 2 * nf), phase[..., None], 1.0)
     return z[..., :, None] * pulse * z.conj()[..., None, :]
-
-
-def echo_framed(index: np.ndarray, u1: np.ndarray, u2: np.ndarray, order: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Framed block pulse u1, the spin flip as the joint row order ``order`` (``_flip_order``), framed u2, on x."""
-    return apply_blocks(index, u2, apply_blocks(index, u1, x)[order])
 
 
 def apply_echo(index, pulse, theta0, space: HilbertSpace, x, phase_offset: float = 0.0) -> np.ndarray:
     """pulse(chi) -> flip -> pulse(chi - theta0) on x, from the phase-0 block unitaries ``pulse``."""
     u1, u2 = pulse_at(index, pulse, space, [[phase_offset], [phase_offset - theta0]])
-    return echo_framed(index, u1, u2, _flip_order(space), x)
+    return apply_blocks(index, u2, apply_blocks(index, u1, x)[_flip_order(space)])
 
 
 def apply_pair_gate(

@@ -277,7 +277,7 @@ class PulseBlocks(NamedTuple):
     """
 
     index: np.ndarray      # (nb, b) joint basis indices
-    generator: np.ndarray  # (nb, b, b) Hermitian blocks
+    generator: np.ndarray  # (nb, b, b) real symmetric blocks
 
 
 @functools.lru_cache(maxsize=64)
@@ -293,7 +293,7 @@ def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[
 
 
 def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
-    """Excitation numbers N, their (nb, b) index layout and an empty generator stack.
+    """Excitation numbers N, their (nb, b) index layout and an empty real generator stack.
 
     The first atomic level of ``atoms`` sits at Fock level N, the others at
     N - k, for N = 0..fock_cutoff - 1 + k; states outside the truncated
@@ -302,7 +302,7 @@ def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
     and its arrays are read-only; the builders fill the generator alone.
     """
     n, index = _block_layout(space, atoms, k)
-    return n, index, np.zeros((len(n), len(atoms), len(atoms)), dtype=complex)
+    return n, index, np.zeros((len(n), len(atoms), len(atoms)))
 
 
 def effective_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:

@@ -2,11 +2,11 @@
 
 Gates propagate by blocks.  A pulse generator splits into small blocks of
 fixed excitation number (``hamiltonians.PulseBlocks``); ``block_unitaries``
-exponentiates a whole stack, for one time or an array of times, from one
-batched eigendecomposition (``eigen_unitaries`` reuses it for other times),
-and ``apply_blocks`` applies the result to the rows of a joint state or
-matrix with O(nb*b^2) work per column.  Every eigh of the package runs in
-this module.
+exponentiates a whole stack, for one time or an array of times: 2x2 doublets
+(two-level Rabi problems) in closed form, larger blocks (the full model's
+triplets) by one batched eigh.  ``apply_blocks`` applies the result to the
+rows of a joint state or matrix with O(nb*b^2) work per column.  Every eigh
+of the package runs in this module.
 
 ``Propagator`` diagonalises one dense generator.  It is the oracle that
 validation and the tests compare the block path against; the factorization
@@ -23,14 +23,24 @@ from .spaces import hermiticity_defect
 HERMITICITY_TOL = 1e-10
 
 
-def block_eigensystem(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a (..., b, b) Hermitian stack, by one batched eigh."""
-    return np.linalg.eigh(generators)
-
-
 def block_unitaries(generators: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) of every block of a (..., b, b) Hermitian stack; t broadcasts against its leading axes."""
-    return eigen_unitaries(*block_eigensystem(generators), t)
+    """exp(-i H t) of every block of a (..., b, b) Hermitian stack; t broadcasts against its leading axes.
+
+    A doublet gives e^{-iat} [cos(wt) I - i t sinc(wt/pi) (H - aI)], a the mean of its diagonal
+    and w = sqrt(((h00 - h11)/2)^2 + |h01|^2), exact for zero and degenerate blocks; larger blocks
+    go through one batched eigh.  A non-finite H or t is a ValueError.
+    """
+    H = np.asarray(generators)
+    if not np.isfinite(H).all():
+        raise ValueError("generator must be finite")
+    t = _finite_time(t)
+    if H.shape[-1] != 2:
+        evals, evecs = np.linalg.eigh(H)
+        return (evecs * np.exp(-1j * evals * t[..., None])[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
+    h00, h11, t = H[..., :1, :1], H[..., 1:, 1:], t[..., None, None]  # (..., 1, 1): they broadcast against H
+    a = (0.5 * h00 + 0.5 * h11).real  # halves first: no overflow near the largest float
+    w = np.hypot((0.5 * h00 - 0.5 * h11).real, np.abs(H[..., :1, 1:]))
+    return np.exp(-1j * a * t) * (np.cos(w * t) * np.eye(2) - 1j * t * np.sinc(w * t / np.pi) * (H - a * np.eye(2)))
 
 
 def _finite_time(t) -> np.ndarray:
@@ -38,12 +48,6 @@ def _finite_time(t) -> np.ndarray:
     if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t}")
     return t
-
-
-def eigen_unitaries(evals: np.ndarray, evecs: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) from a ``block_eigensystem`` of H, for t as in ``block_unitaries``."""
-    phases = np.exp(-1j * evals * _finite_time(t)[..., None])
-    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
 
 
 def apply_blocks(index: np.ndarray, unitaries: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -86,7 +90,7 @@ class Propagator:
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i H t) via V e^{-i lambda t} V†."""
-        return eigen_unitaries(self.eigenvalues, self.eigenvectors, t)
+        return (self.eigenvectors * np.exp(-1j * self.eigenvalues * _finite_time(t))) @ self.eigenvectors.conj().T
 
     def evolve(self, psi, t: float) -> np.ndarray:
         """Apply exp(-i H t) to a state vector."""
@@ -95,4 +99,3 @@ class Propagator:
             raise ValueError(f"state has shape {amps.shape}, expected ({self.dim},)")
         phases = np.exp(-1j * self.eigenvalues * _finite_time(t))
         return self.eigenvectors @ (phases * (self.eigenvectors.conj().T @ amps))
-

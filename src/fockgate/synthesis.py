@@ -47,11 +47,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, _flip_order, atom_plus, echo_framed, induced_oscillator_unitary, pair_gate
+from .gates import GateParams, _flip_order, atom_plus, framed_pulses, induced_oscillator_unitary, pair_gate
 from .gates import pulse_at, pulse_generator
 from .hamiltonians import RamanParams
-from .propagator import block_eigensystem, block_unitaries, eigen_unitaries
-from .spaces import HilbertSpace, product_state, project_atom, purity
+from .propagator import block_unitaries
+from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
 LEDGER_MODELS = ("ideal", "effective")
@@ -225,20 +225,24 @@ def _drive_phases(steps: list[PlanStep]) -> np.ndarray:
     return phases.T
 
 
-def _apply_step(index: np.ndarray, framed: np.ndarray, flip: np.ndarray, space: HilbertSpace, osc):
-    """|+> ⊗ osc through one gate: framed pulse ``framed[0]``, the spin flip, framed pulse ``framed[1]``.
+def _apply_step(rows: np.ndarray, index: np.ndarray, flipped: np.ndarray, framed: np.ndarray, plus: np.ndarray, osc):
+    """|+> ⊗ osc, a (fock_cutoff, k) stack, through one gate in ``rows``; returns the <+| branch, unnormalized.
 
-    ``framed`` is the gate's (2, nb, b, b) pulse pair on the block layout
-    ``index``, framed by ``pulse_at`` at chi and chi - theta0, and ``flip``
-    the joint row order of the spin flip (``gates._flip_order``); callers
-    compute both once per plan, so a step does only the state's own work.
-    osc is an oscillator state or an (fock_cutoff, k) stack.  Returns the
-    joint state and its <+| branch: the oscillator, unnormalized, after the
-    atom reset.
+    ``rows`` is a (dim + 1, k) buffer: the joint state, then the missing
+    state of the layout ``index``, zeroed before each gather.
+    ``framed`` is the gate's (2, nb, b, b) pulse pair framed at chi and
+    chi - theta0, and ``flipped`` the layout read through the spin flip,
+    ``append(gates._flip_order(space), dim)[index]``; callers compute both
+    once per plan.  Each pulse is one gather, one batched product and one
+    scatter, with the flip folded into the second gather; every joint row
+    lies in one block, so the second scatter writes the whole state.
     """
-    plus = atom_plus(space.atom_dim)
-    joint = echo_framed(index, framed[0], framed[1], flip, product_state(space, plus, osc))
-    return joint, project_atom(plus, joint, space)
+    rows[:-1] = (plus[:, None, None] * osc).reshape(len(rows) - 1, -1)
+    rows[-1] = 0.0
+    rows[index] = framed[0] @ rows[index]
+    rows[-1] = 0.0
+    rows[index] = framed[1] @ rows[flipped]
+    return (plus.conj() @ rows[:-1].reshape(len(plus), -1)).reshape(osc.shape)
 
 
 def execute_plan(
@@ -253,20 +257,21 @@ def execute_plan(
     The gates run in ``space``, the working space of ``model``
     (``gates.model_space``).  Everything that does not depend on the state
     is done once per plan: every step's phase-0 blocks go into one stack,
-    which one batched eigendecomposition exponentiates (each block at its
-    step's tau) and one ``pulse_at`` call frames for both pulses of every
-    step; the spin flip's row order is computed once.  The loop then only
-    runs |+> ⊗ osc through each gate block by block (``_apply_step``, also
-    calibration's step) and resets the atom, so a gate costs O(fock_cutoff)
-    and no joint-space matrix is formed.  The joint states are kept in one
-    (steps, atom_dim, fock_cutoff) array, and the step purities come from
-    it after the loop, in one ``purity`` call on the stack of reduced atom
-    states.  A step whose drive phase chi or chi - theta0 is not finite is
-    a ValueError naming the step.  Returns the final oscillator state and a
-    report; fidelity is measured against the plan target (padded to the
-    working cutoff, a zero tail beyond it dropped) when one is set,
-    otherwise against the initial state; target support beyond the cutoff
-    is an error.
+    which one ``block_unitaries`` call exponentiates (each block at its
+    step's tau; only full triplets need an eigh) and one ``framed_pulses``
+    call frames for both pulses of every step, from one complex exp per
+    pulse and step; the spin flip's row order is computed once.  The loop
+    then only runs |+> ⊗ osc through each gate block by block
+    (``_apply_step``, also calibration's step) and resets the atom, so a
+    gate costs O(fock_cutoff) and no joint-space matrix is formed.  Each
+    step runs in its own row of one (steps, dim + 1, 1) buffer, and the
+    step purities come from it after the loop, in one ``purity`` call on
+    the stack of reduced atom states.  A step whose drive phase chi or
+    chi - theta0 is not finite is a ValueError naming the step.  Returns
+    the final oscillator state and a report; fidelity is measured against
+    the plan target (padded to the working cutoff, a zero tail beyond it
+    dropped) when one is set, otherwise against the initial state; target
+    support beyond the cutoff is an error.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim != 1 or not np.isfinite(initial).all() or not initial.any():
@@ -278,32 +283,34 @@ def execute_plan(
         raise ValueError(f"target has support beyond the Fock cutoff {space.fock_cutoff}")
     phases = _drive_phases(plan.steps)
 
-    osc = np.zeros(space.fock_cutoff, dtype=complex)
-    osc[: len(initial)] = initial / np.linalg.norm(initial)
+    osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
+    osc[: len(initial), 0] = initial / np.linalg.norm(initial)
 
     blocks = [pulse_generator(step.gate, p, space, model) for step in plan.steps]
     counts = [len(b.index) for b in blocks]
     starts = np.cumsum([0] + counts)
-    if blocks:  # one eigh and one framing for the plan; each step owns rows starts[i]:starts[i + 1]
+    if blocks:  # one exponentiation and one framing for the plan; each step owns rows starts[i]:starts[i + 1]
         index = np.concatenate([b.index for b in blocks])
         taus = np.repeat([step.gate.tau for step in plan.steps], counts)
         stack = block_unitaries(np.concatenate([b.generator for b in blocks]), taus)
-        framed = pulse_at(index, stack, space, np.repeat(phases, counts, axis=1))
-    flip = _flip_order(space)
+        framed = framed_pulses(index, stack, space, np.repeat(np.exp(-1j * phases), counts, axis=1))
+        flipped = np.append(_flip_order(space), space.dim)[index]
+    plus = atom_plus(space.atom_dim)
 
-    joints = np.empty((len(plan), space.atom_dim, space.fock_cutoff), dtype=complex)
+    joints = np.empty((len(plan), space.dim + 1, 1), dtype=complex)
     atom_overlaps: list[float] = []
     for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        joint, branch = _apply_step(index[lo:hi], framed[:, lo:hi], flip, space, osc)
-        joints[i] = joint.reshape(space.atom_dim, space.fock_cutoff)
+        branch = _apply_step(joints[i], index[lo:hi], flipped[lo:hi], framed[:, lo:hi], plus, osc)
         # projective reset of the atom to |+>
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
         if weight == 0.0:
             raise ArithmeticError("atom reset branch has zero weight")
         osc = branch / weight
+    osc = osc[:, 0]
     # the reduced atom states; their purity is the oscillator's, each joint state being pure
-    purities = purity(joints @ joints.conj().swapaxes(1, 2)).tolist()
+    states = joints[:, :-1, 0].reshape(len(plan), space.atom_dim, space.fock_cutoff)
+    purities = purity(states @ states.conj().swapaxes(1, 2)).tolist()
 
     ref = np.zeros(space.fock_cutoff, dtype=complex)
     ref[: len(source)] = source[: space.fock_cutoff]
@@ -323,7 +330,7 @@ def execute_plan(
 
 
 def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
-    """Calibration's ``steps_at`` and ``images`` on the levels of ``plan``, from one eigh per level.
+    """Calibration's ``steps_at`` and ``images`` on the levels of ``plan``; doublets in closed form, no eigh.
 
     ``steps_at(x)`` gives the steps at (phi_i, chi_i) = x[2i:2i+2] and their
     phase-0 block unitaries.  ``images(x, columns=False)`` runs the vacuum
@@ -335,15 +342,17 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     """
     blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
     index = blocks[0].index  # one layout: every step is an effective k = 1 pulse in ``space``
-    evals, evecs = block_eigensystem(np.array([b.generator for b in blocks]))
-    flip = _flip_order(space)
+    generators = np.array([b.generator for b in blocks])
+    flipped = np.append(_flip_order(space), space.dim)[index]
+    plus = atom_plus(space.atom_dim)
+    rows = np.empty((space.dim + 1, 1 + 2 * len(blocks)), dtype=complex)  # one buffer; a call takes its columns
 
     def steps_at(x: np.ndarray) -> tuple[list[PlanStep], np.ndarray]:
         steps = [
             PlanStep(GateParams.from_raman(p, m=s.gate.m, phi=float(phi)), float(chi))
             for s, (phi, chi) in zip(plan.steps, x.reshape(-1, 2))
         ]
-        return steps, eigen_unitaries(evals, evecs, np.array([s.gate.tau for s in steps])[:, None])
+        return steps, block_unitaries(generators, np.array([s.gate.tau for s in steps])[:, None])
 
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
@@ -354,8 +363,8 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
         ]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
         for i in range(len(blocks)):
-            branches = [_apply_step(index, f[:, i], flip, space, osc[:, :1])[1] for f in moved]
-            osc = np.hstack([_apply_step(index, base[:, i], flip, space, osc)[1], *branches])
+            branches = [_apply_step(rows[:, :1], index, flipped, f[:, i], plus, osc[:, :1]) for f in moved]
+            osc = np.hstack([_apply_step(rows[:, : osc.shape[1]], index, flipped, base[:, i], plus, osc), *branches])
         return osc
 
     return steps_at, images

@@ -231,6 +231,17 @@ def test_gate_command_config_error(capsys):
             ["sweep", "--set", "physical.g=1e154", "--set", "physical.delta=1", "--set", "sweep.ratios=[1e-310]"],
             "sweep.ratios (r = 1e-310): phi = 1.5707963267948966 gives a gate with non-finite tau",
         ),
+        # pulse-block entries (g^2/delta)*cutoff = 1.2e309 overflow: the dynamics would print NaN
+        *(
+            ([command, "--set", "physical.g=1e154", "--set", "physical.delta=1"],
+             "physical: the pulse generator's (g*g/delta)*fock_cutoff = inf is not finite")
+            for command in ("gate", "sweep", "synthesize", "validate")
+        ),
+        # finite entries, but (g^2/delta)*cutoff times the gate's tau overflows
+        (
+            ["gate", "--set", "physical.g=1e16", "--set", "physical.omega_l=2e-292"],
+            "gate.phi: 0.7853981633974483 gives a pulse whose (g*g/delta)*fock_cutoff",
+        ),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):

@@ -194,3 +194,48 @@ def test_block_unitaries_reject_nonfinite_time(rng, t):
     stack = np.array([random_hermitian(rng, 2) for _ in range(2)])
     with pytest.raises(ValueError, match="time must be finite"):
         block_unitaries(stack, t)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_block_unitaries_reject_nonfinite_generator(rng, size, bad):
+    # the closed form would turn it into NaN unitaries without a word
+    stack = np.array([random_hermitian(rng, size) for _ in range(2)])
+    stack[1, 0, size - 1] = bad
+    with pytest.raises(ValueError, match="generator must be finite"):
+        block_unitaries(stack, 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("random", "zero", "diagonal", "degenerate")),
+    st.booleans(),
+    st.floats(-3.0, 3.0),
+    st.floats(-1e3, 1e3),
+)
+def test_closed_form_doublets_match_expm(seed, kind, real, log_scale, reach):
+    # real-symmetric and complex-Hermitian doublets, with zero, h01 = 0 and h00 = h11
+    # blocks among them, at either sign of t and |H|*t (spectral norm) up to 1e3
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, 2, 10.0**log_scale)
+    h = h.real if real else h
+    if kind == "zero":
+        h = np.zeros_like(h)
+    elif kind == "diagonal":
+        h[0, 1] = h[1, 0] = 0.0
+    elif kind == "degenerate":
+        h[1, 1] = h[0, 0]
+    norm = np.linalg.norm(h, 2)
+    t = reach / norm if norm > 0 else reach
+    assert max_abs(block_unitaries(h, t) - expm(-1j * h * t)) < 1e-12
+    assert max_abs(block_unitaries(np.array([h, h]), [t, -t])[1] - expm(1j * h * t)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-5.0, 5.0))
+def test_real_triplets_match_their_complex_copy(seed, count, t):
+    # the full model's phase-0 triplets are real: the real eigh gives the complex one's unitaries
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, 3).real for _ in range(count)])
+    assert max_abs(block_unitaries(stack, t) - block_unitaries(stack.astype(complex), t)) < 1e-13

@@ -709,7 +709,7 @@ def test_execute_plan_cutoff_invariance(seed, top, model, extra):
 def per_step_execution(plan, initial, model, p, space):
     """execute_plan's result by one ``apply_pair_gate`` per step.
 
-    Each gate diagonalises its own generator, and each step's purity is read
+    Each gate exponentiates its own generator, and each step's purity is read
     from the nf x nf reduced oscillator state.
     """
     osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
@@ -770,3 +770,28 @@ def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_st
     assert max_abs(osc - ref_osc) < 1e-12
     for name, value in ref.items():
         assert max_abs(np.subtract(getattr(report, name), value)) < 1e-12, name
+
+
+@pytest.mark.parametrize("model", ["ideal", "effective", "full"])
+def test_only_the_full_model_diagonalises(params, model, monkeypatch):
+    # doublets are exponentiated in closed form: ideal and effective plans, gates and
+    # calibrations make no eigh call, and full makes at least one per plan and per gate
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    plan = plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, "ideal" if model == "ideal" else "effective")
+    space = model_space(model, 7)
+    counts = []
+    for run in (
+        lambda: execute_plan(plan, np.array([1.0]), model, params, space),
+        lambda: pair_gate(plan.steps[1].gate, params, space, model, 0.3),
+        lambda: plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, "calibrated"),
+    ):
+        before = len(calls)
+        run()
+        counts.append(len(calls) - before)
+    assert counts[2] == 0
+    if model == "full":
+        assert min(counts[:2]) >= 1
+    else:
+        assert counts[:2] == [0, 0]
