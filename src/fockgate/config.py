@@ -6,8 +6,9 @@ fallback.  Every field's type is checked from its declaration.  The subcommand
 is the task, so ``task`` is an unknown field.  A device with no usable coupling
 (lambda = g*|Omega_L|/delta zero or not finite, 1/lambda or g^2/delta not
 finite), at the configured drive or at a sweep drive r*g, is a configuration
-error, and so is a ``gate.phi``, or at any sweep drive the largest angle of
-``SWEEP_ANGLES``, with a non-finite tau, theta0 or eta, or a pulse-block entry
+error.  So is a ``gate.phi``, the largest angle of ``SWEEP_ANGLES`` at any
+sweep drive, or that of ``validation.VALIDATION_GATES`` on any level it
+samples, with a non-finite tau, theta0 or 2*eta, or a pulse-block entry
 (``_block_entries``) that is not finite alone or times such a tau.  Defaults
 put the model in both the adiabatic (g/delta = 0.05) and selective
 (|Omega_L|/g = 0.1) regimes; they are conventions of this package.
@@ -25,7 +26,7 @@ import numpy as np
 from .gates import MODELS
 from .hamiltonians import RamanParams, _require_cutoff
 from .spaces import HilbertSpace
-from .validation import check_tolerances
+from .validation import VALIDATION_GATES, check_tolerances
 
 MODEL_CHOICES = MODELS + ("all",)
 
@@ -174,11 +175,18 @@ def _block_entries(g: float, omega_l: float, delta: float, nf: int) -> dict[str,
 
 
 def _require_finite_gate(name: str, phi: float, lam: float, shift: float, m: int) -> float:
-    """``GateParams.from_raman``'s tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, eta = m*theta0, all finite."""
+    """``GateParams.from_raman``'s tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, 2*eta = 2*m*theta0 finite."""
     tau = phi / (lam * math.sqrt(m))
-    if not all(map(math.isfinite, (tau, shift * tau, m * (shift * tau)))):
-        raise ConfigError(f"{name} gives a gate with non-finite tau, theta0 or eta")
+    if not all(map(math.isfinite, (tau, shift * tau, 2 * (m * (shift * tau))))):
+        raise ConfigError(f"{name} gives a gate with non-finite tau, theta0 or 2*eta")
     return tau
+
+
+def _require_finite_pulses(name: str, tau: float, g: float, omega_l: float, delta: float, nf: int) -> None:
+    """Each pulse-block entry times tau, a phase of the pulse's exponential, is finite."""
+    for label, entry in _block_entries(g, omega_l, delta, nf).items():
+        if not math.isfinite(entry * tau):
+            raise ConfigError(f"{name} gives a pulse whose {label} = {entry!r} times tau = {tau!r} is not finite")
 
 
 def _check_number(name: str, value: Any) -> None:
@@ -235,10 +243,13 @@ def validate_config(cfg: RunConfig) -> None:
     for label, entry in _block_entries(ph.g, ph.omega_l, ph.delta, nf).items():
         if not math.isfinite(entry):
             raise ConfigError(f"physical: the pulse generator's {label} = {entry!r} is not finite")
-    for name, tau, omega_l in gates:  # each entry times tau is a phase of the pulse's exponential
-        for label, entry in _block_entries(ph.g, omega_l, ph.delta, nf).items():
-            if not math.isfinite(entry * tau):
-                raise ConfigError(f"{name} gives a pulse whose {label} = {entry!r} times tau = {tau!r} is not finite")
+    for name, tau, omega_l in gates:
+        _require_finite_pulses(name, tau, ph.g, omega_l, ph.delta, nf)
+    # validate's closed-form check samples larger gates: tau is largest on level 1, 2*eta on the top level
+    (_, phi), top_level = VALIDATION_GATES
+    name = f"physical: the closed-form check's gate at phi = {phi!r}"
+    taus = [_require_finite_gate(f"{name}, m = {m}", phi, lam, shift, m) for m in range(1, min(top_level, nf - 2) + 1)]
+    _require_finite_pulses(name, max(taus), ph.g, ph.omega_l, ph.delta, nf)
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])

@@ -37,10 +37,12 @@ indices.  The drive phase theta enters only the g-e (or h-e) coupling, so a
 pulse at theta is Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I
 and B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
 per level and device serves both pulses and every offset and duration.
-``apply_pair_gate`` applies the gate to joint states without building a
-joint-space matrix; ``pair_gate`` assembles the dense unitary from the same
-blocks.  The dense builders and ``Propagator`` serve as the oracle in
-validation and the tests.
+``echo_pulses`` builds the framed pulses of one gate or a batch and
+``run_echo`` runs them on joint states in a padded buffer, the flip folded
+into the second gather: ``apply_pair_gate``, the sweep, plan execution and
+calibration all run gates so, and ``pair_gate`` assembles the dense unitary
+from the same pulses.  The dense builders and ``Propagator`` serve as the
+oracle in validation and the tests.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .hamiltonians import effective_hamiltonian  # noqa: F401  unused; bench/spa
 from .hamiltonians import full_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
 from .hamiltonians import multiquantum_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
 from .propagator import Propagator  # noqa: F401  unused; bench/spans.py replaces it here
-from .propagator import apply_blocks, block_unitaries
+from .propagator import block_unitaries
 from .spaces import HilbertSpace, atomic_sigma, fidelity, fock_populations, product_state, project_atom, tensor
 
 MODELS = ("ideal", "effective", "full")
@@ -188,14 +190,6 @@ def pulse_generator(gp: GateParams, p: RamanParams, space: HilbertSpace, model: 
     return full_blocks(p, space, gp.m)
 
 
-def _flip_order(space: HilbertSpace) -> np.ndarray:
-    """Joint row order x[order] that applies spin_flip ⊗ I to x: |g,n> <-> |e,n>."""
-    nf = space.fock_cutoff
-    order = np.arange(space.dim)
-    order[: 2 * nf] = (order[: 2 * nf] + nf) % (2 * nf)
-    return order
-
-
 def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -> np.ndarray:
     """Z(theta) B Z(theta)†: the phase e^{-i theta} on the |e> members of each block of ``pulse``.
 
@@ -209,20 +203,55 @@ def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError(f"drive phase must be finite, got {theta}")
-    return framed_pulses(index, pulse, space, np.exp(-1j * theta))
-
-
-def framed_pulses(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, phase: np.ndarray) -> np.ndarray:
-    """``pulse_at`` from the factors e^{-i theta} (shaped like its theta): a plan takes one exp per pulse and step."""
     nf = space.fock_cutoff
-    z = np.where((index >= nf) & (index < 2 * nf), phase[..., None], 1.0)
+    z = np.where((index >= nf) & (index < 2 * nf), np.exp(-1j * theta)[..., None], 1.0)
     return z[..., :, None] * pulse * z.conj()[..., None, :]
 
 
-def apply_echo(index, pulse, theta0, space: HilbertSpace, x, phase_offset: float = 0.0) -> np.ndarray:
-    """pulse(chi) -> flip -> pulse(chi - theta0) on x, from the phase-0 block unitaries ``pulse``."""
-    u1, u2 = pulse_at(index, pulse, space, [[phase_offset], [phase_offset - theta0]])
-    return apply_blocks(index, u2, apply_blocks(index, u1, x)[_flip_order(space)])
+class Echo(NamedTuple):
+    """Both framed pulses of one gate or a batch, and the joint rows they act on (``echo_pulses``)."""
+
+    index: np.ndarray    # (..., nb, b) joint rows of each block; space.dim is a missing state
+    flipped: np.ndarray  # the rows each block reads through the spin flip, |g,n> <-> |e,n>
+    pulses: np.ndarray   # (2, ..., nb, b, b): the pulses at chi and at chi - theta0
+
+
+def echo_pulses(blocks: PulseBlocks, space: HilbertSpace, tau, theta0, chi) -> Echo:
+    """The echo pulse(chi) -> flip -> pulse(chi - theta0) of one gate or a batch, for ``run_echo``.
+
+    ``blocks`` is a phase-0 stack, generator (..., nb, b, b) and index
+    (nb, b) or one layout per gate; tau, theta0 and chi broadcast against its
+    gate axes.  One ``block_unitaries`` call, framed by ``pulse_at`` from one
+    complex exp per pulse and gate.  A non-finite drive phase is a
+    ValueError; in a batch it names the gate as a plan step.
+    """
+    theta = np.empty((2,) + np.broadcast(chi, theta0).shape)  # chi and chi - theta0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
+        theta[0], theta[1] = chi, np.subtract(chi, theta0)
+    bad = np.flatnonzero(~np.isfinite(theta).all(axis=0)) if theta.ndim == 2 else ()
+    if len(bad):
+        first, second = theta[:, bad[0]].tolist()
+        raise ValueError(f"plan step {bad[0]}: drive phases chi = {first!r}, chi - theta0 = {second!r} must be finite")
+    nf = space.fock_cutoff  # the flip's row order swaps |g,n> and |e,n>; the missing state dim reads itself
+    order = np.concatenate([np.arange(nf, 2 * nf), np.arange(nf), np.arange(2 * nf, space.dim + 1)])
+    pulses = block_unitaries(blocks.generator, np.asarray(tau, dtype=float)[..., None])
+    return Echo(blocks.index, order[blocks.index], pulse_at(blocks.index, pulses, space, theta[..., None]))
+
+
+def run_echo(echo: Echo, rows: np.ndarray) -> np.ndarray:
+    """Run ``echo`` in place on ``rows`` and return it: O(dim * b^2) per column, no joint-space matrix.
+
+    ``rows`` is a (..., dim + 1, k) buffer: k joint states, then the missing
+    state, zeroed before each gather.  Its leading axes are the gate axes of
+    ``echo.pulses``.  Each pulse is a gather, a batched product and a
+    scatter, the flip folded into the second gather; every joint row lies in
+    one block, so the second scatter writes the whole state.
+    """
+    rows[..., -1, :] = 0.0
+    rows[..., echo.index, :] = echo.pulses[0] @ rows[..., echo.index, :]
+    rows[..., -1, :] = 0.0
+    rows[..., echo.index, :] = echo.pulses[1] @ rows[..., echo.flipped, :]
+    return rows
 
 
 def apply_pair_gate(
@@ -235,16 +264,20 @@ def apply_pair_gate(
 ) -> np.ndarray:
     """The three-step gate pulse(chi) -> flip -> pulse(chi - theta0) applied to x.
 
-    x is a joint state of shape (dim,) or a (dim, k) stack of columns.  Each
-    pulse acts block by block (see ``hamiltonians.PulseBlocks``) and the
-    spin flip is a row permutation, so the work is O(dim * b^2) per column
-    and no joint-space matrix is built.  model selects the pulse: "ideal"
-    keeps only the pair self-energy and resonant coupling (exactly confined
-    to {m-k, m}); "effective" uses the eliminated two-level model with all
-    its detuned exchange channels; "full" keeps the explicit third level.
+    x is a joint state of shape (dim,) or a (dim, k) stack of columns; any
+    other shape is a ValueError.  The gate runs block by block (``run_echo``).
+    model selects the pulse: "ideal" keeps only the pair self-energy and
+    resonant coupling (exactly confined to {m-k, m}); "effective" uses the
+    eliminated two-level model with all its detuned exchange channels;
+    "full" keeps the explicit third level.
     """
-    index, generator = pulse_generator(gp, p, space, model)
-    return apply_echo(index, block_unitaries(generator, gp.tau), gp.theta0, space, x, phase_offset)
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (1, 2) or len(x) != space.dim:
+        raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
+    echo = echo_pulses(pulse_generator(gp, p, space, model), space, gp.tau, gp.theta0, phase_offset)
+    rows = np.empty((space.dim + 1, x[0].size), dtype=complex)  # run_echo zeroes the last row
+    rows[:-1] = x.reshape(space.dim, -1)
+    return run_echo(echo, rows)[:-1].reshape(x.shape)
 
 
 def pair_gate(
@@ -263,15 +296,14 @@ def pair_gate(
     b^3 products per B2 block land on distinct entries of U.
     """
     dim = space.dim
-    index, generator = pulse_generator(gp, p, space, model)
-    pulse = block_unitaries(generator, gp.tau)
-    u1, u2 = pulse_at(index, pulse, space, [[phase_offset], [phase_offset - gp.theta0]])
+    blocks = pulse_generator(gp, p, space, model)
+    # source: the B1 row read by each B2 column
+    index, source, (u1, u2) = echo_pulses(blocks, space, gp.tau, gp.theta0, phase_offset)
     nb, b = index.shape
     block = np.empty(dim + 1, dtype=int)
     position = np.empty(dim + 1, dtype=int)
     block[index] = np.arange(nb)[:, None]
     position[index] = np.arange(b)
-    source = np.append(_flip_order(space), dim)[index]  # B1 row read by each B2 column
     columns = index[block[source]]
     # a missing B2 member has no B1 row: its products go to the dropped
     # column, not onto entries that another product sets

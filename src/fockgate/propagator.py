@@ -4,9 +4,8 @@ Gates propagate by blocks.  A pulse generator splits into small blocks of
 fixed excitation number (``hamiltonians.PulseBlocks``); ``block_unitaries``
 exponentiates a whole stack, for one time or an array of times: 2x2 doublets
 (two-level Rabi problems) in closed form, larger blocks (the full model's
-triplets) by one batched eigh.  ``apply_blocks`` applies the result to the
-rows of a joint state or matrix with O(nb*b^2) work per column.  Every eigh
-of the package runs in this module.
+triplets) by one batched eigh; ``gates.echo_pulses`` frames the result into
+a gate's two pulses.  Every eigh of the package runs in this module.
 
 ``Propagator`` diagonalises one dense generator.  It is the oracle that
 validation and the tests compare the block path against; the factorization
@@ -48,19 +47,6 @@ def _finite_time(t) -> np.ndarray:
     if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t}")
     return t
-
-
-def apply_blocks(index: np.ndarray, unitaries: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a block-diagonal unitary to the leading axis of x.
-
-    ``unitaries[i]`` acts on the rows ``index[i]``; an index equal to
-    ``len(x)`` names a missing state, which reads as zero and is dropped.
-    Rows that appear in no block are returned unchanged.
-    """
-    x = np.asarray(x, dtype=complex)
-    rows = np.concatenate([x.reshape(len(x), -1), np.zeros((1, x[0].size), dtype=complex)])
-    rows[index] = unitaries @ rows[index]
-    return rows[:-1].reshape(x.shape)
 
 
 class Propagator:

@@ -32,7 +32,9 @@ only at n = 5 does leakage cap it, at 0.964.
 
 A plan runs its gates one after another through one auxiliary atom, which is
 re-prepared in |+> between gates; since an ideal gate returns the atom
-exactly to |+>, this reset is bookkeeping rather than back-action.  Only
+exactly to |+>, this reset is bookkeeping rather than back-action.  Plan
+execution and calibration build every step's pulses in one
+``gates.echo_pulses`` call and run each step with ``gates.run_echo``.  Only
 under the "ideal" model do gates on disjoint pairs commute: under
 "effective" and "full" every gate puts its own level-dependent dispersive
 phase on the spectator levels.
@@ -47,10 +49,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, _flip_order, atom_plus, framed_pulses, induced_oscillator_unitary, pair_gate
-from .gates import pulse_at, pulse_generator
-from .hamiltonians import RamanParams
-from .propagator import block_unitaries
+from .gates import Echo, GateParams, atom_plus, echo_pulses, induced_oscillator_unitary, pair_gate, pulse_generator
+from .gates import run_echo
+from .hamiltonians import PulseBlocks, RamanParams
 from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
@@ -212,37 +213,17 @@ def plan_superposition(
     return _compile_ladder(target, p, phase_model)
 
 
-def _drive_phases(steps: list[PlanStep]) -> np.ndarray:
-    """The (2, len(steps)) drive phases chi and chi - theta0 of both pulses of every step.
-
-    Computed in Python floats, so an overflow is a ValueError naming its step, not a NumPy warning.
-    """
-    phases = np.array([(s.phase_correction, s.phase_correction - s.gate.theta0) for s in steps]).reshape(-1, 2)
-    if not np.isfinite(phases).all():
-        i = int(np.flatnonzero(~np.isfinite(phases).all(axis=1))[0])
-        chi, second = phases[i].tolist()
-        raise ValueError(f"plan step {i}: drive phases chi = {chi!r}, chi - theta0 = {second!r} must be finite")
-    return phases.T
+def _step_echoes(blocks: PulseBlocks, space: HilbertSpace, steps: list[PlanStep]) -> list[Echo]:
+    """Each step's ``Echo`` from one ``echo_pulses`` call on a (steps, nb, b, b) stack with a layout per step."""
+    tau, theta0, chi = np.array([(s.gate.tau, s.gate.theta0, s.phase_correction) for s in steps]).T
+    index, flipped, pulses = echo_pulses(blocks, space, tau, theta0, chi)
+    return [Echo(index[i], flipped[i], pulses[:, i]) for i in range(len(steps))]
 
 
-def _apply_step(rows: np.ndarray, index: np.ndarray, flipped: np.ndarray, framed: np.ndarray, plus: np.ndarray, osc):
-    """|+> ⊗ osc, a (fock_cutoff, k) stack, through one gate in ``rows``; returns the <+| branch, unnormalized.
-
-    ``rows`` is a (dim + 1, k) buffer: the joint state, then the missing
-    state of the layout ``index``, zeroed before each gather.
-    ``framed`` is the gate's (2, nb, b, b) pulse pair framed at chi and
-    chi - theta0, and ``flipped`` the layout read through the spin flip,
-    ``append(gates._flip_order(space), dim)[index]``; callers compute both
-    once per plan.  Each pulse is one gather, one batched product and one
-    scatter, with the flip folded into the second gather; every joint row
-    lies in one block, so the second scatter writes the whole state.
-    """
+def _apply_step(rows: np.ndarray, echo: Echo, plus: np.ndarray, osc: np.ndarray) -> np.ndarray:
+    """|+> ⊗ osc, a (fock_cutoff, k) stack, through ``echo`` in the (dim + 1, k) buffer ``rows``; the <+| branch."""
     rows[:-1] = (plus[:, None, None] * osc).reshape(len(rows) - 1, -1)
-    rows[-1] = 0.0
-    rows[index] = framed[0] @ rows[index]
-    rows[-1] = 0.0
-    rows[index] = framed[1] @ rows[flipped]
-    return (plus.conj() @ rows[:-1].reshape(len(plus), -1)).reshape(osc.shape)
+    return (plus.conj() @ run_echo(echo, rows)[:-1].reshape(len(plus), -1)).reshape(osc.shape)
 
 
 def execute_plan(
@@ -255,18 +236,13 @@ def execute_plan(
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
     The gates run in ``space``, the working space of ``model``
-    (``gates.model_space``).  Everything that does not depend on the state
-    is done once per plan: every step's phase-0 blocks go into one stack,
-    which one ``block_unitaries`` call exponentiates (each block at its
-    step's tau; only full triplets need an eigh) and one ``framed_pulses``
-    call frames for both pulses of every step, from one complex exp per
-    pulse and step; the spin flip's row order is computed once.  The loop
-    then only runs |+> ⊗ osc through each gate block by block
-    (``_apply_step``, also calibration's step) and resets the atom, so a
-    gate costs O(fock_cutoff) and no joint-space matrix is formed.  Each
-    step runs in its own row of one (steps, dim + 1, 1) buffer, and the
-    step purities come from it after the loop, in one ``purity`` call on
-    the stack of reduced atom states.  A step whose drive phase chi or
+    (``gates.model_space``).  Every step's phase-0 blocks go into one
+    (steps, nb, b, b) stack, a shorter layout padded with blocks of missing
+    states (a k = 2 layout is one block longer), and one ``echo_pulses``
+    call builds every pulse.  The loop then only runs |+> ⊗ osc through each
+    gate (``_apply_step``, also calibration's step), in its own row of one
+    (steps, dim + 1, 1) buffer, and resets the atom; the step purities come
+    from that buffer after the loop.  A step whose drive phase chi or
     chi - theta0 is not finite is a ValueError naming the step.  Returns
     the final oscillator state and a report; fidelity is measured against
     the plan target (padded to the working cutoff, a zero tail beyond it
@@ -281,26 +257,24 @@ def execute_plan(
     source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
     if np.any(np.abs(source[space.fock_cutoff :]) > 1e-12):
         raise ValueError(f"target has support beyond the Fock cutoff {space.fock_cutoff}")
-    phases = _drive_phases(plan.steps)
 
     osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
     osc[: len(initial), 0] = initial / np.linalg.norm(initial)
 
     blocks = [pulse_generator(step.gate, p, space, model) for step in plan.steps]
-    counts = [len(b.index) for b in blocks]
-    starts = np.cumsum([0] + counts)
-    if blocks:  # one exponentiation and one framing for the plan; each step owns rows starts[i]:starts[i + 1]
-        index = np.concatenate([b.index for b in blocks])
-        taus = np.repeat([step.gate.tau for step in plan.steps], counts)
-        stack = block_unitaries(np.concatenate([b.generator for b in blocks]), taus)
-        framed = framed_pulses(index, stack, space, np.repeat(np.exp(-1j * phases), counts, axis=1))
-        flipped = np.append(_flip_order(space), space.dim)[index]
+    echoes = []
+    if blocks:
+        index = np.full((len(blocks), max(len(blk.index) for blk in blocks), blocks[0].index.shape[1]), space.dim)
+        generator = np.zeros(index.shape + index.shape[-1:])
+        for i, blk in enumerate(blocks):
+            index[i, : len(blk.index)], generator[i, : len(blk.index)] = blk.index, blk.generator
+        echoes = _step_echoes(PulseBlocks(index, generator), space, plan.steps)
     plus = atom_plus(space.atom_dim)
 
     joints = np.empty((len(plan), space.dim + 1, 1), dtype=complex)
     atom_overlaps: list[float] = []
-    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        branch = _apply_step(joints[i], index[lo:hi], flipped[lo:hi], framed[:, lo:hi], plus, osc)
+    for rows, echo in zip(joints, echoes):
+        branch = _apply_step(rows, echo, plus, osc)
         # projective reset of the atom to |+>
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
@@ -332,39 +306,33 @@ def execute_plan(
 def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     """Calibration's ``steps_at`` and ``images`` on the levels of ``plan``; doublets in closed form, no eigh.
 
-    ``steps_at(x)`` gives the steps at (phi_i, chi_i) = x[2i:2i+2] and their
-    phase-0 block unitaries.  ``images(x, columns=False)`` runs the vacuum
-    through them by ``_apply_step`` under the effective model, without
-    renormalizing: column 0 is the image at x; with ``columns``, column 1 + k
-    has x[k] moved by CALIBRATION_FD_STEP and branches off column 0 just
-    before the step of x[k].  Every step shares one block layout, and each
-    parameter set's pulses are framed by one ``pulse_at`` call.
+    ``steps_at(x)`` gives the steps at (phi_i, chi_i) = x[2i:2i+2].
+    ``images(x, columns=False)`` runs the vacuum through them by
+    ``_apply_step`` under the effective model, without renormalizing:
+    column 0 is the image at x; with ``columns``, column 1 + k has x[k]
+    moved by CALIBRATION_FD_STEP and branches off column 0 just before the
+    step of x[k].  The generator stack is built once; each parameter set's
+    pulses come from one ``_step_echoes`` call.
     """
     blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
-    index = blocks[0].index  # one layout: every step is an effective k = 1 pulse in ``space``
-    generators = np.array([b.generator for b in blocks])
-    flipped = np.append(_flip_order(space), space.dim)[index]
+    stack = PulseBlocks(np.array([b.index for b in blocks]), np.array([b.generator for b in blocks]))
     plus = atom_plus(space.atom_dim)
     rows = np.empty((space.dim + 1, 1 + 2 * len(blocks)), dtype=complex)  # one buffer; a call takes its columns
 
-    def steps_at(x: np.ndarray) -> tuple[list[PlanStep], np.ndarray]:
-        steps = [
+    def steps_at(x: np.ndarray) -> list[PlanStep]:
+        return [
             PlanStep(GateParams.from_raman(p, m=s.gate.m, phi=float(phi)), float(chi))
             for s, (phi, chi) in zip(plan.steps, x.reshape(-1, 2))
         ]
-        return steps, block_unitaries(generators, np.array([s.gate.tau for s in steps])[:, None])
 
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        base, *moved = [
-            pulse_at(index, pulses, space, _drive_phases(steps)[..., None])
-            for steps, pulses in (steps_at(x + np.tile(d, len(blocks))) for d in moves)
-        ]
+        base, *moved = [_step_echoes(stack, space, steps_at(x + np.tile(d, len(blocks)))) for d in moves]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
-        for i in range(len(blocks)):
-            branches = [_apply_step(rows[:, :1], index, flipped, f[:, i], plus, osc[:, :1]) for f in moved]
-            osc = np.hstack([_apply_step(rows[:, : osc.shape[1]], index, flipped, base[:, i], plus, osc), *branches])
+        for i, echo in enumerate(base):
+            branches = [_apply_step(rows[:, :1], echoes[i], plus, osc[:, :1]) for echoes in moved]
+            osc = np.hstack([_apply_step(rows[:, : osc.shape[1]], echo, plus, osc), *branches])
         return osc
 
     return steps_at, images
@@ -421,7 +389,7 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
         x, converged = trial, cost - trial_cost <= CALIBRATION_RTOL * cost
         if converged:
             break
-    return replace(plan, phase_model="calibrated", steps=steps_at(x)[0])
+    return replace(plan, phase_model="calibrated", steps=steps_at(x))
 
 
 def commutation_check(

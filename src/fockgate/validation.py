@@ -45,6 +45,10 @@ from .spaces import (
     tensor,
 )
 
+# the closed-form check's gates: phi uniform in the interval (upper end excluded) on
+# levels 1..min(top, fock_cutoff - 2); run_validation and the config rules read it
+VALIDATION_GATES = ((0.0, 2.0 * math.pi), 5)
+
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-12,
     "propagation": 1e-10,
@@ -174,8 +178,8 @@ def run_validation(
     # closed-form equivalence on sampled gates
     worst = 0.0
     for _ in range(24):
-        level = int(rng.integers(1, min(5, nf - 2) + 1))
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
+        level = int(rng.integers(1, min(VALIDATION_GATES[1], nf - 2) + 1))
+        phi = float(rng.uniform(*VALIDATION_GATES[0]))
         z = rng.normal(size=4)
         alpha = complex(z[0], z[1])
         beta = complex(z[2], z[3])

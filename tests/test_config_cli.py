@@ -242,6 +242,13 @@ def test_gate_command_config_error(capsys):
             ["gate", "--set", "physical.g=1e16", "--set", "physical.omega_l=2e-292"],
             "gate.phi: 0.7853981633974483 gives a pulse whose (g*g/delta)*fock_cutoff",
         ),
+        # the configured gate and the sweep's are finite, but validate samples phi up to 2*pi on
+        # levels up to 5, and 2*eta of such a gate overflows
+        *(
+            ([command, "--set", "physical.g=1e16", "--set", "physical.omega_l=1.2e-291"],
+             "physical: the closed-form check's gate at phi = 6.283185307179586, m = 3 gives a gate with non-finite")
+            for command in ("gate", "sweep", "synthesize", "validate")
+        ),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):

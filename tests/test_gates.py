@@ -27,9 +27,9 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import apply_pair_gate, pulse_at
+from fockgate.gates import Echo, apply_pair_gate, echo_pulses, pulse_at, pulse_generator, run_echo
 from fockgate.hamiltonians import effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
-from fockgate.propagator import Propagator, apply_blocks, block_unitaries
+from fockgate.propagator import Propagator, block_unitaries
 from fockgate.spaces import fidelity, max_abs
 
 from conftest import dense_pulse, random_pair_amplitudes
@@ -424,6 +424,35 @@ def test_gate_factories_reject_overflowing_duration(params):
 # ---- block propagation against the dense oracle ---------------------------------------
 
 
+def joint_matrix(index, blocks, space):
+    """The joint-space matrix of the block-diagonal ``blocks`` (rows ``index``), by ``run_echo``.
+
+    The echo's second pulse is the identity, read without the flip, so the
+    kernel applies ``blocks`` alone to the columns of the identity.
+    """
+    second = np.broadcast_to(np.eye(index.shape[-1]), blocks.shape)
+    rows = np.eye(space.dim + 1, space.dim, dtype=complex)
+    return run_echo(Echo(index, index, np.array([blocks, second])), rows)[:-1]
+
+
+def test_run_echo_drops_missing_states():
+    # rows 0 and 2 rotate together; index 3, the buffer's last row, is a state
+    # the truncation removed: it reads as zero in both gathers, even after the
+    # first pulse scatters a value there, and what lands in it is dropped
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    index = np.array([[0, 2], [1, 3]])
+
+    def run(first, flipped):
+        rows = np.array([[1.0], [2.0], [3.0], [np.nan]], dtype=complex)
+        return run_echo(Echo(index, np.array(flipped), np.array([first, [eye, eye]])), rows)[:-1, 0]
+
+    assert_allclose(run([swap, eye], index), [3.0, 2.0, 1.0])
+    assert_allclose(run([swap, swap], index), [3.0, 0.0, 1.0])
+    # the second pulse reads rows 2, 0 and 3, 1: block 1 meets the missing state, not the 2 moved there
+    assert_allclose(run([eye, swap], [[2, 0], [3, 1]]), [3.0, 0.0, 1.0])
+
+
 # the block builders take no drive phase: a pulse at phase theta is the
 # phase-0 pulse in the frame Z(theta) of ``pulse_at``
 BLOCK_BUILDERS = {
@@ -462,21 +491,22 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     gp = gate(phi=phi)
     norm = np.linalg.norm(dense_pulse(gp, p, space, model, chi), 2)
     gp = gate(phi=gp.coupling_element * min(gp.tau, 10.0 / norm))
-    eye = np.eye(space.dim, dtype=complex)
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)
     pulse = block_unitaries(blocks.generator, gp.tau)
+    echo = echo_pulses(blocks, space, gp.tau, gp.theta0, chi)
     dense = []
-    for angle in (chi, chi - gp.theta0):
+    for angle, framed_pulse in zip((chi, chi - gp.theta0), echo.pulses):
         h = dense_pulse(gp, p, space, model, angle)
         framed = pulse_at(blocks.index, blocks.generator, space, angle)
-        assert max_abs(apply_blocks(blocks.index, framed, eye) - h) < 1e-15
-        u_blocks = apply_blocks(blocks.index, pulse_at(blocks.index, pulse, space, angle), eye)
+        assert max_abs(joint_matrix(blocks.index, framed, space) - h) < 1e-15
+        u_blocks = joint_matrix(blocks.index, pulse_at(blocks.index, pulse, space, angle), space)
         u_expm = expm(-1j * h * gp.tau)
         u_prop = Propagator(h).unitary(gp.tau)
         assert max_abs(u_blocks - u_expm) < 1e-12
         assert max_abs(u_blocks - u_prop) < 1e-12
         assert max_abs(u_prop - u_expm) < 1e-12
+        assert max_abs(joint_matrix(blocks.index, framed_pulse, space) - u_expm) < 1e-12
         dense.append(u_expm)
 
     flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
@@ -520,18 +550,17 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     b0 = block_unitaries(base.generator, tau)
     at_theta = pulse_at(base.index, base.generator, space, theta)
     framed = pulse_at(base.index, b0, space, theta)
-    eye = np.eye(space.dim, dtype=complex)
     # compared on the joint space: entries of states cut off by the
     # truncation (index == dim) carry no frame and are dropped
-    eigh_theta = apply_blocks(base.index, block_unitaries(at_theta, tau), eye)
-    assert max_abs(apply_blocks(base.index, framed, eye) - eigh_theta) < 1e-12
+    eigh_theta = joint_matrix(base.index, block_unitaries(at_theta, tau), space)
+    assert max_abs(joint_matrix(base.index, framed, space) - eigh_theta) < 1e-12
 
     z = np.ones(space.dim, dtype=complex)
     z[space.fock_cutoff : 2 * space.fock_cutoff] = np.exp(-1j * theta)
-    rows = z[:, None] * apply_blocks(base.index, b0, eye) * z.conj()[None, :]
+    rows = z[:, None] * joint_matrix(base.index, b0, space) * z.conj()[None, :]
     u_expm = expm(-1j * dense * tau)
     assert max_abs(rows - u_expm) < 1e-12
-    assert max_abs(apply_blocks(base.index, framed, eye) - u_expm) < 1e-12
+    assert max_abs(joint_matrix(base.index, framed, space) - u_expm) < 1e-12
     # phases per block row, stacked over two frames, match one call per block and frame
     per_row = theta * np.linspace(-1.0, 1.0, len(base.index))
     stacked = pulse_at(base.index, b0, space, [per_row, -per_row])
@@ -560,3 +589,41 @@ def test_non_finite_drive_phase_rejected(params, phase):
         pair_gate(gp, params, space, "effective", phase_offset=phase)
     with pytest.raises(ValueError, match="drive phase must be finite"):
         apply_pair_gate(gp, params, space, np.ones(space.dim), "ideal", phase_offset=phase)
+
+
+@pytest.mark.parametrize("length", [11, 13, 15])
+def test_apply_pair_gate_rejects_wrong_state_length(params, length):
+    gp = GateParams.from_raman(params, m=2, phi=0.4)
+    space = HilbertSpace(2, 6)
+    for x in (np.ones(length), np.ones((length, 3))):
+        with pytest.raises(ValueError, match=r"expected \(12,\) or \(12, k\)"):
+            apply_pair_gate(gp, params, space, x)
+    with pytest.raises(ValueError, match=r"expected \(12,\) or \(12, k\)"):
+        apply_pair_gate(gp, params, space, np.ones((12, 2, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["ideal", "effective", "full"]), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_one_echo_runs_a_batch_of_gates(model, seed, count):
+    """A batch of gates with a column each, as the sweep runs it, equals the dense gates one by one.
+
+    The gates share one level and one phase-0 block stack and differ in
+    angle, and so in tau and theta0, and in drive phase chi.  The dense
+    ``pair_gate`` is checked against the expm oracle above, where pulses
+    are short enough for that oracle to hold 1e-12.
+    """
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace(3 if model == "full" else 2, 7)
+    gates = [GateParams.from_raman(p, m=3, phi=phi) for phi in rng.uniform(0.0, 1.5, count)]
+    chis = rng.uniform(-np.pi, np.pi, count)
+    echo = echo_pulses(
+        pulse_generator(gates[0], p, space, model), space, [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis
+    )
+    assert echo.pulses.shape[:2] == (2, count)
+    states = rng.normal(size=(count, space.dim)) + 1j * rng.normal(size=(count, space.dim))
+    rows = np.zeros((count, space.dim + 1, 1), dtype=complex)
+    rows[:, :-1, 0] = states
+    out = run_echo(echo, rows)[:, :-1, 0]
+    for gp, chi, x, y in zip(gates, chis, states, out):
+        assert max_abs(y - pair_gate(gp, p, space, model, chi) @ x) < 1e-12

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from fockgate import HilbertSpace, Propagator, RamanParams
-from fockgate.propagator import apply_blocks, block_unitaries
+from fockgate.propagator import block_unitaries
 from fockgate.hamiltonians import decompose_effective
 from fockgate.spaces import basis_state, fidelity, max_abs
 
@@ -153,17 +153,6 @@ def test_block_unitaries_match_expm(seed, size, count, t):
     blocks = block_unitaries(stack, t)
     for h, u in zip(stack, blocks):
         assert max_abs(u - expm(-1j * h * t)) < 1e-12
-
-
-def test_apply_blocks_drops_missing_states():
-    # rows 0 and 2 rotate together; index 3 (= len(x)) is a state the
-    # truncation removed, so row 1 meets only a zero and row 3 is never written
-    x = np.array([1.0, 2.0, 3.0], dtype=complex)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    out = apply_blocks(np.array([[0, 2], [1, 3]]), np.array([swap, np.eye(2)]), x)
-    assert_allclose(out, [3.0, 2.0, 1.0])
-    out = apply_blocks(np.array([[0, 2], [1, 3]]), np.array([swap, swap]), x)
-    assert_allclose(out, [3.0, 0.0, 1.0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,7 +29,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import apply_pair_gate, model_space
+from fockgate.gates import model_space
 from fockgate.spaces import max_abs, product_state, project_atom, purity, reduced_oscillator_state
 from fockgate.synthesis import CALIBRATION_FD_STEP, LEDGER_MODELS, PHASE_MODELS, _calibration_runner
 
@@ -707,10 +707,11 @@ def test_execute_plan_cutoff_invariance(seed, top, model, extra):
 
 
 def per_step_execution(plan, initial, model, p, space):
-    """execute_plan's result by one ``apply_pair_gate`` per step.
+    """execute_plan's result by one dense ``pair_gate`` per step.
 
-    Each gate exponentiates its own generator, and each step's purity is read
-    from the nf x nf reduced oscillator state.
+    Each gate exponentiates its own generator and is assembled into a
+    joint-space matrix, not run through the echo kernel; each step's purity
+    is read from the nf x nf reduced oscillator state.
     """
     osc = np.pad(initial, (0, space.fock_cutoff - len(initial)))
     osc = osc / np.linalg.norm(osc)
@@ -718,7 +719,7 @@ def per_step_execution(plan, initial, model, p, space):
     purities, overlaps = [], []
     for step in plan.steps:
         prepared = product_state(space, plus, osc)
-        joint = apply_pair_gate(step.gate, p, space, prepared, model, step.phase_correction)
+        joint = pair_gate(step.gate, p, space, model, step.phase_correction) @ prepared
         purities.append(purity(reduced_oscillator_state(joint, space)))
         branch = project_atom(plus, joint, space)
         overlaps.append(float(np.linalg.norm(branch)) ** 2)
