@@ -114,12 +114,10 @@ def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
         nrm = np.hypot(abs(alpha), abs(beta))
         gates.append(GateParams.from_raman(p, m=cfg.gate.m, phi=phi))
         states.append(closed_form_states(gates[-1], space, alpha / nrm, beta / nrm))
-    # the samples differ only in tau and input: one echo runs them all, a buffer row each
+    # the samples differ only in tau and input: one echo runs them all, a state each
     taus, theta0s = np.array([(gp.tau, gp.theta0) for gp in gates]).T
     echo = echo_pulses(pulse_generator(gates[0], p, space, model), space, taus, theta0s, 0.0)
-    rows = np.empty((len(gates), space.dim + 1, 1), dtype=complex)  # run_echo zeroes the last row
-    rows[:, :-1, 0] = [prepared for prepared, _ in states]
-    psis = run_echo(echo, rows)[:, :-1, 0]
+    psis = run_echo(echo, np.array([prepared for prepared, _ in states])[..., None])[..., 0]
     fids = [fidelity(expected, psi, space) for (_, expected), psi in zip(states, psis)]
     leaks = [leakage(psi, gp.m, gp.k, space) for gp, psi in zip(gates, psis)]
     return {

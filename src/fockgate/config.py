@@ -168,7 +168,7 @@ def _require_coupling(name: str, lam: float, shift: float) -> None:
 
 
 def _block_entries(g: float, omega_l: float, delta: float, nf: int) -> dict[str, float]:
-    """The largest pulse-block entries at cutoff nf (``hamiltonians.*_blocks``), computed as the builders would."""
+    """Bounds on the pulse-block entries at cutoff nf (``hamiltonians.*_blocks``), computed as the builders would."""
     return {"g*sqrt(fock_cutoff)": g * math.sqrt(nf), "lambda*sqrt(fock_cutoff)": g * omega_l / delta * math.sqrt(nf),
             "(g*g/delta)*fock_cutoff": g * g / delta * nf, "delta": delta, "omega_l": omega_l,
             "omega_l*omega_l/delta": omega_l * omega_l / delta}
@@ -283,7 +283,11 @@ def target_state(cfg: RunConfig) -> np.ndarray:
     elif t.preset == "pair":
         amps = np.zeros(t.n + 1, dtype=complex)
         amps[0] = _parse_amplitude(t.alpha, "target.alpha")
-        amps[t.n] = _parse_amplitude(t.beta, "target.beta")
+        beta = _parse_amplitude(t.beta, "target.beta")
+        if t.n > 0:
+            amps[t.n] = beta
+        elif beta != 0:  # alpha|0> + beta|n> has no level n of its own for beta
+            raise ConfigError(f"target.n: the pair preset needs n >= 1 for a nonzero target.beta, got {t.n}")
     else:
         raise ConfigError(
             f"target.preset: {t.preset!r} is not one of ('vacuum', 'fock', 'pair') "

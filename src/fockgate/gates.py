@@ -32,15 +32,16 @@ in the exchange swap (an anti-Jaynes-Cummings stretch); that hardware
 variant is noted here but not modeled.
 
 Both pulses are propagated by excitation-number blocks
-(``hamiltonians.PulseBlocks``) and the flip is a permutation of joint
-indices.  The drive phase theta enters only the g-e (or h-e) coupling, so a
-pulse at theta is Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I
-and B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
+(``hamiltonians.PulseBlocks``, whose layout is a permutation of the joint
+basis) and the flip is a permutation of joint indices.  The drive phase
+theta enters only the g-e (or h-e) coupling, so a pulse at theta is
+Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I and
+B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
 per level and device serves both pulses and every offset and duration.
 ``echo_pulses`` builds the framed pulses of one gate or a batch and
-``run_echo`` runs them on joint states in a padded buffer, the flip folded
-into the second gather: ``apply_pair_gate``, the sweep, plan execution and
-calibration all run gates so, and ``pair_gate`` assembles the dense unitary
+``run_echo`` runs them in place on joint states, the flip folded into the
+second gather: ``apply_pair_gate``, the sweep, plan execution and
+calibration all run gates so, and ``pair_gate`` sums the dense unitary
 from the same pulses.  The dense builders and ``Propagator`` serve as the
 oracle in validation and the tests.
 """
@@ -211,7 +212,7 @@ def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -
 class Echo(NamedTuple):
     """Both framed pulses of one gate or a batch, and the joint rows they act on (``echo_pulses``)."""
 
-    index: np.ndarray    # (..., nb, b) joint rows of each block; space.dim is a missing state
+    index: np.ndarray    # (..., nb, b) joint rows of each block, a permutation of the joint basis
     flipped: np.ndarray  # the rows each block reads through the spin flip, |g,n> <-> |e,n>
     pulses: np.ndarray   # (2, ..., nb, b, b): the pulses at chi and at chi - theta0
 
@@ -232,26 +233,24 @@ def echo_pulses(blocks: PulseBlocks, space: HilbertSpace, tau, theta0, chi) -> E
     if len(bad):
         first, second = theta[:, bad[0]].tolist()
         raise ValueError(f"plan step {bad[0]}: drive phases chi = {first!r}, chi - theta0 = {second!r} must be finite")
-    nf = space.fock_cutoff  # the flip's row order swaps |g,n> and |e,n>; the missing state dim reads itself
-    order = np.concatenate([np.arange(nf, 2 * nf), np.arange(nf), np.arange(2 * nf, space.dim + 1)])
+    nf = space.fock_cutoff  # the flip's row order swaps |g,n> and |e,n>
+    order = np.concatenate([np.arange(nf, 2 * nf), np.arange(nf), np.arange(2 * nf, space.dim)])
     pulses = block_unitaries(blocks.generator, np.asarray(tau, dtype=float)[..., None])
     return Echo(blocks.index, order[blocks.index], pulse_at(blocks.index, pulses, space, theta[..., None]))
 
 
-def run_echo(echo: Echo, rows: np.ndarray) -> np.ndarray:
-    """Run ``echo`` in place on ``rows`` and return it: O(dim * b^2) per column, no joint-space matrix.
+def run_echo(echo: Echo, states: np.ndarray) -> np.ndarray:
+    """Run ``echo`` in place on ``states`` and return it: O(dim * b^2) per column, no joint-space matrix.
 
-    ``rows`` is a (..., dim + 1, k) buffer: k joint states, then the missing
-    state, zeroed before each gather.  Its leading axes are the gate axes of
-    ``echo.pulses``.  Each pulse is a gather, a batched product and a
-    scatter, the flip folded into the second gather; every joint row lies in
-    one block, so the second scatter writes the whole state.
+    ``states`` holds k joint states, shape (..., dim, k); its leading axes
+    are the gate axes of ``echo.pulses``.  Each pulse is a gather, a batched
+    product and a scatter, the flip folded into the second gather; the
+    layout is a permutation of the joint basis, so each scatter writes the
+    whole state.
     """
-    rows[..., -1, :] = 0.0
-    rows[..., echo.index, :] = echo.pulses[0] @ rows[..., echo.index, :]
-    rows[..., -1, :] = 0.0
-    rows[..., echo.index, :] = echo.pulses[1] @ rows[..., echo.flipped, :]
-    return rows
+    states[..., echo.index, :] = echo.pulses[0] @ states[..., echo.index, :]
+    states[..., echo.index, :] = echo.pulses[1] @ states[..., echo.flipped, :]
+    return states
 
 
 def apply_pair_gate(
@@ -271,13 +270,11 @@ def apply_pair_gate(
     eliminated two-level model with all its detuned exchange channels;
     "full" keeps the explicit third level.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.array(x, dtype=complex)  # a copy: run_echo works in place
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
     echo = echo_pulses(pulse_generator(gp, p, space, model), space, gp.tau, gp.theta0, phase_offset)
-    rows = np.empty((space.dim + 1, x[0].size), dtype=complex)  # run_echo zeroes the last row
-    rows[:-1] = x.reshape(space.dim, -1)
-    return run_echo(echo, rows)[:-1].reshape(x.shape)
+    return run_echo(echo, x.reshape(space.dim, -1)).reshape(x.shape)
 
 
 def pair_gate(
@@ -287,31 +284,24 @@ def pair_gate(
     model: str = "ideal",
     phase_offset: float = 0.0,
 ) -> np.ndarray:
-    """Dense unitary of ``apply_pair_gate``, assembled entry by entry from the blocks.
+    """Dense unitary of ``apply_pair_gate``, summed entry by entry from the blocks.
 
     U = B2 F B1 with block-diagonal pulses B1, B2 and the flip F.  Row s of
     F B1 is row order[s] of B1, nonzero only on the columns of one B1
-    block.  The flip moves the members of one B2 block into distinct B1
-    blocks (it shifts N by +k on |g>, -k on |e> and 0 on |h>), so the
-    b^3 products per B2 block land on distinct entries of U.
+    block, so each B2 block contributes b^3 products.  They are summed, not
+    assigned: the flip shifts N by +k on |g>, -k on |e> and 0 on |h>, mod
+    fock_cutoff, so at fock_cutoff = 2k two members of one B2 block read
+    the same B1 block.
     """
     dim = space.dim
     blocks = pulse_generator(gp, p, space, model)
-    # source: the B1 row read by each B2 column
+    # source: the B1 row read by each B2 column; the inverse layout gives its B1 block and position
     index, source, (u1, u2) = echo_pulses(blocks, space, gp.tau, gp.theta0, phase_offset)
-    nb, b = index.shape
-    block = np.empty(dim + 1, dtype=int)
-    position = np.empty(dim + 1, dtype=int)
-    block[index] = np.arange(nb)[:, None]
-    position[index] = np.arange(b)
-    columns = index[block[source]]
-    # a missing B2 member has no B1 row: its products go to the dropped
-    # column, not onto entries that another product sets
-    columns[source == dim] = dim
-    values = u2[:, :, :, None] * u1[block[source], position[source]][:, None, :, :]
-    out = np.zeros((dim + 1, dim + 1), dtype=complex)
-    out[index[:, :, None, None], columns[:, None, :, :]] = values
-    return out[:dim, :dim]
+    block, position = np.divmod(np.argsort(index, axis=None)[source], index.shape[1])
+    values = u2[:, :, :, None] * u1[block, position][:, None, :, :]
+    out = np.zeros(dim * dim, dtype=complex)
+    np.add.at(out, (dim * index[:, :, None, None] + index[block][:, None, :, :]).ravel(), values.ravel())
+    return out.reshape(dim, dim)
 
 
 def rotation_matrix(gp: GateParams, atom_sign: int = +1, phase_offset: float = 0.0) -> np.ndarray:

@@ -22,8 +22,13 @@ ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full); a k-quantum pulse
 conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
 ``*_blocks`` builders return that structure directly as ``PulseBlocks``: an
 index layout and a stack of small real generators at drive phase 0 (no
-theta: ``gates.pulse_at`` applies it as a diagonal frame).  Gates run on
-these; the dense builders are the oracle of validation and the tests.
+theta: ``gates.pulse_at`` applies it as a diagonal frame).  Every layout
+is a permutation of the joint basis in fock_cutoff blocks.  The truncation
+leaves |g,N> for N < k and the top k levels of |e> (and |h>) without an
+exchange partner; levels N - k are taken mod fock_cutoff, so these share
+the blocks N < k, where the exchange (a factor sqrt(N!/(N-k)!)) vanishes.
+Gates run on these; the dense builders are the oracle of validation and
+the tests.
 """
 
 from __future__ import annotations
@@ -269,11 +274,10 @@ def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
 class PulseBlocks(NamedTuple):
     """A pulse generator as a stack of blocks of fixed excitation number.
 
-    Block i acts on the joint basis indices ``index[i]``; every joint state
-    appears in exactly one block.  An entry equal to the space dimension
-    stands for a state cut off by the Fock truncation, which the generator
-    couples to nothing.  ``index`` is shared by every pulse of the same
-    layout and is read-only.
+    Block i acts on the joint basis indices ``index[i]``; ``index`` is a
+    permutation of range(space.dim), so every joint state lies in exactly
+    one block.  ``index`` is shared by every pulse of the same layout and
+    is read-only.
     """
 
     index: np.ndarray      # (nb, b) joint basis indices
@@ -284,10 +288,9 @@ class PulseBlocks(NamedTuple):
 def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Excitation numbers N and their (nb, b) index layout, built once per layout and read-only."""
     nf = space.fock_cutoff
-    n = np.arange(nf + k)
-    levels = n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)
+    n = np.arange(nf)
+    levels = (n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)) % nf
     index = np.asarray(atoms) * nf + levels
-    index[(levels < 0) | (levels >= nf)] = space.dim
     n.flags.writeable = index.flags.writeable = False  # every caller shares them
     return n, index
 
@@ -296,17 +299,18 @@ def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
     """Excitation numbers N, their (nb, b) index layout and an empty real generator stack.
 
     The first atomic level of ``atoms`` sits at Fock level N, the others at
-    N - k, for N = 0..fock_cutoff - 1 + k; states outside the truncated
-    ladder get the index ``space.dim``.  The layout depends only on
-    ``(space, atoms, k)``: it is computed once per layout (``_block_layout``)
-    and its arrays are read-only; the builders fill the generator alone.
+    N - k mod fock_cutoff, for N = 0..fock_cutoff - 1: the blocks N < k hold
+    the members that the truncation leaves without an exchange partner.  The
+    layout depends only on ``(space, atoms, k)``: it is computed once per
+    layout (``_block_layout``) and its arrays are read-only; the builders
+    fill the generator alone.
     """
     n, index = _block_layout(space, atoms, k)
     return n, index, np.zeros((len(n), len(atoms), len(atoms)))
 
 
 def effective_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
-    """``effective_hamiltonian`` as doublets {|g,N>, |e,N-1>}, N = 0..fock_cutoff."""
+    """``effective_hamiltonian`` as doublets {|g,N>, |e,N-1>}, N = 0..fock_cutoff - 1, levels mod fock_cutoff."""
     if space.atom_dim != 2:
         raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
     _require_cutoff(space, m)
@@ -314,18 +318,18 @@ def effective_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks
     rate = p.dispersive_rate
     H[:, 0, 0] = rate * n
     H[:, 1, 1] = rate * m
-    H[:, 0, 1] = H[:, 1, 0] = p.coupling * np.sqrt(n) * (n < space.fock_cutoff)
+    H[:, 0, 1] = H[:, 1, 0] = p.coupling * np.sqrt(n)
     return PulseBlocks(index, H)
 
 
 def full_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
-    """``full_hamiltonian`` as triplets {|g,N>, |h,N-1>, |e,N-1>}, N = 0..fock_cutoff."""
+    """``full_hamiltonian`` as triplets {|g,N>, |h,N-1>, |e,N-1>}, N = 0..fock_cutoff - 1, levels mod fock_cutoff."""
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
     _require_cutoff(space, m)
     n, index, H = _excitation_blocks(space, (0, 2, 1))
     H[:, 1, 1] = -p.delta
-    H[:, 0, 1] = H[:, 1, 0] = p.g * np.sqrt(n) * (n < space.fock_cutoff)
+    H[:, 0, 1] = H[:, 1, 0] = p.g * np.sqrt(n)
     H[:, 1, 2] = H[:, 2, 1] = p.omega_l
     H[:, 2, 2] = p.engineered_shift(m)
     return PulseBlocks(index, H)

@@ -213,6 +213,12 @@ def plan_superposition(
     return _compile_ladder(target, p, phase_model)
 
 
+def _plan_blocks(steps: list[PlanStep], p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
+    """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step."""
+    blocks = [pulse_generator(s.gate, p, space, model) for s in steps]
+    return PulseBlocks(np.array([b.index for b in blocks]), np.array([b.generator for b in blocks]))
+
+
 def _step_echoes(blocks: PulseBlocks, space: HilbertSpace, steps: list[PlanStep]) -> list[Echo]:
     """Each step's ``Echo`` from one ``echo_pulses`` call on a (steps, nb, b, b) stack with a layout per step."""
     tau, theta0, chi = np.array([(s.gate.tau, s.gate.theta0, s.phase_correction) for s in steps]).T
@@ -220,10 +226,10 @@ def _step_echoes(blocks: PulseBlocks, space: HilbertSpace, steps: list[PlanStep]
     return [Echo(index[i], flipped[i], pulses[:, i]) for i in range(len(steps))]
 
 
-def _apply_step(rows: np.ndarray, echo: Echo, plus: np.ndarray, osc: np.ndarray) -> np.ndarray:
-    """|+> ⊗ osc, a (fock_cutoff, k) stack, through ``echo`` in the (dim + 1, k) buffer ``rows``; the <+| branch."""
-    rows[:-1] = (plus[:, None, None] * osc).reshape(len(rows) - 1, -1)
-    return (plus.conj() @ run_echo(echo, rows)[:-1].reshape(len(plus), -1)).reshape(osc.shape)
+def _apply_step(echo: Echo, plus: np.ndarray, osc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|+> ⊗ osc, a (fock_cutoff, k) stack, through ``echo``: the (dim, k) joint states and their <+| branch."""
+    joint = run_echo(echo, (plus[:, None, None] * osc).reshape(-1, osc.shape[1]))
+    return joint, (plus.conj() @ joint.reshape(len(plus), -1)).reshape(osc.shape)
 
 
 def execute_plan(
@@ -237,17 +243,15 @@ def execute_plan(
 
     The gates run in ``space``, the working space of ``model``
     (``gates.model_space``).  Every step's phase-0 blocks go into one
-    (steps, nb, b, b) stack, a shorter layout padded with blocks of missing
-    states (a k = 2 layout is one block longer), and one ``echo_pulses``
-    call builds every pulse.  The loop then only runs |+> ⊗ osc through each
-    gate (``_apply_step``, also calibration's step), in its own row of one
-    (steps, dim + 1, 1) buffer, and resets the atom; the step purities come
-    from that buffer after the loop.  A step whose drive phase chi or
-    chi - theta0 is not finite is a ValueError naming the step.  Returns
-    the final oscillator state and a report; fidelity is measured against
-    the plan target (padded to the working cutoff, a zero tail beyond it
-    dropped) when one is set, otherwise against the initial state; target
-    support beyond the cutoff is an error.
+    (steps, nb, b, b) stack (``_plan_blocks``), and one ``echo_pulses`` call
+    builds every pulse.  The loop then only runs |+> ⊗ osc through each
+    gate (``_apply_step``, also calibration's step) and resets the atom;
+    the step purities come from the joint states after the loop.  A step
+    whose drive phase chi or chi - theta0 is not finite is a ValueError
+    naming the step.  Returns the final oscillator state and a report;
+    fidelity is measured against the plan target (padded to the working
+    cutoff, a zero tail beyond it dropped) when one is set, otherwise
+    against the initial state; target support beyond the cutoff is an error.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim != 1 or not np.isfinite(initial).all() or not initial.any():
@@ -261,20 +265,14 @@ def execute_plan(
     osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
     osc[: len(initial), 0] = initial / np.linalg.norm(initial)
 
-    blocks = [pulse_generator(step.gate, p, space, model) for step in plan.steps]
-    echoes = []
-    if blocks:
-        index = np.full((len(blocks), max(len(blk.index) for blk in blocks), blocks[0].index.shape[1]), space.dim)
-        generator = np.zeros(index.shape + index.shape[-1:])
-        for i, blk in enumerate(blocks):
-            index[i, : len(blk.index)], generator[i, : len(blk.index)] = blk.index, blk.generator
-        echoes = _step_echoes(PulseBlocks(index, generator), space, plan.steps)
+    echoes = _step_echoes(_plan_blocks(plan.steps, p, space, model), space, plan.steps) if plan.steps else []
     plus = atom_plus(space.atom_dim)
 
-    joints = np.empty((len(plan), space.dim + 1, 1), dtype=complex)
+    joints = []
     atom_overlaps: list[float] = []
-    for rows, echo in zip(joints, echoes):
-        branch = _apply_step(rows, echo, plus, osc)
+    for echo in echoes:
+        joint, branch = _apply_step(echo, plus, osc)
+        joints.append(joint)
         # projective reset of the atom to |+>
         weight = float(np.linalg.norm(branch))
         atom_overlaps.append(weight**2)
@@ -283,7 +281,7 @@ def execute_plan(
         osc = branch / weight
     osc = osc[:, 0]
     # the reduced atom states; their purity is the oscillator's, each joint state being pure
-    states = joints[:, :-1, 0].reshape(len(plan), space.atom_dim, space.fock_cutoff)
+    states = np.reshape(joints, (len(plan), space.atom_dim, space.fock_cutoff))
     purities = purity(states @ states.conj().swapaxes(1, 2)).tolist()
 
     ref = np.zeros(space.fock_cutoff, dtype=complex)
@@ -314,10 +312,8 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     step of x[k].  The generator stack is built once; each parameter set's
     pulses come from one ``_step_echoes`` call.
     """
-    blocks = [pulse_generator(s.gate, p, space, "effective") for s in plan.steps]
-    stack = PulseBlocks(np.array([b.index for b in blocks]), np.array([b.generator for b in blocks]))
+    stack = _plan_blocks(plan.steps, p, space, "effective")
     plus = atom_plus(space.atom_dim)
-    rows = np.empty((space.dim + 1, 1 + 2 * len(blocks)), dtype=complex)  # one buffer; a call takes its columns
 
     def steps_at(x: np.ndarray) -> list[PlanStep]:
         return [
@@ -328,11 +324,11 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        base, *moved = [_step_echoes(stack, space, steps_at(x + np.tile(d, len(blocks)))) for d in moves]
+        base, *moved = [_step_echoes(stack, space, steps_at(x + np.tile(d, len(plan.steps)))) for d in moves]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
         for i, echo in enumerate(base):
-            branches = [_apply_step(rows[:, :1], echoes[i], plus, osc[:, :1]) for echoes in moved]
-            osc = np.hstack([_apply_step(rows[:, : osc.shape[1]], echo, plus, osc), *branches])
+            branches = [_apply_step(echoes[i], plus, osc[:, :1])[1] for echoes in moved]
+            osc = np.hstack([_apply_step(echo, plus, osc)[1], *branches])
         return osc
 
     return steps_at, images
@@ -445,11 +441,14 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
             if (isinstance(value, bool) or not isinstance(value, (int, float))) and not (name == "lam" and value is None):
                 raise ValueError(f"plan step {i} field {name!r} must be a number, got {value!r}")
         k, lam = raw.get("k", 1), raw.get("lam")
-        if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
-            ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
-            lam = phi / tau / ratio if tau != 0.0 else 0.0
-        gate = GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k)
-        steps.append(PlanStep(gate=gate, phase_correction=raw.get("phase_correction", 0.0)))
+        try:
+            if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
+                ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
+                lam = phi / tau / ratio if tau != 0.0 else 0.0
+            gate = GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k)
+            steps.append(PlanStep(gate=gate, phase_correction=raw.get("phase_correction", 0.0)))
+        except ValueError as exc:
+            raise ValueError(f"plan step {i}: {exc}") from None
     target = None
     if "target" in doc:
         try:  # a ragged list fails in asarray

@@ -89,6 +89,8 @@ def test_target_presets():
     amps = target_state(cfg)
     assert abs(amps[0]) == pytest.approx(1 / np.sqrt(2))
     assert abs(amps[2]) == pytest.approx(1 / np.sqrt(2))
+    # at n = 0 a zero beta leaves alpha|0>
+    assert target_state(load_config(None, ["target.n=0", "target.beta=0"])) == pytest.approx([1.0])
 
 
 def test_target_amplitude_list():
@@ -247,6 +249,12 @@ def test_gate_command_config_error(capsys):
         *(
             ([command, "--set", "physical.g=1e16", "--set", "physical.omega_l=1.2e-291"],
              "physical: the closed-form check's gate at phi = 6.283185307179586, m = 3 gives a gate with non-finite")
+            for command in ("gate", "sweep", "synthesize", "validate")
+        ),
+        # the pair preset puts beta at level n: at n = 0 it would overwrite alpha
+        *(
+            ([command, "--set", "target.n=0", "--set", "target.alpha=[1,0]", "--set", "target.beta=[-1,0]"],
+             "target.n: the pair preset needs n >= 1 for a nonzero target.beta, got 0")
             for command in ("gate", "sweep", "synthesize", "validate")
         ),
     ],

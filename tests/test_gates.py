@@ -431,26 +431,7 @@ def joint_matrix(index, blocks, space):
     kernel applies ``blocks`` alone to the columns of the identity.
     """
     second = np.broadcast_to(np.eye(index.shape[-1]), blocks.shape)
-    rows = np.eye(space.dim + 1, space.dim, dtype=complex)
-    return run_echo(Echo(index, index, np.array([blocks, second])), rows)[:-1]
-
-
-def test_run_echo_drops_missing_states():
-    # rows 0 and 2 rotate together; index 3, the buffer's last row, is a state
-    # the truncation removed: it reads as zero in both gathers, even after the
-    # first pulse scatters a value there, and what lands in it is dropped
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    index = np.array([[0, 2], [1, 3]])
-
-    def run(first, flipped):
-        rows = np.array([[1.0], [2.0], [3.0], [np.nan]], dtype=complex)
-        return run_echo(Echo(index, np.array(flipped), np.array([first, [eye, eye]])), rows)[:-1, 0]
-
-    assert_allclose(run([swap, eye], index), [3.0, 2.0, 1.0])
-    assert_allclose(run([swap, swap], index), [3.0, 0.0, 1.0])
-    # the second pulse reads rows 2, 0 and 3, 1: block 1 meets the missing state, not the 2 moved there
-    assert_allclose(run([eye, swap], [[2, 0], [3, 1]]), [3.0, 0.0, 1.0])
+    return run_echo(Echo(index, index, np.array([blocks, second])), np.eye(space.dim, dtype=complex))
 
 
 # the block builders take no drive phase: a pulse at phase theta is the
@@ -461,6 +442,30 @@ BLOCK_BUILDERS = {
     "full": lambda p, space, gp: full_blocks(p, space, gp.m),
     "ideal-k2": lambda p, space, gp: multiquantum_blocks(2, gp.lam, gp.m, space),
 }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("ideal", 1), ("effective", 1), ("full", 1)] + [("multiquantum", k) for k in (1, 2, 3)]), st.data())
+def test_every_block_layout_is_a_permutation(case, data):
+    """fock_cutoff blocks cover every joint state once.
+
+    The blocks N < k hold the members the truncation leaves without an
+    exchange partner: |g,N> couples to nothing there (under "full", |h>
+    and |e> of one Fock level keep their drive coupling).
+    """
+    builder, k = case
+    cutoff = data.draw(st.integers(k + 2, 24), label="cutoff")
+    m = data.draw(st.integers(k, cutoff - 2), label="m")
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    space = HilbertSpace(3 if builder == "full" else 2, cutoff)
+    if builder == "multiquantum":
+        blocks = multiquantum_blocks(k, 0.004, m, space)
+    else:
+        blocks = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[builder](p, space, m)
+    assert np.array_equal(np.sort(blocks.index, axis=None), np.arange(space.dim))
+    assert blocks.index.shape == (cutoff, space.atom_dim)
+    folded = blocks.generator[:k]
+    assert not np.any(folded[:, 0, 1:]) and not np.any(folded[:, 1:, 0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -518,6 +523,17 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     assert max_abs(apply_pair_gate(gp, p, space, states[:, 0], model, chi) - U @ states[:, 0]) < 1e-12
 
 
+@pytest.mark.parametrize("cutoff, m, k", [(4, 2, 2), (6, 3, 3), (6, 4, 3)])
+def test_k_quantum_gate_at_cutoff_twice_k(params, cutoff, m, k):
+    """At fock_cutoff = 2k the flip sends both members of a block into one block: their products add up."""
+    space = HilbertSpace(2, cutoff)
+    gp = GateParams.from_multiquantum(0.004, m=m, k=k, phi=1.1)
+    U = pair_gate(gp, params, space, "ideal", 0.4)
+    assert max_abs(U - brute_force_gate(gp, params, space, "ideal", 0.4)) < 1e-12
+    states = np.random.default_rng(cutoff + m).normal(size=(space.dim, 2)).astype(complex)
+    assert max_abs(apply_pair_gate(gp, params, space, states, "ideal", 0.4) - U @ states) < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(BLOCK_BUILDERS)),
@@ -550,8 +566,6 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     b0 = block_unitaries(base.generator, tau)
     at_theta = pulse_at(base.index, base.generator, space, theta)
     framed = pulse_at(base.index, b0, space, theta)
-    # compared on the joint space: entries of states cut off by the
-    # truncation (index == dim) carry no frame and are dropped
     eigh_theta = joint_matrix(base.index, block_unitaries(at_theta, tau), space)
     assert max_abs(joint_matrix(base.index, framed, space) - eigh_theta) < 1e-12
 
@@ -622,8 +636,6 @@ def test_one_echo_runs_a_batch_of_gates(model, seed, count):
     )
     assert echo.pulses.shape[:2] == (2, count)
     states = rng.normal(size=(count, space.dim)) + 1j * rng.normal(size=(count, space.dim))
-    rows = np.zeros((count, space.dim + 1, 1), dtype=complex)
-    rows[:, :-1, 0] = states
-    out = run_echo(echo, rows)[:, :-1, 0]
+    out = run_echo(echo, states[..., None].copy())[..., 0]
     for gp, chi, x, y in zip(gates, chis, states, out):
         assert max_abs(y - pair_gate(gp, p, space, model, chi) @ x) < 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -543,6 +544,31 @@ def test_plan_document_rejects_wrong_types(params, edit, match):
         plan_from_dict(json.loads(json.dumps(edit(doc))))
 
 
+def _without_lam(field, value):
+    def edit(doc):
+        del doc["steps"][1]["lam"]
+        return _with_step_field(field, value)(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with_step_field("tau", float("nan")), "tau must be finite, got nan"),
+        (_with_step_field("k", 0), "k must be >= 1, got 0"),
+        (_without_lam("k", 0), "k must be >= 1, got 0"),
+        (_with_step_field("phi", 0.3), "phi = 0.3 inconsistent with coupling*tau = "),
+        (_with_step_field("phase_correction", float("inf")), "phase_correction must be finite, got inf"),
+    ],
+    ids=["tau-nan", "k-zero", "k-zero-without-lam", "phi-tau-mismatch", "phase_correction-inf"],
+)
+def test_plan_document_names_the_step_of_a_rejected_gate(params, edit, message):
+    doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
+    with pytest.raises(ValueError, match="^" + re.escape(f"plan step 1: {message}")):
+        plan_from_dict(json.loads(json.dumps(edit(doc))))
+
+
 @pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
 def test_plan_document_optional_step_fields(params, field):
     plan = plan_superposition(0.6, 0.8j, 3, params, "effective")
@@ -749,9 +775,9 @@ def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_st
     """One eigendecomposition and one framing per plan give the per-step result to 1e-12.
 
     Every model gets up to two extra tau = 0 steps (a bare spin flip), and
-    ideal plans up to two extra k = 2 steps, whose block layout is one block
-    longer than the k = 1 steps'.  The extra steps carry pulse phases chi
-    drawn from [-100, 100].
+    ideal plans up to two extra k = 2 steps, whose block layout differs from
+    the k = 1 steps'.  The extra steps carry pulse phases chi drawn from
+    [-100, 100].
     """
     p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
     rng = np.random.default_rng(seed)
