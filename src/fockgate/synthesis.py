@@ -30,6 +30,13 @@ the (alpha|0> + beta|n>) draws of acceptance check A7 at r = 0.1, phase-only
 re-optimisation already reaches 0.998, 0.998, 0.997 and 0.997 for n = 1..4;
 only at n = 5 does leakage cap it, at 0.964.
 
+A plan holds its steps as read-only numpy columns m, k, phi, tau, theta0,
+lam (the ``GateParams`` fields) and chi (the pulse-phase offset, a
+``PlanStep``'s and a plan file's ``phase_correction``), checked once when the
+plan is made.  Compilation, plan files, execution and calibration read and
+write the columns; ``CircuitPlan.steps`` builds ``PlanStep`` objects from
+them only for callers that ask.
+
 A plan runs its gates one after another through one auxiliary atom, which is
 re-prepared in |+> between gates; since an ideal gate returns the atom
 exactly to |+>, this reset is bookkeeping rather than back-action.  Plan
@@ -44,14 +51,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
 
 from .gates import Echo, GateParams, atom_plus, echo_pulses, induced_oscillator_unitary, pair_gate, pulse_generator
 from .gates import run_echo
-from .hamiltonians import PulseBlocks, RamanParams
+from .hamiltonians import PulseBlocks, RamanParams, effective_blocks, full_blocks, ideal_blocks
 from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
@@ -77,26 +86,77 @@ class PlanStep:
             raise ValueError(f"phase_correction must be finite, got {self.phase_correction}")
 
 
-@dataclass
-class CircuitPlan:
-    """Ordered pair-gate sequence preparing ``target`` from the vacuum."""
+STEP_COLUMNS = ("m", "k", "phi", "tau", "theta0", "lam", "chi")  # chi: a PlanStep's phase_correction
 
-    steps: list[PlanStep]
+
+@dataclass(frozen=True, eq=False)
+class CircuitPlan:
+    """Ordered pair-gate sequence preparing ``target`` from the vacuum, stored as read-only columns.
+
+    Step i is ``PlanStep(GateParams(m[i], tau[i], lam[i], theta0[i], phi[i],
+    k[i]), chi[i])``; ``steps`` builds them on each access.  The columns
+    (int64 m and k, float64 others) are checked by those two classes' rules
+    in one vectorised pass; the first row that breaks one (every row, if m or
+    k is not an integer array) is built, raising "plan step i: " and its message.
+    """
+
+    m: np.ndarray = ()
+    k: np.ndarray = ()
+    phi: np.ndarray = ()
+    tau: np.ndarray = ()
+    theta0: np.ndarray = ()
+    lam: np.ndarray = ()
+    chi: np.ndarray = ()
     target: np.ndarray | None = None
     phase_model: str = "ideal"
     schedule: ClassVar[str] = "sequential"
 
     def __post_init__(self):
+        given = [np.asarray(getattr(self, c)) for c in STEP_COLUMNS]
+        if given[0].ndim != 1 or any(a.shape != given[0].shape for a in given):
+            raise ValueError(f"plan columns must be 1-d and of one length, got shapes {[a.shape for a in given]}")
+        integral = all(a.dtype.kind in "iu" or a.size == 0 for a in given[:2])
+        m, k, phi, tau, theta0, lam, chi = columns = [a.astype(np.int64 if i < 2 and integral else float)
+                                                      for i, a in enumerate(given)]
+        first = 0
+        if integral:
+            perm = np.where((k >= 1) & (m >= k), m, np.nan)  # m!/(m-k)!: m at k = 1
+            for i in np.flatnonzero((k > 1) & (m >= k)):
+                perm[i] = math.perm(int(m[i]), int(k[i]))
+            with np.errstate(all="ignore"):  # overflows and NaNs are what the check looks for
+                expected = lam * np.sqrt(perm) * tau  # multiquantum_coupling_element * tau
+                ok = np.isfinite([phi, tau, theta0, lam, chi, m * theta0, expected]).all(axis=0)
+                ok &= np.abs(phi - expected) <= np.maximum(1e-9 * np.maximum(np.abs(phi), np.abs(expected)), 1e-12)
+            first = int(np.argmin(ok)) if not ok.all() else len(ok)
+        for i in range(first, len(m)):
+            try:
+                _plan_step(given, i)
+            except ValueError as exc:
+                raise ValueError(f"plan step {i}: {exc}") from None
+        columns[:2] = [a.astype(np.int64) for a in given[:2]]  # integers, checked above
+        for name, column in zip(STEP_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"unknown phase model {self.phase_model!r}")
         if self.target is not None:
-            self.target = _checked_target(self.target)
+            object.__setattr__(self, "target", _checked_target(self.target))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.m)
+
+    @property
+    def steps(self) -> tuple[PlanStep, ...]:
+        return tuple(_plan_step([getattr(self, c) for c in STEP_COLUMNS], i) for i in range(len(self)))
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [s.gate.pair for s in self.steps]
+        return list(zip((self.m - self.k).tolist(), self.m.tolist()))
+
+
+def _plan_step(columns: list, i: int) -> PlanStep:
+    """Row i of columns in ``STEP_COLUMNS`` order as a ``PlanStep``, built, so checked, from Python scalars."""
+    m, k, phi, tau, theta0, lam, chi = (c[i : i + 1].tolist()[0] for c in columns)
+    return PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k), chi)
 
 
 def _checked_target(target) -> np.ndarray:
@@ -141,11 +201,17 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     # of the remaining weight ||t[j-1:]|| (a suffix sum) that stays at level j-1
     moduli = np.abs(t)
     remaining = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
-    phis = np.arccos(np.minimum(1.0, moduli[:top] / remaining[:top])).tolist()
+    phi = np.arccos(np.minimum(1.0, moduli[:top] / remaining[:top]))
 
-    gates = [GateParams.from_raman(p, m=j, phi=phi) for j, phi in enumerate(phis, start=1)]
-    eta = np.array([gp.eta for gp in gates])
-    theta0 = np.array([gp.theta0 for gp in gates])
+    # the columns GateParams.from_raman would give, by the same IEEE operations; where a
+    # device without a usable coupling makes one non-finite, from_raman raises its error
+    m, lam = np.arange(1, top + 1), p.coupling
+    with np.errstate(all="ignore"):
+        tau = phi / (lam * np.sqrt(m))
+        theta0 = p.dispersive_rate * tau
+        eta = m * theta0
+        for j in np.flatnonzero(~np.isfinite(lam * eta)):
+            GateParams.from_raman(p, m=int(m[j]), phi=float(phi[j]))
 
     # phase ledger: chi_j multiplies the amplitude carried to level j, so it
     # shifts every level >= j alike.  At chi = 0 each level's end phase is a
@@ -169,12 +235,11 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     chis = np.zeros(top)
     chis[occupied[1:] - 1] = np.diff(gap)
 
-    steps = [
-        PlanStep(gate=gp, phase_correction=chi)
-        for gp, chi in zip(gates, chis.tolist())
-        if gp.phi > 1e-15
-    ]
-    return CircuitPlan(steps=steps, target=t, phase_model=phase_model)
+    kept = phi > 1e-15
+    return CircuitPlan(
+        m=m[kept], k=np.ones(kept.sum(), dtype=np.int64), phi=phi[kept], tau=tau[kept], theta0=theta0[kept],
+        lam=np.full(kept.sum(), lam), chi=chis[kept], target=t, phase_model=phase_model,
+    )
 
 
 def plan_general_state(
@@ -213,17 +278,36 @@ def plan_superposition(
     return _compile_ladder(target, p, phase_model)
 
 
-def _plan_blocks(steps: list[PlanStep], p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
-    """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step."""
-    blocks = [pulse_generator(s.gate, p, space, model) for s in steps]
-    return PulseBlocks(np.array([b.index for b in blocks]), np.array([b.generator for b in blocks]))
+def _plan_blocks(plan: CircuitPlan, p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
+    """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step, from the m column.
+
+    Steps differ in the |e> energy of every block ("effective", "full") or in
+    the blocks N = m-1, m, m+1 ("ideal"), set for all steps at once;
+    ``pulse_generator`` builds k > 1 steps and raises for the first step it
+    rejects, as it would step by step.
+    """
+    m, steps, columns = plan.m, np.arange(len(plan)), [getattr(plan, c) for c in STEP_COLUMNS]
+    rejected = (m + 2 > space.fock_cutoff) | ((plan.k != 1) & (model != "ideal"))
+    pulse_generator(_plan_step(columns, int(np.argmax(rejected))).gate, p, space, model)
+    index, base = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model](p, space, 1)
+    H, rate = np.repeat(base[None], len(plan), axis=0), p.dispersive_rate
+    if model == "ideal":  # the entries of ideal_blocks, one level per step
+        H[:] = 0.0
+        H[steps, m - 1, 0, 0] = rate * m - rate
+        H[steps, m, 0, 0] = H[steps, m, 1, 1] = H[steps, m + 1, 1, 1] = rate * m
+        H[steps, m, 0, 1] = H[steps, m, 1, 0] = p.coupling * np.sqrt(m)
+    else:  # the |e> energy: g^2 m / delta (effective) or the engineered shift (full)
+        H[..., -1, -1] = (rate * m if model == "effective" else p.engineered_shift(m))[:, None]
+    index = np.repeat(index[None], len(plan), axis=0)
+    for i in np.flatnonzero(plan.k != 1):
+        index[i], H[i] = pulse_generator(_plan_step(columns, i).gate, p, space, model)
+    return PulseBlocks(index, H)
 
 
-def _step_echoes(blocks: PulseBlocks, space: HilbertSpace, steps: list[PlanStep]) -> list[Echo]:
+def _step_echoes(blocks: PulseBlocks, space: HilbertSpace, plan: CircuitPlan) -> list[Echo]:
     """Each step's ``Echo`` from one ``echo_pulses`` call on a (steps, nb, b, b) stack with a layout per step."""
-    tau, theta0, chi = np.array([(s.gate.tau, s.gate.theta0, s.phase_correction) for s in steps]).T
-    index, flipped, pulses = echo_pulses(blocks, space, tau, theta0, chi)
-    return [Echo(index[i], flipped[i], pulses[:, i]) for i in range(len(steps))]
+    index, flipped, pulses = echo_pulses(blocks, space, plan.tau, plan.theta0, plan.chi)
+    return [Echo(index[i], flipped[i], pulses[:, i]) for i in range(len(plan))]
 
 
 def _apply_step(echo: Echo, plus: np.ndarray, osc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +349,7 @@ def execute_plan(
     osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
     osc[: len(initial), 0] = initial / np.linalg.norm(initial)
 
-    echoes = _step_echoes(_plan_blocks(plan.steps, p, space, model), space, plan.steps) if plan.steps else []
+    echoes = _step_echoes(_plan_blocks(plan, p, space, model), space, plan) if len(plan) else []
     plus = atom_plus(space.atom_dim)
 
     joints = []
@@ -302,9 +386,10 @@ def execute_plan(
 
 
 def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
-    """Calibration's ``steps_at`` and ``images`` on the levels of ``plan``; doublets in closed form, no eigh.
+    """Calibration's ``plan_at`` and ``images`` on the levels of ``plan``; doublets in closed form, no eigh.
 
-    ``steps_at(x)`` gives the steps at (phi_i, chi_i) = x[2i:2i+2].
+    ``plan_at(x)`` is ``plan`` with (phi_i, chi_i) = x[2i:2i+2], tau and
+    theta0 following as in ``GateParams.from_raman``.
     ``images(x, columns=False)`` runs the vacuum through them by
     ``_apply_step`` under the effective model, without renormalizing:
     column 0 is the image at x; with ``columns``, column 1 + k has x[k]
@@ -312,26 +397,25 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     step of x[k].  The generator stack is built once; each parameter set's
     pulses come from one ``_step_echoes`` call.
     """
-    stack = _plan_blocks(plan.steps, p, space, "effective")
+    stack = _plan_blocks(plan, p, space, "effective")
     plus = atom_plus(space.atom_dim)
+    element = p.coupling * np.sqrt(plan.m)
 
-    def steps_at(x: np.ndarray) -> list[PlanStep]:
-        return [
-            PlanStep(GateParams.from_raman(p, m=s.gate.m, phi=float(phi)), float(chi))
-            for s, (phi, chi) in zip(plan.steps, x.reshape(-1, 2))
-        ]
+    def plan_at(x: np.ndarray) -> CircuitPlan:
+        tau = x[0::2] / element
+        return replace(plan, phi=x[0::2], tau=tau, theta0=p.dispersive_rate * tau, chi=x[1::2])
 
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        base, *moved = [_step_echoes(stack, space, steps_at(x + np.tile(d, len(plan.steps)))) for d in moves]
+        base, *moved = [_step_echoes(stack, space, plan_at(x + np.tile(d, len(plan)))) for d in moves]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
         for i, echo in enumerate(base):
             branches = [_apply_step(echoes[i], plus, osc[:, :1])[1] for echoes in moved]
             osc = np.hstack([_apply_step(echo, plus, osc)[1], *branches])
         return osc
 
-    return steps_at, images
+    return plan_at, images
 
 
 def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
@@ -342,7 +426,7 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     over a detuning of only g^2/delta), which is linear in r = |Omega_L|/g
     and lands mostly in the relative phases of the target levels.  Damped
     Gauss-Newton with a finite-difference Jacobian adjusts each step's phi
-    (tau follows, theta0 = (g^2/delta)*tau) and phase_correction.  The
+    (tau follows, theta0 = (g^2/delta)*tau) and chi.  The
     residual is the vacuum's image under the plan, run by ``execute_plan``'s
     step routine under the effective model at cutoff top +
     CALIBRATION_HEADROOM, minus the target after removing the best global
@@ -352,11 +436,11 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
     accepted only when they lower the residual and keep every tau > 0; the
     pairs stay those of the input plan.
     """
-    if not plan.steps:
+    if not len(plan):
         return replace(plan, phase_model="calibrated")
-    space = HilbertSpace(2, max(max(s.gate.m for s in plan.steps) + CALIBRATION_HEADROOM, len(plan.target)))
+    space = HilbertSpace(2, max(int(plan.m.max()) + CALIBRATION_HEADROOM, len(plan.target)))
     ref = np.pad(plan.target, (0, space.fock_cutoff - len(plan.target)))
-    steps_at, images = _calibration_runner(plan, p, space)
+    plan_at, images = _calibration_runner(plan, p, space)
 
     def residuals(osc: np.ndarray) -> np.ndarray:
         # per column: normalized, best global phase removed, minus the target
@@ -364,7 +448,7 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
         diff = osc * np.exp(1j * np.angle(osc.conj().T @ ref)) - ref[:, None]
         return np.concatenate([diff.real, diff.imag])
 
-    x = np.ravel([(s.gate.phi, s.phase_correction) for s in plan.steps])
+    x = np.column_stack((plan.phi, plan.chi)).ravel()
     damping = 1e-3
     for _ in range(CALIBRATION_MAX_ITER):
         columns = residuals(images(x, columns=True))
@@ -385,7 +469,7 @@ def _calibrate(plan: CircuitPlan, p: RamanParams) -> CircuitPlan:
         x, converged = trial, cost - trial_cost <= CALIBRATION_RTOL * cost
         if converged:
             break
-    return replace(plan, phase_model="calibrated", steps=steps_at(x))
+    return replace(plan_at(x), phase_model="calibrated")
 
 
 def commutation_check(
@@ -403,21 +487,18 @@ def commutation_check(
     return float(np.max(np.abs(comm)))
 
 
+# a plan file step's keys, in the order written, and the column each fills
+_FILE_FIELDS = {"m": "m", "k": "k", "phi": "phi", "theta0": "theta0", "tau": "tau", "lam": "lam", "phase_correction": "chi"}
+
+
 def plan_to_dict(plan: CircuitPlan) -> dict:
+    columns = zip(*(getattr(plan, c).tolist() for c in _FILE_FIELDS.values()))
     doc = {
         "schedule": plan.schedule,
         "phase_model": plan.phase_model,
         "steps": [
-            {
-                "m": s.gate.m,
-                "k": s.gate.k,
-                "phi": s.gate.phi,
-                "theta0": s.gate.theta0,
-                "tau": s.gate.tau,
-                "lam": s.gate.lam,
-                "phase_correction": s.phase_correction,
-            }
-            for s in plan.steps
+            {"m": m, "k": k, "phi": phi, "theta0": theta0, "tau": tau, "lam": lam, "phase_correction": chi}
+            for m, k, phi, theta0, tau, lam, chi in columns
         ],
     }
     if plan.target is not None:
@@ -425,11 +506,10 @@ def plan_to_dict(plan: CircuitPlan) -> dict:
     return doc
 
 
-def plan_from_dict(doc: dict) -> CircuitPlan:
-    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
-        raise ValueError("plan document must be an object whose 'steps' is a list")
-    steps = []
-    for i, raw in enumerate(doc["steps"]):
+def _scanned_columns(raws: list) -> dict:
+    """The step columns of any steps list, step by step; the first bad step raises, naming the step and field."""
+    rows = []
+    for i, raw in enumerate(raws):
         if not isinstance(raw, dict):
             raise ValueError(f"plan step {i} must be an object, got {raw!r}")
         try:
@@ -440,15 +520,42 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
             value = raw.get(name, 0.0)  # a null lam is derived below, like an absent one
             if (isinstance(value, bool) or not isinstance(value, (int, float))) and not (name == "lam" and value is None):
                 raise ValueError(f"plan step {i} field {name!r} must be a number, got {value!r}")
-        k, lam = raw.get("k", 1), raw.get("lam")
+        for name in _FILE_FIELDS:  # an integer its column cannot hold
+            kind, limit = ("int64", 2**63 - 1) if name in ("m", "k") else ("float", sys.float_info.max)
+            if type(raw.get(name)) is int and abs(raw[name]) > limit:
+                raise ValueError(f"plan step {i} field {name!r} is an integer out of {kind} range")
+        k, lam, chi = raw.get("k", 1), raw.get("lam"), raw.get("phase_correction", 0.0)
         try:
             if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
                 ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
                 lam = phi / tau / ratio if tau != 0.0 else 0.0
-            gate = GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k)
-            steps.append(PlanStep(gate=gate, phase_correction=raw.get("phase_correction", 0.0)))
+            PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k), chi)
         except ValueError as exc:
             raise ValueError(f"plan step {i}: {exc}") from None
+        rows.append((m, k, phi, tau, theta0, lam, chi))
+    return dict(zip(STEP_COLUMNS, zip(*rows)))
+
+
+def plan_from_dict(doc: dict) -> CircuitPlan:
+    """The plan of a document, each step field read as one column.
+
+    Steps as ``save_plan`` writes them (every field, int m and k, float
+    values) take one pass over each column's types; any others go through
+    ``_scanned_columns``.  ``CircuitPlan`` checks the values.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
+        raise ValueError("plan document must be an object whose 'steps' is a list")
+    raws, columns = doc["steps"], {}
+    try:
+        if set(map(type, raws)) - {dict}:
+            raise ValueError
+        for key, name in _FILE_FIELDS.items():
+            values = list(map(itemgetter(key), raws))
+            if set(map(type, values)) - ({int} if key in ("m", "k") else {float}):
+                raise ValueError
+            columns[name] = np.array(values, dtype=np.int64 if key in ("m", "k") else float)  # OverflowError past int64
+    except (KeyError, ValueError, OverflowError):
+        columns = _scanned_columns(raws)
     target = None
     if "target" in doc:
         try:  # a ragged list fails in asarray
@@ -456,10 +563,11 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
             if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biuf":
                 raise ValueError
         except ValueError:
+            CircuitPlan(**columns)  # a bad step is named before the target
             raise ValueError("target must be a list of [re, im] number pairs") from None
         target = np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]  # exact, signed zeros kept
     # other keys, such as an older file's schedule, are ignored: steps run in order
-    return CircuitPlan(steps=steps, target=target, phase_model=doc.get("phase_model", "ideal"))
+    return CircuitPlan(**columns, target=target, phase_model=doc.get("phase_model", "ideal"))
 
 
 def _write_json(path, payload) -> None:

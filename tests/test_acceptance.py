@@ -282,15 +282,15 @@ def test_a07_preparation_recipe():
         plan_i = plan_superposition(alpha, beta, n, p, phase_model="ideal")
         structure = (
             len(plan_i) == n
-            and np.isclose(plan_i.steps[0].gate.phi, np.arccos(abs(alpha)))
-            and all(np.isclose(s.gate.phi, np.pi / 2) for s in plan_i.steps[1:])
+            and np.isclose(plan_i.phi[0], np.arccos(abs(alpha)))
+            and bool(np.isclose(plan_i.phi[1:], np.pi / 2).all())
         )
         _, rep_i = execute_plan(plan_i, np.array([1.0]), "ideal", p, space)
         plan_e = plan_superposition(alpha, beta, n, p, phase_model="calibrated")
         structure = structure and (
             len(plan_e) == n
             and plan_e.pairs() == [(j - 1, j) for j in range(1, n + 1)]
-            and all(s.gate.tau > 0.0 for s in plan_e.steps)
+            and bool((plan_e.tau > 0.0).all())
         )
         _, rep_e = execute_plan(plan_e, np.array([1.0]), "effective", p, space)
         rows.append(

@@ -1,9 +1,10 @@
-"""Stdout and exit code of twelve CLI runs, pinned against files under ``cli_expected``.
+"""Stdout and exit code of twelve CLI runs, and the plan files of the synthesize runs, pinned under ``cli_expected``.
 
 The text between numbers must match exactly and every number must match
 within ``math.isclose(rel_tol=1e-12, abs_tol=1e-12)``: another BLAS's
 round-off moves validate's 1e-15 defects and the 17-digit sweep values, the
-program's behaviour does not.
+program's behaviour does not.  ``cli_expected/plans/<run>_plan_<model>.json``
+is the plan that run writes with ``--out``.
 """
 
 import math
@@ -34,12 +35,8 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_cli_stdout_matches_expected(name, capsys):
-    argv, code = RUNS[name]
-    assert main(argv) == code
-    expected = NUMBER.split((EXPECTED / f"{name}.txt").read_text(encoding="utf-8"))
-    actual = NUMBER.split(capsys.readouterr().out)
+def assert_matches(actual: str, expected: str):
+    actual, expected = NUMBER.split(actual), NUMBER.split(expected)
     # split with one group: text at even positions, numbers at odd ones
     assert actual[0::2] == expected[0::2]
     far = [
@@ -48,3 +45,21 @@ def test_cli_stdout_matches_expected(name, capsys):
         if not math.isclose(float(a), float(e), rel_tol=1e-12, abs_tol=1e-12)
     ]
     assert not far, far
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_cli_stdout_matches_expected(name, capsys):
+    argv, code = RUNS[name]
+    assert main(argv) == code
+    assert_matches(capsys.readouterr().out, (EXPECTED / f"{name}.txt").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", [name for name, (argv, _) in RUNS.items() if argv[0] == "synthesize"])
+def test_synthesize_plan_files_match_expected(name, tmp_path):
+    argv, code = RUNS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    expected = sorted((EXPECTED / "plans").glob(f"{name}_plan_*.json"))
+    written = sorted(tmp_path.glob("plan_*.json"))
+    assert [path.name for path in written] == [path.name.removeprefix(f"{name}_") for path in expected]
+    for path, pinned in zip(written, expected):
+        assert_matches(path.read_text(encoding="utf-8"), pinned.read_text(encoding="utf-8"))

@@ -30,15 +30,40 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import model_space
+from fockgate.gates import model_space, pulse_generator
 from fockgate.spaces import max_abs, product_state, project_atom, purity, reduced_oscillator_state
-from fockgate.synthesis import CALIBRATION_FD_STEP, LEDGER_MODELS, PHASE_MODELS, _calibration_runner
+from fockgate.synthesis import (
+    CALIBRATION_FD_STEP,
+    LEDGER_MODELS,
+    PHASE_MODELS,
+    STEP_COLUMNS,
+    _calibration_runner,
+    _plan_blocks,
+)
 
 
 def random_target(rng, top):
     amps = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
     amps[top] += 0.5  # keep the top level occupied
     return amps / np.linalg.norm(amps)
+
+
+def gate_plan(*steps, **kwargs):
+    """A ``CircuitPlan`` of (GateParams, chi) steps, built column by column."""
+    rows = [(g.m, g.k, g.phi, g.tau, g.theta0, g.lam, chi) for g, chi in steps]
+    return CircuitPlan(**dict(zip(STEP_COLUMNS, map(list, zip(*rows)))), **kwargs)
+
+
+def with_step(plan, i, gate, chi):
+    """``plan`` with the step of ``gate`` at pulse-phase offset chi inserted before step i."""
+    row = dict(zip(STEP_COLUMNS, (gate.m, gate.k, gate.phi, gate.tau, gate.theta0, gate.lam, chi)))
+    return replace(plan, **{c: np.insert(getattr(plan, c), i, value) for c, value in row.items()})
+
+
+def same_columns(a, b):
+    """Whether two plans hold the same steps, bit for bit."""
+    return all(getattr(a, c).dtype == getattr(b, c).dtype and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+               for c in STEP_COLUMNS)
 
 
 # ---- superposition recipe ---------------------------------------------------
@@ -52,9 +77,9 @@ def test_vacuum_target_gives_empty_plan(params):
 def test_recipe_angles(params):
     alpha = beta = 1.0 / np.sqrt(2)
     plan = plan_superposition(alpha, beta, 2, params)
-    assert [s.gate.m for s in plan.steps] == [1, 2]
-    assert plan.steps[0].gate.phi == pytest.approx(np.pi / 4)
-    assert plan.steps[1].gate.phi == pytest.approx(np.pi / 2)
+    assert plan.m.tolist() == [1, 2]
+    assert plan.phi[0] == pytest.approx(np.pi / 4)
+    assert plan.phi[1] == pytest.approx(np.pi / 2)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -117,13 +142,12 @@ def expm_execution(plan, p, space):
     plus = atom_plus(2)
     osc = np.zeros(nf, dtype=complex)
     osc[0] = 1.0
-    for step in plan.steps:
-        gp, chi = step.gate, step.phase_correction
+    for m, tau, theta0, chi in zip(plan.m.tolist(), plan.tau, plan.theta0, plan.chi):
 
         def pulse(angle):
-            return effective_hamiltonian(p, space, gp.m, angle)
+            return effective_hamiltonian(p, space, m, angle)
 
-        U = expm(-1j * pulse(chi - gp.theta0) * gp.tau) @ flip @ expm(-1j * pulse(chi) * gp.tau)
+        U = expm(-1j * pulse(chi - theta0) * tau) @ flip @ expm(-1j * pulse(chi) * tau)
         branch = np.kron(plus.conj(), np.eye(nf)) @ (U @ np.kron(plus, osc))
         osc = branch / np.linalg.norm(branch)
     return osc
@@ -138,11 +162,8 @@ def test_calibration_keeps_pairs_and_never_lowers_fidelity(ratio, top, seed):
     calibrated = plan_general_state(target, p, phase_model="calibrated")
     assert calibrated.phase_model == "calibrated"
     assert calibrated.pairs() == ledger.pairs()
-    assert all(s.gate.tau > 0.0 for s in calibrated.steps)
-    assert all(
-        s.gate.theta0 == pytest.approx(p.dispersive_rate * s.gate.tau, rel=1e-12)
-        for s in calibrated.steps
-    )
+    assert (calibrated.tau > 0.0).all()
+    assert calibrated.theta0 == pytest.approx(p.dispersive_rate * calibrated.tau, rel=1e-12)
     space = HilbertSpace(2, top + 4)
     _, rep_ledger = execute_plan(ledger, np.array([1.0]), "effective", p, space)
     _, rep_calibrated = execute_plan(calibrated, np.array([1.0]), "effective", p, space)
@@ -161,24 +182,25 @@ def test_calibration_runs_plans_through_execute_plans_step(top, ratio, seed, ext
     p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
     plan = plan_general_state(random_target(np.random.default_rng(seed), top), p, "effective")
     space = HilbertSpace(2, top + 2 + extra)
-    x = np.ravel([(s.gate.phi, s.phase_correction) for s in plan.steps])
+    x = np.column_stack((plan.phi, plan.chi)).ravel()
     _, images = _calibration_runner(plan, p, space)
     stack = images(x, columns=True)
     assert stack.shape == (space.fock_cutoff, 1 + len(x))
     assert max_abs(images(x)[:, 0] - stack[:, 0]) < 1e-12
 
-    def executed(steps):
-        return execute_plan(replace(plan, steps=steps), np.array([1.0]), "effective", p, space)[0]
+    def executed(plan):
+        return execute_plan(plan, np.array([1.0]), "effective", p, space)[0]
 
-    assert max_abs(stack[:, 0] / np.linalg.norm(stack[:, 0]) - executed(plan.steps)) < 1e-12
+    assert max_abs(stack[:, 0] / np.linalg.norm(stack[:, 0]) - executed(plan)) < 1e-12
     for k in range(len(x)):
         moved = x.copy()
         moved[k] += CALIBRATION_FD_STEP
         i = k // 2
-        steps = list(plan.steps)
-        steps[i] = PlanStep(GateParams.from_raman(p, m=steps[i].gate.m, phi=moved[2 * i]), moved[2 * i + 1])
+        gate = GateParams.from_raman(p, m=int(plan.m[i]), phi=moved[2 * i])
+        moved_plan = with_step(replace(plan, **{c: np.delete(getattr(plan, c), i) for c in STEP_COLUMNS}),
+                               i, gate, moved[2 * i + 1])
         column = stack[:, 1 + k]
-        assert max_abs(column / np.linalg.norm(column) - executed(steps)) < 1e-12
+        assert max_abs(column / np.linalg.norm(column) - executed(moved_plan)) < 1e-12
 
 
 def test_calibrated_plan_matches_expm_oracle(params):
@@ -223,7 +245,7 @@ def test_pure_fock_target_uses_full_transfers(params):
     target[4] = 1.0
     plan = plan_general_state(target, params)
     assert len(plan) == 4
-    assert all(s.gate.phi == pytest.approx(np.pi / 2) for s in plan.steps)
+    assert plan.phi == pytest.approx(np.pi / 2)
     _, report = execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 7))
     assert report.fidelity > 1 - 1e-9
 
@@ -287,7 +309,7 @@ def test_angles_are_suffix_norm_ratios(seed, top, phase_model):
     target[:top][rng.random(top) < 0.15] = 0.0
     target /= np.linalg.norm(target)
     plan = plan_general_state(target, p, phase_model)
-    kept = {s.gate.m: s.gate.phi for s in plan.steps}
+    kept = dict(zip(plan.m.tolist(), plan.phi.tolist()))
     assert all(phi > 1e-15 for phi in kept.values())
     for j in range(1, top + 1):
         ratio = min(1.0, abs(target[j - 1]) / np.linalg.norm(target[j - 1 :]))
@@ -298,14 +320,14 @@ def test_zero_angle_gate_is_dropped(params):
     # |t[0]|^2 absorbs the 1e-22 of level 2 in the suffix sum: gate 1 has phi = 0
     plan = plan_general_state(np.array([1.0, 0.0, 1e-11]), params)
     assert plan.pairs() == [(1, 2)]
-    assert plan.steps[0].gate.phi == pytest.approx(np.pi / 2)
+    assert plan.phi[0] == pytest.approx(np.pi / 2)
 
 
 def test_interior_zero_amplitude(params):
     target = np.array([0.6, 0.0, 0.8], dtype=complex)
     plan = plan_general_state(target, params)
     # the empty middle level forces a full transfer on the second gate
-    assert plan.steps[1].gate.phi == pytest.approx(np.pi / 2)
+    assert plan.phi[1] == pytest.approx(np.pi / 2)
     _, report = execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 6))
     assert report.fidelity > 1 - 1e-9
 
@@ -326,9 +348,7 @@ def test_unnormalized_target_rejected(params):
 
 
 def test_empty_plan_returns_initial(params):
-    from fockgate.synthesis import CircuitPlan
-
-    plan = CircuitPlan(steps=[])
+    plan = CircuitPlan()
     initial = np.array([0.6, 0.8], dtype=complex)
     state, report = execute_plan(plan, initial, "ideal", params, HilbertSpace(2, 4))
     assert report.fidelity == pytest.approx(1.0)
@@ -342,7 +362,7 @@ def test_empty_plan_returns_initial(params):
 )
 def test_execute_plan_rejects_bad_initial(params, initial, with_steps):
     # empty, zero, non-finite or not 1-d: named up front, not NaN fidelities one step in
-    plan = plan_superposition(0.6, 0.8, 2, params) if with_steps else CircuitPlan(steps=[])
+    plan = plan_superposition(0.6, 0.8, 2, params) if with_steps else CircuitPlan()
     with pytest.raises(ValueError, match="initial must be"):
         execute_plan(plan, initial, "effective", params, HilbertSpace(2, 6))
 
@@ -352,6 +372,8 @@ def test_plan_step_rejects_non_finite_phase_correction(params, tmp_path):
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="phase_correction must be finite"):
             PlanStep(gate, value)
+        with pytest.raises(ValueError, match="^plan step 1: phase_correction must be finite"):
+            gate_plan((gate, 0.0), (gate, value))
     doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
     doc["steps"][1]["phase_correction"] = float("nan")
     path = tmp_path / "nan_plan.json"
@@ -363,7 +385,7 @@ def test_plan_step_rejects_non_finite_phase_correction(params, tmp_path):
 def test_execute_plan_names_the_step_whose_drive_phase_overflows(params):
     # chi is finite, chi - theta0 is not: an error before any pulse is built, not an inf phase
     gate = GateParams.from_raman(params, m=1, phi=-1e305)
-    plan = CircuitPlan(steps=[PlanStep(GateParams.from_raman(params, m=1, phi=0.3)), PlanStep(gate, 1.79e308)])
+    plan = gate_plan((GateParams.from_raman(params, m=1, phi=0.3), 0.0), (gate, 1.79e308))
     with pytest.raises(ValueError, match=r"plan step 1: drive phases chi = 1\.79e\+308, chi - theta0 = inf"):
         execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 4))
 
@@ -395,7 +417,7 @@ def test_target_zero_tail_beyond_cutoff_is_dropped(params, model):
 
 
 def test_target_support_beyond_cutoff_rejected(params):
-    plan = CircuitPlan(steps=plan_superposition(0.6, 0.8, 1, params).steps, target=np.array([0.6, 0, 0, 0, 0.8]))
+    plan = replace(plan_superposition(0.6, 0.8, 1, params), target=np.array([0.6, 0, 0, 0, 0.8]))
     with pytest.raises(ValueError, match="target has support beyond the Fock cutoff 4"):
         execute_plan(plan, np.array([1.0]), "ideal", params, HilbertSpace(2, 4))
 
@@ -462,13 +484,10 @@ def test_plan_json_round_trip(params, tmp_path):
     save_plan(plan, path)
     loaded = load_plan(path)
     assert len(loaded) == len(plan)
-    for a, b in zip(plan.steps, loaded.steps):
-        assert a.gate.m == b.gate.m
-        assert a.gate.k == b.gate.k
-        assert a.gate.phi == pytest.approx(b.gate.phi)
-        assert a.gate.theta0 == pytest.approx(b.gate.theta0)
-        assert a.gate.tau == pytest.approx(b.gate.tau)
-        assert a.phase_correction == pytest.approx(b.phase_correction)
+    assert np.array_equal(loaded.m, plan.m)
+    assert np.array_equal(loaded.k, plan.k)
+    for name in ("phi", "theta0", "tau", "chi"):
+        assert getattr(plan, name) == pytest.approx(getattr(loaded, name))
     assert_allclose(loaded.target, plan.target, atol=1e-15)
     # identical execution
     space = HilbertSpace(2, 7)
@@ -501,7 +520,7 @@ def test_indented_plan_file_loads_like_a_compact_one(params, tmp_path):
     save_plan(plan, compact)
     assert len(compact.read_text(encoding="utf-8").splitlines()) == 1
     old, new = load_plan(indented), load_plan(compact)
-    assert old.steps == new.steps == plan.steps
+    assert same_columns(old, plan) and same_columns(new, plan)
     assert old.target.tobytes() == new.target.tobytes() == plan.target.tobytes()  # signed zeros too
 
 
@@ -534,9 +553,11 @@ def _with_step_field(field, value):
         (_with_step_field("theta0", True), "plan step 1 field 'theta0' must be a number"),
         (_with_step_field("phase_correction", "0.1"), "plan step 1 field 'phase_correction' must be a number"),
         (_with_step_field("lam", "0.005"), "plan step 1 field 'lam' must be a number"),
+        (_with_step_field("tau", 10**400), "plan step 1 field 'tau' is an integer out of float range"),
+        (_with_step_field("m", 2**63), "plan step 1 field 'm' is an integer out of int64 range"),
     ],
     ids=["document-list", "no-steps", "steps-object", "step-number", "tau-string", "phi-null",
-         "theta0-bool", "phase_correction-string", "lam-string"],
+         "theta0-bool", "phase_correction-string", "lam-string", "tau-huge-integer", "m-beyond-int64"],
 )
 def test_plan_document_rejects_wrong_types(params, edit, match):
     doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
@@ -576,9 +597,9 @@ def test_plan_document_optional_step_fields(params, field):
     for step in doc["steps"]:
         del step[field]
     loaded = plan_from_dict(doc)
-    for a, b in zip(plan.steps, loaded.steps):
-        assert b.gate == a.gate
-        assert b.phase_correction == (0.0 if field == "phase_correction" else a.phase_correction)
+    for name in STEP_COLUMNS[:-1]:
+        assert np.array_equal(getattr(loaded, name), getattr(plan, name))
+    assert np.array_equal(loaded.chi, np.zeros(len(plan)) if field == "phase_correction" else plan.chi)
 
 
 def test_plans_are_sequential_only(params):
@@ -587,14 +608,14 @@ def test_plans_are_sequential_only(params):
     assert plan_to_dict(plan)["schedule"] == "sequential"
     assert "groups" not in plan_to_dict(plan)
     with pytest.raises(TypeError):
-        CircuitPlan(steps=plan.steps, schedule="sequential")
+        replace(plan, schedule="sequential")
 
 
 def test_legacy_parallel_groups_document_loads_in_order(params):
     plan = plan_general_state(random_target(np.random.default_rng(3), 5), params, "effective")
     legacy = dict(plan_to_dict(plan), schedule="parallel-groups", groups=[[0, 2, 4], [1, 3]])
     loaded = plan_from_dict(json.loads(json.dumps(legacy)))
-    assert loaded.steps == plan.steps
+    assert same_columns(loaded, plan)
     assert loaded.schedule == "sequential"
 
 
@@ -622,11 +643,11 @@ def test_plan_round_trip_reproduces_execution(tmp_path_factory, seed, top, phase
             if kind == "tau0"
             else GateParams.from_multiquantum(0.004, m=m, k=2, phi=float(rng.uniform(0.1, 1.5)))
         )
-        plan.steps.append(PlanStep(gate, phase_correction=float(rng.uniform(-np.pi, np.pi))))
+        plan = with_step(plan, len(plan), gate, float(rng.uniform(-np.pi, np.pi)))
     path = tmp_path_factory.getbasetemp() / "round_trip_plan.json"
     save_plan(plan, path)
     loaded = load_plan(path)
-    assert loaded.steps == plan.steps
+    assert same_columns(loaded, plan)
     model = "ideal" if "k2" in extras else phase_model
     space = HilbertSpace(2, 2 * len(plan) + top + 4)
     osc_a, rep_a = execute_plan(plan, np.array([1.0]), model, p, space)
@@ -640,19 +661,18 @@ def test_plan_document_fields(params):
     doc = plan_to_dict(plan)
     assert set(doc["steps"][0]) == {"m", "k", "phi", "theta0", "tau", "lam", "phase_correction"}
     rebuilt = plan_from_dict(json.loads(json.dumps(doc)))
-    assert rebuilt.steps[0].gate.m == 1
+    assert rebuilt.m[0] == 1
 
 
 def test_plan_json_stores_lam_at_zero_tau_and_k2(params):
     # lam cannot be recovered from phi/tau when tau = 0; the file carries it
-    steps = [
-        PlanStep(GateParams.from_raman(params, m=1, phi=0.0), phase_correction=0.3),
-        PlanStep(GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), phase_correction=-0.2),
-    ]
-    plan = CircuitPlan(steps=steps)
+    plan = gate_plan(
+        (GateParams.from_raman(params, m=1, phi=0.0), 0.3),
+        (GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), -0.2),
+    )
     loaded = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
-    assert [s.gate for s in loaded.steps] == [s.gate for s in plan.steps]
-    assert loaded.steps[0].gate.lam == params.coupling
+    assert same_columns(loaded, plan)
+    assert loaded.lam[0] == params.coupling
     space = HilbertSpace(2, 6)
     initial = np.array([0.6, 0.0, 0.0, 0.8j])
     osc_a, _ = execute_plan(plan, initial, "ideal", params, space)
@@ -682,7 +702,7 @@ def test_plan_document_rejects_bad_target(params, target):
 
 def test_plan_rejects_target_not_1d():
     with pytest.raises(ValueError, match="target must be a finite 1-d state"):
-        CircuitPlan(steps=[], target=np.eye(2) / np.sqrt(2))
+        CircuitPlan(target=np.eye(2) / np.sqrt(2))
 
 
 @pytest.mark.parametrize("with_lam", [True, False])
@@ -700,8 +720,7 @@ def test_plan_without_lam_derives_it(params):
     doc = plan_to_dict(plan_superposition(0.6, 0.8, 2, params))
     for step in doc["steps"]:
         del step["lam"]
-    for step in plan_from_dict(doc).steps:
-        assert step.gate.lam == pytest.approx(params.coupling, rel=1e-12)
+    assert plan_from_dict(doc).lam == pytest.approx(params.coupling, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -789,7 +808,7 @@ def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_st
             for _ in range(k2_steps)
         ]
     for gate in extra:
-        plan.steps.insert(int(rng.integers(0, len(plan) + 1)), PlanStep(gate, float(rng.uniform(-100.0, 100.0))))
+        plan = with_step(plan, int(rng.integers(0, len(plan) + 1)), gate, float(rng.uniform(-100.0, 100.0)))
     space = model_space(model, 2 * len(plan) + top + 3)
     initial = random_target(rng, 2)
     osc, report = execute_plan(plan, initial, model, p, space)
@@ -822,3 +841,107 @@ def test_only_the_full_model_diagonalises(params, model, monkeypatch):
         assert min(counts[:2]) >= 1
     else:
         assert counts[:2] == [0, 0]
+
+
+def _signed_zero_target(rng, top):
+    """A random target with zero interior amplitudes, every zero part of it signed at random."""
+    target = random_target(rng, top)
+    target[:top][rng.random(top) < 0.2] = 0.0
+    parts = (target / np.linalg.norm(target)).view(float).copy()
+    zero = parts == 0.0
+    parts[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return parts.view(complex)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from(LEDGER_MODELS))
+def test_plan_file_round_trip_is_exact(tmp_path_factory, seed, top, phase_model):
+    """save -> load -> save writes the same bytes and keeps every column and the target, signed zeros too."""
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    plan = plan_general_state(_signed_zero_target(np.random.default_rng(seed), top), p, phase_model)
+    first, second = (tmp_path_factory.getbasetemp() / name for name in ("first.json", "second.json"))
+    save_plan(plan, first)
+    loaded = load_plan(first)
+    save_plan(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert same_columns(loaded, plan)
+    assert loaded.target.tobytes() == plan.target.tobytes()
+    assert loaded.phase_model == plan.phase_model
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.sampled_from([("tau", float("nan")), ("k", 0), ("theta0", "0.5"), ("phase_correction", True), ("phi", None)]),
+)
+def test_plan_document_names_the_step_of_any_rejected_field(seed, top, edit):
+    """One rejected value (NaN tau, k = 0, a string, a bool, a mismatched phi) in one step is named with that step."""
+    rng = np.random.default_rng(seed)
+    doc = plan_to_dict(plan_general_state(random_target(rng, top), RamanParams(1.0, 0.1, 20.0), "effective"))
+    i = int(rng.integers(len(doc["steps"])))
+    field, value = edit
+    step = doc["steps"][i]
+    step[field] = step["phi"] + 0.1 if value is None else value  # None: a phi that tau does not give
+    with pytest.raises(ValueError, match=f"^plan step {i}[ :]"):
+        plan_from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("model", ["ideal", "effective", "full"])
+def test_plan_blocks_stack_the_per_step_generators(params, model):
+    # one builder call on the m column gives what one pulse_generator call per step gives, bit for bit
+    phase_model = "ideal" if model == "ideal" else "effective"
+    plan = plan_general_state(random_target(np.random.default_rng(11), 6), params, phase_model)
+    if model == "ideal":  # a k = 2 step has its own layout
+        plan = with_step(plan, 2, GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), 0.1)
+    space = model_space(model, 9)
+    stack = _plan_blocks(plan, params, space, model)
+    steps = [pulse_generator(step.gate, params, space, model) for step in plan.steps]
+    assert np.array_equal(stack.index, [blocks.index for blocks in steps])
+    assert np.array_equal(stack.generator, [blocks.generator for blocks in steps])
+    with pytest.raises(ValueError, match="too small for selected level m=4;"):  # the first step past the cutoff
+        _plan_blocks(plan, params, model_space(model, 5), model)
+
+
+def test_plan_columns_are_read_only_and_steps_a_view(params):
+    plan = plan_superposition(0.6, 0.8j, 3, params, "effective")
+    for name in STEP_COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, name)[0] = 0
+    with pytest.raises(AttributeError):
+        plan.phi = plan.phi[::-1]
+    steps = plan.steps
+    assert isinstance(steps, tuple) and all(isinstance(step, PlanStep) for step in steps)
+    assert [(s.gate.m, s.gate.tau, s.gate.theta0, s.phase_correction) for s in steps] == list(
+        zip(plan.m.tolist(), plan.tau.tolist(), plan.theta0.tolist(), plan.chi.tolist()))
+    assert same_columns(gate_plan(*((s.gate, s.phase_correction) for s in steps)), plan)
+
+
+def test_plan_columns_are_checked_like_gates(params):
+    gate = GateParams.from_raman(params, m=2, phi=0.4)
+    plan = gate_plan((gate, 0.0), (gate, 0.0))
+    with pytest.raises(ValueError, match="^plan step 0: m must be an integer, got 2.0"):
+        replace(plan, m=[2.0, 2.0])
+    with pytest.raises(ValueError, match="^plan step 1: k must be >= 1, got 0"):
+        replace(plan, k=[1, 0])
+    with pytest.raises(ValueError, match=r"^plan step 1: phi = 0\.5 inconsistent with coupling\*tau = "):
+        replace(plan, phi=[0.4, 0.5])
+    with pytest.raises(ValueError, match="1-d and of one length"):
+        replace(plan, chi=[0.0])
+
+
+def test_plan_paths_build_no_gate_per_step(params, tmp_path, monkeypatch):
+    # compile, save, load, execute and calibrate read and write columns: no PlanStep, and
+    # a GateParams only to let pulse_generator check one step per block stack
+    built = []
+    check = GateParams.__post_init__
+    monkeypatch.setattr(GateParams, "__post_init__", lambda gate: built.append(gate) or check(gate))
+    monkeypatch.setattr(CircuitPlan, "steps", property(lambda plan: pytest.fail("plan.steps was built")))
+    target = random_target(np.random.default_rng(2), 12)
+    plan = plan_general_state(target, params, "effective")
+    save_plan(plan, tmp_path / "plan.json")
+    loaded = load_plan(tmp_path / "plan.json")
+    assert len(loaded) == 12 and not built
+    execute_plan(loaded, np.array([1.0]), "full", params, HilbertSpace(3, 30))
+    plan_general_state(target[:4] / np.linalg.norm(target[:4]), params, "calibrated")
+    assert len(built) == 2
