@@ -30,7 +30,8 @@ from .config import (
     to_raman,
 )
 from .gates import MODELS, GateParams, closed_form_check, closed_form_states, echo_pulses, leakage, pair_gate
-from .gates import model_space, pulse_generator, run_echo
+from .gates import model_space, pulse_generator, raman_columns, run_echo
+from .hamiltonians import PulseBlocks
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
 from .spaces import fidelity, fock_populations, purity, reduced_oscillator_state
 from .synthesis import _write_json, execute_plan, plan_general_state, save_plan
@@ -98,46 +99,37 @@ def cmd_gate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_point(cfg: RunConfig, ratio: float, model: str) -> dict:
-    start = time.perf_counter()
-    # common random numbers across grid points: every point sees the same
-    # sampled angles and pair amplitudes, so trends are paired comparisons
+def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
+    """One row per drive ratio of one model: mean closed-form fidelity, leakage and gate time over the samples.
+
+    Common random numbers across grid points: every ratio sees the same
+    sampled angles and pair amplitudes (per sample, phi then four normals),
+    so trends are paired comparisons.  The ratios' blocks share one layout,
+    so one echo runs every ratio and sample, a state each.
+    """
     rng = np.random.default_rng(cfg.seed)
-    p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
-    space = model_space(model, cfg.space.fock_cutoff)
-    gates, states = [], []
-    for _ in range(cfg.sweep.samples):
-        phi = float(rng.uniform(*SWEEP_ANGLES))
-        z = rng.normal(size=4)
-        alpha = complex(z[0], z[1])
-        beta = complex(z[2], z[3])
-        nrm = np.hypot(abs(alpha), abs(beta))
-        gates.append(GateParams.from_raman(p, m=cfg.gate.m, phi=phi))
-        states.append(closed_form_states(gates[-1], space, alpha / nrm, beta / nrm))
-    # the samples differ only in tau and input: one echo runs them all, a state each
-    taus, theta0s = np.array([(gp.tau, gp.theta0) for gp in gates]).T
-    echo = echo_pulses(pulse_generator(gates[0], p, space, model), space, taus, theta0s, 0.0)
-    psis = run_echo(echo, np.array([prepared for prepared, _ in states])[..., None])[..., 0]
-    fids = [fidelity(expected, psi, space) for (_, expected), psi in zip(states, psis)]
-    leaks = [leakage(psi, gp.m, gp.k, space) for gp, psi in zip(gates, psis)]
-    return {
-        "r": ratio,
-        "model": model,
-        "fidelity": float(np.mean(fids)),
-        "leakage": float(np.mean(leaks)),
-        "gate_time": float(np.mean(taus)),
-        "duration_s": time.perf_counter() - start,
-    }
+    draws = np.array([[rng.uniform(*SWEEP_ANGLES), *rng.normal(size=4)] for _ in range(cfg.sweep.samples)])
+    phi, z = draws[:, 0], draws[:, 1:]
+    alpha, beta = (z / np.linalg.norm(z, axis=1, keepdims=True)).view(complex).T  # z0 + i z1, z2 + i z3
+    with warnings.catch_warnings():  # large ratios trip the selectivity warning, by design of the scan
+        warnings.filterwarnings("ignore", "selectivity ratio ", UserWarning)
+        devices = [to_raman(cfg, omega_l=ratio * cfg.physical.g) for ratio in cfg.sweep.ratios]
+    m, space = cfg.gate.m, model_space(model, cfg.space.fock_cutoff)
+    tau, theta0 = raman_columns(devices, m, phi)  # (ratios, samples)
+    blocks = [pulse_generator(GateParams.from_raman(p, m, phi[0]), p, space, model) for p in devices]
+    generators = np.stack([b.generator for b in blocks])[:, None]  # a ratio's samples share its blocks
+    echo = echo_pulses(PulseBlocks(blocks[0].index, generators), space, tau, theta0, 0.0)
+    prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
+    psis = run_echo(echo, prepared[..., None])[..., 0]
+    fids, leaks = fidelity(expected, psis, space), leakage(psis, m, 1, space)
+    return [
+        {"r": ratio, "model": model, "fidelity": float(f), "leakage": float(leak), "gate_time": float(t)}
+        for ratio, f, leak, t in zip(cfg.sweep.ratios, fids.mean(axis=1), leaks.mean(axis=1), tau.mean(axis=1))
+    ]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # large-ratio points trip the selectivity warning
-        rows = [
-            _sweep_point(cfg, ratio, model)
-            for model in _models(cfg)
-            for ratio in cfg.sweep.ratios
-        ]
+    rows = [row for model in _models(cfg) for row in _sweep_rows(cfg, model)]
     header = ["r", "model", "fidelity", "leakage", "gate_time"]
     table = [
         [_fmt(row["r"]), row["model"], _fmt(row["fidelity"]), _fmt(row["leakage"]), _fmt(row["gate_time"])]

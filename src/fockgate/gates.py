@@ -40,10 +40,10 @@ B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
 per level and device serves both pulses and every offset and duration.
 ``echo_pulses`` builds the framed pulses of one gate or a batch and
 ``run_echo`` runs them in place on joint states, the flip folded into the
-second gather: ``apply_pair_gate``, the sweep, plan execution and
-calibration all run gates so, and ``pair_gate`` sums the dense unitary
-from the same pulses.  The dense builders and ``Propagator`` serve as the
-oracle in validation and the tests.
+second gather: ``apply_pair_gate``, the sweep, validation's sampled gates,
+plan execution and calibration all run gates so, and ``pair_gate`` sums
+the dense unitary from the same pulses.  The dense builders and
+``Propagator`` serve as the oracle in validation and the tests.
 """
 
 from __future__ import annotations
@@ -143,6 +143,25 @@ class GateParams:
         """k-quantum gate on {m-k, m} at angle phi; pure exchange, no dispersive phases."""
         tau = _duration(phi, multiquantum_coupling_element(lam_k, m, k))
         return cls(m=m, tau=tau, lam=lam_k, theta0=0.0, phi=phi, k=k)
+
+
+def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.ndarray]:
+    """tau and theta0 of ``GateParams.from_raman(devices[i], m[j], phi[j])`` as (devices, gates) arrays.
+
+    Same IEEE operations as ``from_raman``; m and phi broadcast to one gate
+    axis.  A gate whose columns are not finite is built, raising its error.
+    """
+    lam = np.array([p.coupling for p in devices])[:, None]
+    rate = np.array([p.dispersive_rate for p in devices])[:, None]
+    with np.errstate(all="ignore"):
+        tau = phi / (lam * np.sqrt(m))
+        theta0 = rate * tau
+        bad = ~np.isfinite(lam * (m * theta0))
+    if bad.any():
+        m, phi = np.broadcast_arrays(m, phi)
+        for i, j in zip(*np.nonzero(bad)):
+            GateParams.from_raman(devices[i], m=int(m[j]), phi=float(phi[j]))
+    return tau, theta0
 
 
 def _duration(phi: float, element: float) -> float:
@@ -312,15 +331,15 @@ def rotation_matrix(gp: GateParams, atom_sign: int = +1, phase_offset: float = 0
     """
     if atom_sign not in (+1, -1):
         raise ValueError(f"atom_sign must be +1 or -1, got {atom_sign}")
-    phi = atom_sign * gp.phi
-    c, s = np.cos(phi), np.sin(phi)
-    chi = phase_offset
-    kernel = np.array(
-        [[c, -1j * s * np.exp(-1j * chi)], [-1j * s * np.exp(1j * chi), c]], dtype=complex
-    )
-    free = np.diag([np.exp(1j * gp.theta0), 1.0]).astype(complex)
-    sign = 1.0 if atom_sign == +1 else -1.0
-    return sign * np.exp(-2j * gp.eta) * (free @ kernel)
+    return np.array(_rotated(gp.m, gp.phi, gp.theta0, *np.eye(2), atom_sign, phase_offset))  # columns: |m-k>, |m>
+
+
+def _rotated(m, phi, theta0, alpha, beta, atom_sign: int = +1, chi: float = 0.0) -> tuple:
+    """(c_{m-k}, c_m) that ``rotation_matrix`` makes of alpha|m-k> + beta|m>; all arguments broadcast."""
+    phi, theta0 = np.multiply(atom_sign, phi), np.asarray(theta0)
+    c, s, offset = np.cos(phi), -1j * np.sin(phi), np.exp(1j * chi)
+    echo = atom_sign * np.exp(-2j * (m * theta0))  # e^{-2i eta}, and the flip's -1 for |->
+    return echo * np.exp(1j * theta0) * (c * alpha + s / offset * beta), echo * (s * offset * alpha + c * beta)
 
 
 def closed_form_rotation(
@@ -337,13 +356,25 @@ def closed_form_rotation(
     return rotation_matrix(gp, atom_sign, phase_offset) @ np.array([alpha, beta], dtype=complex)
 
 
-def closed_form_states(
-    gp: GateParams, space: HilbertSpace, alpha: complex, beta: complex, reference: GateParams | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """|+> ⊗ (alpha|m-k> + beta|m>) and |+> ⊗ its ``closed_form_rotation`` under ``reference`` (or ``gp``)."""
-    osc = np.zeros((2, space.fock_cutoff), dtype=complex)
-    osc[:, list(gp.pair)] = [alpha, beta], closed_form_rotation(alpha, beta, reference or gp)
-    return tuple(product_state(space, atom_plus(space.atom_dim), osc.T).T)
+def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """|+> ⊗ (alpha|m-k> + beta|m>) and |+> ⊗ the pair as the closed form maps it, as (..., dim) stacks.
+
+    m, phi, theta0, alpha and beta broadcast together, one gate each (scalars:
+    one (dim,) state each); the map is ``rotation_matrix`` of such a gate for
+    atom |+>.  |alpha|^2 + |beta|^2 off 1 by more than 1e-9, or an m at or
+    above fock_cutoff, is a ValueError.
+    """
+    m, alpha, beta = np.asarray(m), np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    if (m >= space.fock_cutoff).any():
+        raise ValueError(f"m = {m.max()} lies outside fock_cutoff {space.fock_cutoff}")
+    nrm = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    if not (np.abs(nrm - 1.0) <= 1e-9).all():
+        raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
+    amps = np.array(np.broadcast_arrays(alpha, beta, *_rotated(m, phi, theta0, alpha, beta)))[..., None]
+    levels = np.arange(space.fock_cutoff)  # the pair's levels of each gate, as masks
+    osc = (levels == (m - k)[..., None]) * amps[0::2] + (levels == m[..., None]) * amps[1::2]
+    joint = atom_plus(space.atom_dim)[:, None] * osc[..., None, :]
+    return tuple(joint.reshape(osc.shape[:-1] + (space.dim,)))
 
 
 def closed_form_check(
@@ -357,9 +388,11 @@ def closed_form_check(
     """Apply U to |+> ⊗ (alpha|m-k> + beta|m>) and score it against the closed form.
 
     Returns the output joint state and its fidelity with |+> ⊗ the pair as
-    ``closed_form_rotation`` maps it under ``reference`` (default ``gp``).
+    ``closed_form_rotation`` maps it under the phi and theta0 of
+    ``reference`` (default ``gp``).
     """
-    prepared, expected = closed_form_states(gp, space, alpha, beta, reference)
+    ref = reference or gp
+    prepared, expected = closed_form_states(space, gp.m, ref.phi, ref.theta0, alpha, beta, gp.k)
     psi = U @ prepared
     return psi, fidelity(expected, psi, space)
 
@@ -403,11 +436,14 @@ def combined_echo_coupling(gp: GateParams, space: HilbertSpace, angle: float) ->
     return gp.phi * tensor(atom_part, osc)
 
 
-def leakage(psi: np.ndarray, m: int, k: int, space: HilbertSpace) -> float:
-    """Population outside the Fock pair {m-k, m}, summed over atomic levels."""
+def leakage(psi: np.ndarray, m: int, k: int, space: HilbertSpace):
+    """Population outside the Fock pair {m-k, m}, summed over atomic levels.
+
+    A float for one joint state (dim,), an array for a (..., dim) stack.
+    """
     pops = fock_populations(psi, space)
-    kept = pops[m - k] + pops[m]
-    return float(np.sum(pops) - kept)
+    value = np.add.reduce(pops, axis=-1) - (pops[..., m - k] + pops[..., m])
+    return float(value) if pops.ndim == 1 else value
 
 
 def induced_oscillator_unitary(

@@ -268,7 +268,10 @@ def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
     """|<g,m|H|e,m-k>| = lam_k*sqrt(m!/(m-k)!)."""
     if m < k:
         raise ValueError(f"need m >= k, got m={m}, k={k}")
-    return lam_k * math.sqrt(math.perm(m, k))
+    try:
+        return lam_k * math.sqrt(math.perm(m, k))
+    except OverflowError:
+        raise ValueError(f"m!/(m-k)! for m={m}, k={k} lies beyond float range") from None
 
 
 class PulseBlocks(NamedTuple):
@@ -335,24 +338,29 @@ def full_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
     return PulseBlocks(index, H)
 
 
-def ideal_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
+def ideal_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     """The ideal pulse, pair_energy + pair_coupling of ``decompose_effective``.
 
     Laid out as doublets {|g,N>, |e,N-1>} like ``effective_blocks``; only
     N = m-1, m, m+1 carry terms: the pair self-energy on {|g,m-1>, |g,m>,
-    |e,m-1>, |e,m>} and the resonant coupling inside N = m.
+    |e,m-1>, |e,m>} and the resonant coupling inside N = m.  ``m`` is one
+    level, or an array of levels for a (..., nb, 2, 2) stack on the one
+    layout, every level set at once.
     """
     if space.atom_dim != 2:
         raise ValueError(f"ideal model needs atom_dim = 2, got {space.atom_dim}")
-    if m < 1:
-        raise ValueError(f"ideal model needs m >= 1, got {m}")
-    _require_cutoff(space, m)
-    _, index, H = _excitation_blocks(space, (0, 1))
+    levels = np.asarray(m)
+    rows, m, lowest = np.arange(levels.size), levels.ravel(), levels.min(initial=1)
+    if lowest < 1:
+        raise ValueError(f"ideal model needs m >= 1, got {lowest}")
+    _require_cutoff(space, int(levels.max(initial=0)))
+    n, index = _block_layout(space, (0, 1), 1)
+    H = np.zeros((levels.size, len(n), 2, 2))
     rate = p.dispersive_rate
-    H[m - 1, 0, 0] = rate * m - rate
-    H[m, 0, 0] = H[m, 1, 1] = H[m + 1, 1, 1] = rate * m
-    H[m, 0, 1] = H[m, 1, 0] = p.coupling * np.sqrt(m)
-    return PulseBlocks(index, H)
+    H[rows, m - 1, 0, 0] = rate * m - rate
+    H[rows, m, 0, 0] = H[rows, m, 1, 1] = H[rows, m + 1, 1, 1] = rate * m
+    H[rows, m, 0, 1] = H[rows, m, 1, 0] = p.coupling * np.sqrt(m)
+    return PulseBlocks(index, H.reshape(levels.shape + H.shape[1:]))
 
 
 def multiquantum_blocks(k: int, lam_k: float, m: int, space: HilbertSpace) -> PulseBlocks:

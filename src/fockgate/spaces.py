@@ -127,17 +127,18 @@ def tensor(atomic: np.ndarray, oscillator: np.ndarray) -> np.ndarray:
     return np.kron(atomic, oscillator)
 
 
-def _amplitudes(psi, space: HilbertSpace) -> np.ndarray:
+def _amplitudes(psi, space: HilbertSpace, stacks: bool = False) -> np.ndarray:
+    """psi as a complex joint state (dim,), or with ``stacks`` any (..., dim) stack of them."""
     amps = np.asarray(psi, dtype=complex)
-    if amps.shape != (space.dim,):
-        raise ValueError(f"state has shape {amps.shape}, expected ({space.dim},)")
+    if amps.shape[-1:] != (space.dim,) or (amps.ndim > 1 and not stacks):
+        raise ValueError(f"state has shape {amps.shape}, expected ({'..., ' if stacks else ''}{space.dim},)")
     return amps
 
 
 def fock_populations(psi, space: HilbertSpace) -> np.ndarray:
-    """Population per Fock level of a joint state, summed over atomic levels."""
-    mat = _amplitudes(psi, space).reshape(space.atom_dim, space.fock_cutoff)
-    return np.sum(np.abs(mat) ** 2, axis=0)
+    """Population per Fock level, summed over atomic levels, of a joint state (dim,) or each of a (..., dim) stack."""
+    amps = _amplitudes(psi, space, stacks=True)
+    return np.add.reduce(np.abs(amps.reshape(amps.shape[:-1] + (space.atom_dim, space.fock_cutoff))) ** 2, axis=-2)
 
 
 def reduced_oscillator_state(psi, space: HilbertSpace) -> np.ndarray:
@@ -163,9 +164,10 @@ def purity(rho: np.ndarray):
     return float(value) if rho.ndim == 2 else value
 
 
-def fidelity(a, b, space: HilbertSpace) -> float:
-    """Squared modulus of the overlap, |<a|b>|^2."""
-    return float(np.abs(np.vdot(_amplitudes(a, space), _amplitudes(b, space))) ** 2)
+def fidelity(a, b, space: HilbertSpace):
+    """|<a|b>|^2 of two joint states (dim,), a float, or of each pair of two (..., dim) stacks, an array."""
+    overlap = np.add.reduce(_amplitudes(a, space, stacks=True).conj() * _amplitudes(b, space, stacks=True), axis=-1)
+    return float(np.abs(overlap) ** 2) if overlap.ndim == 0 else np.abs(overlap) ** 2
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:

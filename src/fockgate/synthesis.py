@@ -59,7 +59,7 @@ from typing import ClassVar
 import numpy as np
 
 from .gates import Echo, GateParams, atom_plus, echo_pulses, induced_oscillator_unitary, pair_gate, pulse_generator
-from .gates import run_echo
+from .gates import raman_columns, run_echo
 from .hamiltonians import PulseBlocks, RamanParams, effective_blocks, full_blocks, ideal_blocks
 from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
@@ -122,7 +122,10 @@ class CircuitPlan:
         if integral:
             perm = np.where((k >= 1) & (m >= k), m, np.nan)  # m!/(m-k)!: m at k = 1
             for i in np.flatnonzero((k > 1) & (m >= k)):
-                perm[i] = math.perm(int(m[i]), int(k[i]))
+                try:
+                    perm[i] = math.perm(int(m[i]), int(k[i]))
+                except OverflowError:  # beyond float range: the row fails below, and building it names the step
+                    perm[i] = math.inf
             with np.errstate(all="ignore"):  # overflows and NaNs are what the check looks for
                 expected = lam * np.sqrt(perm) * tau  # multiquantum_coupling_element * tau
                 ok = np.isfinite([phi, tau, theta0, lam, chi, m * theta0, expected]).all(axis=0)
@@ -203,15 +206,10 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     remaining = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
     phi = np.arccos(np.minimum(1.0, moduli[:top] / remaining[:top]))
 
-    # the columns GateParams.from_raman would give, by the same IEEE operations; where a
-    # device without a usable coupling makes one non-finite, from_raman raises its error
-    m, lam = np.arange(1, top + 1), p.coupling
-    with np.errstate(all="ignore"):
-        tau = phi / (lam * np.sqrt(m))
-        theta0 = p.dispersive_rate * tau
-        eta = m * theta0
-        for j in np.flatnonzero(~np.isfinite(lam * eta)):
-            GateParams.from_raman(p, m=int(m[j]), phi=float(phi[j]))
+    # the columns GateParams.from_raman would give; a device without a usable coupling raises its error
+    m = np.arange(1, top + 1)
+    (tau,), (theta0,) = raman_columns([p], m, phi)
+    eta = m * theta0
 
     # phase ledger: chi_j multiplies the amplitude carried to level j, so it
     # shifts every level >= j alike.  At chi = 0 each level's end phase is a
@@ -238,7 +236,7 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     kept = phi > 1e-15
     return CircuitPlan(
         m=m[kept], k=np.ones(kept.sum(), dtype=np.int64), phi=phi[kept], tau=tau[kept], theta0=theta0[kept],
-        lam=np.full(kept.sum(), lam), chi=chis[kept], target=t, phase_model=phase_model,
+        lam=np.full(kept.sum(), p.coupling), chi=chis[kept], target=t, phase_model=phase_model,
     )
 
 
@@ -282,22 +280,19 @@ def _plan_blocks(plan: CircuitPlan, p: RamanParams, space: HilbertSpace, model: 
     """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step, from the m column.
 
     Steps differ in the |e> energy of every block ("effective", "full") or in
-    the blocks N = m-1, m, m+1 ("ideal"), set for all steps at once;
-    ``pulse_generator`` builds k > 1 steps and raises for the first step it
-    rejects, as it would step by step.
+    the blocks N = m-1, m, m+1 ("ideal", ``ideal_blocks`` of the m column),
+    set for all steps at once; ``pulse_generator`` builds k > 1 steps and
+    raises for the first step it rejects, as it would step by step.
     """
-    m, steps, columns = plan.m, np.arange(len(plan)), [getattr(plan, c) for c in STEP_COLUMNS]
+    m, columns = plan.m, [getattr(plan, c) for c in STEP_COLUMNS]
     rejected = (m + 2 > space.fock_cutoff) | ((plan.k != 1) & (model != "ideal"))
     pulse_generator(_plan_step(columns, int(np.argmax(rejected))).gate, p, space, model)
-    index, base = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model](p, space, 1)
-    H, rate = np.repeat(base[None], len(plan), axis=0), p.dispersive_rate
-    if model == "ideal":  # the entries of ideal_blocks, one level per step
-        H[:] = 0.0
-        H[steps, m - 1, 0, 0] = rate * m - rate
-        H[steps, m, 0, 0] = H[steps, m, 1, 1] = H[steps, m + 1, 1, 1] = rate * m
-        H[steps, m, 0, 1] = H[steps, m, 1, 0] = p.coupling * np.sqrt(m)
+    if model == "ideal":
+        index, H = ideal_blocks(p, space, m)
     else:  # the |e> energy: g^2 m / delta (effective) or the engineered shift (full)
-        H[..., -1, -1] = (rate * m if model == "effective" else p.engineered_shift(m))[:, None]
+        index, base = (effective_blocks if model == "effective" else full_blocks)(p, space, 1)
+        H = np.repeat(base[None], len(plan), axis=0)
+        H[..., -1, -1] = (p.dispersive_rate * m if model == "effective" else p.engineered_shift(m))[:, None]
     index = np.repeat(index[None], len(plan), axis=0)
     for i in np.flatnonzero(plan.k != 1):
         index[i], H[i] = pulse_generator(_plan_step(columns, i).gate, p, space, model)

@@ -1,13 +1,15 @@
-import contextlib
+import collections
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fockgate import cli
-from fockgate.cli import _sweep_point, main
+from fockgate import cli, gates, validation
+from fockgate.cli import _sweep_rows, main
 from fockgate.config import (
     ConfigError,
     RunConfig,
@@ -20,7 +22,7 @@ from fockgate.gates import GateParams, closed_form_check, leakage, model_space, 
 from fockgate.hamiltonians import RamanParams
 from fockgate.config import to_raman
 from fockgate.spaces import HilbertSpace
-from fockgate.validation import run_validation
+from fockgate.validation import VALIDATION_GATES, run_validation
 
 
 # ---- configuration ----------------------------------------------------------
@@ -391,30 +393,116 @@ def test_sweep_gate_time_scaling(tmp_path):
 
 @pytest.mark.parametrize("model", ["ideal", "effective", "full"])
 @pytest.mark.parametrize("ratio", [0.02, 0.1, 0.5])
-def test_sweep_point_matches_dense_gate_per_sample(model, ratio):
-    # reference: the same draws in the same order, one dense pair_gate per sample
-    cfg = load_config(None, ["gate.m=3", "sweep.samples=5", "seed=7"])
-    rng = np.random.default_rng(cfg.seed)
-    with pytest.warns(UserWarning) if ratio > 0.2 else contextlib.nullcontext():
-        p = to_raman(cfg, omega_l=ratio * cfg.physical.g)
-        row = _sweep_point(cfg, ratio, model)
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    m=st.integers(1, 5),
+    samples=st.integers(1, 4),
+    others=st.lists(st.sampled_from([0.01, 0.05, 0.2, 1.0]), max_size=2),
+    at=st.integers(0, 2),
+)
+def test_sweep_point_matches_dense_gate_per_sample(model, ratio, seed, m, samples, others, at):
+    # each grid point of the batched sweep against the per-sample route: the same
+    # draws in the same order, one dense pair_gate and closed_form_check per sample
+    ratios = others[:at] + [ratio] + others[at:]
+    cfg = load_config(None, [f"gate.m={m}", f"sweep.samples={samples}", f"seed={seed}", f"sweep.ratios={ratios}"])
+    rows = _sweep_rows(cfg, model)
     space = model_space(model, cfg.space.fock_cutoff)
-    fids, leaks, times = [], [], []
-    for _ in range(cfg.sweep.samples):
-        phi = float(rng.uniform(0.15, 0.5 * np.pi))
+    assert [(row["r"], row["model"]) for row in rows] == [(r, model) for r in ratios]
+    for r, row in zip(ratios, rows):
+        rng = np.random.default_rng(cfg.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the selectivity warning at large r
+            p = to_raman(cfg, omega_l=r * cfg.physical.g)
+        fids, leaks, times = [], [], []
+        for _ in range(cfg.sweep.samples):
+            phi = float(rng.uniform(0.15, 0.5 * np.pi))
+            z = rng.normal(size=4)
+            nrm = np.hypot(abs(complex(z[0], z[1])), abs(complex(z[2], z[3])))
+            gp = GateParams.from_raman(p, m=cfg.gate.m, phi=phi)
+            psi, fid = closed_form_check(
+                pair_gate(gp, p, space, model), gp, space, complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
+            )
+            fids.append(fid)
+            leaks.append(leakage(psi, gp.m, gp.k, space))
+            times.append(gp.tau)
+        assert abs(row["fidelity"] - np.mean(fids)) < 1e-12
+        assert abs(row["leakage"] - np.mean(leaks)) < 1e-12
+        assert row["gate_time"] == float(np.mean(times))
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[f"{module.__name__}.{name}"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_and_validate_run_their_samples_in_one_batch(monkeypatch, capsys):
+    # one echo per model for the whole sweep grid and one for validate's sampled gates;
+    # pair_gate (which calls gates.echo_pulses) only in validate's unitarity and purity checks
+    calls = collections.Counter()
+    for module, name in [(cli, "echo_pulses"), (cli, "pair_gate"), (validation, "echo_pulses"),
+                         (validation, "pair_gate"), (gates, "echo_pulses")]:
+        _count_calls(monkeypatch, calls, module, name)
+    assert main(["sweep", "--model", "all"]) == 0
+    assert calls == {"fockgate.cli.echo_pulses": 3}
+    calls.clear()
+    assert main(["validate"]) == 0
+    assert calls == {"fockgate.validation.echo_pulses": 1, "fockgate.validation.pair_gate": 3,
+                     "fockgate.gates.echo_pulses": 3}
+
+
+def test_sweep_warns_nothing_at_large_ratio():
+    # the default grid reaches r = 0.5, past the selectivity warning's threshold
+    assert 0.5 in load_config(None, []).sweep.ratios
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--model", "all"]) == 0
+
+
+@pytest.mark.parametrize("where, category", [("to_raman", UserWarning), ("run_echo", RuntimeWarning)])
+def test_sweep_passes_other_warnings_on(monkeypatch, where, category):
+    # only the selectivity warning is filtered, and only while the devices are built
+    original = getattr(cli, where)
+
+    def warns(*args, **kwargs):
+        warnings.warn("something else", category)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, where, warns)
+    with pytest.warns(category, match="something else"):
+        assert main(["sweep", "--model", "ideal", "--set", "sweep.ratios=[0.5]"]) == 0
+
+
+def _per_gate_closed_form_infidelity(p, space, seed, corrupt_theta0):
+    # validate's closed-form check one gate at a time: the same draws, one dense pair_gate each
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(24):
+        level = int(rng.integers(1, min(VALIDATION_GATES[1], space.fock_cutoff - 2) + 1))
+        phi = float(rng.uniform(*VALIDATION_GATES[0]))
         z = rng.normal(size=4)
-        nrm = np.hypot(abs(complex(z[0], z[1])), abs(complex(z[2], z[3])))
-        gp = GateParams.from_raman(p, m=cfg.gate.m, phi=phi)
-        psi, fid = closed_form_check(
-            pair_gate(gp, p, space, model), gp, space, complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
-        )
-        fids.append(fid)
-        leaks.append(leakage(psi, gp.m, gp.k, space))
-        times.append(gp.tau)
-    assert (row["r"], row["model"]) == (ratio, model)
-    assert abs(row["fidelity"] - np.mean(fids)) < 1e-12
-    assert abs(row["leakage"] - np.mean(leaks)) < 1e-12
-    assert row["gate_time"] == float(np.mean(times))
+        alpha, beta = complex(z[0], z[1]), complex(z[2], z[3])
+        nrm = np.hypot(abs(alpha), abs(beta))
+        gp = GateParams.from_raman(p, m=level, phi=phi)
+        reference = dataclasses.replace(gp, theta0=-gp.theta0) if corrupt_theta0 else None
+        _, fid = closed_form_check(pair_gate(gp, p, space, "ideal"), gp, space, alpha / nrm, beta / nrm, reference)
+        worst = max(worst, 1.0 - fid)
+    return worst
+
+
+@pytest.mark.parametrize("corrupt_theta0", [False, True])
+@pytest.mark.parametrize("seed, fock_cutoff, m", [(0, 12, 1), (3, 5, 2), (17, 8, 4), (2024, 3, 1)])
+def test_validation_batch_matches_per_gate_route(seed, fock_cutoff, m, corrupt_theta0):
+    p, space = RamanParams(g=1.0, omega_l=0.1), HilbertSpace(2, fock_cutoff)
+    results = run_validation(p, space, m, corrupt_theta0=corrupt_theta0, seed=seed)
+    batched = next(r.value for r in results if r.name == "closed-form rotation infidelity")
+    assert abs(batched - _per_gate_closed_form_infidelity(p, space, seed, corrupt_theta0)) < 1e-12
+    assert (batched > 1e-3) == corrupt_theta0
 
 
 def test_sweep_reproducible(tmp_path):

@@ -153,6 +153,18 @@ def test_closed_form_check_scores_against_reference(params, space, rng):
         assert bad == pytest.approx(1.0 - 4.0 * lo * hi * np.sin(gp.theta0) ** 2, abs=1e-10)
 
 
+def test_closed_form_check_rejects_level_outside_cutoff(params, space):
+    # a pair level at or above fock_cutoff has no basis state to carry it
+    U = np.eye(space.dim)
+    for m in (space.fock_cutoff, space.fock_cutoff + 3):
+        gp = GateParams.from_raman(params, m=m, phi=0.4)
+        with pytest.raises(ValueError, match="fock_cutoff"):
+            closed_form_check(U, gp, space, 0.6, 0.8)
+    gp = GateParams.from_raman(params, m=space.fock_cutoff - 1, phi=0.4)
+    _, fid = closed_form_check(U, gp, space, 1.0, 0.0)
+    assert np.isfinite(fid)
+
+
 def test_phase_only_gate_at_zero_angle(params, space):
     # phi = 0 leaves the populations alone; the lower pair level picks up the
     # dispersive phase

@@ -590,6 +590,35 @@ def test_plan_document_names_the_step_of_a_rejected_gate(params, edit, message):
         plan_from_dict(json.loads(json.dumps(edit(doc))))
 
 
+# a k-quantum step whose m!/(m-k)! lies beyond float range (200! ~ 7.9e374)
+HUGE_PERM_STEP = {"m": 200, "k": 200, "phi": 0.1, "theta0": 0.0, "tau": 1.0, "lam": 1e-300, "phase_correction": 0.0}
+HUGE_PERM = re.escape("m!/(m-k)! for m=200, k=200 lies beyond float range")
+
+
+@pytest.mark.parametrize("without", [None, "lam"], ids=["columns", "scanned-without-lam"])
+def test_plan_step_beyond_float_range_is_a_value_error(without):
+    # both load paths name the step, not an OverflowError from int-to-float conversion
+    step = {key: value for key, value in HUGE_PERM_STEP.items() if key != without}
+    good = dict(HUGE_PERM_STEP, m=2, k=1, phi=1e-300 * 2**0.5)
+    with pytest.raises(ValueError, match="^plan step 1: " + HUGE_PERM):
+        plan_from_dict({"steps": [good, step]})
+
+
+def test_plan_columns_beyond_float_range_are_a_value_error():
+    columns = {name: [HUGE_PERM_STEP[key]] for key, name in (("m", "m"), ("k", "k"), ("phi", "phi"), ("tau", "tau"),
+                                                             ("theta0", "theta0"), ("lam", "lam"),
+                                                             ("phase_correction", "chi"))}
+    with pytest.raises(ValueError, match="^plan step 0: " + HUGE_PERM):
+        CircuitPlan(**columns)
+
+
+def test_gate_beyond_float_range_is_a_value_error():
+    with pytest.raises(ValueError, match=HUGE_PERM):
+        GateParams(m=200, tau=1.0, lam=1e-300, theta0=0.0, phi=0.1, k=200)
+    with pytest.raises(ValueError, match=HUGE_PERM):
+        GateParams.from_multiquantum(1e-300, 200, 200, 0.1)
+
+
 @pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
 def test_plan_document_optional_step_fields(params, field):
     plan = plan_superposition(0.6, 0.8j, 3, params, "effective")
