@@ -116,7 +116,7 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
         devices = [to_raman(cfg, omega_l=ratio * cfg.physical.g) for ratio in cfg.sweep.ratios]
     m, space = cfg.gate.m, model_space(model, cfg.space.fock_cutoff)
     tau, theta0 = raman_columns(devices, m, phi)  # (ratios, samples)
-    blocks = [pulse_generator(GateParams.from_raman(p, m, phi[0]), p, space, model) for p in devices]
+    blocks = [pulse_generator(p, space, model, m) for p in devices]
     generators = np.stack([b.generator for b in blocks])[:, None]  # a ratio's samples share its blocks
     echo = echo_pulses(PulseBlocks(blocks[0].index, generators), space, tau, theta0, 0.0)
     prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)

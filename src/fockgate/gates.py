@@ -194,20 +194,23 @@ def atom_minus(atom_dim: int) -> np.ndarray:
     return v
 
 
-def pulse_generator(gp: GateParams, p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
-    """H0, the block generator of the pulses of ``gp`` at drive phase 0 (real for every model)."""
+def pulse_generator(
+    p: RamanParams, space: HilbertSpace, model: str, m, k: int = 1, lam_k: float | None = None
+) -> PulseBlocks:
+    """H0, the block generator at drive phase 0 (real for every model) of the pulses on level m.
+
+    For k = 1, m may be an array of levels, for a (..., nb, b, b) stack; the
+    first level whose guard level lies outside the space is named.  k > 1
+    ("ideal" only) takes the k-quantum rate lam_k; k = 1 takes the device's.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    _require_cutoff(space, gp.m)
-    if model == "ideal":
-        if gp.k == 1:
-            return ideal_blocks(p, space, gp.m)
-        return multiquantum_blocks(gp.k, gp.lam, gp.m, space)
-    if gp.k != 1:
+    if k == 1:  # each builder checks its levels
+        return {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model](p, space, m)
+    _require_cutoff(space, m)
+    if model != "ideal":
         raise ValueError(f"{model} model is defined for k = 1 only")
-    if model == "effective":
-        return effective_blocks(p, space, gp.m)
-    return full_blocks(p, space, gp.m)
+    return multiquantum_blocks(k, lam_k, m, space)
 
 
 def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -> np.ndarray:
@@ -292,7 +295,7 @@ def apply_pair_gate(
     x = np.array(x, dtype=complex)  # a copy: run_echo works in place
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
-    echo = echo_pulses(pulse_generator(gp, p, space, model), space, gp.tau, gp.theta0, phase_offset)
+    echo = echo_pulses(pulse_generator(p, space, model, gp.m, gp.k, gp.lam), space, gp.tau, gp.theta0, phase_offset)
     return run_echo(echo, x.reshape(space.dim, -1)).reshape(x.shape)
 
 
@@ -313,7 +316,7 @@ def pair_gate(
     the same B1 block.
     """
     dim = space.dim
-    blocks = pulse_generator(gp, p, space, model)
+    blocks = pulse_generator(p, space, model, gp.m, gp.k, gp.lam)
     # source: the B1 row read by each B2 column; the inverse layout gives its B1 block and position
     index, source, (u1, u2) = echo_pulses(blocks, space, gp.tau, gp.theta0, phase_offset)
     block, position = np.divmod(np.argsort(index, axis=None)[source], index.shape[1])
@@ -439,8 +442,11 @@ def combined_echo_coupling(gp: GateParams, space: HilbertSpace, angle: float) ->
 def leakage(psi: np.ndarray, m: int, k: int, space: HilbertSpace):
     """Population outside the Fock pair {m-k, m}, summed over atomic levels.
 
-    A float for one joint state (dim,), an array for a (..., dim) stack.
+    A float for one joint state (dim,), an array for a (..., dim) stack.  A
+    pair outside the space (m - k < 0 or m >= fock_cutoff) is a ValueError.
     """
+    if m - k < 0 or m >= space.fock_cutoff:
+        raise ValueError(f"pair {{{m - k}, {m}}} lies outside the Fock levels 0..{space.fock_cutoff - 1}")
     pops = fock_populations(psi, space)
     value = np.add.reduce(pops, axis=-1) - (pops[..., m - k] + pops[..., m])
     return float(value) if pops.ndim == 1 else value

@@ -22,11 +22,13 @@ ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full); a k-quantum pulse
 conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
 ``*_blocks`` builders return that structure directly as ``PulseBlocks``: an
 index layout and a stack of small real generators at drive phase 0 (no
-theta: ``gates.pulse_at`` applies it as a diagonal frame).  Every layout
-is a permutation of the joint basis in fock_cutoff blocks.  The truncation
-leaves |g,N> for N < k and the top k levels of |e> (and |h>) without an
-exchange partner; levels N - k are taken mod fock_cutoff, so these share
-the blocks N < k, where the exchange (a factor sqrt(N!/(N-k)!)) vanishes.
+theta: ``gates.pulse_at`` applies it as a diagonal frame); the ideal,
+effective and full builders take one level or an array of levels, which
+gives a (..., nb, b, b) stack on one layout.  Every layout is a permutation
+of the joint basis in fock_cutoff blocks.  The truncation leaves |g,N> for
+N < k and the top k levels of |e> (and |h>) without an exchange partner;
+levels N - k are taken mod fock_cutoff, so these share the blocks N < k,
+where the exchange (a factor sqrt(N!/(N-k)!)) vanishes.
 Gates run on these; the dense builders are the oracle of validation and
 the tests.
 """
@@ -101,14 +103,15 @@ class RamanParams:
         return self.omega_l / self.g if self.g != 0.0 else math.inf
 
 
-def _require_cutoff(space: HilbertSpace, m: int):
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if space.fock_cutoff < m + 2:
-        raise ValueError(
-            f"fock_cutoff {space.fock_cutoff} too small for selected level m={m}; "
-            f"need at least m + 2 = {m + 2} (guard level)"
-        )
+def _require_cutoff(space: HilbertSpace, m):
+    for level in np.asarray(m).ravel().tolist():  # one level or an array of levels: the first that fails is named
+        if level < 0:
+            raise ValueError(f"m must be >= 0, got {level}")
+        if space.fock_cutoff < level + 2:
+            raise ValueError(
+                f"fock_cutoff {space.fock_cutoff} too small for selected level m={level}; "
+                f"need at least m + 2 = {level + 2} (guard level)"
+            )
 
 
 def full_hamiltonian(p: RamanParams, space: HilbertSpace, m: int, theta: float = 0.0) -> np.ndarray:
@@ -289,7 +292,12 @@ class PulseBlocks(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Excitation numbers N and their (nb, b) index layout, built once per layout and read-only."""
+    """Excitation numbers N and their (nb, b) index layout, built once per layout and read-only.
+
+    The first atomic level of ``atoms`` sits at Fock level N, the others at
+    N - k mod fock_cutoff, for N = 0..fock_cutoff - 1: the blocks N < k hold
+    the members that the truncation leaves without an exchange partner.
+    """
     nf = space.fock_cutoff
     n = np.arange(nf)
     levels = (n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)) % nf
@@ -298,43 +306,33 @@ def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[
     return n, index
 
 
-def _excitation_blocks(space: HilbertSpace, atoms: tuple[int, ...], k: int = 1):
-    """Excitation numbers N, their (nb, b) index layout and an empty real generator stack.
-
-    The first atomic level of ``atoms`` sits at Fock level N, the others at
-    N - k mod fock_cutoff, for N = 0..fock_cutoff - 1: the blocks N < k hold
-    the members that the truncation leaves without an exchange partner.  The
-    layout depends only on ``(space, atoms, k)``: it is computed once per
-    layout (``_block_layout``) and its arrays are read-only; the builders
-    fill the generator alone.
-    """
-    n, index = _block_layout(space, atoms, k)
-    return n, index, np.zeros((len(n), len(atoms), len(atoms)))
-
-
-def effective_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
-    """``effective_hamiltonian`` as doublets {|g,N>, |e,N-1>}, N = 0..fock_cutoff - 1, levels mod fock_cutoff."""
+def effective_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
+    """``effective_hamiltonian`` as doublets {|g,N>, |e,N-1>}, levels mod fock_cutoff; an array m gives a stack."""
     if space.atom_dim != 2:
         raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
     _require_cutoff(space, m)
-    n, index, H = _excitation_blocks(space, (0, 1))
+    n, index = _block_layout(space, (0, 1), 1)
     rate = p.dispersive_rate
-    H[:, 0, 0] = rate * n
-    H[:, 1, 1] = rate * m
-    H[:, 0, 1] = H[:, 1, 0] = p.coupling * np.sqrt(n)
+    energy = np.asarray(rate * m)[..., None]  # the |e> energy of each level
+    H = np.zeros(energy.shape[:-1] + (len(n), 2, 2))
+    H[..., 0, 0] = rate * n
+    H[..., 1, 1] = energy
+    H[..., 0, 1] = H[..., 1, 0] = p.coupling * np.sqrt(n)
     return PulseBlocks(index, H)
 
 
-def full_blocks(p: RamanParams, space: HilbertSpace, m: int) -> PulseBlocks:
-    """``full_hamiltonian`` as triplets {|g,N>, |h,N-1>, |e,N-1>}, N = 0..fock_cutoff - 1, levels mod fock_cutoff."""
+def full_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
+    """``full_hamiltonian`` as triplets {|g,N>, |h,N-1>, |e,N-1>}, levels mod fock_cutoff; an array m gives a stack."""
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
     _require_cutoff(space, m)
-    n, index, H = _excitation_blocks(space, (0, 2, 1))
-    H[:, 1, 1] = -p.delta
-    H[:, 0, 1] = H[:, 1, 0] = p.g * np.sqrt(n)
-    H[:, 1, 2] = H[:, 2, 1] = p.omega_l
-    H[:, 2, 2] = p.engineered_shift(m)
+    n, index = _block_layout(space, (0, 2, 1), 1)
+    energy = np.asarray(p.engineered_shift(m))[..., None]  # the |e> energy of each level
+    H = np.zeros(energy.shape[:-1] + (len(n), 3, 3))
+    H[..., 1, 1] = -p.delta
+    H[..., 0, 1] = H[..., 1, 0] = p.g * np.sqrt(n)
+    H[..., 1, 2] = H[..., 2, 1] = p.omega_l
+    H[..., 2, 2] = energy
     return PulseBlocks(index, H)
 
 
@@ -353,7 +351,7 @@ def ideal_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     rows, m, lowest = np.arange(levels.size), levels.ravel(), levels.min(initial=1)
     if lowest < 1:
         raise ValueError(f"ideal model needs m >= 1, got {lowest}")
-    _require_cutoff(space, int(levels.max(initial=0)))
+    _require_cutoff(space, m)
     n, index = _block_layout(space, (0, 1), 1)
     H = np.zeros((levels.size, len(n), 2, 2))
     rate = p.dispersive_rate
@@ -370,6 +368,7 @@ def multiquantum_blocks(k: int, lam_k: float, m: int, space: HilbertSpace) -> Pu
     {|g,m>, |e,m-k>}, carries a coupling.
     """
     _require_doublet(k, m, space)
-    _, index, H = _excitation_blocks(space, (0, 1), k)
+    n, index = _block_layout(space, (0, 1), k)
+    H = np.zeros((len(n), 2, 2))
     H[m, 0, 1] = H[m, 1, 0] = multiquantum_coupling_element(lam_k, m, k)
     return PulseBlocks(index, H)

@@ -35,7 +35,8 @@ lam (the ``GateParams`` fields) and chi (the pulse-phase offset, a
 ``PlanStep``'s and a plan file's ``phase_correction``), checked once when the
 plan is made.  Compilation, plan files, execution and calibration read and
 write the columns; ``CircuitPlan.steps`` builds ``PlanStep`` objects from
-them only for callers that ask.
+them only for callers that ask.  A plan file is read one field at a time,
+as a column; the reader checks types and ``CircuitPlan`` the values.
 
 A plan runs its gates one after another through one auxiliary atom, which is
 re-prepared in |+> between gates; since an ideal gate returns the atom
@@ -49,18 +50,19 @@ phase on the spectator levels.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
 
 from .gates import Echo, GateParams, atom_plus, echo_pulses, induced_oscillator_unitary, pair_gate, pulse_generator
 from .gates import raman_columns, run_echo
-from .hamiltonians import PulseBlocks, RamanParams, effective_blocks, full_blocks, ideal_blocks
+from .hamiltonians import PulseBlocks, RamanParams, multiquantum_coupling_element
 from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
@@ -97,7 +99,8 @@ class CircuitPlan:
     k[i]), chi[i])``; ``steps`` builds them on each access.  The columns
     (int64 m and k, float64 others) are checked by those two classes' rules
     in one vectorised pass; the first row that breaks one (every row, if m or
-    k is not an integer array) is built, raising "plan step i: " and its message.
+    k is not an integer array) is built, raising "plan step i: " and its message;
+    a level outside int64 is named so too.
     """
 
     m: np.ndarray = ()
@@ -134,9 +137,12 @@ class CircuitPlan:
         for i in range(first, len(m)):
             try:
                 _plan_step(given, i)
+                if not all(-(2**63) <= int(c[i]) < 2**63 for c in given[:2]):  # valid, but int64 cannot hold it
+                    raise ValueError(f"levels m = {given[0][i]}, k = {given[1][i]} must lie in int64 range")
             except ValueError as exc:
                 raise ValueError(f"plan step {i}: {exc}") from None
-        columns[:2] = [a.astype(np.int64) for a in given[:2]]  # integers, checked above
+        if not integral:  # every row was built, so m and k hold int64 integers, such as an object array's
+            columns[:2] = [a.astype(np.int64) for a in given[:2]]
         for name, column in zip(STEP_COLUMNS, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -277,25 +283,17 @@ def plan_superposition(
 
 
 def _plan_blocks(plan: CircuitPlan, p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
-    """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step, from the m column.
+    """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step.
 
-    Steps differ in the |e> energy of every block ("effective", "full") or in
-    the blocks N = m-1, m, m+1 ("ideal", ``ideal_blocks`` of the m column),
-    set for all steps at once; ``pulse_generator`` builds k > 1 steps and
-    raises for the first step it rejects, as it would step by step.
+    One ``pulse_generator`` call on the m column builds the k = 1 blocks of
+    every step and names the first step past the cutoff; k > 1 steps are
+    then built one by one, and under "effective" and "full" the first of
+    them raises.
     """
-    m, columns = plan.m, [getattr(plan, c) for c in STEP_COLUMNS]
-    rejected = (m + 2 > space.fock_cutoff) | ((plan.k != 1) & (model != "ideal"))
-    pulse_generator(_plan_step(columns, int(np.argmax(rejected))).gate, p, space, model)
-    if model == "ideal":
-        index, H = ideal_blocks(p, space, m)
-    else:  # the |e> energy: g^2 m / delta (effective) or the engineered shift (full)
-        index, base = (effective_blocks if model == "effective" else full_blocks)(p, space, 1)
-        H = np.repeat(base[None], len(plan), axis=0)
-        H[..., -1, -1] = (p.dispersive_rate * m if model == "effective" else p.engineered_shift(m))[:, None]
+    index, H = pulse_generator(p, space, model, plan.m)
     index = np.repeat(index[None], len(plan), axis=0)
     for i in np.flatnonzero(plan.k != 1):
-        index[i], H[i] = pulse_generator(_plan_step(columns, i).gate, p, space, model)
+        index[i], H[i] = pulse_generator(p, space, model, plan.m[i], plan.k[i], plan.lam[i])
     return PulseBlocks(index, H)
 
 
@@ -394,11 +392,10 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     """
     stack = _plan_blocks(plan, p, space, "effective")
     plus = atom_plus(space.atom_dim)
-    element = p.coupling * np.sqrt(plan.m)
 
     def plan_at(x: np.ndarray) -> CircuitPlan:
-        tau = x[0::2] / element
-        return replace(plan, phi=x[0::2], tau=tau, theta0=p.dispersive_rate * tau, chi=x[1::2])
+        (tau,), (theta0,) = raman_columns([p], plan.m, x[0::2])
+        return replace(plan, phi=x[0::2], tau=tau, theta0=theta0, chi=x[1::2])
 
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
@@ -482,12 +479,18 @@ def commutation_check(
     return float(np.max(np.abs(comm)))
 
 
-# a plan file step's keys, in the order written, and the column each fills
-_FILE_FIELDS = {"m": "m", "k": "k", "phi": "phi", "theta0": "theta0", "tau": "tau", "lam": "lam", "phase_correction": "chi"}
+_REQUIRED = object()  # the default of a field that every step must have
+_NUMBER = {int, float}
+
+# a plan file step's keys, in the order written: the column each fills, the
+# JSON types it takes, and the value of a missing key (a null lam is derived)
+_FILE_FIELDS = {"m": ("m", {int}, _REQUIRED), "k": ("k", {int}, 1), "phi": ("phi", _NUMBER, _REQUIRED),
+                "theta0": ("theta0", _NUMBER, _REQUIRED), "tau": ("tau", _NUMBER, _REQUIRED),
+                "lam": ("lam", _NUMBER | {type(None)}, None), "phase_correction": ("chi", _NUMBER, 0.0)}
 
 
 def plan_to_dict(plan: CircuitPlan) -> dict:
-    columns = zip(*(getattr(plan, c).tolist() for c in _FILE_FIELDS.values()))
+    columns = zip(*(getattr(plan, name).tolist() for name, _, _ in _FILE_FIELDS.values()))
     doc = {
         "schedule": plan.schedule,
         "phase_model": plan.phase_model,
@@ -501,56 +504,44 @@ def plan_to_dict(plan: CircuitPlan) -> dict:
     return doc
 
 
-def _scanned_columns(raws: list) -> dict:
-    """The step columns of any steps list, step by step; the first bad step raises, naming the step and field."""
-    rows = []
-    for i, raw in enumerate(raws):
-        if not isinstance(raw, dict):
-            raise ValueError(f"plan step {i} must be an object, got {raw!r}")
-        try:
-            m, phi, tau, theta0 = raw["m"], raw["phi"], raw["tau"], raw["theta0"]
-        except KeyError as exc:
-            raise ValueError(f"plan step {i} has no {exc.args[0]!r} field") from None
-        for name in ("phi", "tau", "theta0", "lam", "phase_correction"):
-            value = raw.get(name, 0.0)  # a null lam is derived below, like an absent one
-            if (isinstance(value, bool) or not isinstance(value, (int, float))) and not (name == "lam" and value is None):
-                raise ValueError(f"plan step {i} field {name!r} must be a number, got {value!r}")
-        for name in _FILE_FIELDS:  # an integer its column cannot hold
-            kind, limit = ("int64", 2**63 - 1) if name in ("m", "k") else ("float", sys.float_info.max)
-            if type(raw.get(name)) is int and abs(raw[name]) > limit:
-                raise ValueError(f"plan step {i} field {name!r} is an integer out of {kind} range")
-        k, lam, chi = raw.get("k", 1), raw.get("lam"), raw.get("phase_correction", 0.0)
-        try:
-            if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
-                ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
-                lam = phi / tau / ratio if tau != 0.0 else 0.0
-            PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k), chi)
-        except ValueError as exc:
-            raise ValueError(f"plan step {i}: {exc}") from None
-        rows.append((m, k, phi, tau, theta0, lam, chi))
-    return dict(zip(STEP_COLUMNS, zip(*rows)))
-
-
 def plan_from_dict(doc: dict) -> CircuitPlan:
-    """The plan of a document, each step field read as one column.
+    """The plan of a JSON document, each step field read as one column.
 
-    Steps as ``save_plan`` writes them (every field, int m and k, float
-    values) take one pass over each column's types; any others go through
-    ``_scanned_columns``.  ``CircuitPlan`` checks the values.
+    Each column's types take one pass, in file key order; only a type the
+    column cannot take starts a scan, which names the first such step.  So
+    of two steps with bad types, the one whose bad field comes first is
+    named.  A missing k is 1 and a missing phase_correction 0; a missing or
+    null lam is derived, for those steps alone.  ``CircuitPlan`` checks the
+    values.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise ValueError("plan document must be an object whose 'steps' is a list")
     raws, columns = doc["steps"], {}
-    try:
-        if set(map(type, raws)) - {dict}:
-            raise ValueError
-        for key, name in _FILE_FIELDS.items():
-            values = list(map(itemgetter(key), raws))
-            if set(map(type, values)) - ({int} if key in ("m", "k") else {float}):
-                raise ValueError
-            columns[name] = np.array(values, dtype=np.int64 if key in ("m", "k") else float)  # OverflowError past int64
-    except (KeyError, ValueError, OverflowError):
-        columns = _scanned_columns(raws)
+    if set(map(type, raws)) - {dict}:
+        i, raw = next((i, raw) for i, raw in enumerate(raws) if type(raw) is not dict)
+        raise ValueError(f"plan step {i} must be an object, got {raw!r}")
+    for key, (name, types, default) in _FILE_FIELDS.items():
+        values = list(map(dict.get, raws, repeat(key), repeat(default)))
+        if set(map(type, values)) - types:
+            i, value = next((i, value) for i, value in enumerate(values) if type(value) not in types)
+            if value is _REQUIRED:
+                raise ValueError(f"plan step {i} has no {key!r} field")
+            if types == {int}:  # worded as GateParams words it
+                raise ValueError(f"plan step {i}: {key} must be an integer, got {value!r}")
+            raise ValueError(f"plan step {i} field {key!r} must be a number, got {value!r}")
+        kind = np.int64 if types == {int} else float
+        try:
+            columns[name] = np.array(values, dtype=kind)  # a null lam reads as NaN
+        except OverflowError:  # an integer the column cannot hold
+            limit = 2**63 - 1 if kind is np.int64 else sys.float_info.max
+            i = next(i for i, value in enumerate(values) if type(value) is int and abs(value) > limit)
+            raise ValueError(f"plan step {i} field {key!r} is an integer out of {kind.__name__} range") from None
+    for i in np.flatnonzero(np.isnan(columns["lam"])):  # a lam that is NaN, missing or null
+        if raws[i].get("lam") is None:  # written before lam was stored: phi = lam * sqrt(m!/(m-k)!) * tau
+            m, k, phi, tau = (columns[c][i].item() for c in ("m", "k", "phi", "tau"))
+            columns["lam"][i] = 0.0
+            with contextlib.suppress(ValueError):  # no coupling element (m < k, or beyond float range): named below
+                columns["lam"][i] = phi / tau / multiquantum_coupling_element(1.0, m, k) if tau != 0.0 else 0.0
     target = None
     if "target" in doc:
         try:  # a ragged list fails in asarray

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import fields, replace
@@ -267,6 +269,16 @@ def test_effective_model_leaks_a_little(params, space):
     out = pair_gate(gp, params, space, "effective") @ pair_input(space, atom_plus(2), 0.0, 1.0, 2)
     leak = leakage(out, 2, 1, space)
     assert 0.0 < leak < 1e-2
+
+
+@pytest.mark.parametrize("m, k", [(0, 1), (2, 3), (6, 1), (7, 2)], ids=["at-0", "k-past-m", "at-cutoff", "past-cutoff"])
+def test_leakage_rejects_pair_outside_space(m, k):
+    # the guard level's population is not read as level m - k = -1, and m >= fock_cutoff is no IndexError
+    space = HilbertSpace(2, 6)
+    psi = product_state(space, atom_plus(2), np.eye(6)[5])  # all on the guard level
+    with pytest.raises(ValueError, match=re.escape(f"pair {{{m - k}, {m}}} lies outside the Fock levels 0..5")):
+        leakage(psi, m, k, space)
+    assert leakage(psi, 5, 1, space) == 0.0 and leakage(psi, 2, 1, space) == pytest.approx(1.0)
 
 
 def test_full_model_agrees_with_effective(params):
@@ -644,10 +656,41 @@ def test_one_echo_runs_a_batch_of_gates(model, seed, count):
     gates = [GateParams.from_raman(p, m=3, phi=phi) for phi in rng.uniform(0.0, 1.5, count)]
     chis = rng.uniform(-np.pi, np.pi, count)
     echo = echo_pulses(
-        pulse_generator(gates[0], p, space, model), space, [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis
+        pulse_generator(p, space, model, 3), space, [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis
     )
     assert echo.pulses.shape[:2] == (2, count)
     states = rng.normal(size=(count, space.dim)) + 1j * rng.normal(size=(count, space.dim))
     out = run_echo(echo, states[..., None].copy())[..., 0]
     for gp, chi, x, y in zip(gates, chis, states, out):
         assert max_abs(y - pair_gate(gp, p, space, model, chi) @ x) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ideal", "effective", "full"]), st.data())
+def test_column_builders_equal_per_level_builds(model, data):
+    """A builder called on an array of levels equals one call per level, bit for bit, on the one layout.
+
+    With levels past the cutoff put in, the first of them in the array's
+    order is the level named, by the builder and by ``pulse_generator``.
+    """
+    cutoff = data.draw(st.integers(3, 16), label="cutoff")
+    shape = data.draw(st.sampled_from([(), (1,), (5,), (2, 3)]), label="shape")
+    levels = np.asarray(data.draw(st.lists(st.integers(1, cutoff - 2), min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))), label="levels")).reshape(shape)
+    p = RamanParams(g=1.0, omega_l=data.draw(st.sampled_from([0.02, 0.1]), label="omega_l"), delta=20.0)
+    space = HilbertSpace(3 if model == "full" else 2, cutoff)
+    builder = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model]
+    stack = builder(p, space, levels)
+    single = [builder(p, space, int(m)) for m in levels.ravel()]
+    assert stack.generator.shape == shape + single[0].generator.shape
+    assert all(blocks.index is stack.index for blocks in single)
+    assert stack.generator.tobytes() == np.array([blocks.generator for blocks in single]).tobytes()
+    assert pulse_generator(p, space, model, levels).generator.tobytes() == stack.generator.tobytes()
+    bad = levels.ravel().copy()
+    past = data.draw(st.lists(st.integers(0, bad.size - 1), min_size=1, unique=True), label="past")
+    bad[past] = data.draw(st.lists(st.integers(cutoff - 1, cutoff + 5), min_size=len(past), max_size=len(past)),
+                          label="bad levels")
+    named = re.escape(f"too small for selected level m={bad[min(past)]};")
+    for build in (lambda m: builder(p, space, m), lambda m: pulse_generator(p, space, model, m)):
+        with pytest.raises(ValueError, match=named):
+            build(bad.reshape(shape))

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -612,6 +613,27 @@ def test_plan_columns_beyond_float_range_are_a_value_error():
         CircuitPlan(**columns)
 
 
+def test_plan_level_beyond_int64_is_named(params):
+    # a uint64 level past int64 was stored wrapped, as m = -9223372036854775803; the row is valid as given
+    m = 2**63 + 5
+    uint = dict(m=np.array([m], dtype=np.uint64), k=np.array([1], dtype=np.uint64), phi=[0.1], lam=[1e-9],
+                theta0=[0.0], chi=[0.0], tau=[0.1 / (1e-9 * np.sqrt(float(m)))])
+    with pytest.raises(ValueError, match="^plan step 0: levels m = 9223372036854775813, k = 1 must lie in int64 range"):
+        CircuitPlan(**uint)
+    # so is a Python integer past int64 in an object array, which raised an OverflowError in the cast
+    m = 2**64 + 3
+    beyond = dict(uint, m=np.array([m], dtype=object), k=np.array([1], dtype=object),
+                  tau=[0.1 / (1e-9 * np.sqrt(float(m)))])
+    with pytest.raises(ValueError, match=f"^plan step 0: levels m = {m}, k = 1 must lie in int64 range"):
+        CircuitPlan(**beyond)
+    # levels of any other integer dtype, or Python integers in an object array, are stored as int64
+    gate = GateParams.from_raman(params, m=2, phi=0.4)
+    for kind in (np.uint64, np.int32, object):
+        plan = CircuitPlan(m=np.array([2], dtype=kind), k=np.array([1], dtype=kind), phi=[gate.phi], tau=[gate.tau],
+                           theta0=[gate.theta0], lam=[gate.lam], chi=[0.0])
+        assert plan.m.dtype == plan.k.dtype == np.int64 and plan.m.tolist() == [2]
+
+
 def test_gate_beyond_float_range_is_a_value_error():
     with pytest.raises(ValueError, match=HUGE_PERM):
         GateParams(m=200, tau=1.0, lam=1e-300, theta0=0.0, phi=0.1, k=200)
@@ -925,7 +947,7 @@ def test_plan_blocks_stack_the_per_step_generators(params, model):
         plan = with_step(plan, 2, GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), 0.1)
     space = model_space(model, 9)
     stack = _plan_blocks(plan, params, space, model)
-    steps = [pulse_generator(step.gate, params, space, model) for step in plan.steps]
+    steps = [pulse_generator(params, space, model, step.gate.m, step.gate.k, step.gate.lam) for step in plan.steps]
     assert np.array_equal(stack.index, [blocks.index for blocks in steps])
     assert np.array_equal(stack.generator, [blocks.generator for blocks in steps])
     with pytest.raises(ValueError, match="too small for selected level m=4;"):  # the first step past the cutoff
@@ -960,8 +982,7 @@ def test_plan_columns_are_checked_like_gates(params):
 
 
 def test_plan_paths_build_no_gate_per_step(params, tmp_path, monkeypatch):
-    # compile, save, load, execute and calibrate read and write columns: no PlanStep, and
-    # a GateParams only to let pulse_generator check one step per block stack
+    # compile, save, load, execute and calibrate read and write columns: no PlanStep and no GateParams
     built = []
     check = GateParams.__post_init__
     monkeypatch.setattr(GateParams, "__post_init__", lambda gate: built.append(gate) or check(gate))
@@ -973,4 +994,134 @@ def test_plan_paths_build_no_gate_per_step(params, tmp_path, monkeypatch):
     assert len(loaded) == 12 and not built
     execute_plan(loaded, np.array([1.0]), "full", params, HilbertSpace(3, 30))
     plan_general_state(target[:4] / np.linalg.norm(target[:4]), params, "calibrated")
-    assert len(built) == 2
+    assert len(built) == 0
+
+
+# ---- the column reader against the step-by-step reader it replaced ----------
+
+_FILE_KEYS = ("m", "k", "phi", "theta0", "tau", "lam", "phase_correction")
+
+
+def scanned_columns(raws):
+    """The step columns of a plan file's steps, read step by step: the reference of ``plan_from_dict``.
+
+    The first bad step raises, naming the step and field.  This is how plan
+    files were read before the column reader; it builds a ``GateParams`` per
+    step, and derives a missing or null lam through one.
+    """
+    rows = []
+    for i, raw in enumerate(raws):
+        if not isinstance(raw, dict):
+            raise ValueError(f"plan step {i} must be an object, got {raw!r}")
+        try:
+            m, phi, tau, theta0 = raw["m"], raw["phi"], raw["tau"], raw["theta0"]
+        except KeyError as exc:
+            raise ValueError(f"plan step {i} has no {exc.args[0]!r} field") from None
+        for name in ("phi", "tau", "theta0", "lam", "phase_correction"):
+            value = raw.get(name, 0.0)  # a null lam is derived below, like an absent one
+            if (isinstance(value, bool) or not isinstance(value, (int, float))) and not (name == "lam" and value is None):
+                raise ValueError(f"plan step {i} field {name!r} must be a number, got {value!r}")
+        for name in _FILE_KEYS:  # an integer its column cannot hold
+            kind, limit = ("int64", 2**63 - 1) if name in ("m", "k") else ("float", sys.float_info.max)
+            if type(raw.get(name)) is int and abs(raw[name]) > limit:
+                raise ValueError(f"plan step {i} field {name!r} is an integer out of {kind} range")
+        k, lam, chi = raw.get("k", 1), raw.get("lam"), raw.get("phase_correction", 0.0)
+        try:
+            if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
+                ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
+                lam = phi / tau / ratio if tau != 0.0 else 0.0
+            PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k), chi)
+        except ValueError as exc:
+            raise ValueError(f"plan step {i}: {exc}") from None
+        rows.append((m, k, phi, tau, theta0, lam, chi))
+    return dict(zip(STEP_COLUMNS, zip(*rows)))
+
+
+def ints_as_floats(steps):
+    """``steps`` with each integer of a float field that float range holds written as the float its column holds.
+
+    A value error names a field as its column holds it: phi = 0.0 where the
+    file has 0.
+    """
+    floats = ("phi", "theta0", "tau", "lam", "phase_correction")
+    return [{key: float(value) if key in floats and type(value) is int and abs(value) <= sys.float_info.max else value
+             for key, value in step.items()} if isinstance(step, dict) else step for step in steps]
+
+
+def load_outcome(load):
+    """The columns of the plan ``load()`` returns, as (dtype, bytes), or the message of the ValueError it raises."""
+    try:
+        plan = load()
+    except ValueError as exc:
+        return str(exc)
+    return [(getattr(plan, c).dtype, getattr(plan, c).tobytes()) for c in STEP_COLUMNS]
+
+
+_GONE = object()  # a corruption that deletes the field
+CORRUPTIONS = [
+    ("m", _GONE), ("phi", _GONE), ("tau", _GONE), ("theta0", _GONE), ("step", 5), ("step", [1, 2]),
+    ("m", 2.5), ("m", 2.0), ("m", None), ("m", "3"), ("m", True), ("m", 0), ("m", -3), ("m", 2**62),
+    ("m", 2**63), ("m", -(2**70)), ("k", 0), ("k", -1), ("k", 1.0), ("k", False), ("k", 3), ("k", 30),
+    ("phi", float("nan")), ("phi", "0.5"), ("phi", None), ("phi", 10**400), ("phi", 7.5), ("phi", 0),
+    ("tau", float("inf")), ("tau", 0), ("tau", -1.0), ("tau", [1.0]), ("tau", 10**309),
+    ("theta0", float("-inf")), ("theta0", True), ("theta0", 10**300), ("theta0", {"a": 1}),
+    ("lam", float("nan")), ("lam", "x"), ("lam", 0.0), ("lam", -(10**400)), ("lam", 1e300),
+    ("phase_correction", float("inf")), ("phase_correction", None), ("phase_correction", "0"),
+    ("phase_correction", 10**400),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.sampled_from(LEDGER_MODELS),
+    st.lists(st.sampled_from(["tau0", "k2"]), max_size=3),
+    st.data(),
+)
+def test_column_reader_matches_step_reader(tmp_path_factory, seed, top, phase_model, extras, data):
+    """Legal rewrites of a compiled plan's file, and one corrupted field, load as the step-by-step reader loads them.
+
+    The rewrites: integral floats written as ints, k dropped where it is 1,
+    phase_correction dropped, lam dropped or null, the file indented.  The
+    columns agree bit for bit; a corrupted field is named with the same step
+    and message, with an integer in a float field shown as its float.
+    """
+    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    rng = np.random.default_rng(seed)
+    plan = plan_general_state(random_target(rng, top), p, phase_model)
+    for kind in extras:  # tau = 0 (integral phi, tau and theta0) and k = 2 steps
+        m = int(rng.integers(2, top + 2))
+        gate = (GateParams.from_raman(p, m=m, phi=0.0) if kind == "tau0"
+                else GateParams.from_multiquantum(0.004, m=m, k=2, phi=float(rng.uniform(0.1, 1.5))))
+        plan = with_step(plan, int(rng.integers(0, len(plan) + 1)), gate, 0.0)
+    doc = plan_to_dict(plan)
+    as_ints, drop_k, drop_chi, indent = (data.draw(st.booleans(), label=f) for f in ("ints", "k", "chi", "indent"))
+    for step in doc["steps"]:
+        if as_ints:
+            step.update({key: int(value) for key, value in step.items() if type(value) is float and value.is_integer()})
+        if drop_k and step["k"] == 1:
+            del step["k"]
+        if drop_chi:
+            del step["phase_correction"]
+        lam = data.draw(st.sampled_from(["keep", "drop", "null"]), label="lam")
+        if lam != "keep":
+            step["lam"] = None
+            if lam == "drop":
+                del step["lam"]
+    corruption = data.draw(st.none() | st.sampled_from(CORRUPTIONS), label="corruption")
+    if corruption is not None:
+        i, (field, value) = data.draw(st.integers(0, len(plan) - 1), label="step"), corruption
+        if field == "step":
+            doc["steps"][i] = value
+        elif value is _GONE:
+            doc["steps"][i].pop(field, None)
+        else:
+            doc["steps"][i][field] = value
+    text = json.dumps(doc, indent=2 if indent else None)
+    path = tmp_path_factory.getbasetemp() / "rewritten_plan.json"
+    path.write_text(text, encoding="utf-8")
+    reference = load_outcome(lambda: CircuitPlan(**scanned_columns(ints_as_floats(json.loads(text)["steps"]))))
+    assert load_outcome(lambda: load_plan(path)) == reference
+    if corruption is None:
+        assert not isinstance(reference, str), reference
