@@ -221,6 +221,8 @@ def validate_config(cfg: RunConfig) -> None:
     ):
         if value < minimum:
             raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+    if cfg.space.fock_cutoff >= 2**63:  # numpy sizes it as an int64
+        raise ConfigError(f"space.fock_cutoff: must lie in int64 range, got {cfg.space.fock_cutoff}")
     try:  # the guard rule (fock_cutoff >= level + 2) is hamiltonians'
         _require_cutoff(HilbertSpace(2, cfg.space.fock_cutoff), cfg.gate.m)
     except ValueError as exc:

@@ -42,8 +42,9 @@ per level and device serves both pulses and every offset and duration.
 ``run_echo`` runs them in place on joint states, the flip folded into the
 second gather: ``apply_pair_gate``, the sweep, validation's sampled gates,
 plan execution and calibration all run gates so, and ``pair_gate`` sums
-the dense unitary from the same pulses.  The dense builders and
-``Propagator`` serve as the oracle in validation and the tests.
+the dense unitary from the same pulses.  The dense builders serve as the
+oracle in validation and the tests; ``Propagator`` runs the same
+``block_unitaries`` on one dense block.
 """
 
 from __future__ import annotations
@@ -101,8 +102,12 @@ class GateParams:
         for name, value in (("m", self.m), ("k", self.k)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        try:
+            eta = self.eta
+        except OverflowError:  # m * theta0 takes m as a float
+            raise ValueError(f"level m = {self.m} must lie in float range") from None
         for name, value in (("lam", self.lam), ("tau", self.tau), ("phi", self.phi),
-                            ("theta0", self.theta0), ("eta", self.eta)):
+                            ("theta0", self.theta0), ("eta", eta)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.m < 1:
@@ -386,16 +391,13 @@ def closed_form_check(
     space: HilbertSpace,
     alpha: complex,
     beta: complex,
-    reference: GateParams | None = None,
 ) -> tuple[np.ndarray, float]:
     """Apply U to |+> ⊗ (alpha|m-k> + beta|m>) and score it against the closed form.
 
     Returns the output joint state and its fidelity with |+> ⊗ the pair as
-    ``closed_form_rotation`` maps it under the phi and theta0 of
-    ``reference`` (default ``gp``).
+    ``closed_form_rotation`` maps it under ``gp``.
     """
-    ref = reference or gp
-    prepared, expected = closed_form_states(space, gp.m, ref.phi, ref.theta0, alpha, beta, gp.k)
+    prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta, gp.k)
     psi = U @ prepared
     return psi, fidelity(expected, psi, space)
 

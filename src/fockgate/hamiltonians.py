@@ -24,8 +24,10 @@ conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
 index layout and a stack of small real generators at drive phase 0 (no
 theta: ``gates.pulse_at`` applies it as a diagonal frame); the ideal,
 effective and full builders take one level or an array of levels, which
-gives a (..., nb, b, b) stack on one layout.  Every layout is a permutation
-of the joint basis in fock_cutoff blocks.  The truncation leaves |g,N> for
+gives a (..., nb, b, b) stack on one layout.  The ideal pulse writes no
+entry of its own: it is the effective pulse with every entry off the
+selected pair set to zero.  Every layout is a permutation of the joint
+basis in fock_cutoff blocks.  The truncation leaves |g,N> for
 N < k and the top k levels of |e> (and |h>) without an exchange partner;
 levels N - k are taken mod fock_cutoff, so these share the blocks N < k,
 where the exchange (a factor sqrt(N!/(N-k)!)) vanishes.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -271,7 +274,11 @@ def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
     """|<g,m|H|e,m-k>| = lam_k*sqrt(m!/(m-k)!)."""
     if m < k:
         raise ValueError(f"need m >= k, got m={m}, k={k}")
-    try:
+    m, k = operator.index(m), operator.index(k)  # Python ints: m + 1 cannot wrap
+    try:  # ln(m!/(m-k)!) past 710 lies beyond float range, found before the exact product, whose cost grows with m
+        log_perm = math.lgamma(m + 1) - math.lgamma(m - k + 1)
+        if log_perm > 710 and k * math.log(m) > 710:  # k*ln(m) >= log_perm holds where lgamma loses digits (large m)
+            raise OverflowError
         return lam_k * math.sqrt(math.perm(m, k))
     except OverflowError:
         raise ValueError(f"m!/(m-k)! for m={m}, k={k} lies beyond float range") from None
@@ -337,28 +344,24 @@ def full_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
 
 
 def ideal_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
-    """The ideal pulse, pair_energy + pair_coupling of ``decompose_effective``.
+    """The ideal pulse, pair_energy + pair_coupling of ``decompose_effective``: ``effective_blocks`` kept on the pair.
 
-    Laid out as doublets {|g,N>, |e,N-1>} like ``effective_blocks``; only
-    N = m-1, m, m+1 carry terms: the pair self-energy on {|g,m-1>, |g,m>,
-    |e,m-1>, |e,m>} and the resonant coupling inside N = m.  ``m`` is one
-    level, or an array of levels for a (..., nb, 2, 2) stack on the one
-    layout, every level set at once.
+    Of the doublets {|g,N>, |e,N-1>} only the resonant block N = m is kept
+    whole; block N = m-1 keeps the energy of |g,m-1> and block N = m+1 that
+    of |e,m>.  ``m`` is one level, or an array of levels for a
+    (..., nb, 2, 2) stack on the one layout.
     """
     if space.atom_dim != 2:
         raise ValueError(f"ideal model needs atom_dim = 2, got {space.atom_dim}")
     levels = np.asarray(m)
-    rows, m, lowest = np.arange(levels.size), levels.ravel(), levels.min(initial=1)
+    lowest = levels.min(initial=1)
     if lowest < 1:
         raise ValueError(f"ideal model needs m >= 1, got {lowest}")
-    _require_cutoff(space, m)
-    n, index = _block_layout(space, (0, 1), 1)
-    H = np.zeros((levels.size, len(n), 2, 2))
-    rate = p.dispersive_rate
-    H[rows, m - 1, 0, 0] = rate * m - rate
-    H[rows, m, 0, 0] = H[rows, m, 1, 1] = H[rows, m + 1, 1, 1] = rate * m
-    H[rows, m, 0, 1] = H[rows, m, 1, 0] = p.coupling * np.sqrt(m)
-    return PulseBlocks(index, H.reshape(levels.shape + H.shape[1:]))
+    blocks = effective_blocks(p, space, levels)
+    offset = (np.arange(space.fock_cutoff) - levels[..., None])[..., None, None]  # N - m of each block
+    # block m whole, |g,m-1> on the diagonal of block m-1 and |e,m> on that of block m+1; np.where, so no -0.0
+    keep = (offset == 0) | (offset == [[-1, 0], [0, 1]])
+    return blocks._replace(generator=np.where(keep, blocks.generator, 0.0))
 
 
 def multiquantum_blocks(k: int, lam_k: float, m: int, space: HilbertSpace) -> PulseBlocks:

@@ -5,12 +5,10 @@ fixed excitation number (``hamiltonians.PulseBlocks``); ``block_unitaries``
 exponentiates a whole stack, for one time or an array of times: 2x2 doublets
 (two-level Rabi problems) in closed form, larger blocks (the full model's
 triplets) by one batched eigh; ``gates.echo_pulses`` frames the result into
-a gate's two pulses.  Every eigh of the package runs in this module.
+a gate's two pulses.  Every eigh of the package runs in this function.
 
-``Propagator`` diagonalises one dense generator.  It is the oracle that
-validation and the tests compare the block path against; the factorization
-is reused across evolution times and the propagators are unitary to
-round-off.
+``Propagator`` checks and symmetrizes one dense generator and exponentiates
+it as a stack of one block, so dense and block propagation share one path.
 """
 
 from __future__ import annotations
@@ -32,7 +30,9 @@ def block_unitaries(generators: np.ndarray, t) -> np.ndarray:
     H = np.asarray(generators)
     if not np.isfinite(H).all():
         raise ValueError("generator must be finite")
-    t = _finite_time(t)
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"time must be finite, got {t}")
     if H.shape[-1] != 2:
         evals, evecs = np.linalg.eigh(H)
         return (evecs * np.exp(-1j * evals * t[..., None])[..., None, :]) @ np.swapaxes(evecs, -1, -2).conj()
@@ -42,19 +42,14 @@ def block_unitaries(generators: np.ndarray, t) -> np.ndarray:
     return np.exp(-1j * a * t) * (np.cos(w * t) * np.eye(2) - 1j * t * np.sinc(w * t / np.pi) * (H - a * np.eye(2)))
 
 
-def _finite_time(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"time must be finite, got {t}")
-    return t
-
-
 class Propagator:
-    """Cached eigendecomposition of a Hermitian generator.
+    """exp(-i H t) of one dense Hermitian generator: ``block_unitaries`` on a stack of one block.
 
     The generator is symmetrized to (H + H†)/2 after passing the hermiticity
     gate; inputs whose defect exceeds the tolerance are rejected outright
-    rather than silently Schur-decomposed.
+    rather than silently Schur-decomposed.  The class adds no propagation of
+    its own: it stays because bench/spans.py replaces it in ``gates``,
+    ``validation`` and this module to trace it.
     """
 
     def __init__(self, generator: np.ndarray):
@@ -66,22 +61,15 @@ class Propagator:
             raise ValueError(
                 f"generator is not Hermitian: max|H - H†| = {defect:.3e} >= {HERMITICITY_TOL:.1e}"
             )
-        H = 0.5 * (H + H.conj().T)
-        self.generator = H
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(H)
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
+        self.generator = 0.5 * (H + H.conj().T)
 
     def unitary(self, t: float) -> np.ndarray:
-        """exp(-i H t) via V e^{-i lambda t} V†."""
-        return (self.eigenvectors * np.exp(-1j * self.eigenvalues * _finite_time(t))) @ self.eigenvectors.conj().T
+        """exp(-i H t)."""
+        return block_unitaries(self.generator[None], t)[0]
 
     def evolve(self, psi, t: float) -> np.ndarray:
         """Apply exp(-i H t) to a state vector."""
         amps = np.asarray(psi, dtype=complex)
-        if amps.shape != (self.dim,):
-            raise ValueError(f"state has shape {amps.shape}, expected ({self.dim},)")
-        phases = np.exp(-1j * self.eigenvalues * _finite_time(t))
-        return self.eigenvectors @ (phases * (self.eigenvectors.conj().T @ amps))
+        if amps.shape != self.generator.shape[:1]:
+            raise ValueError(f"state has shape {amps.shape}, expected ({len(self.generator)},)")
+        return self.unitary(t) @ amps

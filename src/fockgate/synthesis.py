@@ -123,14 +123,14 @@ class CircuitPlan:
                                                       for i, a in enumerate(given)]
         first = 0
         if integral:
-            perm = np.where((k >= 1) & (m >= k), m, np.nan)  # m!/(m-k)!: m at k = 1
+            element = np.sqrt(np.where((k >= 1) & (m >= k), m, np.nan))  # sqrt(m!/(m-k)!): sqrt(m) at k = 1
             for i in np.flatnonzero((k > 1) & (m >= k)):
                 try:
-                    perm[i] = math.perm(int(m[i]), int(k[i]))
-                except OverflowError:  # beyond float range: the row fails below, and building it names the step
-                    perm[i] = math.inf
+                    element[i] = multiquantum_coupling_element(1.0, int(m[i]), int(k[i]))
+                except ValueError:  # beyond float range: the row fails below, and building it names the step
+                    element[i] = math.inf
             with np.errstate(all="ignore"):  # overflows and NaNs are what the check looks for
-                expected = lam * np.sqrt(perm) * tau  # multiquantum_coupling_element * tau
+                expected = lam * element * tau  # multiquantum_coupling_element * tau
                 ok = np.isfinite([phi, tau, theta0, lam, chi, m * theta0, expected]).all(axis=0)
                 ok &= np.abs(phi - expected) <= np.maximum(1e-9 * np.maximum(np.abs(phi), np.abs(expected)), 1e-12)
             first = int(np.argmin(ok)) if not ok.all() else len(ok)

@@ -18,10 +18,10 @@ from fockgate.config import (
     load_config,
     target_state,
 )
-from fockgate.gates import GateParams, closed_form_check, leakage, model_space, pair_gate
+from fockgate.gates import GateParams, closed_form_check, closed_form_states, leakage, model_space, pair_gate
 from fockgate.hamiltonians import RamanParams
 from fockgate.config import to_raman
-from fockgate.spaces import HilbertSpace
+from fockgate.spaces import HilbertSpace, fidelity
 from fockgate.validation import VALIDATION_GATES, run_validation
 
 
@@ -259,6 +259,8 @@ def test_gate_command_config_error(capsys):
              "target.n: the pair preset needs n >= 1 for a nonzero target.beta, got 0")
             for command in ("gate", "sweep", "synthesize", "validate")
         ),
+        # a cutoff beyond int64 (and float) range: no array can have that size
+        (["gate", "--set", "space.fock_cutoff=1" + "0" * 400], "space.fock_cutoff: must lie in int64 range"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):
@@ -489,8 +491,9 @@ def _per_gate_closed_form_infidelity(p, space, seed, corrupt_theta0):
         alpha, beta = complex(z[0], z[1]), complex(z[2], z[3])
         nrm = np.hypot(abs(alpha), abs(beta))
         gp = GateParams.from_raman(p, m=level, phi=phi)
-        reference = dataclasses.replace(gp, theta0=-gp.theta0) if corrupt_theta0 else None
-        _, fid = closed_form_check(pair_gate(gp, p, space, "ideal"), gp, space, alpha / nrm, beta / nrm, reference)
+        prepared, expected = closed_form_states(space, gp.m, gp.phi, -gp.theta0 if corrupt_theta0 else gp.theta0,
+                                                alpha / nrm, beta / nrm)
+        fid = fidelity(expected, pair_gate(gp, p, space, "ideal") @ prepared, space)
         worst = max(worst, 1.0 - fid)
     return worst
 

@@ -29,7 +29,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import Echo, apply_pair_gate, echo_pulses, pulse_at, pulse_generator, run_echo
+from fockgate.gates import Echo, apply_pair_gate, closed_form_states, echo_pulses, pulse_at, pulse_generator, run_echo
 from fockgate.hamiltonians import effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
 from fockgate.propagator import Propagator, block_unitaries
 from fockgate.spaces import fidelity, max_abs
@@ -144,14 +144,14 @@ def test_closed_form_check_scores_against_reference(params, space, rng):
     # it scores 1 - 4 |c_lo|^2 |c_hi|^2 sin^2(theta0)
     gp = GateParams.from_raman(params, m=2, phi=0.67)  # theta0 near 3*pi/2
     U = brute_force_gate(gp, params, space)
-    corrupt = replace(gp, theta0=-gp.theta0)
     alphas, betas = random_pair_amplitudes(rng, 5)
     for alpha, beta in zip(alphas, betas):
         psi, fid = closed_form_check(U, gp, space, alpha, beta)
         assert_allclose(psi, U @ pair_input(space, atom_plus(2), alpha, beta, 2), atol=1e-14)
         assert fid == pytest.approx(1.0, abs=1e-10)
         lo, hi = np.abs(closed_form_rotation(alpha, beta, gp)) ** 2
-        _, bad = closed_form_check(U, gp, space, alpha, beta, reference=corrupt)
+        prepared, corrupt = closed_form_states(space, 2, gp.phi, -gp.theta0, alpha, beta)
+        bad = fidelity(corrupt, U @ prepared, space)
         assert bad == pytest.approx(1.0 - 4.0 * lo * hi * np.sin(gp.theta0) ** 2, abs=1e-10)
 
 
@@ -425,6 +425,12 @@ def test_gate_params_reject_overflowing_eta(theta0):
         GateParams(m=2, tau=1.0, lam=0.01, theta0=theta0, phi=0.01 * np.sqrt(2))
 
 
+def test_gate_params_reject_level_beyond_float_range():
+    # eta = m*theta0 takes m as a float, which raised an OverflowError
+    with pytest.raises(ValueError, match=f"^level m = {10**400} must lie in float range$"):
+        GateParams(m=10**400, tau=1.0, lam=0.0, theta0=0.0, phi=0.0)
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("name", ["phi", "lam"])
 def test_gate_factories_reject_non_finite(params, name, value):
@@ -502,14 +508,19 @@ def test_every_block_layout_is_a_permutation(case, data):
 def test_block_path_matches_dense_oracles(case, data, phi, chi):
     """Framed blocks, the dense builders with Propagator, and scipy expm agree to 1e-12.
 
-    Pulses are cut to ||H||*tau <= 10, where all three routes are
-    round-off limited; the gate composes two such pulses around the flip.
+    The device is drawn in the adiabatic (|delta| >= 10 g, of either sign)
+    and selective (|Omega_L| <= 0.2 g) regimes.  Pulses are cut to
+    ||H||*|tau| <= 10, where all three routes are round-off limited; the gate
+    composes two such pulses around the flip.
     """
     model = case.split("-")[0]
     k = 2 if case == "ideal-k2" else 1
     cutoff = data.draw(st.integers(k + 2, 20), label="cutoff")
     m = data.draw(st.integers(k, cutoff - 2), label="m")
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
+    g = data.draw(st.floats(0.2, 2.0), label="g")
+    ratio = data.draw(st.floats(0.01, 0.19), label="|Omega_L|/g")
+    detuning = data.draw(st.floats(10.0, 40.0), label="|delta|/g") * data.draw(st.sampled_from((1, -1)), label="sign")
+    p = RamanParams(g=g, omega_l=ratio * g, delta=detuning * g)
     space = HilbertSpace(3 if model == "full" else 2, cutoff)
 
     def gate(**kw):
@@ -519,7 +530,7 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
 
     gp = gate(phi=phi)
     norm = np.linalg.norm(dense_pulse(gp, p, space, model, chi), 2)
-    gp = gate(phi=gp.coupling_element * min(gp.tau, 10.0 / norm))
+    gp = gate(phi=gp.coupling_element * np.clip(gp.tau, -10.0 / norm, 10.0 / norm))  # tau < 0 where delta < 0
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)
     pulse = block_unitaries(blocks.generator, gp.tau)

@@ -287,6 +287,17 @@ def test_multiquantum_element_is_the_factorial_ratio_bit_for_bit():
                 assert multiquantum_coupling_element(lam, m, k) == expected, (m, k, lam)
 
 
+@pytest.mark.parametrize("m, k", [(7923557453979583, 19), (7923557453979583, 20), (2**63 - 1, 17)])
+def test_multiquantum_element_at_the_float_range_edge_for_large_m(m, k):
+    # lgamma loses the difference at such m: it reads 736 for m!/(m-19)! here (e^695.6, inside float
+    # range) and 0 for the last (e^742, beyond it); the bound k*ln(m) and the exact product decide
+    if k * math.log(m) < 709.7:
+        assert multiquantum_coupling_element(1.0, m, k) == math.sqrt(math.perm(m, k))
+    else:
+        with pytest.raises(ValueError, match="beyond float range"):
+            multiquantum_coupling_element(1.0, m, k)
+
+
 def test_multiquantum_skips_low_levels(space):
     H = multiquantum_hamiltonian(2, 0.03, 0.2, 2, space)
     col = space.index("g", 1)

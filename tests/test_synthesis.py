@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -27,6 +28,7 @@ from fockgate import (
     PlanStep,
     rotation_matrix,
     load_plan,
+    multiquantum_coupling_element,
     save_plan,
     spin_flip,
     tensor,
@@ -639,6 +641,25 @@ def test_gate_beyond_float_range_is_a_value_error():
         GateParams(m=200, tau=1.0, lam=1e-300, theta0=0.0, phi=0.1, k=200)
     with pytest.raises(ValueError, match=HUGE_PERM):
         GateParams.from_multiquantum(1e-300, 200, 200, 0.1)
+
+
+def test_level_beyond_float_range_is_found_without_the_exact_product(monkeypatch):
+    # m!/(m-k)! at m = 10**7 has about 6.6e7 digits: the exact product stalled the loader
+    m = 10**7
+    step = dict(HUGE_PERM_STEP, m=m, k=m - 1, lam=1e-300)
+    message = re.escape(f"m!/(m-k)! for m={m}, k={m - 1} lies beyond float range")
+
+    def no_exact_product(*args):
+        raise AssertionError("math.perm reached")
+
+    monkeypatch.setattr(math, "perm", no_exact_product)
+    with pytest.raises(ValueError, match="^" + message):
+        multiquantum_coupling_element(1.0, m, m - 1)
+    with pytest.raises(ValueError, match=message):
+        GateParams(m=m, tau=1.0, lam=1e-300, theta0=0.0, phi=0.1, k=m - 1)
+    for without in (None, "lam"):  # the column check and the lam derivation
+        with pytest.raises(ValueError, match="^plan step 0: " + message):
+            plan_from_dict({"steps": [{key: value for key, value in step.items() if key != without}]})
 
 
 @pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
