@@ -9,9 +9,11 @@ finite), at the configured drive or at a sweep drive r*g, is a configuration
 error.  So is a ``gate.phi``, the largest angle of ``SWEEP_ANGLES`` at any
 sweep drive, or that of ``validation.VALIDATION_GATES`` on any level it
 samples, with a non-finite tau, theta0 or 2*eta, or a pulse-block entry
-(``_block_entries``) that is not finite alone or times such a tau.  Defaults
-put the model in both the adiabatic (g/delta = 0.05) and selective
-(|Omega_L|/g = 0.1) regimes; they are conventions of this package.
+(``_block_entries``) that is not finite alone or times such a tau.  So are
+a negative ``physical.delta`` and a ``space.fock_cutoff`` whose (3*cutoff)^2
+complex joint matrix numpy cannot size.  Defaults put the model in both the
+adiabatic (g/delta = 0.05) and selective (|Omega_L|/g = 0.1) regimes; they
+are conventions of this package.
 """
 
 # no `from __future__ import annotations`: _build needs each field's type as a class, not a string
@@ -204,8 +206,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"physical.g: must be > 0, got {ph.g}")
     if ph.omega_l < 0:
         raise ConfigError(f"physical.omega_l: must be >= 0, got {ph.omega_l}")
-    if ph.delta == 0:
-        raise ConfigError("physical.delta: must be nonzero")
+    if ph.delta <= 0:  # lambda = g*omega_l/delta < 0 would give gates of negative duration
+        raise ConfigError(f"physical.delta: must be > 0, got {ph.delta}")
     lam, shift = ph.g * ph.omega_l / ph.delta, ph.g * ph.g / ph.delta  # products overflow to inf; g**2 raises
     _require_coupling("physical", lam, shift)
     try:
@@ -223,6 +225,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
     if cfg.space.fock_cutoff >= 2**63:  # numpy sizes it as an int64
         raise ConfigError(f"space.fock_cutoff: must lie in int64 range, got {cfg.space.fock_cutoff}")
+    if (3 * cfg.space.fock_cutoff) ** 2 * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"space.fock_cutoff: the largest joint matrix, (3*fock_cutoff)^2 complex entries, "
+                          f"exceeds numpy's maximum array size, got {cfg.space.fock_cutoff}")
     try:  # the guard rule (fock_cutoff >= level + 2) is hamiltonians'
         _require_cutoff(HilbertSpace(2, cfg.space.fock_cutoff), cfg.gate.m)
     except ValueError as exc:

@@ -33,16 +33,20 @@ variant is noted here but not modeled.
 
 Both pulses are propagated by excitation-number blocks
 (``hamiltonians.PulseBlocks``, whose layout is a permutation of the joint
-basis) and the flip is a permutation of joint indices.  The drive phase
+basis) and the flip is a permutation of the blocks' slots
+(``hamiltonians.BlockLayout``).  The drive phase
 theta enters only the g-e (or h-e) coupling, so a pulse at theta is
 Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I and
 B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
 per level and device serves both pulses and every offset and duration.
-``echo_pulses`` builds the framed pulses of one gate or a batch and
-``run_echo`` runs them in place on joint states, the flip folded into the
-second gather: ``apply_pair_gate``, the sweep, validation's sampled gates,
-plan execution and calibration all run gates so, and ``pair_gate`` sums
-the dense unitary from the same pulses.  The dense builders serve as the
+``echo_pulses`` builds the framed pulses of one gate or a batch, and
+``echo_slots`` runs them on states held in the block layout: pulse, one
+gather through the flip's slots, pulse.  ``run_echo`` gathers joint states
+into that layout and back (``apply_pair_gate``, the sweep, validation's
+sampled gates); plan execution and calibration gather |+> ⊗ osc into it
+straight from the oscillator.  ``pair_gate`` sums the dense unitary from
+the same pulses, the flip's slots naming the first-pulse entry of each
+product.  The dense builders serve as the
 oracle in validation and the tests; ``Propagator`` runs the same
 ``block_unitaries`` on one dense block.
 """
@@ -56,6 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import (
+    BlockLayout,
     PulseBlocks,
     RamanParams,
     _require_cutoff,
@@ -237,18 +242,17 @@ def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -
 
 
 class Echo(NamedTuple):
-    """Both framed pulses of one gate or a batch, and the joint rows they act on (``echo_pulses``)."""
+    """Both framed pulses of one gate or a batch, and the slots they act on (``echo_pulses``)."""
 
-    index: np.ndarray    # (..., nb, b) joint rows of each block, a permutation of the joint basis
-    flipped: np.ndarray  # the rows each block reads through the spin flip, |g,n> <-> |e,n>
+    layout: BlockLayout  # the joint row of each slot, its inverse, and the slot each slot reads through the flip
     pulses: np.ndarray   # (2, ..., nb, b, b): the pulses at chi and at chi - theta0
 
 
 def echo_pulses(blocks: PulseBlocks, space: HilbertSpace, tau, theta0, chi) -> Echo:
     """The echo pulse(chi) -> flip -> pulse(chi - theta0) of one gate or a batch, for ``run_echo``.
 
-    ``blocks`` is a phase-0 stack, generator (..., nb, b, b) and index
-    (nb, b) or one layout per gate; tau, theta0 and chi broadcast against its
+    ``blocks`` is a phase-0 stack, generator (..., nb, b, b) and a layout
+    of (nb, b) slots or one per gate; tau, theta0 and chi broadcast against its
     gate axes.  One ``block_unitaries`` call, framed by ``pulse_at`` from one
     complex exp per pulse and gate.  A non-finite drive phase is a
     ValueError; in a batch it names the gate as a plan step.
@@ -260,24 +264,31 @@ def echo_pulses(blocks: PulseBlocks, space: HilbertSpace, tau, theta0, chi) -> E
     if len(bad):
         first, second = theta[:, bad[0]].tolist()
         raise ValueError(f"plan step {bad[0]}: drive phases chi = {first!r}, chi - theta0 = {second!r} must be finite")
-    nf = space.fock_cutoff  # the flip's row order swaps |g,n> and |e,n>
-    order = np.concatenate([np.arange(nf, 2 * nf), np.arange(nf), np.arange(2 * nf, space.dim)])
     pulses = block_unitaries(blocks.generator, np.asarray(tau, dtype=float)[..., None])
-    return Echo(blocks.index, order[blocks.index], pulse_at(blocks.index, pulses, space, theta[..., None]))
+    return Echo(blocks.layout, pulse_at(blocks.index, pulses, space, theta[..., None]))
+
+
+def echo_slots(pulses: np.ndarray, flipped: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """pulse -> flip -> pulse on states in the block layout: (..., nb, b, k) slots in, a new such array out.
+
+    ``pulses`` is an ``Echo``'s (2, ..., nb, b, b) pair and ``flipped`` its
+    layout's flip: each pulse is one batched b x b product, and the flip one
+    gather of the slots between them.
+    """
+    first = pulses[0] @ slots
+    return pulses[1] @ first.reshape(first.shape[:-3] + (-1, first.shape[-1]))[..., flipped, :]
 
 
 def run_echo(echo: Echo, states: np.ndarray) -> np.ndarray:
-    """Run ``echo`` in place on ``states`` and return it: O(dim * b^2) per column, no joint-space matrix.
+    """``echo`` on joint states ``states``, shape (..., dim, k), as a new array: O(dim * b^2) per column.
 
-    ``states`` holds k joint states, shape (..., dim, k); its leading axes
-    are the gate axes of ``echo.pulses``.  Each pulse is a gather, a batched
-    product and a scatter, the flip folded into the second gather; the
-    layout is a permutation of the joint basis, so each scatter writes the
-    whole state.
+    The leading axes of ``states`` are the gate axes of ``echo.pulses``.  The
+    states are gathered into the block layout, run through ``echo_slots``
+    and gathered back by the inverse layout; no joint-space matrix is built.
     """
-    states[..., echo.index, :] = echo.pulses[0] @ states[..., echo.index, :]
-    states[..., echo.index, :] = echo.pulses[1] @ states[..., echo.flipped, :]
-    return states
+    index, inverse, flipped = echo.layout
+    out = echo_slots(echo.pulses, flipped, states[..., index, :])
+    return out.reshape(out.shape[:-3] + (-1, out.shape[-1]))[..., inverse, :]
 
 
 def apply_pair_gate(
@@ -297,7 +308,7 @@ def apply_pair_gate(
     eliminated two-level model with all its detuned exchange channels;
     "full" keeps the explicit third level.
     """
-    x = np.array(x, dtype=complex)  # a copy: run_echo works in place
+    x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
     echo = echo_pulses(pulse_generator(p, space, model, gp.m, gp.k, gp.lam), space, gp.tau, gp.theta0, phase_offset)
@@ -322,9 +333,9 @@ def pair_gate(
     """
     dim = space.dim
     blocks = pulse_generator(p, space, model, gp.m, gp.k, gp.lam)
-    # source: the B1 row read by each B2 column; the inverse layout gives its B1 block and position
-    index, source, (u1, u2) = echo_pulses(blocks, space, gp.tau, gp.theta0, phase_offset)
-    block, position = np.divmod(np.argsort(index, axis=None)[source], index.shape[1])
+    # the flip gives the B1 slot, block and position, that each B2 column reads
+    (index, _, flipped), (u1, u2) = echo_pulses(blocks, space, gp.tau, gp.theta0, phase_offset)
+    block, position = np.divmod(flipped, index.shape[1])
     values = u2[:, :, :, None] * u1[block, position][:, None, :, :]
     out = np.zeros(dim * dim, dtype=complex)
     np.add.at(out, (dim * index[:, :, None, None] + index[block][:, None, :, :]).ravel(), values.ravel())

@@ -20,11 +20,12 @@ Every pulse conserves the excitation number N = a†a + |e><e| + |h><h|, so
 its generator is block diagonal: doublets {|g,N>, |e,N-1>} (effective and
 ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full); a k-quantum pulse
 conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
-``*_blocks`` builders return that structure directly as ``PulseBlocks``: an
-index layout and a stack of small real generators at drive phase 0 (no
-theta: ``gates.pulse_at`` applies it as a diagonal frame); the ideal,
-effective and full builders take one level or an array of levels, which
-gives a (..., nb, b, b) stack on one layout.  The ideal pulse writes no
+``*_blocks`` builders return that structure directly as ``PulseBlocks``: a
+``BlockLayout`` (the joint row of each block slot, its inverse, and the spin
+flip as a permutation of slots, built once per layout) and a stack of small
+real generators at drive phase 0 (no theta: ``gates.pulse_at`` applies it
+as a diagonal frame); the ideal, effective and full builders take one level
+or an array of levels, which gives a (..., nb, b, b) stack on one layout.  The ideal pulse writes no
 entry of its own: it is the effective pulse with every entry off the
 selected pair set to zero.  Every layout is a permutation of the joint
 basis in fock_cutoff blocks.  The truncation leaves |g,N> for
@@ -284,33 +285,55 @@ def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
         raise ValueError(f"m!/(m-k)! for m={m}, k={k} lies beyond float range") from None
 
 
+class BlockLayout(NamedTuple):
+    """Where the blocks of one layout sit in the joint basis: read-only, built once per layout.
+
+    A state in the block layout is a (nb, b) array of slots, slot (i, j)
+    holding joint row ``index[i, j]``; flat slot s is (s // b, s % b).
+    """
+
+    index: np.ndarray    # (nb, b) joint row of each slot, a permutation of range(space.dim)
+    inverse: np.ndarray  # (dim,) flat slot of each joint row
+    flipped: np.ndarray  # (nb, b) flat slot each slot reads through the spin flip |g,n> <-> |e,n>
+
+
 class PulseBlocks(NamedTuple):
     """A pulse generator as a stack of blocks of fixed excitation number.
 
     Block i acts on the joint basis indices ``index[i]``; ``index`` is a
     permutation of range(space.dim), so every joint state lies in exactly
-    one block.  ``index`` is shared by every pulse of the same layout and
+    one block.  ``layout`` is shared by every pulse of the same layout and
     is read-only.
     """
 
-    index: np.ndarray      # (nb, b) joint basis indices
+    layout: BlockLayout    # the slots of the blocks in the joint basis
     generator: np.ndarray  # (nb, b, b) real symmetric blocks
+
+    @property
+    def index(self) -> np.ndarray:
+        """(nb, b) joint basis indices of each block."""
+        return self.layout.index
 
 
 @functools.lru_cache(maxsize=64)
-def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Excitation numbers N and their (nb, b) index layout, built once per layout and read-only.
+def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[np.ndarray, BlockLayout]:
+    """Excitation numbers N and their ``BlockLayout``, built once per layout and read-only.
 
     The first atomic level of ``atoms`` sits at Fock level N, the others at
     N - k mod fock_cutoff, for N = 0..fock_cutoff - 1: the blocks N < k hold
-    the members that the truncation leaves without an exchange partner.
+    the members that the truncation leaves without an exchange partner.  The
+    spin flip sends each member to the same Fock level of the swapped atomic
+    level (|h> stays).
     """
     nf = space.fock_cutoff
     n = np.arange(nf)
     levels = (n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)) % nf
     index = np.asarray(atoms) * nf + levels
-    n.flags.writeable = index.flags.writeable = False  # every caller shares them
-    return n, index
+    inverse = np.argsort(index, axis=None)
+    flipped = inverse[np.asarray((1, 0, 2))[list(atoms)] * nf + levels]
+    for array in (n, index, inverse, flipped):  # every caller shares them
+        array.flags.writeable = False
+    return n, BlockLayout(index, inverse, flipped)
 
 
 def effective_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
@@ -318,14 +341,14 @@ def effective_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     if space.atom_dim != 2:
         raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
     _require_cutoff(space, m)
-    n, index = _block_layout(space, (0, 1), 1)
+    n, layout = _block_layout(space, (0, 1), 1)
     rate = p.dispersive_rate
     energy = np.asarray(rate * m)[..., None]  # the |e> energy of each level
     H = np.zeros(energy.shape[:-1] + (len(n), 2, 2))
     H[..., 0, 0] = rate * n
     H[..., 1, 1] = energy
     H[..., 0, 1] = H[..., 1, 0] = p.coupling * np.sqrt(n)
-    return PulseBlocks(index, H)
+    return PulseBlocks(layout, H)
 
 
 def full_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
@@ -333,14 +356,14 @@ def full_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
     _require_cutoff(space, m)
-    n, index = _block_layout(space, (0, 2, 1), 1)
+    n, layout = _block_layout(space, (0, 2, 1), 1)
     energy = np.asarray(p.engineered_shift(m))[..., None]  # the |e> energy of each level
     H = np.zeros(energy.shape[:-1] + (len(n), 3, 3))
     H[..., 1, 1] = -p.delta
     H[..., 0, 1] = H[..., 1, 0] = p.g * np.sqrt(n)
     H[..., 1, 2] = H[..., 2, 1] = p.omega_l
     H[..., 2, 2] = energy
-    return PulseBlocks(index, H)
+    return PulseBlocks(layout, H)
 
 
 def ideal_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
@@ -371,7 +394,7 @@ def multiquantum_blocks(k: int, lam_k: float, m: int, space: HilbertSpace) -> Pu
     {|g,m>, |e,m-k>}, carries a coupling.
     """
     _require_doublet(k, m, space)
-    n, index = _block_layout(space, (0, 1), k)
+    n, layout = _block_layout(space, (0, 1), k)
     H = np.zeros((len(n), 2, 2))
     H[m, 0, 1] = H[m, 1, 0] = multiquantum_coupling_element(lam_k, m, k)
-    return PulseBlocks(index, H)
+    return PulseBlocks(layout, H)

@@ -42,7 +42,12 @@ A plan runs its gates one after another through one auxiliary atom, which is
 re-prepared in |+> between gates; since an ideal gate returns the atom
 exactly to |+>, this reset is bookkeeping rather than back-action.  Plan
 execution and calibration build every step's pulses in one
-``gates.echo_pulses`` call and run each step with ``gates.run_echo``.  Only
+``gates.echo_pulses`` call and share one step routine (``_step_runner``):
+it gathers |+> ⊗ osc straight from the oscillator into the step's block
+layout, runs ``gates.echo_slots`` and gathers the joint state back by the
+inverse layout.  Under "full" the triplet layers of a plan's levels are
+diagonalised once per device and cutoff (``propagator.SPECTRA``), so a
+repeated plan or calibration pays only the reconstruction.  Only
 under the "ideal" model do gates on disjoint pairs commute: under
 "effective" and "full" every gate puts its own level-dependent dispersive
 phase on the spectator levels.
@@ -60,9 +65,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import Echo, GateParams, atom_plus, echo_pulses, induced_oscillator_unitary, pair_gate, pulse_generator
-from .gates import raman_columns, run_echo
-from .hamiltonians import PulseBlocks, RamanParams, multiquantum_coupling_element
+from .gates import GateParams, atom_plus, echo_pulses, echo_slots, induced_oscillator_unitary, pair_gate, pulse_generator
+from .gates import raman_columns
+from .hamiltonians import BlockLayout, PulseBlocks, RamanParams, multiquantum_coupling_element
 from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
@@ -290,23 +295,34 @@ def _plan_blocks(plan: CircuitPlan, p: RamanParams, space: HilbertSpace, model: 
     then built one by one, and under "effective" and "full" the first of
     them raises.
     """
-    index, H = pulse_generator(p, space, model, plan.m)
-    index = np.repeat(index[None], len(plan), axis=0)
+    layout, H = pulse_generator(p, space, model, plan.m)
+    layout = BlockLayout(*(np.repeat(a[None], len(plan), axis=0) for a in layout))
     for i in np.flatnonzero(plan.k != 1):
-        index[i], H[i] = pulse_generator(p, space, model, plan.m[i], plan.k[i], plan.lam[i])
-    return PulseBlocks(index, H)
+        step, H[i] = pulse_generator(p, space, model, plan.m[i], plan.k[i], plan.lam[i])
+        for column, value in zip(layout, step):
+            column[i] = value
+    return PulseBlocks(layout, H)
 
 
-def _step_echoes(blocks: PulseBlocks, space: HilbertSpace, plan: CircuitPlan) -> list[Echo]:
-    """Each step's ``Echo`` from one ``echo_pulses`` call on a (steps, nb, b, b) stack with a layout per step."""
-    index, flipped, pulses = echo_pulses(blocks, space, plan.tau, plan.theta0, plan.chi)
-    return [Echo(index[i], flipped[i], pulses[:, i]) for i in range(len(plan))]
+def _step_runner(layout: BlockLayout, space: HilbertSpace):
+    """The routine that runs one plan step on |+> ⊗ osc, for ``execute_plan`` and calibration.
 
+    ``step(pulses, i, osc)`` runs step i of ``pulses``, an ``Echo``'s pulses
+    on the per-step ``layout`` of ``_plan_blocks``, on |+> ⊗ osc for a
+    (fock_cutoff, k) stack osc.  It gathers the joint state's slots straight
+    from osc and returns the (dim, k) joint states and their <+| branch.
+    """
+    plus = atom_plus(space.atom_dim)
+    bra = plus.conj()
+    atoms, levels = np.divmod(layout.index, space.fock_cutoff)
+    weights = plus[atoms][..., None]  # the |+> amplitude of each slot
 
-def _apply_step(echo: Echo, plus: np.ndarray, osc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|+> ⊗ osc, a (fock_cutoff, k) stack, through ``echo``: the (dim, k) joint states and their <+| branch."""
-    joint = run_echo(echo, (plus[:, None, None] * osc).reshape(-1, osc.shape[1]))
-    return joint, (plus.conj() @ joint.reshape(len(plus), -1)).reshape(osc.shape)
+    def step(pulses: np.ndarray, i: int, osc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = echo_slots(pulses[:, i], layout.flipped[i], weights[i] * osc[levels[i]])
+        joint = out.reshape(-1, osc.shape[1])[layout.inverse[i]]
+        return joint, (bra @ joint.reshape(len(bra), -1)).reshape(osc.shape)
+
+    return step
 
 
 def execute_plan(
@@ -322,7 +338,7 @@ def execute_plan(
     (``gates.model_space``).  Every step's phase-0 blocks go into one
     (steps, nb, b, b) stack (``_plan_blocks``), and one ``echo_pulses`` call
     builds every pulse.  The loop then only runs |+> ⊗ osc through each
-    gate (``_apply_step``, also calibration's step) and resets the atom;
+    gate (``_step_runner``, also calibration's step) and resets the atom;
     the step purities come from the joint states after the loop.  A step
     whose drive phase chi or chi - theta0 is not finite is a ValueError
     naming the step.  Returns the final oscillator state and a report;
@@ -342,16 +358,17 @@ def execute_plan(
     osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
     osc[: len(initial), 0] = initial / np.linalg.norm(initial)
 
-    echoes = _step_echoes(_plan_blocks(plan, p, space, model), space, plan) if len(plan) else []
-    plus = atom_plus(space.atom_dim)
-
+    blocks = _plan_blocks(plan, p, space, model)
+    step = _step_runner(blocks.layout, space)
+    pulses = echo_pulses(blocks, space, plan.tau, plan.theta0, plan.chi).pulses
     joints = []
     atom_overlaps: list[float] = []
-    for echo in echoes:
-        joint, branch = _apply_step(echo, plus, osc)
+    for i in range(len(plan)):
+        joint, branch = step(pulses, i, osc)
         joints.append(joint)
-        # projective reset of the atom to |+>
-        weight = float(np.linalg.norm(branch))
+        # projective reset of the atom to |+>; its norm summed as np.linalg.norm sums it, without the call
+        flat = branch.ravel()
+        weight = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
         atom_overlaps.append(weight**2)
         if weight == 0.0:
             raise ArithmeticError("atom reset branch has zero weight")
@@ -384,14 +401,14 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     ``plan_at(x)`` is ``plan`` with (phi_i, chi_i) = x[2i:2i+2], tau and
     theta0 following as in ``GateParams.from_raman``.
     ``images(x, columns=False)`` runs the vacuum through them by
-    ``_apply_step`` under the effective model, without renormalizing:
-    column 0 is the image at x; with ``columns``, column 1 + k has x[k]
-    moved by CALIBRATION_FD_STEP and branches off column 0 just before the
-    step of x[k].  The generator stack is built once; each parameter set's
-    pulses come from one ``_step_echoes`` call.
+    ``execute_plan``'s step routine under the effective model, without
+    renormalizing: column 0 is the image at x; with ``columns``, column
+    1 + k has x[k] moved by CALIBRATION_FD_STEP and branches off column 0
+    just before the step of x[k].  The generator stack is built once; each
+    parameter set's pulses come from one ``echo_pulses`` call.
     """
     stack = _plan_blocks(plan, p, space, "effective")
-    plus = atom_plus(space.atom_dim)
+    step = _step_runner(stack.layout, space)
 
     def plan_at(x: np.ndarray) -> CircuitPlan:
         (tau,), (theta0,) = raman_columns([p], plan.m, x[0::2])
@@ -400,11 +417,12 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        base, *moved = [_step_echoes(stack, space, plan_at(x + np.tile(d, len(plan)))) for d in moves]
+        base, *moved = [echo_pulses(stack, space, at.tau, at.theta0, at.chi).pulses
+                        for at in (plan_at(x + np.tile(d, len(plan))) for d in moves)]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
-        for i, echo in enumerate(base):
-            branches = [_apply_step(echoes[i], plus, osc[:, :1])[1] for echoes in moved]
-            osc = np.hstack([_apply_step(echo, plus, osc)[1], *branches])
+        for i in range(len(plan)):
+            branches = [step(pulses, i, osc[:, :1])[1] for pulses in moved]
+            osc = np.hstack([step(base, i, osc)[1], *branches])
         return osc
 
     return plan_at, images

@@ -261,6 +261,10 @@ def test_gate_command_config_error(capsys):
         ),
         # a cutoff beyond int64 (and float) range: no array can have that size
         (["gate", "--set", "space.fock_cutoff=1" + "0" * 400], "space.fock_cutoff: must lie in int64 range"),
+        # within int64, but the (3*cutoff)^2 complex joint matrix exceeds numpy's maximum array size
+        (["gate", "--set", f"space.fock_cutoff={2**62}"], "space.fock_cutoff: the largest joint matrix"),
+        # a negative detuning gives a negative coupling, so gates of negative duration
+        (["sweep", "--set", "physical.delta=-20", "--set", "sweep.ratios=[0.1]"], "physical.delta: must be > 0"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):

@@ -30,7 +30,7 @@ from fockgate import (
     tensor,
 )
 from fockgate.gates import Echo, apply_pair_gate, closed_form_states, echo_pulses, pulse_at, pulse_generator, run_echo
-from fockgate.hamiltonians import effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
+from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
 from fockgate.propagator import Propagator, block_unitaries
 from fockgate.spaces import fidelity, max_abs
 
@@ -457,11 +457,13 @@ def test_gate_factories_reject_overflowing_duration(params):
 def joint_matrix(index, blocks, space):
     """The joint-space matrix of the block-diagonal ``blocks`` (rows ``index``), by ``run_echo``.
 
-    The echo's second pulse is the identity, read without the flip, so the
-    kernel applies ``blocks`` alone to the columns of the identity.
+    The echo's second pulse is the identity, and each slot reads itself in
+    place of the flip, so the kernel applies ``blocks`` alone to the columns
+    of the identity.
     """
     second = np.broadcast_to(np.eye(index.shape[-1]), blocks.shape)
-    return run_echo(Echo(index, index, np.array([blocks, second])), np.eye(space.dim, dtype=complex))
+    layout = BlockLayout(index, np.argsort(index, axis=None), np.arange(index.size).reshape(index.shape))
+    return run_echo(Echo(layout, np.array([blocks, second])), np.eye(space.dim, dtype=complex))
 
 
 # the block builders take no drive phase: a pulse at phase theta is the
@@ -481,7 +483,9 @@ def test_every_block_layout_is_a_permutation(case, data):
 
     The blocks N < k hold the members the truncation leaves without an
     exchange partner: |g,N> couples to nothing there (under "full", |h>
-    and |e> of one Fock level keep their drive coupling).
+    and |e> of one Fock level keep their drive coupling).  The layout's
+    inverse gives each joint row's slot, and its flip the slot that each
+    slot reads through the spin flip (``spin_flip`` on the atom).
     """
     builder, k = case
     cutoff = data.draw(st.integers(k + 2, 24), label="cutoff")
@@ -494,6 +498,10 @@ def test_every_block_layout_is_a_permutation(case, data):
         blocks = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[builder](p, space, m)
     assert np.array_equal(np.sort(blocks.index, axis=None), np.arange(space.dim))
     assert blocks.index.shape == (cutoff, space.atom_dim)
+    rows = blocks.index.ravel()
+    assert np.array_equal(rows[blocks.layout.inverse], np.arange(space.dim))
+    flip = tensor(spin_flip(space.atom_dim), np.eye(cutoff)).real.astype(int)
+    assert np.array_equal(rows[blocks.layout.flipped], np.argmax(flip[blocks.index], axis=-1))
     folded = blocks.generator[:k]
     assert not np.any(folded[:, 0, 1:]) and not np.any(folded[:, 1:, 0])
 
@@ -623,10 +631,11 @@ def test_block_layout_is_memoized_and_read_only(params, case):
     # every builder call on one (space, atoms, k) shares one layout, which no caller can change
     space = HilbertSpace(3 if case == "full" else 2, 9)
     first, second = (BLOCK_BUILDERS[case](params, space, GateParams.from_raman(params, m=m, phi=0.3)) for m in (2, 5))
-    assert first.index is second.index
-    assert not first.index.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        first.index[0, 0] = 0
+    assert first.layout is second.layout and first.index is first.layout.index
+    for array in first.layout:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
     assert first.generator.flags.writeable and first.generator is not second.generator
 
 

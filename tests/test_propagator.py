@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from fockgate import HilbertSpace, Propagator, RamanParams
+from fockgate import HilbertSpace, Propagator, RamanParams, propagator
 from fockgate.propagator import block_unitaries
 from fockgate.hamiltonians import decompose_effective
 from fockgate.spaces import basis_state, fidelity, max_abs
@@ -221,3 +224,78 @@ def test_real_triplets_match_their_complex_copy(seed, count, t):
     rng = np.random.default_rng(seed)
     stack = np.array([random_hermitian(rng, 3).real for _ in range(count)])
     assert max_abs(block_unitaries(stack, t) - block_unitaries(stack.astype(complex), t)) < 1e-13
+
+
+def _triplet_layers(rng, count, nb):
+    """``count`` distinct real symmetric (nb, 3, 3) layers, as the full model's generators are."""
+    stacks = rng.normal(size=(count, nb, 3, 3))
+    return stacks + np.swapaxes(stacks, -1, -2)
+
+
+def _cached_bytes(cache):
+    return sum(len(key[2]) + w.nbytes + v.nbytes for key, (w, v) in cache.entries.items())
+
+
+def test_spectra_cache_keeps_its_byte_budget(monkeypatch):
+    """More distinct layers than the budget holds: the cache stays within it, and cached arrays are read-only.
+
+    A layer evicted recomputes, by one more eigh, to the identical unitary; a
+    layer still cached needs none.  A layer larger than the whole budget is
+    exponentiated but not kept.
+    """
+    cache = propagator.Spectra()
+    monkeypatch.setattr(propagator, "SPECTRA", cache)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(len(a)) or eigh(a, *args, **kwargs))
+    nb = 1024
+    per_layer = nb * 9 * 8 + nb * 3 * 8 + nb * 9 * 8  # the key's bytes, eigenvalues and eigenvectors
+    layers = _triplet_layers(np.random.default_rng(3), 3 * propagator.SPECTRA_BUDGET // per_layer, nb)
+    first = []
+    for H in layers:
+        first.append(block_unitaries(H, 0.7))
+        assert 0 < cache.nbytes <= propagator.SPECTRA_BUDGET
+        assert cache.nbytes == _cached_bytes(cache)
+    assert len(calls) == len(layers) and len(cache.entries) == propagator.SPECTRA_BUDGET // per_layer
+    del calls[:]
+    assert np.array_equal(block_unitaries(layers[-1], 0.7), first[-1]) and calls == []
+    assert np.array_equal(block_unitaries(layers[0], 0.7), first[0]) and calls == [1]
+    assert np.array_equal(block_unitaries(layers[:2], 0.7), first[:2]) and calls == [1, 1]  # layer 1 alone
+    for w, v in cache.entries.values():
+        for array in (w, v):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    kept = dict(cache.entries)
+    huge = _triplet_layers(np.random.default_rng(4), 1, propagator.SPECTRA_BUDGET // 168 + 1)[0]
+    assert np.array_equal(block_unitaries(huge[:5], 0.3), block_unitaries(huge, 0.3)[:5])
+    assert cache.entries.keys() - kept.keys() == {("<f8", (5, 3, 3), huge[:5].tobytes())}
+
+
+def test_spectra_cache_shared_by_threads(monkeypatch):
+    # more threads than cores, switching often, exponentiate overlapping layers past the budget:
+    # every result equals the single-thread one, and no update of the byte count is lost
+    layers = _triplet_layers(np.random.default_rng(5), 60, 512)
+    expected = [block_unitaries(H, 1.3) for H in layers]
+    cache = propagator.Spectra()
+    monkeypatch.setattr(propagator, "SPECTRA", cache)
+    wrong = []
+
+    def work(offset):
+        for i in range(120):
+            j = (offset + 7 * i) % len(layers)
+            if not np.array_equal(block_unitaries(layers[j], 1.3), expected[j]):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert cache.nbytes == _cached_bytes(cache) <= propagator.SPECTRA_BUDGET

@@ -33,6 +33,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
+from fockgate import propagator
 from fockgate.gates import model_space, pulse_generator
 from fockgate.spaces import max_abs, product_state, project_atom, purity, reduced_oscillator_state
 from fockgate.synthesis import (
@@ -861,27 +862,34 @@ def per_step_execution(plan, initial, model, p, space):
     st.sampled_from([0.02, 0.1, 0.2]),
     st.integers(0, 2),
     st.integers(0, 2),
+    st.sampled_from([None, 2, 3]),
 )
-def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_steps, tau0_steps):
+@example(seed=1, top=3, model="ideal", ratio=0.1, k2_steps=2, tau0_steps=1, twice_k=2)
+@example(seed=2, top=5, model="ideal", ratio=0.1, k2_steps=2, tau0_steps=1, twice_k=3)
+def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_steps, tau0_steps, twice_k):
     """One eigendecomposition and one framing per plan give the per-step result to 1e-12.
 
     Every model gets up to two extra tau = 0 steps (a bare spin flip), and
     ideal plans up to two extra k = 2 steps, whose block layout differs from
     the k = 1 steps'.  The extra steps carry pulse phases chi drawn from
-    [-100, 100].
+    [-100, 100].  With ``twice_k`` an ideal plan runs at fock_cutoff = 2k
+    with at least one k-quantum step, k = twice_k: there the spin flip sends
+    both members of a block into one block.
     """
     p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
     rng = np.random.default_rng(seed)
+    k, twice_k = (twice_k, twice_k) if model == "ideal" and twice_k else (2, None)
+    top = min(top, 2 * k - 3) if twice_k else top  # the plan's levels and the bare flips' keep the guard level
     plan = plan_general_state(random_target(rng, top), p, "ideal" if model == "ideal" else "effective")
     extra = [GateParams.from_raman(p, m=int(rng.integers(1, top + 2)), phi=0.0) for _ in range(tau0_steps)]
     if model == "ideal":
         extra += [
-            GateParams.from_multiquantum(0.004, m=int(rng.integers(2, top + 2)), k=2, phi=1.0)
-            for _ in range(k2_steps)
+            GateParams.from_multiquantum(0.004, m=int(rng.integers(k, 2 * k - 1 if twice_k else top + 2)), k=k, phi=1.0)
+            for _ in range(max(k2_steps, 1) if twice_k else k2_steps)
         ]
     for gate in extra:
         plan = with_step(plan, int(rng.integers(0, len(plan) + 1)), gate, float(rng.uniform(-100.0, 100.0)))
-    space = model_space(model, 2 * len(plan) + top + 3)
+    space = model_space(model, 2 * k if twice_k else 2 * len(plan) + top + 3)
     initial = random_target(rng, 2)
     osc, report = execute_plan(plan, initial, model, p, space)
     ref_osc, ref = per_step_execution(plan, initial, model, p, space)
@@ -892,27 +900,42 @@ def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_st
 
 @pytest.mark.parametrize("model", ["ideal", "effective", "full"])
 def test_only_the_full_model_diagonalises(params, model, monkeypatch):
-    # doublets are exponentiated in closed form: ideal and effective plans, gates and
-    # calibrations make no eigh call, and full makes at least one per plan and per gate
-    calls = []
+    """Doublets are exponentiated in closed form, and full diagonalises only triplet layers it has not seen.
+
+    From a cold cache, ideal and effective plans, gates and calibrations
+    make no eigh call.  Full diagonalises each level of its first plan once,
+    in one call; the same plan again, and a gate on one of its levels, make
+    none, and a plan one level higher diagonalises that level alone.  Warm
+    results equal cold ones with ==.
+    """
+    layers = []  # the layers of each eigh call
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
-    plan = plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, "ideal" if model == "ideal" else "effective")
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: layers.append(len(a)) or eigh(a, *args, **kwargs))
+    monkeypatch.setattr(propagator, "SPECTRA", propagator.Spectra())
+    phase_model = "ideal" if model == "ideal" else "effective"
+    plan = plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, phase_model)
     space = model_space(model, 7)
-    counts = []
-    for run in (
-        lambda: execute_plan(plan, np.array([1.0]), model, params, space),
-        lambda: pair_gate(plan.steps[1].gate, params, space, model, 0.3),
-        lambda: plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, "calibrated"),
-    ):
-        before = len(calls)
-        run()
-        counts.append(len(calls) - before)
-    assert counts[2] == 0
-    if model == "full":
-        assert min(counts[:2]) >= 1
-    else:
-        assert counts[:2] == [0, 0]
+    runs = {
+        "plan": lambda: execute_plan(plan, np.array([1.0]), model, params, space),
+        "plan again": lambda: execute_plan(plan, np.array([1.0]), model, params, space),
+        "gate": lambda: pair_gate(plan.steps[1].gate, params, space, model, 0.3),
+        "calibrated": lambda: plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, "calibrated"),
+        "higher plan": lambda: execute_plan(plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 4, params, phase_model),
+                                            np.array([1.0]), model, params, space),
+    }
+    calls, warm = {}, {}
+    for name, run in runs.items():
+        before = len(layers)
+        warm[name] = run()
+        calls[name] = layers[before:]
+    full = model == "full"
+    assert calls == {"plan": [3] if full else [], "plan again": [], "gate": [], "calibrated": [],
+                     "higher plan": [1] if full else []}
+    monkeypatch.setattr(propagator, "SPECTRA", propagator.Spectra())
+    cold_gate = runs["gate"]()
+    assert np.array_equal(cold_gate, warm["gate"])
+    (cold, cold_report), (osc, report) = warm["plan"], warm["plan again"]
+    assert np.array_equal(cold, osc) and vars(cold_report) == vars(report)
 
 
 def _signed_zero_target(rng, top):
