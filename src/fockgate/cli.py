@@ -118,7 +118,7 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
     tau, theta0 = raman_columns(devices, m, phi)  # (ratios, samples)
     blocks = [pulse_generator(p, space, model, m) for p in devices]
     generators = np.stack([b.generator for b in blocks])[:, None]  # a ratio's samples share its blocks
-    echo = echo_pulses(PulseBlocks(blocks[0].layout, generators), space, tau, theta0, 0.0)
+    echo = echo_pulses(PulseBlocks(blocks[0].layout, generators), tau, theta0, 0.0)
     prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
     psis = run_echo(echo, prepared[..., None])[..., 0]
     fids, leaks = fidelity(expected, psis, space), leakage(psis, m, 1, space)

@@ -112,7 +112,7 @@ class GateParams:
         except OverflowError:  # m * theta0 takes m as a float
             raise ValueError(f"level m = {self.m} must lie in float range") from None
         for name, value in (("lam", self.lam), ("tau", self.tau), ("phi", self.phi),
-                            ("theta0", self.theta0), ("eta", eta)):
+                            ("theta0", self.theta0), ("2*eta", 2 * eta)):  # the closed form's e^{-2i eta}
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.m < 1:
@@ -166,7 +166,7 @@ def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.nd
     with np.errstate(all="ignore"):
         tau = phi / (lam * np.sqrt(m))
         theta0 = rate * tau
-        bad = ~np.isfinite(lam * (m * theta0))
+        bad = ~np.isfinite(lam * (2 * (m * theta0)))
     if bad.any():
         m, phi = np.broadcast_arrays(m, phi)
         for i, j in zip(*np.nonzero(bad)):
@@ -223,21 +223,21 @@ def pulse_generator(
     return multiquantum_blocks(k, lam_k, m, space)
 
 
-def pulse_at(index: np.ndarray, pulse: np.ndarray, space: HilbertSpace, theta) -> np.ndarray:
-    """Z(theta) B Z(theta)†: the phase e^{-i theta} on the |e> members of each block of ``pulse``.
+def pulse_at(pulse: np.ndarray, theta) -> np.ndarray:
+    """Z(theta) B Z(theta)†: the phase e^{-i theta} on the |e> member, the last slot, of each block of ``pulse``.
 
     ``theta`` holds drive phases per block row: its last axis broadcasts
-    against the leading (block) axis of ``index`` (length 1 for one phase
-    for every block, or nb for one phase per block), and any axes before it
-    stack frames.  So ``[[chi], [chi - theta0]]`` frames both pulses of one
-    gate.  The result has shape theta.shape[:-1] + broadcast(theta's last
-    axis, nb) + (b, b); a non-finite phase is an error.
+    against the block axis of ``pulse``, (..., nb, b, b) (length 1 for one
+    phase for every block, or nb for one phase per block), and any axes
+    before it stack frames.  So ``[[chi], [chi - theta0]]`` frames both
+    pulses of one gate.  The result has shape broadcast(theta.shape,
+    pulse.shape[:-2]) + (b, b); a non-finite phase is an error.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError(f"drive phase must be finite, got {theta}")
-    nf = space.fock_cutoff
-    z = np.where((index >= nf) & (index < 2 * nf), np.exp(-1j * theta)[..., None], 1.0)
+    b = pulse.shape[-1]
+    z = np.where(np.arange(b) == b - 1, np.exp(-1j * theta)[..., None], 1.0)
     return z[..., :, None] * pulse * z.conj()[..., None, :]
 
 
@@ -248,7 +248,7 @@ class Echo(NamedTuple):
     pulses: np.ndarray   # (2, ..., nb, b, b): the pulses at chi and at chi - theta0
 
 
-def echo_pulses(blocks: PulseBlocks, space: HilbertSpace, tau, theta0, chi) -> Echo:
+def echo_pulses(blocks: PulseBlocks, tau, theta0, chi) -> Echo:
     """The echo pulse(chi) -> flip -> pulse(chi - theta0) of one gate or a batch, for ``run_echo``.
 
     ``blocks`` is a phase-0 stack, generator (..., nb, b, b) and a layout
@@ -265,7 +265,7 @@ def echo_pulses(blocks: PulseBlocks, space: HilbertSpace, tau, theta0, chi) -> E
         first, second = theta[:, bad[0]].tolist()
         raise ValueError(f"plan step {bad[0]}: drive phases chi = {first!r}, chi - theta0 = {second!r} must be finite")
     pulses = block_unitaries(blocks.generator, np.asarray(tau, dtype=float)[..., None])
-    return Echo(blocks.layout, pulse_at(blocks.index, pulses, space, theta[..., None]))
+    return Echo(blocks.layout, pulse_at(pulses, theta[..., None]))
 
 
 def echo_slots(pulses: np.ndarray, flipped: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -311,7 +311,7 @@ def apply_pair_gate(
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
-    echo = echo_pulses(pulse_generator(p, space, model, gp.m, gp.k, gp.lam), space, gp.tau, gp.theta0, phase_offset)
+    echo = echo_pulses(pulse_generator(p, space, model, gp.m, gp.k, gp.lam), gp.tau, gp.theta0, phase_offset)
     return run_echo(echo, x.reshape(space.dim, -1)).reshape(x.shape)
 
 
@@ -334,7 +334,7 @@ def pair_gate(
     dim = space.dim
     blocks = pulse_generator(p, space, model, gp.m, gp.k, gp.lam)
     # the flip gives the B1 slot, block and position, that each B2 column reads
-    (index, _, flipped), (u1, u2) = echo_pulses(blocks, space, gp.tau, gp.theta0, phase_offset)
+    (index, _, flipped), (u1, u2) = echo_pulses(blocks, gp.tau, gp.theta0, phase_offset)
     block, position = np.divmod(flipped, index.shape[1])
     values = u2[:, :, :, None] * u1[block, position][:, None, :, :]
     out = np.zeros(dim * dim, dtype=complex)

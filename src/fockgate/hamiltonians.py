@@ -323,7 +323,9 @@ def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[
     N - k mod fock_cutoff, for N = 0..fock_cutoff - 1: the blocks N < k hold
     the members that the truncation leaves without an exchange partner.  The
     spin flip sends each member to the same Fock level of the swapped atomic
-    level (|h> stays).
+    level (|h> stays).  Every layout ends its atoms with |e>, (0, 1) or
+    (0, 2, 1), so |e> is the last slot of every block: ``gates.pulse_at``
+    frames pulses by that position.
     """
     nf = space.fock_cutoff
     n = np.arange(nf)

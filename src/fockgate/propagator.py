@@ -8,12 +8,13 @@ triplets) from their eigendecompositions; ``gates.echo_pulses`` frames the
 result into a gate's two pulses.  Every eigh of the package runs in this
 module.
 
-A triplet layer, one (nb, b, b) generator stack, depends only on the device,
-the cutoff and the selected level, never on a gate's angle, duration or
-drive phase, so plans and repeated gates exponentiate the same few layers
-over and over.  ``SPECTRA`` keeps the eigendecomposition of each layer it
-has diagonalised, least recently used first, within a fixed byte budget:
-a repeated layer costs a lookup and the t-dependent reconstruction.
+A gate's triplet layer, and a plan's stack of them, depends only on the
+device, the cutoff and the selected levels, never on an angle, duration or
+drive phase, so a repeated plan, gate or calibration step exponentiates the
+same generator stack again.  ``SPECTRA`` keeps the eigendecomposition of
+each whole stack it has diagonalised, least recently used first, within a
+fixed byte budget: a repeated stack costs one lookup and the t-dependent
+reconstruction.
 
 ``Propagator`` checks and symmetrizes one dense generator and exponentiates
 it as a stack of one block, so dense and block propagation share one path.
@@ -29,52 +30,40 @@ import numpy as np
 from .spaces import hermiticity_defect
 
 HERMITICITY_TOL = 1e-10
-SPECTRA_BUDGET = 1 << 22  # bytes: keys, eigenvalues and eigenvectors of every cached layer
+SPECTRA_BUDGET = 1 << 22  # bytes: keys, eigenvalues and eigenvectors of every cached stack
 
 
 class Spectra:
-    """Eigendecompositions of generator layers, keyed by dtype, shape and bytes, within SPECTRA_BUDGET bytes.
+    """Eigendecompositions of whole generator stacks, keyed by dtype, shape and bytes, within SPECTRA_BUDGET bytes.
 
-    Least recently used layers go first; a layer larger than the budget is
-    not kept.  Stored arrays are read-only.  Misses go through one batched
-    eigh, looked up on this module's ``np`` at call time.
+    Least recently used stacks go first; a stack larger than the budget is
+    not kept.  Stored arrays are read-only.  A miss is one eigh of the whole
+    stack, looked up on this module's ``np`` at call time.
     """
 
     def __init__(self):
         self.nbytes = 0
-        self.entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self.entries: OrderedDict[tuple, tuple[int, tuple[np.ndarray, np.ndarray]]] = OrderedDict()  # (bytes, pair)
         self._lock = threading.Lock()
 
     def eigh(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues and eigenvectors of a (..., nb, b, b) Hermitian stack, one cached layer per (nb, b, b) slice."""
-        layers = H.reshape((-1,) + H.shape[-3:]) if H.size else np.empty((0,) + H.shape[-3:])
-        keys = [(H.dtype.str, layer.shape, layer.tobytes()) for layer in layers]
-        rows = dict(zip(keys, range(len(keys))))  # a layer of each distinct key
+        """The eigenvalues and eigenvectors of a (..., b, b) Hermitian stack."""
+        key = (H.dtype.str, H.shape, H.tobytes())
         with self._lock:
-            pairs = {key: self.entries.get(key) for key in rows}
-        missing = [key for key, pair in pairs.items() if pair is None]
-        if missing:
-            evals, evecs = np.linalg.eigh(layers[[rows[key] for key in missing]])
-            for key, w, v in zip(missing, evals, evecs):
-                pairs[key] = w.copy(), v.copy()
-                for array in pairs[key]:
-                    array.flags.writeable = False
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return self.entries[key][1]
+        pair = np.linalg.eigh(H)
+        for array in pair:
+            array.flags.writeable = False
+        size = len(key[2]) + pair[0].nbytes + pair[1].nbytes  # the key's bytes, eigenvalues and eigenvectors
         with self._lock:
-            for key, pair in pairs.items():  # new and reused layers become the most recently used
-                if key not in self.entries and _size(key, pair) <= SPECTRA_BUDGET:
-                    self.entries[key] = pair
-                    self.nbytes += _size(key, pair)
-                if key in self.entries:
-                    self.entries.move_to_end(key)
-            while self.nbytes > SPECTRA_BUDGET:
-                self.nbytes -= _size(*self.entries.popitem(last=False))
-        return (np.array([pairs[key][0] for key in keys]).reshape(H.shape[:-1]),
-                np.array([pairs[key][1] for key in keys]).reshape(H.shape))
-
-
-def _size(key: tuple, pair: tuple[np.ndarray, np.ndarray]) -> int:
-    """Bytes one cached layer holds: its key's bytes, eigenvalues and eigenvectors."""
-    return len(key[2]) + pair[0].nbytes + pair[1].nbytes
+            if key not in self.entries and size <= SPECTRA_BUDGET:
+                self.entries[key] = size, pair
+                self.nbytes += size
+                while self.nbytes > SPECTRA_BUDGET:
+                    self.nbytes -= self.entries.popitem(last=False)[1][0]
+        return pair
 
 
 SPECTRA = Spectra()
@@ -85,7 +74,7 @@ def block_unitaries(generators: np.ndarray, t) -> np.ndarray:
 
     A doublet gives e^{-iat} [cos(wt) I - i t sinc(wt/pi) (H - aI)], a the mean of its diagonal
     and w = sqrt(((h00 - h11)/2)^2 + |h01|^2), exact for zero and degenerate blocks; larger blocks
-    go through their eigendecompositions, kept per layer in ``SPECTRA``.  A non-finite H or t is a
+    go through their eigendecompositions, kept per stack in ``SPECTRA``.  A non-finite H or t is a
     ValueError.
     """
     H = np.asarray(generators)

@@ -45,9 +45,9 @@ execution and calibration build every step's pulses in one
 ``gates.echo_pulses`` call and share one step routine (``_step_runner``):
 it gathers |+> ⊗ osc straight from the oscillator into the step's block
 layout, runs ``gates.echo_slots`` and gathers the joint state back by the
-inverse layout.  Under "full" the triplet layers of a plan's levels are
-diagonalised once per device and cutoff (``propagator.SPECTRA``), so a
-repeated plan or calibration pays only the reconstruction.  Only
+inverse layout.  Under "full" a plan's stack of triplet layers is
+diagonalised once per device, cutoff and levels (``propagator.SPECTRA``),
+so a repeated plan or calibration pays only the reconstruction.  Only
 under the "ideal" model do gates on disjoint pairs commute: under
 "effective" and "full" every gate puts its own level-dependent dispersive
 phase on the spectator levels.
@@ -136,7 +136,7 @@ class CircuitPlan:
                     element[i] = math.inf
             with np.errstate(all="ignore"):  # overflows and NaNs are what the check looks for
                 expected = lam * element * tau  # multiquantum_coupling_element * tau
-                ok = np.isfinite([phi, tau, theta0, lam, chi, m * theta0, expected]).all(axis=0)
+                ok = np.isfinite([phi, tau, theta0, lam, chi, 2 * (m * theta0), expected]).all(axis=0)
                 ok &= np.abs(phi - expected) <= np.maximum(1e-9 * np.maximum(np.abs(phi), np.abs(expected)), 1e-12)
             first = int(np.argmin(ok)) if not ok.all() else len(ok)
         for i in range(first, len(m)):
@@ -347,20 +347,22 @@ def execute_plan(
     against the initial state; target support beyond the cutoff is an error.
     """
     initial = np.asarray(initial, dtype=complex)
-    if initial.ndim != 1 or not np.isfinite(initial).all() or not initial.any():
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below, not warned about
+        norm = np.linalg.norm(initial) if initial.ndim == 1 else np.nan
+    if not 0.0 < norm < np.inf:  # also a non-finite entry, or a norm that underflows to 0
         raise ValueError(f"initial must be a finite 1-d state of nonzero norm, shape {initial.shape}")
     if len(initial) > space.fock_cutoff:
         raise ValueError("initial state longer than the Fock cutoff")
-    source = plan.target if plan.target is not None else initial / np.linalg.norm(initial)
+    source = plan.target if plan.target is not None else initial / norm
     if np.any(np.abs(source[space.fock_cutoff :]) > 1e-12):
         raise ValueError(f"target has support beyond the Fock cutoff {space.fock_cutoff}")
 
     osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
-    osc[: len(initial), 0] = initial / np.linalg.norm(initial)
+    osc[: len(initial), 0] = initial / norm
 
     blocks = _plan_blocks(plan, p, space, model)
     step = _step_runner(blocks.layout, space)
-    pulses = echo_pulses(blocks, space, plan.tau, plan.theta0, plan.chi).pulses
+    pulses = echo_pulses(blocks, plan.tau, plan.theta0, plan.chi).pulses
     joints = []
     atom_overlaps: list[float] = []
     for i in range(len(plan)):
@@ -417,7 +419,7 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        base, *moved = [echo_pulses(stack, space, at.tau, at.theta0, at.chi).pulses
+        base, *moved = [echo_pulses(stack, at.tau, at.theta0, at.chi).pulses
                         for at in (plan_at(x + np.tile(d, len(plan))) for d in moves)]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
         for i in range(len(plan)):

@@ -187,7 +187,7 @@ def run_validation(
     levels, phis, z = (np.array(column) for column in zip(*draws))
     alpha, beta = (z / np.linalg.norm(z, axis=1, keepdims=True)).view(complex).T  # z0 + i z1, z2 + i z3
     (tau,), (theta0,) = raman_columns([p], levels, phis)
-    echo = echo_pulses(ideal_blocks(p, space, levels), space, tau, theta0, 0.0)
+    echo = echo_pulses(ideal_blocks(p, space, levels), tau, theta0, 0.0)
     prepared, expected = closed_form_states(space, levels, phis, -theta0 if corrupt_theta0 else theta0, alpha, beta)
     fids = fidelity(expected, run_echo(echo, prepared[..., None])[..., 0], space)
     worst = max(0.0, float(np.max(1.0 - fids)))

@@ -418,9 +418,9 @@ def test_gate_params_reject_non_finite(name, value):
         GateParams(**kwargs)
 
 
-@pytest.mark.parametrize("theta0", [1e308, -1e308])
+@pytest.mark.parametrize("theta0", [1e308, -1e308, 6e307, -6e307])
 def test_gate_params_reject_overflowing_eta(theta0):
-    # eta = m*theta0 is derived, and checked like the stored phases
+    # 2*eta = 2*m*theta0, the closed form's phase, is derived and checked like the stored phases
     with pytest.raises(ValueError, match="eta must be finite"):
         GateParams(m=2, tau=1.0, lam=0.01, theta0=theta0, phi=0.01 * np.sqrt(2))
 
@@ -502,6 +502,7 @@ def test_every_block_layout_is_a_permutation(case, data):
     assert np.array_equal(rows[blocks.layout.inverse], np.arange(space.dim))
     flip = tensor(spin_flip(space.atom_dim), np.eye(cutoff)).real.astype(int)
     assert np.array_equal(rows[blocks.layout.flipped], np.argmax(flip[blocks.index], axis=-1))
+    assert np.array_equal(blocks.index[:, -1] // cutoff, np.ones(cutoff))  # |e> is every block's last slot
     folded = blocks.generator[:k]
     assert not np.any(folded[:, 0, 1:]) and not np.any(folded[:, 1:, 0])
 
@@ -542,13 +543,13 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)
     pulse = block_unitaries(blocks.generator, gp.tau)
-    echo = echo_pulses(blocks, space, gp.tau, gp.theta0, chi)
+    echo = echo_pulses(blocks, gp.tau, gp.theta0, chi)
     dense = []
     for angle, framed_pulse in zip((chi, chi - gp.theta0), echo.pulses):
         h = dense_pulse(gp, p, space, model, angle)
-        framed = pulse_at(blocks.index, blocks.generator, space, angle)
+        framed = pulse_at(blocks.generator, angle)
         assert max_abs(joint_matrix(blocks.index, framed, space) - h) < 1e-15
-        u_blocks = joint_matrix(blocks.index, pulse_at(blocks.index, pulse, space, angle), space)
+        u_blocks = joint_matrix(blocks.index, pulse_at(pulse, angle), space)
         u_expm = expm(-1j * h * gp.tau)
         u_prop = Propagator(h).unitary(gp.tau)
         assert max_abs(u_blocks - u_expm) < 1e-12
@@ -607,8 +608,8 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     base = BLOCK_BUILDERS[case](p, space, gp)
     assert not np.any(base.generator.imag)
     b0 = block_unitaries(base.generator, tau)
-    at_theta = pulse_at(base.index, base.generator, space, theta)
-    framed = pulse_at(base.index, b0, space, theta)
+    at_theta = pulse_at(base.generator, theta)
+    framed = pulse_at(b0, theta)
     eigh_theta = joint_matrix(base.index, block_unitaries(at_theta, tau), space)
     assert max_abs(joint_matrix(base.index, framed, space) - eigh_theta) < 1e-12
 
@@ -620,10 +621,10 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     assert max_abs(joint_matrix(base.index, framed, space) - u_expm) < 1e-12
     # phases per block row, stacked over two frames, match one call per block and frame
     per_row = theta * np.linspace(-1.0, 1.0, len(base.index))
-    stacked = pulse_at(base.index, b0, space, [per_row, -per_row])
+    stacked = pulse_at(b0, [per_row, -per_row])
     for frame, phases in zip(stacked, (per_row, -per_row)):
         for i, phase in enumerate(phases):
-            assert np.array_equal(frame[i], pulse_at(base.index[i : i + 1], b0[i : i + 1], space, phase)[0])
+            assert np.array_equal(frame[i], pulse_at(b0[i : i + 1], phase)[0])
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_BUILDERS))
@@ -676,7 +677,7 @@ def test_one_echo_runs_a_batch_of_gates(model, seed, count):
     gates = [GateParams.from_raman(p, m=3, phi=phi) for phi in rng.uniform(0.0, 1.5, count)]
     chis = rng.uniform(-np.pi, np.pi, count)
     echo = echo_pulses(
-        pulse_generator(p, space, model, 3), space, [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis
+        pulse_generator(p, space, model, 3), [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis
     )
     assert echo.pulses.shape[:2] == (2, count)
     states = rng.normal(size=(count, space.dim)) + 1j * rng.normal(size=(count, space.dim))

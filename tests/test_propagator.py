@@ -233,41 +233,49 @@ def _triplet_layers(rng, count, nb):
 
 
 def _cached_bytes(cache):
-    return sum(len(key[2]) + w.nbytes + v.nbytes for key, (w, v) in cache.entries.items())
+    """The bytes of every cached stack, its key's bytes, eigenvalues and eigenvectors, as its entry records them."""
+    sizes = [size for size, _ in cache.entries.values()]
+    assert sizes == [len(key[2]) + w.nbytes + v.nbytes for key, (_, (w, v)) in cache.entries.items()]
+    return sum(sizes)
 
 
 def test_spectra_cache_keeps_its_byte_budget(monkeypatch):
-    """More distinct layers than the budget holds: the cache stays within it, and cached arrays are read-only.
+    """More distinct stacks than the budget holds: the cache stays within it, and cached arrays are read-only.
 
-    A layer evicted recomputes, by one more eigh, to the identical unitary; a
-    layer still cached needs none.  A layer larger than the whole budget is
-    exponentiated but not kept.
+    Each whole stack is one entry.  A stack evicted recomputes, by one more
+    eigh of the whole stack, to the identical unitary; a stack still cached
+    needs none.  A stack of cached layers is a new stack, diagonalised whole.
+    A stack larger than the whole budget is exponentiated but not kept.
     """
     cache = propagator.Spectra()
     monkeypatch.setattr(propagator, "SPECTRA", cache)
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(len(a)) or eigh(a, *args, **kwargs))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(a.shape) or eigh(a, *args, **kwargs))
     nb = 1024
-    per_layer = nb * 9 * 8 + nb * 3 * 8 + nb * 9 * 8  # the key's bytes, eigenvalues and eigenvectors
-    layers = _triplet_layers(np.random.default_rng(3), 3 * propagator.SPECTRA_BUDGET // per_layer, nb)
+    per_stack = nb * 9 * 8 + nb * 3 * 8 + nb * 9 * 8  # the key's bytes, eigenvalues and eigenvectors
+    layers = _triplet_layers(np.random.default_rng(3), 3 * propagator.SPECTRA_BUDGET // per_stack, nb)
     first = []
     for H in layers:
         first.append(block_unitaries(H, 0.7))
         assert 0 < cache.nbytes <= propagator.SPECTRA_BUDGET
         assert cache.nbytes == _cached_bytes(cache)
-    assert len(calls) == len(layers) and len(cache.entries) == propagator.SPECTRA_BUDGET // per_layer
+    assert len(calls) == len(layers) and len(cache.entries) == propagator.SPECTRA_BUDGET // per_stack
     del calls[:]
     assert np.array_equal(block_unitaries(layers[-1], 0.7), first[-1]) and calls == []
-    assert np.array_equal(block_unitaries(layers[0], 0.7), first[0]) and calls == [1]
-    assert np.array_equal(block_unitaries(layers[:2], 0.7), first[:2]) and calls == [1, 1]  # layer 1 alone
-    for w, v in cache.entries.values():
+    assert np.array_equal(block_unitaries(layers[0], 0.7), first[0]) and calls == [(nb, 3, 3)]
+    assert np.array_equal(block_unitaries(layers[:2], 0.7), first[:2]) and calls == [(nb, 3, 3), (2, nb, 3, 3)]
+    assert cache.nbytes == _cached_bytes(cache) <= propagator.SPECTRA_BUDGET
+    for _, (w, v) in cache.entries.values():
         for array in (w, v):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
     kept = dict(cache.entries)
+    del calls[:]
     huge = _triplet_layers(np.random.default_rng(4), 1, propagator.SPECTRA_BUDGET // 168 + 1)[0]
     assert np.array_equal(block_unitaries(huge[:5], 0.3), block_unitaries(huge, 0.3)[:5])
+    assert np.array_equal(block_unitaries(huge, 0.3), block_unitaries(huge, 0.3))
+    assert calls == [(5, 3, 3)] + 3 * [huge.shape]  # the over-budget stack is diagonalised on every call
     assert cache.entries.keys() - kept.keys() == {("<f8", (5, 3, 3), huge[:5].tobytes())}
 
 

@@ -362,10 +362,11 @@ def test_empty_plan_returns_initial(params):
 @pytest.mark.parametrize("with_steps", [False, True])
 @pytest.mark.parametrize(
     "initial",
-    [np.array([]), np.array([0.0, 0.0]), np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.ones((2, 1))],
+    [np.array([]), np.array([0.0, 0.0]), np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.ones((2, 1)),
+     np.array([1e-320]), np.array([1e308, 1e308])],
 )
 def test_execute_plan_rejects_bad_initial(params, initial, with_steps):
-    # empty, zero, non-finite or not 1-d: named up front, not NaN fidelities one step in
+    # empty, zero, non-finite, not 1-d, or a norm that underflows or overflows: named up front, not NaN fidelities
     plan = plan_superposition(0.6, 0.8, 2, params) if with_steps else CircuitPlan()
     with pytest.raises(ValueError, match="initial must be"):
         execute_plan(plan, initial, "effective", params, HilbertSpace(2, 6))
@@ -900,17 +901,18 @@ def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_st
 
 @pytest.mark.parametrize("model", ["ideal", "effective", "full"])
 def test_only_the_full_model_diagonalises(params, model, monkeypatch):
-    """Doublets are exponentiated in closed form, and full diagonalises only triplet layers it has not seen.
+    """Doublets are exponentiated in closed form, and full diagonalises only generator stacks it has not seen.
 
     From a cold cache, ideal and effective plans, gates and calibrations
-    make no eigh call.  Full diagonalises each level of its first plan once,
-    in one call; the same plan again, and a gate on one of its levels, make
-    none, and a plan one level higher diagonalises that level alone.  Warm
-    results equal cold ones with ==.
+    make no eigh call.  Full diagonalises its first plan's stack in one
+    call and the same plan again in none; a gate on one of the plan's
+    levels is one more stack, diagonalised once.  The calibrated compile
+    makes none, a plan one level higher is one new stack, and so is an
+    empty plan.  Warm results equal cold ones with ==.
     """
-    layers = []  # the layers of each eigh call
+    shapes = []  # the stack of each eigh call
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: layers.append(len(a)) or eigh(a, *args, **kwargs))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: shapes.append(a.shape) or eigh(a, *args, **kwargs))
     monkeypatch.setattr(propagator, "SPECTRA", propagator.Spectra())
     phase_model = "ideal" if model == "ideal" else "effective"
     plan = plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, phase_model)
@@ -919,18 +921,22 @@ def test_only_the_full_model_diagonalises(params, model, monkeypatch):
         "plan": lambda: execute_plan(plan, np.array([1.0]), model, params, space),
         "plan again": lambda: execute_plan(plan, np.array([1.0]), model, params, space),
         "gate": lambda: pair_gate(plan.steps[1].gate, params, space, model, 0.3),
+        "gate again": lambda: pair_gate(plan.steps[1].gate, params, space, model, 0.3),
         "calibrated": lambda: plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 3, params, "calibrated"),
         "higher plan": lambda: execute_plan(plan_superposition(np.sqrt(0.5), np.sqrt(0.5), 4, params, phase_model),
                                             np.array([1.0]), model, params, space),
+        "empty plan": lambda: execute_plan(CircuitPlan(), np.array([1.0]), model, params, space),
     }
     calls, warm = {}, {}
     for name, run in runs.items():
-        before = len(layers)
+        before = len(shapes)
         warm[name] = run()
-        calls[name] = layers[before:]
+        calls[name] = shapes[before:]
     full = model == "full"
-    assert calls == {"plan": [3] if full else [], "plan again": [], "gate": [], "calibrated": [],
-                     "higher plan": [1] if full else []}
+    assert calls == {"plan": [(3, 7, 3, 3)] if full else [], "plan again": [], "gate": [(7, 3, 3)] if full else [],
+                     "gate again": [], "calibrated": [], "higher plan": [(4, 7, 3, 3)] if full else [],
+                     "empty plan": [(0, 7, 3, 3)] if full else []}
+    assert np.array_equal(warm["gate"], warm["gate again"])
     monkeypatch.setattr(propagator, "SPECTRA", propagator.Spectra())
     cold_gate = runs["gate"]()
     assert np.array_equal(cold_gate, warm["gate"])
@@ -1023,6 +1029,8 @@ def test_plan_columns_are_checked_like_gates(params):
         replace(plan, phi=[0.4, 0.5])
     with pytest.raises(ValueError, match="1-d and of one length"):
         replace(plan, chi=[0.0])
+    with pytest.raises(ValueError, match=r"^plan step 1: 2\*eta must be finite"):  # eta = 2 * 6e307 is finite
+        replace(plan, theta0=[gate.theta0, 6e307])
 
 
 def test_plan_paths_build_no_gate_per_step(params, tmp_path, monkeypatch):
