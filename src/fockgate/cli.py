@@ -77,7 +77,7 @@ def _gate_record(cfg: RunConfig, model: str, config: dict) -> dict:
         "task": "gate",
         "model": model,
         "fidelity": min(1.0, fid),
-        "leakage": leakage(psi, gp.m, gp.k, space),
+        "leakage": leakage(psi, gp.m, space),
         "guard_population": float(fock_populations(psi, space)[space.guard_level]),
         "purity": purity(rho),
         "duration_s": time.perf_counter() - start,
@@ -121,7 +121,7 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
     echo = echo_pulses(PulseBlocks(blocks[0].layout, generators), tau, theta0, 0.0)
     prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
     psis = run_echo(echo, prepared[..., None])[..., 0]
-    fids, leaks = fidelity(expected, psis, space), leakage(psis, m, 1, space)
+    fids, leaks = fidelity(expected, psis, space), leakage(psis, m, space)
     return [
         {"r": ratio, "model": model, "fidelity": float(f), "leakage": float(leak), "gate_time": float(t)}
         for ratio, f, leak, t in zip(cfg.sweep.ratios, fids.mean(axis=1), leaks.mean(axis=1), tau.mean(axis=1))

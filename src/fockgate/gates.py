@@ -44,9 +44,12 @@ per level and device serves both pulses and every offset and duration.
 gather through the flip's slots, pulse.  ``run_echo`` gathers joint states
 into that layout and back (``apply_pair_gate``, the sweep, validation's
 sampled gates); plan execution and calibration gather |+> ⊗ osc into it
-straight from the oscillator.  ``pair_gate`` sums the dense unitary from
+straight from the oscillator.  ``pair_gate`` writes the dense unitary from
 the same pulses, the flip's slots naming the first-pulse entry of each
-product.  The dense builders serve as the
+product.  Every gate exchanges one quantum, on the adjacent pair
+{m-1, m}: adjacent pairs are all that a ladder of two-by-two rotations
+needs to reach any oscillator state or unitary (Reck et al., PRL 73, 58
+(1994); Law and Eberly, PRL 76, 1055 (1996)).  The dense builders serve as the
 oracle in validation and the tests; ``Propagator`` runs the same
 ``block_unitaries`` on one dense block.
 """
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -63,13 +66,10 @@ from .hamiltonians import (
     BlockLayout,
     PulseBlocks,
     RamanParams,
-    _require_cutoff,
     decompose_effective,
     effective_blocks,
     full_blocks,
     ideal_blocks,
-    multiquantum_blocks,
-    multiquantum_coupling_element,
 )
 from .hamiltonians import effective_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
 from .hamiltonians import full_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
@@ -88,12 +88,12 @@ def model_space(model: str, fock_cutoff: int) -> HilbertSpace:
 
 @dataclass(frozen=True)
 class GateParams:
-    """Derived quantities of one three-step gate on the pair {m-k, m}.
+    """Derived quantities of one three-step gate on the pair {m-1, m}.
 
     phi is the rotation half-angle, equal to the doublet coupling element
-    times tau; theta0 = (g^2/delta)*tau is the dispersive phase per pulse and
-    eta = m*theta0 its echo on level m.  k = 1 is the cavity case; for k > 1
-    the dispersive structure is not modeled and theta0 = eta = 0.
+    lam*sqrt(m) times tau; theta0 = (g^2/delta)*tau is the dispersive phase
+    per pulse and eta = m*theta0 its echo on level m.  Every gate exchanges
+    one quantum: k is 1 on the class, not a field.
     """
 
     m: int
@@ -101,12 +101,11 @@ class GateParams:
     lam: float
     theta0: float
     phi: float
-    k: int = 1
+    k: ClassVar[int] = 1
 
     def __post_init__(self):
-        for name, value in (("m", self.m), ("k", self.k)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         try:
             eta = self.eta
         except OverflowError:  # m * theta0 takes m as a float
@@ -117,10 +116,6 @@ class GateParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.m - self.k < 0:
-            raise ValueError(f"pair {{{self.m - self.k}, {self.m}}} infeasible: m - k < 0")
         expected_phi = self.coupling_element * self.tau
         if not math.isclose(self.phi, expected_phi, rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError(
@@ -134,25 +129,24 @@ class GateParams:
 
     @property
     def coupling_element(self) -> float:
-        """Exchange matrix element of the selected doublet."""
-        return multiquantum_coupling_element(self.lam, self.m, self.k)
+        """Exchange matrix element lam*sqrt(m) of the selected doublet {|g,m>, |e,m-1>}."""
+        return self.lam * math.sqrt(self.m)
 
     @property
     def pair(self) -> tuple[int, int]:
-        return (self.m - self.k, self.m)
+        return (self.m - 1, self.m)
 
     @classmethod
     def from_raman(cls, p: RamanParams, m: int, phi: float) -> "GateParams":
-        """Single-quantum gate at angle phi: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau."""
+        """Gate at angle phi: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau."""
         lam = p.coupling
-        tau = _duration(phi, lam * math.sqrt(m))
-        return cls(m=m, tau=tau, lam=lam, theta0=p.dispersive_rate * tau, phi=phi, k=1)
-
-    @classmethod
-    def from_multiquantum(cls, lam_k: float, m: int, k: int, phi: float) -> "GateParams":
-        """k-quantum gate on {m-k, m} at angle phi; pure exchange, no dispersive phases."""
-        tau = _duration(phi, multiquantum_coupling_element(lam_k, m, k))
-        return cls(m=m, tau=tau, lam=lam_k, theta0=0.0, phi=phi, k=k)
+        element = lam * math.sqrt(m)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        if element == 0.0:
+            raise ValueError("cannot derive tau from phi with zero coupling")
+        tau = phi / element
+        return cls(m=m, tau=tau, lam=lam, theta0=p.dispersive_rate * tau, phi=phi)
 
 
 def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -172,15 +166,6 @@ def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.nd
         for i, j in zip(*np.nonzero(bad)):
             GateParams.from_raman(devices[i], m=int(m[j]), phi=float(phi[j]))
     return tau, theta0
-
-
-def _duration(phi: float, element: float) -> float:
-    """Pulse duration tau = phi / element of a gate at angle phi on a doublet with coupling ``element``."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
-    if element == 0.0:
-        raise ValueError("cannot derive tau from phi with zero coupling")
-    return phi / element
 
 
 def spin_flip(atom_dim: int) -> np.ndarray:
@@ -204,23 +189,15 @@ def atom_minus(atom_dim: int) -> np.ndarray:
     return v
 
 
-def pulse_generator(
-    p: RamanParams, space: HilbertSpace, model: str, m, k: int = 1, lam_k: float | None = None
-) -> PulseBlocks:
+def pulse_generator(p: RamanParams, space: HilbertSpace, model: str, m) -> PulseBlocks:
     """H0, the block generator at drive phase 0 (real for every model) of the pulses on level m.
 
-    For k = 1, m may be an array of levels, for a (..., nb, b, b) stack; the
-    first level whose guard level lies outside the space is named.  k > 1
-    ("ideal" only) takes the k-quantum rate lam_k; k = 1 takes the device's.
+    m may be an array of levels, for a (..., nb, b, b) stack on one layout;
+    the first level whose guard level lies outside the space is named.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    if k == 1:  # each builder checks its levels
-        return {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model](p, space, m)
-    _require_cutoff(space, m)
-    if model != "ideal":
-        raise ValueError(f"{model} model is defined for k = 1 only")
-    return multiquantum_blocks(k, lam_k, m, space)
+    return {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model](p, space, m)
 
 
 def pulse_at(pulse: np.ndarray, theta) -> np.ndarray:
@@ -251,11 +228,11 @@ class Echo(NamedTuple):
 def echo_pulses(blocks: PulseBlocks, tau, theta0, chi) -> Echo:
     """The echo pulse(chi) -> flip -> pulse(chi - theta0) of one gate or a batch, for ``run_echo``.
 
-    ``blocks`` is a phase-0 stack, generator (..., nb, b, b) and a layout
-    of (nb, b) slots or one per gate; tau, theta0 and chi broadcast against its
-    gate axes.  One ``block_unitaries`` call, framed by ``pulse_at`` from one
-    complex exp per pulse and gate.  A non-finite drive phase is a
-    ValueError; in a batch it names the gate as a plan step.
+    ``blocks`` is a phase-0 stack, generator (..., nb, b, b) on one layout
+    of (nb, b) slots; tau, theta0 and chi broadcast against its gate axes.
+    One ``block_unitaries`` call, framed by ``pulse_at`` from one complex
+    exp per pulse and gate.  A non-finite drive phase is a ValueError; in a
+    batch it names the gate as a plan step.
     """
     theta = np.empty((2,) + np.broadcast(chi, theta0).shape)  # chi and chi - theta0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
@@ -304,14 +281,14 @@ def apply_pair_gate(
     x is a joint state of shape (dim,) or a (dim, k) stack of columns; any
     other shape is a ValueError.  The gate runs block by block (``run_echo``).
     model selects the pulse: "ideal" keeps only the pair self-energy and
-    resonant coupling (exactly confined to {m-k, m}); "effective" uses the
+    resonant coupling (exactly confined to {m-1, m}); "effective" uses the
     eliminated two-level model with all its detuned exchange channels;
     "full" keeps the explicit third level.
     """
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
-    echo = echo_pulses(pulse_generator(p, space, model, gp.m, gp.k, gp.lam), gp.tau, gp.theta0, phase_offset)
+    echo = echo_pulses(pulse_generator(p, space, model, gp.m), gp.tau, gp.theta0, phase_offset)
     return run_echo(echo, x.reshape(space.dim, -1)).reshape(x.shape)
 
 
@@ -322,39 +299,39 @@ def pair_gate(
     model: str = "ideal",
     phase_offset: float = 0.0,
 ) -> np.ndarray:
-    """Dense unitary of ``apply_pair_gate``, summed entry by entry from the blocks.
+    """Dense unitary of ``apply_pair_gate``, written entry by entry from the blocks.
 
     U = B2 F B1 with block-diagonal pulses B1, B2 and the flip F.  Row s of
     F B1 is row order[s] of B1, nonzero only on the columns of one B1
-    block, so each B2 block contributes b^3 products.  They are summed, not
-    assigned: the flip shifts N by +k on |g>, -k on |e> and 0 on |h>, mod
-    fock_cutoff, so at fock_cutoff = 2k two members of one B2 block read
-    the same B1 block.
+    block, so each B2 block contributes b^3 products.  The flip shifts N by
+    +1 on |g>, -1 on |e> and 0 on |h>, mod fock_cutoff, so at every cutoff a
+    gate allows (3 and up) the members of one B2 block read distinct B1
+    blocks, and each entry of U is one product.
     """
     dim = space.dim
-    blocks = pulse_generator(p, space, model, gp.m, gp.k, gp.lam)
+    blocks = pulse_generator(p, space, model, gp.m)
     # the flip gives the B1 slot, block and position, that each B2 column reads
     (index, _, flipped), (u1, u2) = echo_pulses(blocks, gp.tau, gp.theta0, phase_offset)
     block, position = np.divmod(flipped, index.shape[1])
     values = u2[:, :, :, None] * u1[block, position][:, None, :, :]
     out = np.zeros(dim * dim, dtype=complex)
-    np.add.at(out, (dim * index[:, :, None, None] + index[block][:, None, :, :]).ravel(), values.ravel())
+    out[(dim * index[:, :, None, None] + index[block][:, None, :, :]).ravel()] = values.ravel()
     return out.reshape(dim, dim)
 
 
 def rotation_matrix(gp: GateParams, atom_sign: int = +1, phase_offset: float = 0.0) -> np.ndarray:
-    """Closed-form 2x2 rotation induced on (|m-k>, |m>) for atom input |+> or |->.
+    """Closed-form 2x2 rotation induced on (|m-1>, |m>) for atom input |+> or |->.
 
     atom_sign = +1 for |+>, -1 for |->; the latter flips the rotation sense
     and carries a global -1 from the spin flip.
     """
     if atom_sign not in (+1, -1):
         raise ValueError(f"atom_sign must be +1 or -1, got {atom_sign}")
-    return np.array(_rotated(gp.m, gp.phi, gp.theta0, *np.eye(2), atom_sign, phase_offset))  # columns: |m-k>, |m>
+    return np.array(_rotated(gp.m, gp.phi, gp.theta0, *np.eye(2), atom_sign, phase_offset))  # columns: |m-1>, |m>
 
 
 def _rotated(m, phi, theta0, alpha, beta, atom_sign: int = +1, chi: float = 0.0) -> tuple:
-    """(c_{m-k}, c_m) that ``rotation_matrix`` makes of alpha|m-k> + beta|m>; all arguments broadcast."""
+    """(c_{m-1}, c_m) that ``rotation_matrix`` makes of alpha|m-1> + beta|m>; all arguments broadcast."""
     phi, theta0 = np.multiply(atom_sign, phi), np.asarray(theta0)
     c, s, offset = np.cos(phi), -1j * np.sin(phi), np.exp(1j * chi)
     echo = atom_sign * np.exp(-2j * (m * theta0))  # e^{-2i eta}, and the flip's -1 for |->
@@ -368,30 +345,36 @@ def closed_form_rotation(
     atom_sign: int = +1,
     phase_offset: float = 0.0,
 ) -> np.ndarray:
-    """Final (c_{m-k}, c_m) for pair input alpha|m-k> + beta|m>."""
+    """Final (c_{m-1}, c_m) for pair input alpha|m-1> + beta|m>."""
     nrm = abs(alpha) ** 2 + abs(beta) ** 2
     if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
     return rotation_matrix(gp, atom_sign, phase_offset) @ np.array([alpha, beta], dtype=complex)
 
 
-def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """|+> ⊗ (alpha|m-k> + beta|m>) and |+> ⊗ the pair as the closed form maps it, as (..., dim) stacks.
+def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """|+> ⊗ (alpha|m-1> + beta|m>) and |+> ⊗ the pair as the closed form maps it, as (..., dim) stacks.
 
     m, phi, theta0, alpha and beta broadcast together, one gate each (scalars:
     one (dim,) state each); the map is ``rotation_matrix`` of such a gate for
-    atom |+>.  |alpha|^2 + |beta|^2 off 1 by more than 1e-9, or an m at or
-    above fock_cutoff, is a ValueError.
+    atom |+>.  |alpha|^2 + |beta|^2 off 1 by more than 1e-9, an m at or
+    above fock_cutoff, or a phi, theta0 or 2*eta = 2*(m*theta0) that is not
+    finite (``GateParams``' rule), is a ValueError.
     """
     m, alpha, beta = np.asarray(m), np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
     if (m >= space.fock_cutoff).any():
         raise ValueError(f"m = {m.max()} lies outside fock_cutoff {space.fock_cutoff}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
+        doubled = 2 * (m * np.asarray(theta0))
+    for name, value in (("phi", phi), ("theta0", theta0), ("2*eta", doubled)):  # the closed form's e^{-2i eta}
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     nrm = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     if not (np.abs(nrm - 1.0) <= 1e-9).all():
         raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
     amps = np.array(np.broadcast_arrays(alpha, beta, *_rotated(m, phi, theta0, alpha, beta)))[..., None]
     levels = np.arange(space.fock_cutoff)  # the pair's levels of each gate, as masks
-    osc = (levels == (m - k)[..., None]) * amps[0::2] + (levels == m[..., None]) * amps[1::2]
+    osc = (levels == (m - 1)[..., None]) * amps[0::2] + (levels == m[..., None]) * amps[1::2]
     joint = atom_plus(space.atom_dim)[:, None] * osc[..., None, :]
     return tuple(joint.reshape(osc.shape[:-1] + (space.dim,)))
 
@@ -403,12 +386,12 @@ def closed_form_check(
     alpha: complex,
     beta: complex,
 ) -> tuple[np.ndarray, float]:
-    """Apply U to |+> ⊗ (alpha|m-k> + beta|m>) and score it against the closed form.
+    """Apply U to |+> ⊗ (alpha|m-1> + beta|m>) and score it against the closed form.
 
     Returns the output joint state and its fidelity with |+> ⊗ the pair as
     ``closed_form_rotation`` maps it under ``gp``.
     """
-    prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta, gp.k)
+    prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta)
     psi = U @ prepared
     return psi, fidelity(expected, psi, space)
 
@@ -452,16 +435,16 @@ def combined_echo_coupling(gp: GateParams, space: HilbertSpace, angle: float) ->
     return gp.phi * tensor(atom_part, osc)
 
 
-def leakage(psi: np.ndarray, m: int, k: int, space: HilbertSpace):
-    """Population outside the Fock pair {m-k, m}, summed over atomic levels.
+def leakage(psi: np.ndarray, m: int, space: HilbertSpace):
+    """Population outside the Fock pair {m-1, m}, summed over atomic levels.
 
     A float for one joint state (dim,), an array for a (..., dim) stack.  A
-    pair outside the space (m - k < 0 or m >= fock_cutoff) is a ValueError.
+    pair outside the space (m < 1 or m >= fock_cutoff) is a ValueError.
     """
-    if m - k < 0 or m >= space.fock_cutoff:
-        raise ValueError(f"pair {{{m - k}, {m}}} lies outside the Fock levels 0..{space.fock_cutoff - 1}")
+    if m < 1 or m >= space.fock_cutoff:
+        raise ValueError(f"pair {{{m - 1}, {m}}} lies outside the Fock levels 0..{space.fock_cutoff - 1}")
     pops = fock_populations(psi, space)
-    value = np.add.reduce(pops, axis=-1) - (pops[..., m - k] + pops[..., m])
+    value = np.add.reduce(pops, axis=-1) - (pops[..., m - 1] + pops[..., m])
     return float(value) if pops.ndim == 1 else value
 
 

@@ -18,29 +18,29 @@ throughout; every coefficient is an angular frequency.
 
 Every pulse conserves the excitation number N = a†a + |e><e| + |h><h|, so
 its generator is block diagonal: doublets {|g,N>, |e,N-1>} (effective and
-ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full); a k-quantum pulse
-conserves a†a + k|e><e| and splits into {|g,N>, |e,N-k>}.  The
-``*_blocks`` builders return that structure directly as ``PulseBlocks``: a
+ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full).  The ``*_blocks``
+builders return that structure directly as ``PulseBlocks``: a
 ``BlockLayout`` (the joint row of each block slot, its inverse, and the spin
 flip as a permutation of slots, built once per layout) and a stack of small
 real generators at drive phase 0 (no theta: ``gates.pulse_at`` applies it
-as a diagonal frame); the ideal, effective and full builders take one level
-or an array of levels, which gives a (..., nb, b, b) stack on one layout.  The ideal pulse writes no
+as a diagonal frame); each builder takes one level or an array of levels,
+which gives a (..., nb, b, b) stack on one layout.  The ideal pulse writes no
 entry of its own: it is the effective pulse with every entry off the
 selected pair set to zero.  Every layout is a permutation of the joint
-basis in fock_cutoff blocks.  The truncation leaves |g,N> for
-N < k and the top k levels of |e> (and |h>) without an exchange partner;
-levels N - k are taken mod fock_cutoff, so these share the blocks N < k,
-where the exchange (a factor sqrt(N!/(N-k)!)) vanishes.
+basis in fock_cutoff blocks.  The truncation leaves |g,0> and the top level
+of |e> (and |h>) without an exchange partner; level N - 1 is taken mod
+fock_cutoff, so these share block 0, where the exchange (a factor
+sqrt(N)) vanishes.
 Gates run on these; the dense builders are the oracle of validation and
-the tests.
+the tests.  ``multiquantum_hamiltonian``, a dense exchange of several
+quanta, is only the reference model of acceptance check A10: no gate or
+plan runs it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -243,11 +243,11 @@ def effective_detuning(n: int, m: int, p: RamanParams) -> float:
     return p.dispersive_rate * (n - m)
 
 
-def _require_doublet(k: int, m: int, space: HilbertSpace):
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < k:
-        raise ValueError(f"no doublet {{|g,{m}>, |e,{m - k}>}}: need m >= k")
+def _require_doublet(quanta: int, m: int, space: HilbertSpace):
+    if quanta < 1:
+        raise ValueError(f"quanta must be >= 1, got {quanta}")
+    if m < quanta:
+        raise ValueError(f"no doublet {{|g,{m}>, |e,{m - quanta}>}}: need m >= quanta")
     if space.atom_dim != 2:
         raise ValueError(f"multiquantum model needs atom_dim = 2, got {space.atom_dim}")
     if space.fock_cutoff < m + 1:
@@ -255,34 +255,21 @@ def _require_doublet(k: int, m: int, space: HilbertSpace):
 
 
 def multiquantum_hamiltonian(
-    k: int, lam_k: float, theta: float, m: int, space: HilbertSpace
+    quanta: int, rate: float, theta: float, m: int, space: HilbertSpace
 ) -> np.ndarray:
-    """k-quantum exchange coupling lam_k*(e^{i theta}|g><e| a†^k + h.c.).
+    """Dense exchange of q = ``quanta`` quanta, rate*(e^{i theta}|g><e| a†^q + h.c.): check A10's reference model.
 
-    Selects doublets {|g,n>, |e,n-k>}; the chosen one is {|g,m>, |e,m-k>} with
-    matrix element lam_k*sqrt(m!/(m-k)!).  lam_k is a free rate (for trapped
-    ions it follows from the sideband expansion; it is not derived here).
-    The raising term carries e^{i theta} so the operator is Hermitian for any
-    phase.  Fock levels below k are annihilated by a^k and stay uncoupled.
+    It couples doublets {|g,n>, |e,n-q>}, the one at n = m with element
+    rate*sqrt(m!/(m-q)!); the rate is free (for trapped ions it follows
+    from the sideband expansion; it is not derived here).  The raising term
+    carries e^{i theta} so the operator is Hermitian for any phase.  Fock
+    levels below q are annihilated by a^q and stay uncoupled.  No gate or
+    plan runs this model: every gate exchanges one quantum, on {m-1, m}.
     """
-    _require_doublet(k, m, space)
-    a_k = np.linalg.matrix_power(annihilation(space.fock_cutoff), k)
-    raise_term = lam_k * np.exp(1j * theta) * tensor(atomic_sigma("g", "e", 2), a_k.conj().T)
+    _require_doublet(quanta, m, space)
+    a_q = np.linalg.matrix_power(annihilation(space.fock_cutoff), quanta)
+    raise_term = rate * np.exp(1j * theta) * tensor(atomic_sigma("g", "e", 2), a_q.conj().T)
     return raise_term + raise_term.conj().T
-
-
-def multiquantum_coupling_element(lam_k: float, m: int, k: int) -> float:
-    """|<g,m|H|e,m-k>| = lam_k*sqrt(m!/(m-k)!)."""
-    if m < k:
-        raise ValueError(f"need m >= k, got m={m}, k={k}")
-    m, k = operator.index(m), operator.index(k)  # Python ints: m + 1 cannot wrap
-    try:  # ln(m!/(m-k)!) past 710 lies beyond float range, found before the exact product, whose cost grows with m
-        log_perm = math.lgamma(m + 1) - math.lgamma(m - k + 1)
-        if log_perm > 710 and k * math.log(m) > 710:  # k*ln(m) >= log_perm holds where lgamma loses digits (large m)
-            raise OverflowError
-        return lam_k * math.sqrt(math.perm(m, k))
-    except OverflowError:
-        raise ValueError(f"m!/(m-k)! for m={m}, k={k} lies beyond float range") from None
 
 
 class BlockLayout(NamedTuple):
@@ -316,12 +303,12 @@ class PulseBlocks(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[np.ndarray, BlockLayout]:
+def _block_layout(space: HilbertSpace, atoms: tuple[int, ...]) -> tuple[np.ndarray, BlockLayout]:
     """Excitation numbers N and their ``BlockLayout``, built once per layout and read-only.
 
     The first atomic level of ``atoms`` sits at Fock level N, the others at
-    N - k mod fock_cutoff, for N = 0..fock_cutoff - 1: the blocks N < k hold
-    the members that the truncation leaves without an exchange partner.  The
+    N - 1 mod fock_cutoff, for N = 0..fock_cutoff - 1: block 0 holds the
+    members that the truncation leaves without an exchange partner.  The
     spin flip sends each member to the same Fock level of the swapped atomic
     level (|h> stays).  Every layout ends its atoms with |e>, (0, 1) or
     (0, 2, 1), so |e> is the last slot of every block: ``gates.pulse_at``
@@ -329,7 +316,7 @@ def _block_layout(space: HilbertSpace, atoms: tuple[int, ...], k: int) -> tuple[
     """
     nf = space.fock_cutoff
     n = np.arange(nf)
-    levels = (n[:, None] - np.where(np.arange(len(atoms)) > 0, k, 0)) % nf
+    levels = (n[:, None] - (np.arange(len(atoms)) > 0)) % nf
     index = np.asarray(atoms) * nf + levels
     inverse = np.argsort(index, axis=None)
     flipped = inverse[np.asarray((1, 0, 2))[list(atoms)] * nf + levels]
@@ -343,7 +330,7 @@ def effective_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     if space.atom_dim != 2:
         raise ValueError(f"effective model needs atom_dim = 2, got {space.atom_dim}")
     _require_cutoff(space, m)
-    n, layout = _block_layout(space, (0, 1), 1)
+    n, layout = _block_layout(space, (0, 1))
     rate = p.dispersive_rate
     energy = np.asarray(rate * m)[..., None]  # the |e> energy of each level
     H = np.zeros(energy.shape[:-1] + (len(n), 2, 2))
@@ -358,7 +345,7 @@ def full_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     if space.atom_dim != 3:
         raise ValueError(f"full model needs atom_dim = 3, got {space.atom_dim}")
     _require_cutoff(space, m)
-    n, layout = _block_layout(space, (0, 2, 1), 1)
+    n, layout = _block_layout(space, (0, 2, 1))
     energy = np.asarray(p.engineered_shift(m))[..., None]  # the |e> energy of each level
     H = np.zeros(energy.shape[:-1] + (len(n), 3, 3))
     H[..., 1, 1] = -p.delta
@@ -387,16 +374,3 @@ def ideal_blocks(p: RamanParams, space: HilbertSpace, m) -> PulseBlocks:
     # block m whole, |g,m-1> on the diagonal of block m-1 and |e,m> on that of block m+1; np.where, so no -0.0
     keep = (offset == 0) | (offset == [[-1, 0], [0, 1]])
     return blocks._replace(generator=np.where(keep, blocks.generator, 0.0))
-
-
-def multiquantum_blocks(k: int, lam_k: float, m: int, space: HilbertSpace) -> PulseBlocks:
-    """The ideal k-quantum pulse: the selected doublet of ``multiquantum_hamiltonian`` alone.
-
-    Laid out as doublets {|g,N>, |e,N-k>}; only N = m, the doublet
-    {|g,m>, |e,m-k>}, carries a coupling.
-    """
-    _require_doublet(k, m, space)
-    n, layout = _block_layout(space, (0, 1), k)
-    H = np.zeros((len(n), 2, 2))
-    H[m, 0, 1] = H[m, 1, 0] = multiquantum_coupling_element(lam_k, m, k)
-    return PulseBlocks(layout, H)

@@ -30,24 +30,28 @@ the (alpha|0> + beta|n>) draws of acceptance check A7 at r = 0.1, phase-only
 re-optimisation already reaches 0.998, 0.998, 0.997 and 0.997 for n = 1..4;
 only at n = 5 does leakage cap it, at 0.964.
 
-A plan holds its steps as read-only numpy columns m, k, phi, tau, theta0,
-lam (the ``GateParams`` fields) and chi (the pulse-phase offset, a
+A plan holds its steps as read-only numpy columns m, phi, tau, theta0, lam
+(the ``GateParams`` fields) and chi (the pulse-phase offset, a
 ``PlanStep``'s and a plan file's ``phase_correction``), checked once when the
-plan is made.  Compilation, plan files, execution and calibration read and
-write the columns; ``CircuitPlan.steps`` builds ``PlanStep`` objects from
-them only for callers that ask.  A plan file is read one field at a time,
-as a column; the reader checks types and ``CircuitPlan`` the values.
+plan is made.  Every step is a gate on the adjacent pair {m-1, m}, so a plan
+has no k column; plan files still write ``"k": 1`` in every step, and the
+reader rejects any other k.  Compilation, plan files, execution and
+calibration read and write the columns; ``CircuitPlan.steps`` builds
+``PlanStep`` objects from them only for callers that ask.  A plan file is
+read one field at a time, as a column; the reader checks types and
+``CircuitPlan`` the values.
 
 A plan runs its gates one after another through one auxiliary atom, which is
 re-prepared in |+> between gates; since an ideal gate returns the atom
 exactly to |+>, this reset is bookkeeping rather than back-action.  Plan
 execution and calibration build every step's pulses in one
 ``gates.echo_pulses`` call and share one step routine (``_step_runner``):
-it gathers |+> ⊗ osc straight from the oscillator into the step's block
-layout, runs ``gates.echo_slots`` and gathers the joint state back by the
-inverse layout.  Under "full" a plan's stack of triplet layers is
-diagonalised once per device, cutoff and levels (``propagator.SPECTRA``),
-so a repeated plan or calibration pays only the reconstruction.  Only
+it gathers |+> ⊗ osc straight from the oscillator into the block layout
+that every step shares, runs ``gates.echo_slots`` and gathers the joint
+state back by the inverse layout.  Under "full" a plan's stack of triplet
+layers is diagonalised once per device, cutoff and levels
+(``propagator.SPECTRA``), so a repeated plan or calibration pays only the
+reconstruction.  Only
 under the "ideal" model do gates on disjoint pairs commute: under
 "effective" and "full" every gate puts its own level-dependent dispersive
 phase on the spectator levels.
@@ -55,7 +59,6 @@ phase on the spectator levels.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import sys
@@ -67,7 +70,7 @@ import numpy as np
 
 from .gates import GateParams, atom_plus, echo_pulses, echo_slots, induced_oscillator_unitary, pair_gate, pulse_generator
 from .gates import raman_columns
-from .hamiltonians import BlockLayout, PulseBlocks, RamanParams, multiquantum_coupling_element
+from .hamiltonians import BlockLayout, RamanParams
 from .spaces import HilbertSpace, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
@@ -93,23 +96,22 @@ class PlanStep:
             raise ValueError(f"phase_correction must be finite, got {self.phase_correction}")
 
 
-STEP_COLUMNS = ("m", "k", "phi", "tau", "theta0", "lam", "chi")  # chi: a PlanStep's phase_correction
+STEP_COLUMNS = ("m", "phi", "tau", "theta0", "lam", "chi")  # chi: a PlanStep's phase_correction
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitPlan:
     """Ordered pair-gate sequence preparing ``target`` from the vacuum, stored as read-only columns.
 
-    Step i is ``PlanStep(GateParams(m[i], tau[i], lam[i], theta0[i], phi[i],
-    k[i]), chi[i])``; ``steps`` builds them on each access.  The columns
-    (int64 m and k, float64 others) are checked by those two classes' rules
-    in one vectorised pass; the first row that breaks one (every row, if m or
-    k is not an integer array) is built, raising "plan step i: " and its message;
-    a level outside int64 is named so too.
+    Step i is ``PlanStep(GateParams(m[i], tau[i], lam[i], theta0[i], phi[i]),
+    chi[i])``; ``steps`` builds them on each access.  The columns (int64 m,
+    float64 others) are checked by those two classes' rules in one
+    vectorised pass; the first row that breaks one (every row, if m is not
+    an integer array) is built, raising "plan step i: " and its message; a
+    level outside int64 is named so too.
     """
 
     m: np.ndarray = ()
-    k: np.ndarray = ()
     phi: np.ndarray = ()
     tau: np.ndarray = ()
     theta0: np.ndarray = ()
@@ -123,31 +125,26 @@ class CircuitPlan:
         given = [np.asarray(getattr(self, c)) for c in STEP_COLUMNS]
         if given[0].ndim != 1 or any(a.shape != given[0].shape for a in given):
             raise ValueError(f"plan columns must be 1-d and of one length, got shapes {[a.shape for a in given]}")
-        integral = all(a.dtype.kind in "iu" or a.size == 0 for a in given[:2])
-        m, k, phi, tau, theta0, lam, chi = columns = [a.astype(np.int64 if i < 2 and integral else float)
-                                                      for i, a in enumerate(given)]
+        integral = given[0].dtype.kind in "iu" or given[0].size == 0
+        m, phi, tau, theta0, lam, chi = columns = [a.astype(np.int64 if i == 0 and integral else float)
+                                                   for i, a in enumerate(given)]
         first = 0
         if integral:
-            element = np.sqrt(np.where((k >= 1) & (m >= k), m, np.nan))  # sqrt(m!/(m-k)!): sqrt(m) at k = 1
-            for i in np.flatnonzero((k > 1) & (m >= k)):
-                try:
-                    element[i] = multiquantum_coupling_element(1.0, int(m[i]), int(k[i]))
-                except ValueError:  # beyond float range: the row fails below, and building it names the step
-                    element[i] = math.inf
+            element = np.sqrt(np.where(m >= 1, m, np.nan))
             with np.errstate(all="ignore"):  # overflows and NaNs are what the check looks for
-                expected = lam * element * tau  # multiquantum_coupling_element * tau
+                expected = lam * element * tau  # GateParams.coupling_element * tau
                 ok = np.isfinite([phi, tau, theta0, lam, chi, 2 * (m * theta0), expected]).all(axis=0)
                 ok &= np.abs(phi - expected) <= np.maximum(1e-9 * np.maximum(np.abs(phi), np.abs(expected)), 1e-12)
             first = int(np.argmin(ok)) if not ok.all() else len(ok)
         for i in range(first, len(m)):
             try:
                 _plan_step(given, i)
-                if not all(-(2**63) <= int(c[i]) < 2**63 for c in given[:2]):  # valid, but int64 cannot hold it
-                    raise ValueError(f"levels m = {given[0][i]}, k = {given[1][i]} must lie in int64 range")
+                if not -(2**63) <= int(given[0][i]) < 2**63:  # valid, but int64 cannot hold it
+                    raise ValueError(f"level m = {given[0][i]} must lie in int64 range")
             except ValueError as exc:
                 raise ValueError(f"plan step {i}: {exc}") from None
-        if not integral:  # every row was built, so m and k hold int64 integers, such as an object array's
-            columns[:2] = [a.astype(np.int64) for a in given[:2]]
+        if not integral:  # every row was built, so m holds int64 integers, such as an object array's
+            columns[0] = given[0].astype(np.int64)
         for name, column in zip(STEP_COLUMNS, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -164,13 +161,13 @@ class CircuitPlan:
         return tuple(_plan_step([getattr(self, c) for c in STEP_COLUMNS], i) for i in range(len(self)))
 
     def pairs(self) -> list[tuple[int, int]]:
-        return list(zip((self.m - self.k).tolist(), self.m.tolist()))
+        return list(zip((self.m - 1).tolist(), self.m.tolist()))
 
 
 def _plan_step(columns: list, i: int) -> PlanStep:
     """Row i of columns in ``STEP_COLUMNS`` order as a ``PlanStep``, built, so checked, from Python scalars."""
-    m, k, phi, tau, theta0, lam, chi = (c[i : i + 1].tolist()[0] for c in columns)
-    return PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k), chi)
+    m, phi, tau, theta0, lam, chi = (c[i : i + 1].tolist()[0] for c in columns)
+    return PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi), chi)
 
 
 def _checked_target(target) -> np.ndarray:
@@ -246,8 +243,8 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
 
     kept = phi > 1e-15
     return CircuitPlan(
-        m=m[kept], k=np.ones(kept.sum(), dtype=np.int64), phi=phi[kept], tau=tau[kept], theta0=theta0[kept],
-        lam=np.full(kept.sum(), p.coupling), chi=chis[kept], target=t, phase_model=phase_model,
+        m=m[kept], phi=phi[kept], tau=tau[kept], theta0=theta0[kept], lam=np.full(kept.sum(), p.coupling),
+        chi=chis[kept], target=t, phase_model=phase_model,
     )
 
 
@@ -287,28 +284,11 @@ def plan_superposition(
     return _compile_ladder(target, p, phase_model)
 
 
-def _plan_blocks(plan: CircuitPlan, p: RamanParams, space: HilbertSpace, model: str) -> PulseBlocks:
-    """Every step's phase-0 blocks in one (steps, nb, b, b) stack, with a layout per step.
-
-    One ``pulse_generator`` call on the m column builds the k = 1 blocks of
-    every step and names the first step past the cutoff; k > 1 steps are
-    then built one by one, and under "effective" and "full" the first of
-    them raises.
-    """
-    layout, H = pulse_generator(p, space, model, plan.m)
-    layout = BlockLayout(*(np.repeat(a[None], len(plan), axis=0) for a in layout))
-    for i in np.flatnonzero(plan.k != 1):
-        step, H[i] = pulse_generator(p, space, model, plan.m[i], plan.k[i], plan.lam[i])
-        for column, value in zip(layout, step):
-            column[i] = value
-    return PulseBlocks(layout, H)
-
-
 def _step_runner(layout: BlockLayout, space: HilbertSpace):
     """The routine that runs one plan step on |+> ⊗ osc, for ``execute_plan`` and calibration.
 
     ``step(pulses, i, osc)`` runs step i of ``pulses``, an ``Echo``'s pulses
-    on the per-step ``layout`` of ``_plan_blocks``, on |+> ⊗ osc for a
+    on ``layout``, the one layout of every step, on |+> ⊗ osc for a
     (fock_cutoff, k) stack osc.  It gathers the joint state's slots straight
     from osc and returns the (dim, k) joint states and their <+| branch.
     """
@@ -318,8 +298,8 @@ def _step_runner(layout: BlockLayout, space: HilbertSpace):
     weights = plus[atoms][..., None]  # the |+> amplitude of each slot
 
     def step(pulses: np.ndarray, i: int, osc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = echo_slots(pulses[:, i], layout.flipped[i], weights[i] * osc[levels[i]])
-        joint = out.reshape(-1, osc.shape[1])[layout.inverse[i]]
+        out = echo_slots(pulses[:, i], layout.flipped, weights * osc[levels])
+        joint = out.reshape(-1, osc.shape[1])[layout.inverse]
         return joint, (bra @ joint.reshape(len(bra), -1)).reshape(osc.shape)
 
     return step
@@ -335,9 +315,10 @@ def execute_plan(
     """Run a plan on an oscillator state, re-preparing the atom per gate.
 
     The gates run in ``space``, the working space of ``model``
-    (``gates.model_space``).  Every step's phase-0 blocks go into one
-    (steps, nb, b, b) stack (``_plan_blocks``), and one ``echo_pulses`` call
-    builds every pulse.  The loop then only runs |+> ⊗ osc through each
+    (``gates.model_space``).  One ``pulse_generator`` call on the m column
+    puts every step's phase-0 blocks into one (steps, nb, b, b) stack on one
+    layout, naming the first step past the cutoff, and one ``echo_pulses``
+    call builds every pulse.  The loop then only runs |+> ⊗ osc through each
     gate (``_step_runner``, also calibration's step) and resets the atom;
     the step purities come from the joint states after the loop.  A step
     whose drive phase chi or chi - theta0 is not finite is a ValueError
@@ -360,7 +341,7 @@ def execute_plan(
     osc = np.zeros((space.fock_cutoff, 1), dtype=complex)
     osc[: len(initial), 0] = initial / norm
 
-    blocks = _plan_blocks(plan, p, space, model)
+    blocks = pulse_generator(p, space, model, plan.m)
     step = _step_runner(blocks.layout, space)
     pulses = echo_pulses(blocks, plan.tau, plan.theta0, plan.chi).pulses
     joints = []
@@ -409,7 +390,7 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     just before the step of x[k].  The generator stack is built once; each
     parameter set's pulses come from one ``echo_pulses`` call.
     """
-    stack = _plan_blocks(plan, p, space, "effective")
+    stack = pulse_generator(p, space, "effective", plan.m)
     step = _step_runner(stack.layout, space)
 
     def plan_at(x: np.ndarray) -> CircuitPlan:
@@ -503,20 +484,21 @@ _REQUIRED = object()  # the default of a field that every step must have
 _NUMBER = {int, float}
 
 # a plan file step's keys, in the order written: the column each fills, the
-# JSON types it takes, and the value of a missing key (a null lam is derived)
+# JSON types it takes, and the value of a missing key (a null lam is derived;
+# k, always 1, is read and checked but fills no plan column)
 _FILE_FIELDS = {"m": ("m", {int}, _REQUIRED), "k": ("k", {int}, 1), "phi": ("phi", _NUMBER, _REQUIRED),
                 "theta0": ("theta0", _NUMBER, _REQUIRED), "tau": ("tau", _NUMBER, _REQUIRED),
                 "lam": ("lam", _NUMBER | {type(None)}, None), "phase_correction": ("chi", _NUMBER, 0.0)}
 
 
 def plan_to_dict(plan: CircuitPlan) -> dict:
-    columns = zip(*(getattr(plan, name).tolist() for name, _, _ in _FILE_FIELDS.values()))
+    columns = zip(*(getattr(plan, name).tolist() for name in ("m", "phi", "theta0", "tau", "lam", "chi")))
     doc = {
         "schedule": plan.schedule,
         "phase_model": plan.phase_model,
         "steps": [
-            {"m": m, "k": k, "phi": phi, "theta0": theta0, "tau": tau, "lam": lam, "phase_correction": chi}
-            for m, k, phi, theta0, tau, lam, chi in columns
+            {"m": m, "k": 1, "phi": phi, "theta0": theta0, "tau": tau, "lam": lam, "phase_correction": chi}
+            for m, phi, theta0, tau, lam, chi in columns
         ],
     }
     if plan.target is not None:
@@ -531,8 +513,8 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
     column cannot take starts a scan, which names the first such step.  So
     of two steps with bad types, the one whose bad field comes first is
     named.  A missing k is 1 and a missing phase_correction 0; a missing or
-    null lam is derived, for those steps alone.  ``CircuitPlan`` checks the
-    values.
+    null lam is derived, for those steps alone.  A k other than 1 names its
+    step; ``CircuitPlan`` checks the other values.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise ValueError("plan document must be an object whose 'steps' is a list")
@@ -556,12 +538,15 @@ def plan_from_dict(doc: dict) -> CircuitPlan:
             limit = 2**63 - 1 if kind is np.int64 else sys.float_info.max
             i = next(i for i, value in enumerate(values) if type(value) is int and abs(value) > limit)
             raise ValueError(f"plan step {i} field {key!r} is an integer out of {kind.__name__} range") from None
+    other_k = np.flatnonzero(columns.pop("k") != 1)
+    if len(other_k):
+        i = other_k[0]
+        raise ValueError(f"plan step {i}: k must be 1 (every gate exchanges one quantum), got {raws[i]['k']!r}")
     for i in np.flatnonzero(np.isnan(columns["lam"])):  # a lam that is NaN, missing or null
-        if raws[i].get("lam") is None:  # written before lam was stored: phi = lam * sqrt(m!/(m-k)!) * tau
-            m, k, phi, tau = (columns[c][i].item() for c in ("m", "k", "phi", "tau"))
-            columns["lam"][i] = 0.0
-            with contextlib.suppress(ValueError):  # no coupling element (m < k, or beyond float range): named below
-                columns["lam"][i] = phi / tau / multiquantum_coupling_element(1.0, m, k) if tau != 0.0 else 0.0
+        if raws[i].get("lam") is None:  # written before lam was stored: phi = lam * sqrt(m) * tau
+            m, phi, tau = (columns[c][i].item() for c in ("m", "phi", "tau"))
+            # m < 1 has no coupling element and fails below, naming its step
+            columns["lam"][i] = phi / tau / math.sqrt(m) if tau != 0.0 and m >= 1 else 0.0
     target = None
     if "target" in doc:
         try:  # a ragged list fails in asarray

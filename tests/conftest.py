@@ -35,19 +35,10 @@ def random_pair_amplitudes(rng, count=1):
 def dense_pulse(gp, p, space, model, angle):
     """One pulse of ``gp`` from the dense builders: the oracle for the block path."""
     from fockgate import decompose_effective, effective_hamiltonian, full_hamiltonian
-    from fockgate import multiquantum_hamiltonian
 
     if model == "ideal":
-        if gp.k == 1:
-            parts = decompose_effective(p, space, gp.m, angle)
-            return parts.pair_energy + parts.pair_coupling
-        full_coupling = multiquantum_hamiltonian(gp.k, gp.lam, angle, gp.m, space)
-        keep = np.zeros_like(full_coupling)
-        i_g = space.index("g", gp.m)
-        i_e = space.index("e", gp.m - gp.k)
-        keep[i_g, i_e] = full_coupling[i_g, i_e]
-        keep[i_e, i_g] = full_coupling[i_e, i_g]
-        return keep
+        parts = decompose_effective(p, space, gp.m, angle)
+        return parts.pair_energy + parts.pair_coupling
     if model == "effective":
         return effective_hamiltonian(p, space, gp.m, angle)
     return full_hamiltonian(p, space, gp.m, angle)

@@ -198,7 +198,7 @@ def test_a05_selectivity_scaling():
         out = pair_gate(gp, p, space, "effective") @ pair_input(
             space, atom_plus(2), 1.0, 0.0, m
         )
-        return leakage(out, m, 1, space)
+        return leakage(out, m, space)
 
     anchor = one_gate_leak(0.1, phi)
     low = one_gate_leak(0.02, phi)

@@ -430,7 +430,7 @@ def test_sweep_point_matches_dense_gate_per_sample(model, ratio, seed, m, sample
                 pair_gate(gp, p, space, model), gp, space, complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
             )
             fids.append(fid)
-            leaks.append(leakage(psi, gp.m, gp.k, space))
+            leaks.append(leakage(psi, gp.m, space))
             times.append(gp.tau)
         assert abs(row["fidelity"] - np.mean(fids)) < 1e-12
         assert abs(row["leakage"] - np.mean(leaks)) < 1e-12

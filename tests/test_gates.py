@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,22 +31,22 @@ from fockgate import (
     tensor,
 )
 from fockgate.gates import Echo, apply_pair_gate, closed_form_states, echo_pulses, pulse_at, pulse_generator, run_echo
-from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks, multiquantum_blocks
+from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks
 from fockgate.propagator import Propagator, block_unitaries
 from fockgate.spaces import fidelity, max_abs
 
 from conftest import dense_pulse, random_pair_amplitudes
 
 
-def pair_input(space, atom, alpha, beta, m, k=1):
+def pair_input(space, atom, alpha, beta, m):
     osc = np.zeros(space.fock_cutoff, dtype=complex)
-    osc[m - k], osc[m] = alpha, beta
+    osc[m - 1], osc[m] = alpha, beta
     return product_state(space, atom, osc)
 
 
-def embed_pair(space, atom, pair, m, k=1):
+def embed_pair(space, atom, pair, m):
     osc = np.zeros(space.fock_cutoff, dtype=complex)
-    osc[m - k], osc[m] = pair
+    osc[m - 1], osc[m] = pair
     return product_state(space, atom, osc)
 
 
@@ -79,7 +80,7 @@ def test_from_raman_invariants(m, phi):
 
 def test_eta_is_derived_from_theta0(params):
     # eta is no field of its own: a replaced theta0 carries it along
-    assert [f.name for f in fields(GateParams)] == ["m", "tau", "lam", "theta0", "phi", "k"]
+    assert [f.name for f in fields(GateParams)] == ["m", "tau", "lam", "theta0", "phi"]
     gp = GateParams.from_raman(params, m=3, phi=0.7)
     corrupt = replace(gp, theta0=-gp.theta0)
     assert (gp.eta, corrupt.eta) == (3 * gp.theta0, -3 * gp.theta0)
@@ -88,8 +89,12 @@ def test_eta_is_derived_from_theta0(params):
 def test_gate_params_consistency_enforced():
     with pytest.raises(ValueError, match="phi"):
         GateParams(m=1, tau=1.0, lam=0.01, theta0=0.05, phi=0.5)
-    with pytest.raises(ValueError, match="infeasible"):
-        GateParams(m=1, tau=0.0, lam=0.01, theta0=0.0, phi=0.0, k=2)
+    # every gate exchanges one quantum, on {m-1, m}: k is no field, and the pair needs m >= 1
+    assert GateParams.k == 1 and GateParams(m=3, tau=0.0, lam=0.01, theta0=0.0, phi=0.0).pair == (2, 3)
+    with pytest.raises(TypeError, match="k"):
+        GateParams(m=2, tau=0.0, lam=0.01, theta0=0.0, phi=0.0, k=2)
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        GateParams(m=0, tau=0.0, lam=0.01, theta0=0.0, phi=0.0)
 
 
 def test_gate_rejects_small_cutoff(params):
@@ -261,24 +266,24 @@ def test_ideal_model_confined_exactly(params, space, rng):
     for alpha, beta in zip(alphas, betas):
         gp = GateParams.from_raman(params, m=2, phi=float(rng.uniform(0, np.pi)))
         out = pair_gate(gp, params, space, "ideal") @ pair_input(space, atom_plus(2), alpha, beta, 2)
-        assert leakage(out, 2, 1, space) < 1e-28
+        assert leakage(out, 2, space) < 1e-28
 
 
 def test_effective_model_leaks_a_little(params, space):
     gp = GateParams.from_raman(params, m=2, phi=np.pi / 4)
     out = pair_gate(gp, params, space, "effective") @ pair_input(space, atom_plus(2), 0.0, 1.0, 2)
-    leak = leakage(out, 2, 1, space)
+    leak = leakage(out, 2, space)
     assert 0.0 < leak < 1e-2
 
 
-@pytest.mark.parametrize("m, k", [(0, 1), (2, 3), (6, 1), (7, 2)], ids=["at-0", "k-past-m", "at-cutoff", "past-cutoff"])
-def test_leakage_rejects_pair_outside_space(m, k):
-    # the guard level's population is not read as level m - k = -1, and m >= fock_cutoff is no IndexError
+@pytest.mark.parametrize("m", [0, 6, 7], ids=["at-0", "at-cutoff", "past-cutoff"])
+def test_leakage_rejects_pair_outside_space(m):
+    # the guard level's population is not read as level m - 1 = -1, and m >= fock_cutoff is no IndexError
     space = HilbertSpace(2, 6)
     psi = product_state(space, atom_plus(2), np.eye(6)[5])  # all on the guard level
-    with pytest.raises(ValueError, match=re.escape(f"pair {{{m - k}, {m}}} lies outside the Fock levels 0..5")):
-        leakage(psi, m, k, space)
-    assert leakage(psi, 5, 1, space) == 0.0 and leakage(psi, 2, 1, space) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=re.escape(f"pair {{{m - 1}, {m}}} lies outside the Fock levels 0..5")):
+        leakage(psi, m, space)
+    assert leakage(psi, 5, space) == 0.0 and leakage(psi, 2, space) == pytest.approx(1.0)
 
 
 def test_full_model_agrees_with_effective(params):
@@ -387,25 +392,6 @@ def test_induced_unitary_matches_rotation_block(params, space):
     assert_allclose(R[np.ix_(others, others)], np.eye(len(others)), atol=1e-11)
 
 
-# ---- multiquantum gate -------------------------------------------------------
-
-
-def test_two_quantum_ideal_gate(params, space):
-    # pair {0, 2}: the closed form carries over with theta0 = eta = 0
-    gp = GateParams.from_multiquantum(lam_k=0.005, m=2, k=2, phi=0.6)
-    U = pair_gate(gp, params, space, "ideal")
-    out = U @ pair_input(space, atom_plus(2), 0.6, 0.8, 2, k=2)
-    ref = embed_pair(space, atom_plus(2), closed_form_rotation(0.6, 0.8, gp), 2, k=2)
-    assert_allclose(out, ref, atol=1e-11)
-    assert leakage(out, 2, 2, space) < 1e-28
-
-
-def test_multiquantum_gate_rejects_other_models(params, space):
-    gp = GateParams.from_multiquantum(lam_k=0.005, m=2, k=2, phi=0.6)
-    with pytest.raises(ValueError):
-        pair_gate(gp, params, space, "effective")
-
-
 # ---- input checks ------------------------------------------------------------
 
 
@@ -416,6 +402,9 @@ def test_gate_params_reject_non_finite(name, value):
     kwargs[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         GateParams(**kwargs)
+    if name in ("phi", "theta0"):  # the closed form's states take them by the same rule
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            closed_form_states(HilbertSpace(2, 4), 1, kwargs["phi"], kwargs["theta0"], 0.6, 0.8)
 
 
 @pytest.mark.parametrize("theta0", [1e308, -1e308, 6e307, -6e307])
@@ -423,6 +412,11 @@ def test_gate_params_reject_overflowing_eta(theta0):
     # 2*eta = 2*m*theta0, the closed form's phase, is derived and checked like the stored phases
     with pytest.raises(ValueError, match="eta must be finite"):
         GateParams(m=2, tau=1.0, lam=0.01, theta0=theta0, phi=0.01 * np.sqrt(2))
+    # the closed form's states check 2*eta too, with no overflow warning: they were all NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eta must be finite"):
+            closed_form_states(HilbertSpace(2, 4), 2, 0.5, theta0, 0.6, 0.8)
 
 
 def test_gate_params_reject_level_beyond_float_range():
@@ -431,24 +425,24 @@ def test_gate_params_reject_level_beyond_float_range():
         GateParams(m=10**400, tau=1.0, lam=0.0, theta0=0.0, phi=0.0)
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-@pytest.mark.parametrize("name", ["phi", "lam"])
+@pytest.mark.parametrize("name, value", [("phi", np.inf), ("phi", np.nan), ("lam", np.inf)],
+                         ids=["phi-inf", "phi-nan", "lam-inf"])
 def test_gate_factories_reject_non_finite(params, name, value):
     if name == "phi":
         with pytest.raises(ValueError, match="phi must be finite"):
             GateParams.from_raman(params, m=2, phi=value)
-        with pytest.raises(ValueError, match="phi must be finite"):
-            GateParams.from_multiquantum(0.004, m=2, k=2, phi=value)
-    else:
+    else:  # lam = g*|Omega_L|/delta overflows to inf for this device, whose entries are finite
+        device = RamanParams(g=1e150, omega_l=1e149, delta=1e-200)
+        assert device.coupling == value
         with pytest.raises(ValueError, match="lam must be finite"):
-            GateParams.from_multiquantum(value, m=2, k=2, phi=1.0)
+            GateParams.from_raman(device, m=2, phi=1.0)
 
 
 def test_gate_factories_reject_overflowing_duration(params):
     with pytest.raises(ValueError, match="tau must be finite"):
         GateParams.from_raman(params, m=2, phi=1e307)
     with pytest.raises(ValueError, match="cannot derive tau from phi with zero coupling"):
-        GateParams.from_multiquantum(0.0, m=2, k=2, phi=1.0)
+        GateParams.from_raman(RamanParams(g=1.0, omega_l=0.0, delta=20.0), m=2, phi=1.0)
 
 
 # ---- block propagation against the dense oracle ---------------------------------------
@@ -472,30 +466,25 @@ BLOCK_BUILDERS = {
     "ideal": lambda p, space, gp: ideal_blocks(p, space, gp.m),
     "effective": lambda p, space, gp: effective_blocks(p, space, gp.m),
     "full": lambda p, space, gp: full_blocks(p, space, gp.m),
-    "ideal-k2": lambda p, space, gp: multiquantum_blocks(2, gp.lam, gp.m, space),
 }
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([("ideal", 1), ("effective", 1), ("full", 1)] + [("multiquantum", k) for k in (1, 2, 3)]), st.data())
-def test_every_block_layout_is_a_permutation(case, data):
+@given(st.sampled_from(["ideal", "effective", "full"]), st.data())
+def test_every_block_layout_is_a_permutation(builder, data):
     """fock_cutoff blocks cover every joint state once.
 
-    The blocks N < k hold the members the truncation leaves without an
-    exchange partner: |g,N> couples to nothing there (under "full", |h>
-    and |e> of one Fock level keep their drive coupling).  The layout's
-    inverse gives each joint row's slot, and its flip the slot that each
-    slot reads through the spin flip (``spin_flip`` on the atom).
+    Block 0 holds the members the truncation leaves without an exchange
+    partner: |g,0> couples to nothing there (under "full", |h> and |e> of
+    one Fock level keep their drive coupling).  The layout's inverse gives
+    each joint row's slot, and its flip the slot that each slot reads
+    through the spin flip (``spin_flip`` on the atom).
     """
-    builder, k = case
-    cutoff = data.draw(st.integers(k + 2, 24), label="cutoff")
-    m = data.draw(st.integers(k, cutoff - 2), label="m")
+    cutoff = data.draw(st.integers(3, 24), label="cutoff")
+    m = data.draw(st.integers(1, cutoff - 2), label="m")
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     space = HilbertSpace(3 if builder == "full" else 2, cutoff)
-    if builder == "multiquantum":
-        blocks = multiquantum_blocks(k, 0.004, m, space)
-    else:
-        blocks = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[builder](p, space, m)
+    blocks = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[builder](p, space, m)
     assert np.array_equal(np.sort(blocks.index, axis=None), np.arange(space.dim))
     assert blocks.index.shape == (cutoff, space.atom_dim)
     rows = blocks.index.ravel()
@@ -503,8 +492,8 @@ def test_every_block_layout_is_a_permutation(case, data):
     flip = tensor(spin_flip(space.atom_dim), np.eye(cutoff)).real.astype(int)
     assert np.array_equal(rows[blocks.layout.flipped], np.argmax(flip[blocks.index], axis=-1))
     assert np.array_equal(blocks.index[:, -1] // cutoff, np.ones(cutoff))  # |e> is every block's last slot
-    folded = blocks.generator[:k]
-    assert not np.any(folded[:, 0, 1:]) and not np.any(folded[:, 1:, 0])
+    folded = blocks.generator[0]
+    assert not np.any(folded[0, 1:]) and not np.any(folded[1:, 0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -522,24 +511,19 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     ||H||*|tau| <= 10, where all three routes are round-off limited; the gate
     composes two such pulses around the flip.
     """
-    model = case.split("-")[0]
-    k = 2 if case == "ideal-k2" else 1
-    cutoff = data.draw(st.integers(k + 2, 20), label="cutoff")
-    m = data.draw(st.integers(k, cutoff - 2), label="m")
+    model = case
+    cutoff = data.draw(st.integers(3, 20), label="cutoff")
+    m = data.draw(st.integers(1, cutoff - 2), label="m")
     g = data.draw(st.floats(0.2, 2.0), label="g")
     ratio = data.draw(st.floats(0.01, 0.19), label="|Omega_L|/g")
     detuning = data.draw(st.floats(10.0, 40.0), label="|delta|/g") * data.draw(st.sampled_from((1, -1)), label="sign")
     p = RamanParams(g=g, omega_l=ratio * g, delta=detuning * g)
     space = HilbertSpace(3 if model == "full" else 2, cutoff)
 
-    def gate(**kw):
-        if k == 1:
-            return GateParams.from_raman(p, m=m, **kw)
-        return GateParams.from_multiquantum(0.004, m=m, k=k, **kw)
-
-    gp = gate(phi=phi)
+    gp = GateParams.from_raman(p, m=m, phi=phi)
     norm = np.linalg.norm(dense_pulse(gp, p, space, model, chi), 2)
-    gp = gate(phi=gp.coupling_element * np.clip(gp.tau, -10.0 / norm, 10.0 / norm))  # tau < 0 where delta < 0
+    tau = np.clip(gp.tau, -10.0 / norm, 10.0 / norm)  # tau < 0 where delta < 0
+    gp = GateParams.from_raman(p, m=m, phi=gp.coupling_element * tau)
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)
     pulse = block_unitaries(blocks.generator, gp.tau)
@@ -567,15 +551,20 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     assert max_abs(apply_pair_gate(gp, p, space, states[:, 0], model, chi) - U @ states[:, 0]) < 1e-12
 
 
-@pytest.mark.parametrize("cutoff, m, k", [(4, 2, 2), (6, 3, 3), (6, 4, 3)])
-def test_k_quantum_gate_at_cutoff_twice_k(params, cutoff, m, k):
-    """At fock_cutoff = 2k the flip sends both members of a block into one block: their products add up."""
-    space = HilbertSpace(2, cutoff)
-    gp = GateParams.from_multiquantum(0.004, m=m, k=k, phi=1.1)
-    U = pair_gate(gp, params, space, "ideal", 0.4)
-    assert max_abs(U - brute_force_gate(gp, params, space, "ideal", 0.4)) < 1e-12
-    states = np.random.default_rng(cutoff + m).normal(size=(space.dim, 2)).astype(complex)
-    assert max_abs(apply_pair_gate(gp, params, space, states, "ideal", 0.4) - U @ states) < 1e-12
+@pytest.mark.parametrize("model", ["ideal", "effective", "full"])
+def test_gate_at_the_smallest_cutoff(params, model):
+    """At fock_cutoff = 3, the least a gate allows, the flip still sends the members of a block to distinct blocks.
+
+    Pulses are cut to ||H||*tau <= 10, where the expm oracle holds 1e-12.
+    """
+    space = HilbertSpace(3 if model == "full" else 2, 3)
+    gp = GateParams.from_raman(params, m=1, phi=1.1)
+    norm = np.linalg.norm(dense_pulse(gp, params, space, model, 0.4), 2)
+    gp = GateParams.from_raman(params, m=1, phi=gp.coupling_element * min(gp.tau, 10.0 / norm))
+    U = pair_gate(gp, params, space, model, 0.4)
+    assert max_abs(U - brute_force_gate(gp, params, space, model, 0.4)) < 1e-12
+    states = np.random.default_rng(3).normal(size=(space.dim, 2)).astype(complex)
+    assert max_abs(apply_pair_gate(gp, params, space, states, model, 0.4) - U @ states) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -592,16 +581,12 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     by block (``pulse_at``) and as dense row phases, equals the eigh of the
     framed generator and scipy's expm of the dense generator at theta to 1e-12.
     """
-    model = case.split("-")[0]
-    k = 2 if case == "ideal-k2" else 1
-    cutoff = data.draw(st.integers(k + 2, 16), label="cutoff")
-    m = data.draw(st.integers(k, cutoff - 2), label="m")
+    model = case
+    cutoff = data.draw(st.integers(3, 16), label="cutoff")
+    m = data.draw(st.integers(1, cutoff - 2), label="m")
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     space = HilbertSpace(3 if model == "full" else 2, cutoff)
-    if k == 1:
-        gp = GateParams.from_raman(p, m=m, phi=phi)
-    else:
-        gp = GateParams.from_multiquantum(0.004, m=m, k=k, phi=phi)
+    gp = GateParams.from_raman(p, m=m, phi=phi)
     dense = dense_pulse(gp, p, space, model, theta)
     tau = min(gp.tau, 10.0 / np.linalg.norm(dense, 2))
 
@@ -629,7 +614,7 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
 
 @pytest.mark.parametrize("case", sorted(BLOCK_BUILDERS))
 def test_block_layout_is_memoized_and_read_only(params, case):
-    # every builder call on one (space, atoms, k) shares one layout, which no caller can change
+    # every builder call on one (space, atoms) shares one layout, which no caller can change
     space = HilbertSpace(3 if case == "full" else 2, 9)
     first, second = (BLOCK_BUILDERS[case](params, space, GateParams.from_raman(params, m=m, phi=0.3)) for m in (2, 5))
     assert first.layout is second.layout and first.index is first.layout.index

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,6 @@ from fockgate import (
     effective_detuning,
     effective_hamiltonian,
     full_hamiltonian,
-    multiquantum_coupling_element,
     multiquantum_hamiltonian,
     selective_hamiltonian,
 )
@@ -276,26 +273,6 @@ def test_multiquantum_two_quantum_element(space):
     assert amp == pytest.approx(np.sqrt(2))
     H = multiquantum_hamiltonian(2, 0.03, 0.0, 2, space)
     assert abs(H[space.index("g", 2), space.index("e", 0)]) == pytest.approx(0.03 * amp)
-    assert multiquantum_coupling_element(0.03, 2, 2) == pytest.approx(0.03 * np.sqrt(2))
-
-
-def test_multiquantum_element_is_the_factorial_ratio_bit_for_bit():
-    for m in range(400):
-        for k in range(min(m, 30) + 1):
-            for lam in (1.0, 0.03):
-                expected = lam * math.sqrt(math.factorial(m) / math.factorial(m - k))
-                assert multiquantum_coupling_element(lam, m, k) == expected, (m, k, lam)
-
-
-@pytest.mark.parametrize("m, k", [(7923557453979583, 19), (7923557453979583, 20), (2**63 - 1, 17)])
-def test_multiquantum_element_at_the_float_range_edge_for_large_m(m, k):
-    # lgamma loses the difference at such m: it reads 736 for m!/(m-19)! here (e^695.6, inside float
-    # range) and 0 for the last (e^742, beyond it); the bound k*ln(m) and the exact product decide
-    if k * math.log(m) < 709.7:
-        assert multiquantum_coupling_element(1.0, m, k) == math.sqrt(math.perm(m, k))
-    else:
-        with pytest.raises(ValueError, match="beyond float range"):
-            multiquantum_coupling_element(1.0, m, k)
 
 
 def test_multiquantum_skips_low_levels(space):

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import sys
 from dataclasses import replace
@@ -28,7 +27,6 @@ from fockgate import (
     PlanStep,
     rotation_matrix,
     load_plan,
-    multiquantum_coupling_element,
     save_plan,
     spin_flip,
     tensor,
@@ -42,7 +40,6 @@ from fockgate.synthesis import (
     PHASE_MODELS,
     STEP_COLUMNS,
     _calibration_runner,
-    _plan_blocks,
 )
 
 
@@ -54,13 +51,13 @@ def random_target(rng, top):
 
 def gate_plan(*steps, **kwargs):
     """A ``CircuitPlan`` of (GateParams, chi) steps, built column by column."""
-    rows = [(g.m, g.k, g.phi, g.tau, g.theta0, g.lam, chi) for g, chi in steps]
+    rows = [(g.m, g.phi, g.tau, g.theta0, g.lam, chi) for g, chi in steps]
     return CircuitPlan(**dict(zip(STEP_COLUMNS, map(list, zip(*rows)))), **kwargs)
 
 
 def with_step(plan, i, gate, chi):
     """``plan`` with the step of ``gate`` at pulse-phase offset chi inserted before step i."""
-    row = dict(zip(STEP_COLUMNS, (gate.m, gate.k, gate.phi, gate.tau, gate.theta0, gate.lam, chi)))
+    row = dict(zip(STEP_COLUMNS, (gate.m, gate.phi, gate.tau, gate.theta0, gate.lam, chi)))
     return replace(plan, **{c: np.insert(getattr(plan, c), i, value) for c, value in row.items()})
 
 
@@ -490,7 +487,6 @@ def test_plan_json_round_trip(params, tmp_path):
     loaded = load_plan(path)
     assert len(loaded) == len(plan)
     assert np.array_equal(loaded.m, plan.m)
-    assert np.array_equal(loaded.k, plan.k)
     for name in ("phi", "theta0", "tau", "chi"):
         assert getattr(plan, name) == pytest.approx(getattr(loaded, name))
     assert_allclose(loaded.target, plan.target, atol=1e-15)
@@ -582,8 +578,8 @@ def _without_lam(field, value):
     "edit, message",
     [
         (_with_step_field("tau", float("nan")), "tau must be finite, got nan"),
-        (_with_step_field("k", 0), "k must be >= 1, got 0"),
-        (_without_lam("k", 0), "k must be >= 1, got 0"),
+        (_with_step_field("k", 0), "k must be 1 (every gate exchanges one quantum), got 0"),
+        (_without_lam("k", 0), "k must be 1 (every gate exchanges one quantum), got 0"),
         (_with_step_field("phi", 0.3), "phi = 0.3 inconsistent with coupling*tau = "),
         (_with_step_field("phase_correction", float("inf")), "phase_correction must be finite, got inf"),
     ],
@@ -595,73 +591,24 @@ def test_plan_document_names_the_step_of_a_rejected_gate(params, edit, message):
         plan_from_dict(json.loads(json.dumps(edit(doc))))
 
 
-# a k-quantum step whose m!/(m-k)! lies beyond float range (200! ~ 7.9e374)
-HUGE_PERM_STEP = {"m": 200, "k": 200, "phi": 0.1, "theta0": 0.0, "tau": 1.0, "lam": 1e-300, "phase_correction": 0.0}
-HUGE_PERM = re.escape("m!/(m-k)! for m=200, k=200 lies beyond float range")
-
-
-@pytest.mark.parametrize("without", [None, "lam"], ids=["columns", "scanned-without-lam"])
-def test_plan_step_beyond_float_range_is_a_value_error(without):
-    # both load paths name the step, not an OverflowError from int-to-float conversion
-    step = {key: value for key, value in HUGE_PERM_STEP.items() if key != without}
-    good = dict(HUGE_PERM_STEP, m=2, k=1, phi=1e-300 * 2**0.5)
-    with pytest.raises(ValueError, match="^plan step 1: " + HUGE_PERM):
-        plan_from_dict({"steps": [good, step]})
-
-
-def test_plan_columns_beyond_float_range_are_a_value_error():
-    columns = {name: [HUGE_PERM_STEP[key]] for key, name in (("m", "m"), ("k", "k"), ("phi", "phi"), ("tau", "tau"),
-                                                             ("theta0", "theta0"), ("lam", "lam"),
-                                                             ("phase_correction", "chi"))}
-    with pytest.raises(ValueError, match="^plan step 0: " + HUGE_PERM):
-        CircuitPlan(**columns)
-
-
 def test_plan_level_beyond_int64_is_named(params):
     # a uint64 level past int64 was stored wrapped, as m = -9223372036854775803; the row is valid as given
     m = 2**63 + 5
-    uint = dict(m=np.array([m], dtype=np.uint64), k=np.array([1], dtype=np.uint64), phi=[0.1], lam=[1e-9],
+    uint = dict(m=np.array([m], dtype=np.uint64), phi=[0.1], lam=[1e-9],
                 theta0=[0.0], chi=[0.0], tau=[0.1 / (1e-9 * np.sqrt(float(m)))])
-    with pytest.raises(ValueError, match="^plan step 0: levels m = 9223372036854775813, k = 1 must lie in int64 range"):
+    with pytest.raises(ValueError, match="^plan step 0: level m = 9223372036854775813 must lie in int64 range"):
         CircuitPlan(**uint)
     # so is a Python integer past int64 in an object array, which raised an OverflowError in the cast
     m = 2**64 + 3
-    beyond = dict(uint, m=np.array([m], dtype=object), k=np.array([1], dtype=object),
-                  tau=[0.1 / (1e-9 * np.sqrt(float(m)))])
-    with pytest.raises(ValueError, match=f"^plan step 0: levels m = {m}, k = 1 must lie in int64 range"):
+    beyond = dict(uint, m=np.array([m], dtype=object), tau=[0.1 / (1e-9 * np.sqrt(float(m)))])
+    with pytest.raises(ValueError, match=f"^plan step 0: level m = {m} must lie in int64 range"):
         CircuitPlan(**beyond)
     # levels of any other integer dtype, or Python integers in an object array, are stored as int64
     gate = GateParams.from_raman(params, m=2, phi=0.4)
     for kind in (np.uint64, np.int32, object):
-        plan = CircuitPlan(m=np.array([2], dtype=kind), k=np.array([1], dtype=kind), phi=[gate.phi], tau=[gate.tau],
+        plan = CircuitPlan(m=np.array([2], dtype=kind), phi=[gate.phi], tau=[gate.tau],
                            theta0=[gate.theta0], lam=[gate.lam], chi=[0.0])
-        assert plan.m.dtype == plan.k.dtype == np.int64 and plan.m.tolist() == [2]
-
-
-def test_gate_beyond_float_range_is_a_value_error():
-    with pytest.raises(ValueError, match=HUGE_PERM):
-        GateParams(m=200, tau=1.0, lam=1e-300, theta0=0.0, phi=0.1, k=200)
-    with pytest.raises(ValueError, match=HUGE_PERM):
-        GateParams.from_multiquantum(1e-300, 200, 200, 0.1)
-
-
-def test_level_beyond_float_range_is_found_without_the_exact_product(monkeypatch):
-    # m!/(m-k)! at m = 10**7 has about 6.6e7 digits: the exact product stalled the loader
-    m = 10**7
-    step = dict(HUGE_PERM_STEP, m=m, k=m - 1, lam=1e-300)
-    message = re.escape(f"m!/(m-k)! for m={m}, k={m - 1} lies beyond float range")
-
-    def no_exact_product(*args):
-        raise AssertionError("math.perm reached")
-
-    monkeypatch.setattr(math, "perm", no_exact_product)
-    with pytest.raises(ValueError, match="^" + message):
-        multiquantum_coupling_element(1.0, m, m - 1)
-    with pytest.raises(ValueError, match=message):
-        GateParams(m=m, tau=1.0, lam=1e-300, theta0=0.0, phi=0.1, k=m - 1)
-    for without in (None, "lam"):  # the column check and the lam derivation
-        with pytest.raises(ValueError, match="^plan step 0: " + message):
-            plan_from_dict({"steps": [{key: value for key, value in step.items() if key != without}]})
+        assert plan.m.dtype == np.int64 and plan.m.tolist() == [2]
 
 
 @pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
@@ -698,34 +645,27 @@ def test_legacy_parallel_groups_document_loads_in_order(params):
     st.integers(0, 2**32 - 1),
     st.integers(1, 8),
     st.sampled_from(LEDGER_MODELS),
-    st.lists(st.sampled_from(["tau0", "k2"]), max_size=3),
+    st.integers(0, 3),
 )
-def test_plan_round_trip_reproduces_execution(tmp_path_factory, seed, top, phase_model, extras):
+def test_plan_round_trip_reproduces_execution(tmp_path_factory, seed, top, phase_model, tau0_steps):
     """save_plan/load_plan keep every step bit for bit, so execution is identical.
 
     Ladder plans get optional extra steps with tau = 0 (lam not derivable
-    from phi/tau) and k = 2 (run under "ideal", the only model defined
-    for k > 1).
+    from phi/tau).
     """
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     rng = np.random.default_rng(seed)
     plan = plan_general_state(random_target(rng, top), p, phase_model)
-    for kind in extras:
-        m = int(rng.integers(2, top + 2))
-        gate = (
-            GateParams.from_raman(p, m=m, phi=0.0)
-            if kind == "tau0"
-            else GateParams.from_multiquantum(0.004, m=m, k=2, phi=float(rng.uniform(0.1, 1.5)))
-        )
+    for _ in range(tau0_steps):
+        gate = GateParams.from_raman(p, m=int(rng.integers(2, top + 2)), phi=0.0)
         plan = with_step(plan, len(plan), gate, float(rng.uniform(-np.pi, np.pi)))
     path = tmp_path_factory.getbasetemp() / "round_trip_plan.json"
     save_plan(plan, path)
     loaded = load_plan(path)
     assert same_columns(loaded, plan)
-    model = "ideal" if "k2" in extras else phase_model
     space = HilbertSpace(2, 2 * len(plan) + top + 4)
-    osc_a, rep_a = execute_plan(plan, np.array([1.0]), model, p, space)
-    osc_b, rep_b = execute_plan(loaded, np.array([1.0]), model, p, space)
+    osc_a, rep_a = execute_plan(plan, np.array([1.0]), phase_model, p, space)
+    osc_b, rep_b = execute_plan(loaded, np.array([1.0]), phase_model, p, space)
     assert np.array_equal(osc_a, osc_b)
     assert rep_a == rep_b
 
@@ -738,11 +678,11 @@ def test_plan_document_fields(params):
     assert rebuilt.m[0] == 1
 
 
-def test_plan_json_stores_lam_at_zero_tau_and_k2(params):
+def test_plan_json_stores_lam_at_zero_tau(params):
     # lam cannot be recovered from phi/tau when tau = 0; the file carries it
     plan = gate_plan(
         (GateParams.from_raman(params, m=1, phi=0.0), 0.3),
-        (GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), -0.2),
+        (GateParams.from_raman(params, m=3, phi=0.6), -0.2),
     )
     loaded = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
     assert same_columns(loaded, plan)
@@ -862,35 +802,22 @@ def per_step_execution(plan, initial, model, p, space):
     st.sampled_from(["ideal", "effective", "full"]),
     st.sampled_from([0.02, 0.1, 0.2]),
     st.integers(0, 2),
-    st.integers(0, 2),
-    st.sampled_from([None, 2, 3]),
 )
-@example(seed=1, top=3, model="ideal", ratio=0.1, k2_steps=2, tau0_steps=1, twice_k=2)
-@example(seed=2, top=5, model="ideal", ratio=0.1, k2_steps=2, tau0_steps=1, twice_k=3)
-def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, k2_steps, tau0_steps, twice_k):
+@example(seed=1, top=3, model="ideal", ratio=0.1, tau0_steps=1)
+@example(seed=2, top=1, model="full", ratio=0.1, tau0_steps=2)
+def test_batched_execution_matches_per_step_gates(seed, top, model, ratio, tau0_steps):
     """One eigendecomposition and one framing per plan give the per-step result to 1e-12.
 
-    Every model gets up to two extra tau = 0 steps (a bare spin flip), and
-    ideal plans up to two extra k = 2 steps, whose block layout differs from
-    the k = 1 steps'.  The extra steps carry pulse phases chi drawn from
-    [-100, 100].  With ``twice_k`` an ideal plan runs at fock_cutoff = 2k
-    with at least one k-quantum step, k = twice_k: there the spin flip sends
-    both members of a block into one block.
+    Every model gets up to two extra tau = 0 steps (a bare spin flip),
+    carrying pulse phases chi drawn from [-100, 100].
     """
     p = RamanParams(g=1.0, omega_l=ratio, delta=20.0)
     rng = np.random.default_rng(seed)
-    k, twice_k = (twice_k, twice_k) if model == "ideal" and twice_k else (2, None)
-    top = min(top, 2 * k - 3) if twice_k else top  # the plan's levels and the bare flips' keep the guard level
     plan = plan_general_state(random_target(rng, top), p, "ideal" if model == "ideal" else "effective")
     extra = [GateParams.from_raman(p, m=int(rng.integers(1, top + 2)), phi=0.0) for _ in range(tau0_steps)]
-    if model == "ideal":
-        extra += [
-            GateParams.from_multiquantum(0.004, m=int(rng.integers(k, 2 * k - 1 if twice_k else top + 2)), k=k, phi=1.0)
-            for _ in range(max(k2_steps, 1) if twice_k else k2_steps)
-        ]
     for gate in extra:
         plan = with_step(plan, int(rng.integers(0, len(plan) + 1)), gate, float(rng.uniform(-100.0, 100.0)))
-    space = model_space(model, 2 * k if twice_k else 2 * len(plan) + top + 3)
+    space = model_space(model, 2 * len(plan) + top + 3)
     initial = random_target(rng, 2)
     osc, report = execute_plan(plan, initial, model, p, space)
     ref_osc, ref = per_step_execution(plan, initial, model, p, space)
@@ -970,6 +897,30 @@ def test_plan_file_round_trip_is_exact(tmp_path_factory, seed, top, phase_model)
     assert loaded.phase_model == plan.phase_model
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0, 2, -1, 2**62, True]))
+def test_plan_files_write_k_1_and_name_a_step_with_any_other(tmp_path_factory, seed, top, k):
+    """Every gate exchanges one quantum: each written step has "k": 1, and a file with another k names that step.
+
+    save_plan(load_plan(f)) writes f's bytes again: the key that fills no
+    plan column changes no round trip.
+    """
+    rng = np.random.default_rng(seed)
+    plan = plan_general_state(random_target(rng, top), RamanParams(1.0, 0.1, 20.0), "effective")
+    base = tmp_path_factory.getbasetemp()
+    written, again, edited = (base / f"k_{name}.json" for name in ("written", "again", "edited"))
+    save_plan(plan, written)
+    save_plan(load_plan(written), again)
+    assert again.read_bytes() == written.read_bytes()
+    doc = json.loads(written.read_text())
+    assert len(doc["steps"]) == len(plan) and all(type(step["k"]) is int and step["k"] == 1 for step in doc["steps"])
+    i = int(rng.integers(len(plan)))
+    doc["steps"][i]["k"] = k
+    edited.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^plan step {i}: k must be "):
+        load_plan(edited)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -990,18 +941,16 @@ def test_plan_document_names_the_step_of_any_rejected_field(seed, top, edit):
 
 @pytest.mark.parametrize("model", ["ideal", "effective", "full"])
 def test_plan_blocks_stack_the_per_step_generators(params, model):
-    # one builder call on the m column gives what one pulse_generator call per step gives, bit for bit
+    # one builder call on the m column gives what one pulse_generator call per step gives, bit for bit, on one layout
     phase_model = "ideal" if model == "ideal" else "effective"
     plan = plan_general_state(random_target(np.random.default_rng(11), 6), params, phase_model)
-    if model == "ideal":  # a k = 2 step has its own layout
-        plan = with_step(plan, 2, GateParams.from_multiquantum(0.004, m=3, k=2, phi=0.6), 0.1)
     space = model_space(model, 9)
-    stack = _plan_blocks(plan, params, space, model)
-    steps = [pulse_generator(params, space, model, step.gate.m, step.gate.k, step.gate.lam) for step in plan.steps]
-    assert np.array_equal(stack.index, [blocks.index for blocks in steps])
+    stack = pulse_generator(params, space, model, plan.m)
+    steps = [pulse_generator(params, space, model, step.gate.m) for step in plan.steps]
+    assert all(blocks.layout is stack.layout for blocks in steps)
     assert np.array_equal(stack.generator, [blocks.generator for blocks in steps])
     with pytest.raises(ValueError, match="too small for selected level m=4;"):  # the first step past the cutoff
-        _plan_blocks(plan, params, model_space(model, 5), model)
+        pulse_generator(params, model_space(model, 5), model, plan.m)
 
 
 def test_plan_columns_are_read_only_and_steps_a_view(params):
@@ -1023,8 +972,8 @@ def test_plan_columns_are_checked_like_gates(params):
     plan = gate_plan((gate, 0.0), (gate, 0.0))
     with pytest.raises(ValueError, match="^plan step 0: m must be an integer, got 2.0"):
         replace(plan, m=[2.0, 2.0])
-    with pytest.raises(ValueError, match="^plan step 1: k must be >= 1, got 0"):
-        replace(plan, k=[1, 0])
+    with pytest.raises(ValueError, match="^plan step 1: m must be >= 1, got 0"):
+        replace(plan, m=[2, 0])
     with pytest.raises(ValueError, match=r"^plan step 1: phi = 0\.5 inconsistent with coupling\*tau = "):
         replace(plan, phi=[0.4, 0.5])
     with pytest.raises(ValueError, match="1-d and of one length"):
@@ -1079,13 +1028,17 @@ def scanned_columns(raws):
                 raise ValueError(f"plan step {i} field {name!r} is an integer out of {kind} range")
         k, lam, chi = raw.get("k", 1), raw.get("lam"), raw.get("phase_correction", 0.0)
         try:
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ValueError(f"k must be an integer, got {k!r}")
+            if k != 1:
+                raise ValueError(f"k must be 1 (every gate exchanges one quantum), got {k!r}")
             if lam is None:  # files written before lam was stored: phi = lam * ratio * tau
-                ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0, k=k).coupling_element
+                ratio = GateParams(m=m, tau=0.0, lam=1.0, theta0=0.0, phi=0.0).coupling_element
                 lam = phi / tau / ratio if tau != 0.0 else 0.0
-            PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi, k=k), chi)
+            PlanStep(GateParams(m=m, tau=tau, lam=lam, theta0=theta0, phi=phi), chi)
         except ValueError as exc:
             raise ValueError(f"plan step {i}: {exc}") from None
-        rows.append((m, k, phi, tau, theta0, lam, chi))
+        rows.append((m, phi, tau, theta0, lam, chi))
     return dict(zip(STEP_COLUMNS, zip(*rows)))
 
 
@@ -1128,13 +1081,13 @@ CORRUPTIONS = [
     st.integers(0, 2**32 - 1),
     st.integers(1, 10),
     st.sampled_from(LEDGER_MODELS),
-    st.lists(st.sampled_from(["tau0", "k2"]), max_size=3),
+    st.integers(0, 3),
     st.data(),
 )
-def test_column_reader_matches_step_reader(tmp_path_factory, seed, top, phase_model, extras, data):
+def test_column_reader_matches_step_reader(tmp_path_factory, seed, top, phase_model, tau0_steps, data):
     """Legal rewrites of a compiled plan's file, and one corrupted field, load as the step-by-step reader loads them.
 
-    The rewrites: integral floats written as ints, k dropped where it is 1,
+    The rewrites: integral floats written as ints, k dropped,
     phase_correction dropped, lam dropped or null, the file indented.  The
     columns agree bit for bit; a corrupted field is named with the same step
     and message, with an integer in a float field shown as its float.
@@ -1142,17 +1095,15 @@ def test_column_reader_matches_step_reader(tmp_path_factory, seed, top, phase_mo
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     rng = np.random.default_rng(seed)
     plan = plan_general_state(random_target(rng, top), p, phase_model)
-    for kind in extras:  # tau = 0 (integral phi, tau and theta0) and k = 2 steps
-        m = int(rng.integers(2, top + 2))
-        gate = (GateParams.from_raman(p, m=m, phi=0.0) if kind == "tau0"
-                else GateParams.from_multiquantum(0.004, m=m, k=2, phi=float(rng.uniform(0.1, 1.5))))
+    for _ in range(tau0_steps):  # tau = 0 steps: integral phi, tau and theta0
+        gate = GateParams.from_raman(p, m=int(rng.integers(2, top + 2)), phi=0.0)
         plan = with_step(plan, int(rng.integers(0, len(plan) + 1)), gate, 0.0)
     doc = plan_to_dict(plan)
     as_ints, drop_k, drop_chi, indent = (data.draw(st.booleans(), label=f) for f in ("ints", "k", "chi", "indent"))
     for step in doc["steps"]:
         if as_ints:
             step.update({key: int(value) for key, value in step.items() if type(value) is float and value.is_integer()})
-        if drop_k and step["k"] == 1:
+        if drop_k:
             del step["k"]
         if drop_chi:
             del step["phase_correction"]
