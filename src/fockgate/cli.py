@@ -31,7 +31,6 @@ from .config import (
 )
 from .gates import MODELS, GateParams, closed_form_check, closed_form_states, echo_pulses, leakage, pair_gate
 from .gates import model_space, pulse_generator, raman_columns, run_echo
-from .hamiltonians import PulseBlocks
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
 from .spaces import fidelity, fock_populations, purity, reduced_oscillator_state
 from .synthesis import _write_json, execute_plan, plan_general_state, save_plan
@@ -118,9 +117,9 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
     tau, theta0 = raman_columns(devices, m, phi)  # (ratios, samples)
     blocks = [pulse_generator(p, space, model, m) for p in devices]
     generators = np.stack([b.generator for b in blocks])[:, None]  # a ratio's samples share its blocks
-    echo = echo_pulses(PulseBlocks(blocks[0].layout, generators), tau, theta0, 0.0)
+    pulses = echo_pulses(generators, tau, theta0, 0.0)
     prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
-    psis = run_echo(echo, prepared[..., None])[..., 0]
+    psis = run_echo(blocks[0].layout, pulses, prepared[..., None])[..., 0]
     fids, leaks = fidelity(expected, psis, space), leakage(psis, m, space)
     return [
         {"r": ratio, "model": model, "fidelity": float(f), "leakage": float(leak), "gate_time": float(t)}

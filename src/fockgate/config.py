@@ -177,7 +177,7 @@ def _block_entries(g: float, omega_l: float, delta: float, nf: int) -> dict[str,
 
 
 def _require_finite_gate(name: str, phi: float, lam: float, shift: float, m: int) -> float:
-    """``GateParams.from_raman``'s tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, 2*eta = 2*m*theta0 finite."""
+    """``gates.raman_columns``' tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, 2*eta = 2*m*theta0 finite."""
     tau = phi / (lam * math.sqrt(m))
     if not all(map(math.isfinite, (tau, shift * tau, 2 * (m * (shift * tau))))):
         raise ConfigError(f"{name} gives a gate with non-finite tau, theta0 or 2*eta")
@@ -208,7 +208,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"physical.omega_l: must be >= 0, got {ph.omega_l}")
     if ph.delta <= 0:  # lambda = g*omega_l/delta < 0 would give gates of negative duration
         raise ConfigError(f"physical.delta: must be > 0, got {ph.delta}")
-    lam, shift = ph.g * ph.omega_l / ph.delta, ph.g * ph.g / ph.delta  # products overflow to inf; g**2 raises
+    lam, shift = ph.g * ph.omega_l / ph.delta, ph.g * ph.g / ph.delta  # as RamanParams derives them
     _require_coupling("physical", lam, shift)
     try:
         check_tolerances(cfg.tolerances)

@@ -138,33 +138,36 @@ class GateParams:
 
     @classmethod
     def from_raman(cls, p: RamanParams, m: int, phi: float) -> "GateParams":
-        """Gate at angle phi: tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau."""
-        lam = p.coupling
-        element = lam * math.sqrt(m)
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi}")
-        if element == 0.0:
-            raise ValueError("cannot derive tau from phi with zero coupling")
-        tau = phi / element
-        return cls(m=m, tau=tau, lam=lam, theta0=p.dispersive_rate * tau, phi=phi)
+        """Gate at angle phi on device p, tau and theta0 from ``raman_columns``."""
+        tau, theta0 = (column.item() for column in raman_columns([p], m, phi))
+        return cls(m=m, tau=tau, lam=p.coupling, theta0=theta0, phi=phi)
 
 
 def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.ndarray]:
-    """tau and theta0 of ``GateParams.from_raman(devices[i], m[j], phi[j])`` as (devices, gates) arrays.
+    """tau and theta0 of gates (m[j], phi[j]) on devices[i], as (devices, gates) arrays.
 
-    Same IEEE operations as ``from_raman``; m and phi broadcast to one gate
-    axis.  A gate whose columns are not finite is built, raising its error.
+    tau = phi/(lambda*sqrt(m)) and theta0 = (g^2/delta)*tau, with m and phi
+    broadcast to one gate axis.  The first gate whose columns are not
+    finite raises its error: a level below 1, a phi that is not finite, a
+    zero coupling, or the message of ``GateParams``.
     """
     lam = np.array([p.coupling for p in devices])[:, None]
     rate = np.array([p.dispersive_rate for p in devices])[:, None]
     with np.errstate(all="ignore"):
-        tau = phi / (lam * np.sqrt(m))
+        tau = phi / (lam * np.sqrt(np.asarray(m, dtype=float)))  # a level past int64 as a float, as math.sqrt takes it
         theta0 = rate * tau
         bad = ~np.isfinite(lam * (2 * (m * theta0)))
     if bad.any():
-        m, phi = np.broadcast_arrays(m, phi)
-        for i, j in zip(*np.nonzero(bad)):
-            GateParams.from_raman(devices[i], m=int(m[j]), phi=float(phi[j]))
+        m, phi = (np.broadcast_to(column, tau.shape[-1:]) for column in (m, phi))
+        for i, j in zip(*np.nonzero(bad)):  # a gate flagged only as lam * 2*eta overflows builds, and passes
+            if m[j] < 1:
+                raise ValueError(f"m must be >= 1, got {m[j]}")
+            if not math.isfinite(phi[j]):
+                raise ValueError(f"phi must be finite, got {phi[j]}")
+            if lam[i, 0] == 0.0:
+                raise ValueError("cannot derive tau from phi with zero coupling")
+            GateParams(m=m[j].item(), tau=tau[i, j].item(), lam=lam[i, 0].item(), theta0=theta0[i, j].item(),
+                       phi=phi[j].item())
     return tau, theta0
 
 
@@ -218,20 +221,13 @@ def pulse_at(pulse: np.ndarray, theta) -> np.ndarray:
     return z[..., :, None] * pulse * z.conj()[..., None, :]
 
 
-class Echo(NamedTuple):
-    """Both framed pulses of one gate or a batch, and the slots they act on (``echo_pulses``)."""
+def echo_pulses(generator: np.ndarray, tau, theta0, chi) -> np.ndarray:
+    """The framed pulses (2, ..., nb, b, b) of the echo pulse(chi) -> flip -> pulse(chi - theta0), for ``run_echo``.
 
-    layout: BlockLayout  # the joint row of each slot, its inverse, and the slot each slot reads through the flip
-    pulses: np.ndarray   # (2, ..., nb, b, b): the pulses at chi and at chi - theta0
-
-
-def echo_pulses(blocks: PulseBlocks, tau, theta0, chi) -> Echo:
-    """The echo pulse(chi) -> flip -> pulse(chi - theta0) of one gate or a batch, for ``run_echo``.
-
-    ``blocks`` is a phase-0 stack, generator (..., nb, b, b) on one layout
-    of (nb, b) slots; tau, theta0 and chi broadcast against its gate axes.
-    One ``block_unitaries`` call, framed by ``pulse_at`` from one complex
-    exp per pulse and gate.  A non-finite drive phase is a ValueError; in a
+    ``generator`` is a phase-0 stack (..., nb, b, b), a ``PulseBlocks``'
+    generator; tau, theta0 and chi broadcast against its gate axes.  One
+    ``block_unitaries`` call, framed by ``pulse_at`` from one complex exp
+    per pulse and gate.  A non-finite drive phase is a ValueError; in a
     batch it names the gate as a plan step.
     """
     theta = np.empty((2,) + np.broadcast(chi, theta0).shape)  # chi and chi - theta0
@@ -241,30 +237,31 @@ def echo_pulses(blocks: PulseBlocks, tau, theta0, chi) -> Echo:
     if len(bad):
         first, second = theta[:, bad[0]].tolist()
         raise ValueError(f"plan step {bad[0]}: drive phases chi = {first!r}, chi - theta0 = {second!r} must be finite")
-    pulses = block_unitaries(blocks.generator, np.asarray(tau, dtype=float)[..., None])
-    return Echo(blocks.layout, pulse_at(pulses, theta[..., None]))
+    pulses = block_unitaries(generator, np.asarray(tau, dtype=float)[..., None])
+    return pulse_at(pulses, theta[..., None])
 
 
 def echo_slots(pulses: np.ndarray, flipped: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """pulse -> flip -> pulse on states in the block layout: (..., nb, b, k) slots in, a new such array out.
 
-    ``pulses`` is an ``Echo``'s (2, ..., nb, b, b) pair and ``flipped`` its
-    layout's flip: each pulse is one batched b x b product, and the flip one
-    gather of the slots between them.
+    ``pulses`` is an ``echo_pulses`` array (2, ..., nb, b, b) and ``flipped``
+    its layout's flip: each pulse is one batched b x b product, and the flip
+    one gather of the slots between them.
     """
     first = pulses[0] @ slots
     return pulses[1] @ first.reshape(first.shape[:-3] + (-1, first.shape[-1]))[..., flipped, :]
 
 
-def run_echo(echo: Echo, states: np.ndarray) -> np.ndarray:
-    """``echo`` on joint states ``states``, shape (..., dim, k), as a new array: O(dim * b^2) per column.
+def run_echo(layout: BlockLayout, pulses: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The echo ``pulses`` on ``layout`` applied to joint states ``states``, shape (..., dim, k), as a new array.
 
-    The leading axes of ``states`` are the gate axes of ``echo.pulses``.  The
-    states are gathered into the block layout, run through ``echo_slots``
-    and gathered back by the inverse layout; no joint-space matrix is built.
+    O(dim * b^2) per column.  The leading axes of ``states`` are the gate
+    axes of ``pulses``.  The states are gathered into the block layout, run
+    through ``echo_slots`` and gathered back by the inverse layout; no
+    joint-space matrix is built.
     """
-    index, inverse, flipped = echo.layout
-    out = echo_slots(echo.pulses, flipped, states[..., index, :])
+    index, inverse, flipped = layout
+    out = echo_slots(pulses, flipped, states[..., index, :])
     return out.reshape(out.shape[:-3] + (-1, out.shape[-1]))[..., inverse, :]
 
 
@@ -288,8 +285,9 @@ def apply_pair_gate(
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
-    echo = echo_pulses(pulse_generator(p, space, model, gp.m), gp.tau, gp.theta0, phase_offset)
-    return run_echo(echo, x.reshape(space.dim, -1)).reshape(x.shape)
+    blocks = pulse_generator(p, space, model, gp.m)
+    pulses = echo_pulses(blocks.generator, gp.tau, gp.theta0, phase_offset)
+    return run_echo(blocks.layout, pulses, x.reshape(space.dim, -1)).reshape(x.shape)
 
 
 def pair_gate(
@@ -310,8 +308,9 @@ def pair_gate(
     """
     dim = space.dim
     blocks = pulse_generator(p, space, model, gp.m)
+    u1, u2 = echo_pulses(blocks.generator, gp.tau, gp.theta0, phase_offset)
     # the flip gives the B1 slot, block and position, that each B2 column reads
-    (index, _, flipped), (u1, u2) = echo_pulses(blocks, gp.tau, gp.theta0, phase_offset)
+    index, _, flipped = blocks.layout
     block, position = np.divmod(flipped, index.shape[1])
     values = u2[:, :, :, None] * u1[block, position][:, None, :, :]
     out = np.zeros(dim * dim, dtype=complex)

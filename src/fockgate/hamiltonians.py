@@ -96,11 +96,11 @@ class RamanParams:
     @property
     def dispersive_rate(self) -> float:
         """Per-quantum dispersive shift g^2/delta."""
-        return self.g**2 / self.delta
+        return self.g * self.g / self.delta  # a product overflows to inf, where g**2 raises OverflowError
 
     def engineered_shift(self, m: int) -> float:
         """Stark shift applied to |e> to select the doublet at Fock level m."""
-        return (self.g**2 * m - self.omega_l**2) / self.delta
+        return (self.g * self.g * m - self.omega_l * self.omega_l) / self.delta  # products, as above
 
     @property
     def selectivity_ratio(self) -> float:
@@ -287,7 +287,7 @@ class BlockLayout(NamedTuple):
 class PulseBlocks(NamedTuple):
     """A pulse generator as a stack of blocks of fixed excitation number.
 
-    Block i acts on the joint basis indices ``index[i]``; ``index`` is a
+    Block i acts on the joint basis indices ``layout.index[i]``, a row of a
     permutation of range(space.dim), so every joint state lies in exactly
     one block.  ``layout`` is shared by every pulse of the same layout and
     is read-only.
@@ -295,11 +295,6 @@ class PulseBlocks(NamedTuple):
 
     layout: BlockLayout    # the slots of the blocks in the joint basis
     generator: np.ndarray  # (nb, b, b) real symmetric blocks
-
-    @property
-    def index(self) -> np.ndarray:
-        """(nb, b) joint basis indices of each block."""
-        return self.layout.index
 
 
 @functools.lru_cache(maxsize=64)

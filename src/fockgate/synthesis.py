@@ -43,7 +43,11 @@ read one field at a time, as a column; the reader checks types and
 
 A plan runs its gates one after another through one auxiliary atom, which is
 re-prepared in |+> between gates; since an ideal gate returns the atom
-exactly to |+>, this reset is bookkeeping rather than back-action.  Plan
+exactly to |+>, this reset is bookkeeping rather than back-action.  Under
+"effective" and "full" it is a projection: ``execute_plan`` keeps the <+|
+branch of every gate and renormalizes it, so ``ExecutionReport.fidelity`` is
+post-selected on finding the atom in |+> after every gate, and the product
+of ``step_atom_overlaps`` is the probability of that outcome.  Plan
 execution and calibration build every step's pulses in one
 ``gates.echo_pulses`` call and share one step routine (``_step_runner``):
 it gathers |+> ⊗ osc straight from the oscillator into the block layout
@@ -214,7 +218,7 @@ def _compile_ladder(target: np.ndarray, p: RamanParams, phase_model: str) -> Cir
     remaining = np.sqrt(np.cumsum(moduli[::-1] ** 2)[::-1])
     phi = np.arccos(np.minimum(1.0, moduli[:top] / remaining[:top]))
 
-    # the columns GateParams.from_raman would give; a device without a usable coupling raises its error
+    # tau and theta0 of every gate; a device without a usable coupling raises its error
     m = np.arange(1, top + 1)
     (tau,), (theta0,) = raman_columns([p], m, phi)
     eta = m * theta0
@@ -287,8 +291,8 @@ def plan_superposition(
 def _step_runner(layout: BlockLayout, space: HilbertSpace):
     """The routine that runs one plan step on |+> ⊗ osc, for ``execute_plan`` and calibration.
 
-    ``step(pulses, i, osc)`` runs step i of ``pulses``, an ``Echo``'s pulses
-    on ``layout``, the one layout of every step, on |+> ⊗ osc for a
+    ``step(pulses, i, osc)`` runs step i of ``pulses``, an ``echo_pulses``
+    array on ``layout``, the one layout of every step, on |+> ⊗ osc for a
     (fock_cutoff, k) stack osc.  It gathers the joint state's slots straight
     from osc and returns the (dim, k) joint states and their <+| branch.
     """
@@ -322,10 +326,11 @@ def execute_plan(
     gate (``_step_runner``, also calibration's step) and resets the atom;
     the step purities come from the joint states after the loop.  A step
     whose drive phase chi or chi - theta0 is not finite is a ValueError
-    naming the step.  Returns the final oscillator state and a report;
-    fidelity is measured against the plan target (padded to the working
-    cutoff, a zero tail beyond it dropped) when one is set, otherwise
-    against the initial state; target support beyond the cutoff is an error.
+    naming the step.  Returns the final oscillator state and a report, both
+    post-selected on the atom's |+> outcome at every reset; fidelity is
+    measured against the plan target (padded to the working cutoff, a zero
+    tail beyond it dropped) when one is set, otherwise against the initial
+    state; target support beyond the cutoff is an error.
     """
     initial = np.asarray(initial, dtype=complex)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below, not warned about
@@ -343,7 +348,7 @@ def execute_plan(
 
     blocks = pulse_generator(p, space, model, plan.m)
     step = _step_runner(blocks.layout, space)
-    pulses = echo_pulses(blocks, plan.tau, plan.theta0, plan.chi).pulses
+    pulses = echo_pulses(blocks.generator, plan.tau, plan.theta0, plan.chi)
     joints = []
     atom_overlaps: list[float] = []
     for i in range(len(plan)):
@@ -382,7 +387,7 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     """Calibration's ``plan_at`` and ``images`` on the levels of ``plan``; doublets in closed form, no eigh.
 
     ``plan_at(x)`` is ``plan`` with (phi_i, chi_i) = x[2i:2i+2], tau and
-    theta0 following as in ``GateParams.from_raman``.
+    theta0 following from ``raman_columns``.
     ``images(x, columns=False)`` runs the vacuum through them by
     ``execute_plan``'s step routine under the effective model, without
     renormalizing: column 0 is the image at x; with ``columns``, column
@@ -400,7 +405,7 @@ def _calibration_runner(plan: CircuitPlan, p: RamanParams, space: HilbertSpace):
     def images(x: np.ndarray, columns: bool = False) -> np.ndarray:
         # x, then (with columns) x with every phi moved and x with every chi moved
         moves = [(0.0, 0.0)] + ([(CALIBRATION_FD_STEP, 0.0), (0.0, CALIBRATION_FD_STEP)] if columns else [])
-        base, *moved = [echo_pulses(stack, at.tau, at.theta0, at.chi).pulses
+        base, *moved = [echo_pulses(stack.generator, at.tau, at.theta0, at.chi)
                         for at in (plan_at(x + np.tile(d, len(plan))) for d in moves)]
         osc = np.eye(space.fock_cutoff, 1, dtype=complex)  # the vacuum
         for i in range(len(plan)):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from fockgate import HilbertSpace, RamanParams
+from fockgate import HilbertSpace, RamanParams, spin_flip, tensor
 
 
 @pytest.fixture
@@ -42,3 +43,13 @@ def dense_pulse(gp, p, space, model, angle):
     if model == "effective":
         return effective_hamiltonian(p, space, gp.m, angle)
     return full_hamiltonian(p, space, gp.m, angle)
+
+
+def expm_gate(gp, p, space, model="ideal", chi=0.0):
+    """The echo pulse(chi) -> flip -> pulse(chi - theta0) of ``gp`` from scipy's Pade exponentials of the dense pulses.
+
+    The oracle of the gate: it shares no propagation code with fockgate.
+    """
+    flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
+    first, second = (expm(-1j * dense_pulse(gp, p, space, model, angle) * gp.tau) for angle in (chi, chi - gp.theta0))
+    return second @ flip @ first

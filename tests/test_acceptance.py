@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one line per check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from fockgate import (
@@ -35,8 +36,9 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.propagator import Propagator
 from fockgate.spaces import fidelity, max_abs
+
+from conftest import dense_pulse, expm_gate
 
 DEFAULTS = dict(g=1.0, omega_l=0.1, delta=20.0)
 
@@ -44,22 +46,6 @@ DEFAULTS = dict(g=1.0, omega_l=0.1, delta=20.0)
 def verdict(tag: str, ok: bool, detail: str = ""):
     print(f"[{'PASS' if ok else 'FAIL'}] {tag}" + (f" | {detail}" if detail else ""))
     assert ok, f"{tag}: {detail}"
-
-
-def brute_force_product(p, gp, space, model="ideal"):
-    """Three-factor circuit via Pade exponentials."""
-    if model == "ideal":
-        def pulse(angle):
-            parts = decompose_effective(p, space, gp.m, angle)
-            return parts.pair_energy + parts.pair_coupling
-    elif model == "effective":
-        def pulse(angle):
-            return effective_hamiltonian(p, space, gp.m, angle)
-    else:
-        def pulse(angle):
-            return full_hamiltonian(p, space, gp.m, angle)
-    flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
-    return expm(-1j * pulse(-gp.theta0) * gp.tau) @ flip @ expm(-1j * pulse(0.0) * gp.tau)
 
 
 def pair_input(space, atom, alpha, beta, m, k=1):
@@ -75,6 +61,21 @@ def random_pair(rng):
     return alpha / nrm, beta / nrm
 
 
+def selective_device(data) -> RamanParams:
+    """A drawn device in the selective regime: g/delta <= 0.1 and |Omega_L|/g <= 0.1."""
+    g = data.draw(st.floats(0.2, 2.0), label="g")
+    ratio = data.draw(st.floats(0.005, 0.1), label="|Omega_L|/g")
+    detuning = data.draw(st.floats(10.0, 40.0), label="delta/g")
+    return RamanParams(g=g, omega_l=ratio * g, delta=detuning * g)
+
+
+def drawn_gate(data, p, space, m) -> GateParams:
+    """An ideal gate on {m-1, m} at a drawn angle, its duration cut to ||H||*tau <= 100."""
+    gp = GateParams.from_raman(p, m=m, phi=data.draw(st.floats(0.05, 2.0 * np.pi), label=f"phi on level {m}"))
+    norm = np.linalg.norm(dense_pulse(gp, p, space, "ideal", 0.0), 2)
+    return GateParams.from_raman(p, m=m, phi=gp.coupling_element * min(gp.tau, 100.0 / norm))
+
+
 def test_a01_closed_form_oracle_equivalence():
     """200 random gates: the three-factor product matches the closed form."""
     rng = np.random.default_rng(20240801)
@@ -86,7 +87,7 @@ def test_a01_closed_form_oracle_equivalence():
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         alpha, beta = random_pair(rng)
         gp = GateParams.from_raman(p, m=m, phi=phi)
-        U = brute_force_product(p, gp, space)
+        U = expm_gate(gp, p, space)
         out = U @ pair_input(space, atom_plus(2), alpha, beta, m)
         expect = pair_input(space, atom_plus(2), *closed_form_rotation(alpha, beta, gp), m)
         worst = min(worst, fidelity(expect, out, space))
@@ -122,6 +123,21 @@ def test_a02_disentanglement():
         worst >= 1.0 - 1e-9 and control <= 0.99,
         f"worst |+->-input purity = {1 - worst:.3e} deficit; |g>-input control purity = {control:.4f}",
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a02_disentanglement_over_devices(data):
+    """A2 over devices, levels, angles and pair inputs: |+> and |-> exit unentangled (deficit < 1e-9)."""
+    p = selective_device(data)
+    space = HilbertSpace(2, data.draw(st.integers(3, 12), label="cutoff"))
+    m = data.draw(st.integers(1, space.fock_cutoff - 2), label="m")
+    gp = drawn_gate(data, p, space, m)
+    U = pair_gate(gp, p, space, "ideal")
+    alpha, beta = random_pair(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    for atom in (atom_plus(2), atom_minus(2)):
+        out = U @ pair_input(space, atom, alpha, beta, m)
+        assert 1.0 - purity(reduced_oscillator_state(out, space)) < 1e-9
 
 
 def test_a03_derivation_identities():
@@ -241,14 +257,13 @@ def test_a06_full_vs_effective_agreement():
     h_second = full_hamiltonian(p, space3, gp.m, -gp.theta0)
     flip = tensor(spin_flip(3), np.eye(space3.fock_cutoff))
     h_max = 0.0
-    prop1, prop2 = Propagator(h_first), Propagator(h_second)
     times = np.linspace(0.0, gp.tau, 240)
     for t in times:
-        st = prop1.evolve(psi0, t)
+        st = expm(-1j * h_first * t) @ psi0
         h_max = max(h_max, float(np.sum(np.abs(st.reshape(3, -1)[2]) ** 2)))
-    mid = flip @ prop1.evolve(psi0, gp.tau)
+    mid = flip @ expm(-1j * h_first * gp.tau) @ psi0
     for t in times:
-        st = prop2.evolve(mid, t)
+        st = expm(-1j * h_second * t) @ mid
         h_max = max(h_max, float(np.sum(np.abs(st.reshape(3, -1)[2]) ** 2)))
 
     verdict(
@@ -339,6 +354,17 @@ def test_a09_parallelizability():
     )
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a09_disjoint_pairs_commute_over_devices(data):
+    """A9 over devices, angles and disjoint pairs: the ideal gates' |+> maps commute (< 1e-9)."""
+    p = selective_device(data)
+    space = HilbertSpace(2, data.draw(st.integers(5, 12), label="cutoff"))
+    low = data.draw(st.integers(1, space.fock_cutoff - 4), label="lower m")
+    high = data.draw(st.integers(low + 2, space.fock_cutoff - 2), label="upper m")
+    assert commutation_check(drawn_gate(data, p, space, low), drawn_gate(data, p, space, high), p, space) < 1e-9
+
+
 def test_a10_multiquantum_doublet():
     """k = 2 coupling: the {|g,2>, |e,0>} doublet oscillates at lam*sqrt(2)
     and the skipped level |1> never populates."""
@@ -347,18 +373,17 @@ def test_a10_multiquantum_doublet():
     H = multiquantum_hamiltonian(2, lam_k, 0.0, 2, space)
     omega = lam_k * np.sqrt(2.0)
     psi0 = pair_input(space, np.array([1.0, 0.0]), 0.0, 1.0, 2, k=2)  # |g,2>
-    prop = Propagator(H)
     worst_pop = 0.0
     worst_skip = 0.0
     for t in np.linspace(0.0, 2.0 * np.pi / omega, 33):  # one full period
-        st = prop.evolve(psi0, t)
+        st = expm(-1j * H * t) @ psi0
         mat = st.reshape(2, space.fock_cutoff)
         p_g2 = abs(mat[0, 2]) ** 2
         p_e0 = abs(mat[1, 0]) ** 2
         worst_pop = max(worst_pop, abs(p_g2 - np.cos(omega * t) ** 2), abs(p_e0 - np.sin(omega * t) ** 2))
         worst_skip = max(worst_skip, float(abs(mat[0, 1]) ** 2 + abs(mat[1, 1]) ** 2))
     # period check: full revival at t = pi / omega
-    revived = prop.evolve(psi0, np.pi / omega)
+    revived = expm(-1j * H * (np.pi / omega)) @ psi0
     revival_defect = 1.0 - fidelity(psi0, revived, space)
     verdict(
         "A10 multiquantum doublet",

@@ -30,12 +30,13 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import Echo, apply_pair_gate, closed_form_states, echo_pulses, pulse_at, pulse_generator, run_echo
+from fockgate.gates import apply_pair_gate, closed_form_states, echo_pulses, pulse_at, pulse_generator, raman_columns
+from fockgate.gates import run_echo
 from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks
 from fockgate.propagator import Propagator, block_unitaries
 from fockgate.spaces import fidelity, max_abs
 
-from conftest import dense_pulse, random_pair_amplitudes
+from conftest import dense_pulse, expm_gate, random_pair_amplitudes
 
 
 def pair_input(space, atom, alpha, beta, m):
@@ -50,15 +51,6 @@ def embed_pair(space, atom, pair, m):
     return product_state(space, atom, osc)
 
 
-def brute_force_gate(gp, p, space, model="ideal", phase_offset=0.0):
-    """Independent route: Pade exponentials of the two dense pulse generators."""
-    chi = phase_offset
-    h1 = dense_pulse(gp, p, space, model, chi)
-    h2 = dense_pulse(gp, p, space, model, chi - gp.theta0)
-    flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
-    return expm(-1j * h2 * gp.tau) @ flip @ expm(-1j * h1 * gp.tau)
-
-
 # ---- gate parameter bookkeeping -------------------------------------------
 
 
@@ -67,6 +59,8 @@ def test_from_raman_derived_quantities(params):
     assert gp.phi == pytest.approx(gp.lam * gp.tau * np.sqrt(4))
     assert gp.theta0 == pytest.approx(params.dispersive_rate * gp.tau)
     assert gp.eta == pytest.approx(4 * gp.theta0)
+    # a level past int64 is a float under the square root, as for math.sqrt
+    assert GateParams.from_raman(params, m=2**70, phi=0.9).tau == 0.9 / (params.coupling * np.sqrt(2.0**70))
 
 
 @settings(max_examples=30)
@@ -128,7 +122,7 @@ def test_closed_form_matches_brute_force(params, space, rng):
         m = int(rng.integers(1, 6))
         phi = float(rng.uniform(0, 2 * np.pi))
         gp = GateParams.from_raman(params, m=m, phi=phi)
-        U = brute_force_gate(gp, params, space)
+        U = expm_gate(gp, params, space)
         out = U @ pair_input(space, atom_plus(2), alpha, beta, m)
         ref = embed_pair(space, atom_plus(2), closed_form_rotation(alpha, beta, gp), m)
         assert_allclose(out, ref, atol=1e-10)
@@ -148,7 +142,7 @@ def test_closed_form_check_scores_against_reference(params, space, rng):
     # dispersive phase negated differs by e^{2i theta0} on the lower level, so
     # it scores 1 - 4 |c_lo|^2 |c_hi|^2 sin^2(theta0)
     gp = GateParams.from_raman(params, m=2, phi=0.67)  # theta0 near 3*pi/2
-    U = brute_force_gate(gp, params, space)
+    U = expm_gate(gp, params, space)
     alphas, betas = random_pair_amplitudes(rng, 5)
     for alpha, beta in zip(alphas, betas):
         psi, fid = closed_form_check(U, gp, space, alpha, beta)
@@ -250,10 +244,7 @@ def test_second_pulse_phase_sign_is_load_bearing(params, space):
     # advancing instead of retarding the second pulse leaves the systems
     # entangled; this pins the pulse-phase convention
     gp = GateParams.from_raman(params, m=2, phi=0.7)
-    h1 = dense_pulse(gp, params, space, "ideal", 0.0)
-    h2 = dense_pulse(gp, params, space, "ideal", +gp.theta0)
-    flip = tensor(spin_flip(2), np.eye(space.fock_cutoff))
-    wrong = Propagator(h2).unitary(gp.tau) @ flip @ Propagator(h1).unitary(gp.tau)
+    wrong = expm_gate(replace(gp, theta0=-gp.theta0), params, space)  # second pulse at +theta0
     out = wrong @ pair_input(space, atom_plus(2), 0.6, 0.8, 2)
     assert 1.0 - purity(reduced_oscillator_state(out, space)) > 1e-4
 
@@ -445,6 +436,37 @@ def test_gate_factories_reject_overflowing_duration(params):
         GateParams.from_raman(RamanParams(g=1.0, omega_l=0.0, delta=20.0), m=2, phi=1.0)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_gate_factories_name_a_level_below_one_first(params, m):
+    # m = 0 has a zero coupling element and m = -1 no square root: the level is named, before phi
+    for phi in (0.5, np.nan):
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            GateParams.from_raman(params, m=m, phi=phi)
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            raman_columns([params], [2, m], [0.5, phi])
+
+
+def test_raman_columns_names_the_bad_gate_of_a_scalar_call(params):
+    # scalar m and phi are one gate, as in from_raman
+    with pytest.raises(ValueError, match="^phi must be finite, got nan$"):
+        raman_columns([params], 2, np.nan)
+    tau, theta0 = raman_columns([params, params], 2, 0.5)
+    gp = GateParams.from_raman(params, m=2, phi=0.5)
+    assert tau.shape == theta0.shape == (2, 1) and (tau == gp.tau).all() and (theta0 == gp.theta0).all()
+
+
+def test_overflowing_device_is_a_value_error():
+    # g*g and g*|Omega_L| overflow to inf, which the gate checks name; g**2 raised OverflowError
+    device = RamanParams(g=1e200, omega_l=1e199, delta=1e-200)
+    assert device.dispersive_rate == np.inf and device.coupling == np.inf
+    assert np.isnan(device.engineered_shift(2))  # inf - inf
+    assert RamanParams(g=1e200, omega_l=1.0, delta=1.0).engineered_shift(2) == np.inf
+    with pytest.raises(ValueError, match="^lam must be finite, got inf$"):
+        GateParams.from_raman(device, m=2, phi=0.5)
+    with pytest.raises(ValueError, match="^lam must be finite, got inf$"):
+        raman_columns([device], [1, 2], [0.5, 0.5])
+
+
 # ---- block propagation against the dense oracle ---------------------------------------
 
 
@@ -457,7 +479,7 @@ def joint_matrix(index, blocks, space):
     """
     second = np.broadcast_to(np.eye(index.shape[-1]), blocks.shape)
     layout = BlockLayout(index, np.argsort(index, axis=None), np.arange(index.size).reshape(index.shape))
-    return run_echo(Echo(layout, np.array([blocks, second])), np.eye(space.dim, dtype=complex))
+    return run_echo(layout, np.array([blocks, second]), np.eye(space.dim, dtype=complex))
 
 
 # the block builders take no drive phase: a pulse at phase theta is the
@@ -485,13 +507,13 @@ def test_every_block_layout_is_a_permutation(builder, data):
     p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
     space = HilbertSpace(3 if builder == "full" else 2, cutoff)
     blocks = {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[builder](p, space, m)
-    assert np.array_equal(np.sort(blocks.index, axis=None), np.arange(space.dim))
-    assert blocks.index.shape == (cutoff, space.atom_dim)
-    rows = blocks.index.ravel()
+    assert np.array_equal(np.sort(blocks.layout.index, axis=None), np.arange(space.dim))
+    assert blocks.layout.index.shape == (cutoff, space.atom_dim)
+    rows = blocks.layout.index.ravel()
     assert np.array_equal(rows[blocks.layout.inverse], np.arange(space.dim))
     flip = tensor(spin_flip(space.atom_dim), np.eye(cutoff)).real.astype(int)
-    assert np.array_equal(rows[blocks.layout.flipped], np.argmax(flip[blocks.index], axis=-1))
-    assert np.array_equal(blocks.index[:, -1] // cutoff, np.ones(cutoff))  # |e> is every block's last slot
+    assert np.array_equal(rows[blocks.layout.flipped], np.argmax(flip[blocks.layout.index], axis=-1))
+    assert np.array_equal(blocks.layout.index[:, -1] // cutoff, np.ones(cutoff))  # |e> is every block's last slot
     folded = blocks.generator[0]
     assert not np.any(folded[0, 1:]) and not np.any(folded[1:, 0])
 
@@ -527,19 +549,19 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)
     pulse = block_unitaries(blocks.generator, gp.tau)
-    echo = echo_pulses(blocks, gp.tau, gp.theta0, chi)
+    pulses = echo_pulses(blocks.generator, gp.tau, gp.theta0, chi)
     dense = []
-    for angle, framed_pulse in zip((chi, chi - gp.theta0), echo.pulses):
+    for angle, framed_pulse in zip((chi, chi - gp.theta0), pulses):
         h = dense_pulse(gp, p, space, model, angle)
         framed = pulse_at(blocks.generator, angle)
-        assert max_abs(joint_matrix(blocks.index, framed, space) - h) < 1e-15
-        u_blocks = joint_matrix(blocks.index, pulse_at(pulse, angle), space)
+        assert max_abs(joint_matrix(blocks.layout.index, framed, space) - h) < 1e-15
+        u_blocks = joint_matrix(blocks.layout.index, pulse_at(pulse, angle), space)
         u_expm = expm(-1j * h * gp.tau)
         u_prop = Propagator(h).unitary(gp.tau)
         assert max_abs(u_blocks - u_expm) < 1e-12
         assert max_abs(u_blocks - u_prop) < 1e-12
         assert max_abs(u_prop - u_expm) < 1e-12
-        assert max_abs(joint_matrix(blocks.index, framed_pulse, space) - u_expm) < 1e-12
+        assert max_abs(joint_matrix(blocks.layout.index, framed_pulse, space) - u_expm) < 1e-12
         dense.append(u_expm)
 
     flip = tensor(spin_flip(space.atom_dim), np.eye(space.fock_cutoff))
@@ -562,7 +584,7 @@ def test_gate_at_the_smallest_cutoff(params, model):
     norm = np.linalg.norm(dense_pulse(gp, params, space, model, 0.4), 2)
     gp = GateParams.from_raman(params, m=1, phi=gp.coupling_element * min(gp.tau, 10.0 / norm))
     U = pair_gate(gp, params, space, model, 0.4)
-    assert max_abs(U - brute_force_gate(gp, params, space, model, 0.4)) < 1e-12
+    assert max_abs(U - expm_gate(gp, params, space, model, 0.4)) < 1e-12
     states = np.random.default_rng(3).normal(size=(space.dim, 2)).astype(complex)
     assert max_abs(apply_pair_gate(gp, params, space, states, model, 0.4) - U @ states) < 1e-12
 
@@ -595,17 +617,17 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     b0 = block_unitaries(base.generator, tau)
     at_theta = pulse_at(base.generator, theta)
     framed = pulse_at(b0, theta)
-    eigh_theta = joint_matrix(base.index, block_unitaries(at_theta, tau), space)
-    assert max_abs(joint_matrix(base.index, framed, space) - eigh_theta) < 1e-12
+    eigh_theta = joint_matrix(base.layout.index, block_unitaries(at_theta, tau), space)
+    assert max_abs(joint_matrix(base.layout.index, framed, space) - eigh_theta) < 1e-12
 
     z = np.ones(space.dim, dtype=complex)
     z[space.fock_cutoff : 2 * space.fock_cutoff] = np.exp(-1j * theta)
-    rows = z[:, None] * joint_matrix(base.index, b0, space) * z.conj()[None, :]
+    rows = z[:, None] * joint_matrix(base.layout.index, b0, space) * z.conj()[None, :]
     u_expm = expm(-1j * dense * tau)
     assert max_abs(rows - u_expm) < 1e-12
-    assert max_abs(joint_matrix(base.index, framed, space) - u_expm) < 1e-12
+    assert max_abs(joint_matrix(base.layout.index, framed, space) - u_expm) < 1e-12
     # phases per block row, stacked over two frames, match one call per block and frame
-    per_row = theta * np.linspace(-1.0, 1.0, len(base.index))
+    per_row = theta * np.linspace(-1.0, 1.0, len(base.layout.index))
     stacked = pulse_at(b0, [per_row, -per_row])
     for frame, phases in zip(stacked, (per_row, -per_row)):
         for i, phase in enumerate(phases):
@@ -617,7 +639,7 @@ def test_block_layout_is_memoized_and_read_only(params, case):
     # every builder call on one (space, atoms) shares one layout, which no caller can change
     space = HilbertSpace(3 if case == "full" else 2, 9)
     first, second = (BLOCK_BUILDERS[case](params, space, GateParams.from_raman(params, m=m, phi=0.3)) for m in (2, 5))
-    assert first.layout is second.layout and first.index is first.layout.index
+    assert first.layout is second.layout
     for array in first.layout:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -661,12 +683,11 @@ def test_one_echo_runs_a_batch_of_gates(model, seed, count):
     space = HilbertSpace(3 if model == "full" else 2, 7)
     gates = [GateParams.from_raman(p, m=3, phi=phi) for phi in rng.uniform(0.0, 1.5, count)]
     chis = rng.uniform(-np.pi, np.pi, count)
-    echo = echo_pulses(
-        pulse_generator(p, space, model, 3), [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis
-    )
-    assert echo.pulses.shape[:2] == (2, count)
+    blocks = pulse_generator(p, space, model, 3)
+    pulses = echo_pulses(blocks.generator, [gp.tau for gp in gates], [gp.theta0 for gp in gates], chis)
+    assert pulses.shape[:2] == (2, count)
     states = rng.normal(size=(count, space.dim)) + 1j * rng.normal(size=(count, space.dim))
-    out = run_echo(echo, states[..., None].copy())[..., 0]
+    out = run_echo(blocks.layout, pulses, states[..., None].copy())[..., 0]
     for gp, chi, x, y in zip(gates, chis, states, out):
         assert max_abs(y - pair_gate(gp, p, space, model, chi) @ x) < 1e-12
 
@@ -689,7 +710,7 @@ def test_column_builders_equal_per_level_builds(model, data):
     stack = builder(p, space, levels)
     single = [builder(p, space, int(m)) for m in levels.ravel()]
     assert stack.generator.shape == shape + single[0].generator.shape
-    assert all(blocks.index is stack.index for blocks in single)
+    assert all(blocks.layout is stack.layout for blocks in single)
     assert stack.generator.tobytes() == np.array([blocks.generator for blocks in single]).tobytes()
     assert pulse_generator(p, space, model, levels).generator.tobytes() == stack.generator.tobytes()
     bad = levels.ravel().copy()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
 
 from fockgate import (
     CircuitPlan,
@@ -16,7 +15,6 @@ from fockgate import (
     RamanParams,
     atom_plus,
     commutation_check,
-    effective_hamiltonian,
     execute_plan,
     induced_oscillator_unitary,
     pair_gate,
@@ -28,8 +26,6 @@ from fockgate import (
     rotation_matrix,
     load_plan,
     save_plan,
-    spin_flip,
-    tensor,
 )
 from fockgate import propagator
 from fockgate.gates import model_space, pulse_generator
@@ -41,6 +37,8 @@ from fockgate.synthesis import (
     STEP_COLUMNS,
     _calibration_runner,
 )
+
+from conftest import expm_gate
 
 
 def random_target(rng, top):
@@ -136,19 +134,14 @@ def test_infeasible_superposition_rejected(params):
 
 def expm_execution(plan, p, space):
     """Final oscillator state of ``plan`` from the vacuum, built independently:
-    each effective-model pulse by scipy's Pade exponential, the atom prepared
-    in |+> and projected back onto it after every gate."""
+    each effective-model gate by the expm oracle, the atom prepared in |+>
+    and projected back onto it after every gate."""
     nf = space.fock_cutoff
-    flip = tensor(spin_flip(2), np.eye(nf))
     plus = atom_plus(2)
     osc = np.zeros(nf, dtype=complex)
     osc[0] = 1.0
-    for m, tau, theta0, chi in zip(plan.m.tolist(), plan.tau, plan.theta0, plan.chi):
-
-        def pulse(angle):
-            return effective_hamiltonian(p, space, m, angle)
-
-        U = expm(-1j * pulse(chi - theta0) * tau) @ flip @ expm(-1j * pulse(chi) * tau)
+    for step in plan.steps:
+        U = expm_gate(step.gate, p, space, "effective", step.phase_correction)
         branch = np.kron(plus.conj(), np.eye(nf)) @ (U @ np.kron(plus, osc))
         osc = branch / np.linalg.norm(branch)
     return osc
