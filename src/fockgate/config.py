@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .gates import MODELS
+from .gates import MODELS, gate_columns
 from .hamiltonians import RamanParams, _require_cutoff
 from .spaces import HilbertSpace
 from .validation import VALIDATION_GATES, check_tolerances
@@ -177,11 +177,11 @@ def _block_entries(g: float, omega_l: float, delta: float, nf: int) -> dict[str,
 
 
 def _require_finite_gate(name: str, phi: float, lam: float, shift: float, m: int) -> float:
-    """``gates.raman_columns``' tau = phi/(lambda*sqrt(m)), theta0 = (g^2/delta)*tau, 2*eta = 2*m*theta0 finite."""
-    tau = phi / (lam * math.sqrt(m))
-    if not all(map(math.isfinite, (tau, shift * tau, 2 * (m * (shift * tau))))):
+    """tau of gate (m, phi) at lambda = lam and g^2/delta = shift; its ``gates.gate_columns`` must all be finite."""
+    columns = gate_columns(lam, shift, m, phi)
+    if not np.isfinite(columns).all():
         raise ConfigError(f"{name} gives a gate with non-finite tau, theta0 or 2*eta")
-    return tau
+    return float(columns[0])
 
 
 def _require_finite_pulses(name: str, tau: float, g: float, omega_l: float, delta: float, nf: int) -> None:

@@ -39,23 +39,29 @@ theta enters only the g-e (or h-e) coupling, so a pulse at theta is
 Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I and
 B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
 per level and device serves both pulses and every offset and duration.
-``echo_pulses`` builds the framed pulses of one gate or a batch, and
-``echo_slots`` runs them on states held in the block layout: pulse, one
-gather through the flip's slots, pulse.  ``run_echo`` gathers joint states
-into that layout and back (``apply_pair_gate``, the sweep, validation's
-sampled gates); plan execution and calibration gather |+> ⊗ osc into it
-straight from the oscillator.  ``pair_gate`` writes the dense unitary from
-the same pulses, the flip's slots naming the first-pulse entry of each
-product.  Every gate exchanges one quantum, on the adjacent pair
-{m-1, m}: adjacent pairs are all that a ladder of two-by-two rotations
-needs to reach any oscillator state or unitary (Reck et al., PRL 73, 58
-(1994); Law and Eberly, PRL 76, 1055 (1996)).  The dense builders serve as the
+``echo_pulses`` builds the framed pulses of one gate or a batch in one
+``propagator.block_unitaries`` call, which writes each pulse in its frame
+(doublets entry by entry from the closed form), and ``echo_slots`` runs
+them on states held in the block layout: pulse, one gather through the
+flip's slots, pulse.  ``run_echo`` gathers joint states into that layout
+and back (``apply_pair_gate``, the sweep, validation's sampled gates);
+plan execution and calibration gather |+> ⊗ osc into it straight from the
+oscillator.  ``pair_gate`` writes the dense unitary from the same pulses,
+the flip's slots naming the first-pulse row of each product, into dense
+entries computed once per space.  ``gate_columns`` holds the gate
+arithmetic, tau, theta0 and 2*eta from the angle, for ``raman_columns``
+and the configuration checks.  Every gate exchanges one quantum, on the
+adjacent pair {m-1, m}: adjacent pairs are all that a ladder of
+two-by-two rotations needs to reach any oscillator state or unitary
+(Reck et al., PRL 73, 58 (1994); Law and Eberly, PRL 76, 1055 (1996)).
+The dense builders serve as the
 oracle in validation and the tests; ``Propagator`` runs the same
 ``block_unitaries`` on one dense block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -66,6 +72,7 @@ from .hamiltonians import (
     BlockLayout,
     PulseBlocks,
     RamanParams,
+    _block_layout,
     decompose_effective,
     effective_blocks,
     full_blocks,
@@ -143,22 +150,46 @@ class GateParams:
         return cls(m=m, tau=tau, lam=p.coupling, theta0=theta0, phi=phi)
 
 
+def gate_columns(lam, rate, m, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau = phi/(lam*sqrt(m)), theta0 = rate*tau and 2*eta = 2*(m*theta0) of gates (m, phi) on (lam, rate) columns.
+
+    rate is the dispersive rate g^2/delta; all arguments broadcast.  An
+    overflow or invalid value gives inf or nan without a warning, for the
+    caller to name; so does a level beyond float range, taken as +-inf.
+    """
+    try:
+        level = np.asarray(m, dtype=float)  # a level past int64 as a float, as math.sqrt takes it
+    except OverflowError:  # a Python int past float range
+        level = np.vectorize(_float_or_inf, otypes=[float])(np.asarray(m, dtype=object))
+    with np.errstate(all="ignore"):
+        tau = phi / (lam * np.sqrt(level))
+        theta0 = rate * tau
+        return tau, theta0, 2 * (level * theta0)
+
+
+def _float_or_inf(level) -> float:
+    """``float(level)``, or +-inf for an integer beyond float range."""
+    try:
+        return float(level)
+    except OverflowError:
+        return math.inf if level > 0 else -math.inf
+
+
 def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.ndarray]:
     """tau and theta0 of gates (m[j], phi[j]) on devices[i], as (devices, gates) arrays.
 
-    tau = phi/(lambda*sqrt(m)) and theta0 = (g^2/delta)*tau, with m and phi
-    broadcast to one gate axis.  The first gate whose columns are not
-    finite raises its error: a level below 1, a phi that is not finite, a
-    zero coupling, or the message of ``GateParams``.
+    ``gate_columns`` on the devices' coupling and dispersive rate, with m
+    and phi broadcast to one gate axis.  The first gate whose columns are
+    not finite raises its error: a level below 1, a phi that is not finite,
+    a zero coupling, or the message of ``GateParams``.
     """
     lam = np.array([p.coupling for p in devices])[:, None]
     rate = np.array([p.dispersive_rate for p in devices])[:, None]
-    with np.errstate(all="ignore"):
-        tau = phi / (lam * np.sqrt(np.asarray(m, dtype=float)))  # a level past int64 as a float, as math.sqrt takes it
-        theta0 = rate * tau
-        bad = ~np.isfinite(lam * (2 * (m * theta0)))
+    tau, theta0, doubled = gate_columns(lam, rate, m, phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(lam * doubled)
     if bad.any():
-        m, phi = (np.broadcast_to(column, tau.shape[-1:]) for column in (m, phi))
+        m, phi = (np.broadcast_to(np.asarray(column, dtype=object), tau.shape[-1:]) for column in (m, phi))
         for i, j in zip(*np.nonzero(bad)):  # a gate flagged only as lam * 2*eta overflows builds, and passes
             if m[j] < 1:
                 raise ValueError(f"m must be >= 1, got {m[j]}")
@@ -166,8 +197,7 @@ def raman_columns(devices: list[RamanParams], m, phi) -> tuple[np.ndarray, np.nd
                 raise ValueError(f"phi must be finite, got {phi[j]}")
             if lam[i, 0] == 0.0:
                 raise ValueError("cannot derive tau from phi with zero coupling")
-            GateParams(m=m[j].item(), tau=tau[i, j].item(), lam=lam[i, 0].item(), theta0=theta0[i, j].item(),
-                       phi=phi[j].item())
+            GateParams(m=m[j], tau=tau[i, j].item(), lam=lam[i, 0].item(), theta0=theta0[i, j].item(), phi=phi[j])
     return tau, theta0
 
 
@@ -203,32 +233,14 @@ def pulse_generator(p: RamanParams, space: HilbertSpace, model: str, m) -> Pulse
     return {"ideal": ideal_blocks, "effective": effective_blocks, "full": full_blocks}[model](p, space, m)
 
 
-def pulse_at(pulse: np.ndarray, theta) -> np.ndarray:
-    """Z(theta) B Z(theta)†: the phase e^{-i theta} on the |e> member, the last slot, of each block of ``pulse``.
-
-    ``theta`` holds drive phases per block row: its last axis broadcasts
-    against the block axis of ``pulse``, (..., nb, b, b) (length 1 for one
-    phase for every block, or nb for one phase per block), and any axes
-    before it stack frames.  So ``[[chi], [chi - theta0]]`` frames both
-    pulses of one gate.  The result has shape broadcast(theta.shape,
-    pulse.shape[:-2]) + (b, b); a non-finite phase is an error.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if not np.isfinite(theta).all():
-        raise ValueError(f"drive phase must be finite, got {theta}")
-    b = pulse.shape[-1]
-    z = np.where(np.arange(b) == b - 1, np.exp(-1j * theta)[..., None], 1.0)
-    return z[..., :, None] * pulse * z.conj()[..., None, :]
-
-
 def echo_pulses(generator: np.ndarray, tau, theta0, chi) -> np.ndarray:
     """The framed pulses (2, ..., nb, b, b) of the echo pulse(chi) -> flip -> pulse(chi - theta0), for ``run_echo``.
 
     ``generator`` is a phase-0 stack (..., nb, b, b), a ``PulseBlocks``'
     generator; tau, theta0 and chi broadcast against its gate axes.  One
-    ``block_unitaries`` call, framed by ``pulse_at`` from one complex exp
-    per pulse and gate.  A non-finite drive phase is a ValueError; in a
-    batch it names the gate as a plan step.
+    ``block_unitaries`` call writes both pulses, each in the frame of its
+    drive phase.  A non-finite drive phase is a ValueError; in a batch it
+    names the gate as a plan step.
     """
     theta = np.empty((2,) + np.broadcast(chi, theta0).shape)  # chi and chi - theta0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
@@ -237,8 +249,7 @@ def echo_pulses(generator: np.ndarray, tau, theta0, chi) -> np.ndarray:
     if len(bad):
         first, second = theta[:, bad[0]].tolist()
         raise ValueError(f"plan step {bad[0]}: drive phases chi = {first!r}, chi - theta0 = {second!r} must be finite")
-    pulses = block_unitaries(generator, np.asarray(tau, dtype=float)[..., None])
-    return pulse_at(pulses, theta[..., None])
+    return block_unitaries(generator, np.asarray(tau, dtype=float)[..., None], theta[..., None])
 
 
 def echo_slots(pulses: np.ndarray, flipped: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -300,22 +311,35 @@ def pair_gate(
     """Dense unitary of ``apply_pair_gate``, written entry by entry from the blocks.
 
     U = B2 F B1 with block-diagonal pulses B1, B2 and the flip F.  Row s of
-    F B1 is row order[s] of B1, nonzero only on the columns of one B1
-    block, so each B2 block contributes b^3 products.  The flip shifts N by
-    +1 on |g>, -1 on |e> and 0 on |h>, mod fock_cutoff, so at every cutoff a
-    gate allows (3 and up) the members of one B2 block read distinct B1
-    blocks, and each entry of U is one product.
+    F B1 is the B1 row of slot flipped[s], nonzero only on the columns of
+    one B1 block, so each B2 block contributes b^3 products.  The flip
+    shifts N by +1 on |g>, -1 on |e> and 0 on |h>, mod fock_cutoff, so at
+    every cutoff a gate allows (3 and up) the members of one B2 block read
+    distinct B1 blocks, and each entry of U is one product, written where
+    ``_dense_entries`` says.
     """
     dim = space.dim
     blocks = pulse_generator(p, space, model, gp.m)
-    u1, u2 = echo_pulses(blocks.generator, gp.tau, gp.theta0, phase_offset)
-    # the flip gives the B1 slot, block and position, that each B2 column reads
-    index, _, flipped = blocks.layout
-    block, position = np.divmod(flipped, index.shape[1])
-    values = u2[:, :, :, None] * u1[block, position][:, None, :, :]
+    first, second = echo_pulses(blocks.generator, gp.tau, gp.theta0, phase_offset)
+    b = first.shape[-1]
+    values = second[:, :, :, None] * first.reshape(-1, b)[blocks.layout.flipped][:, None, :, :]
     out = np.zeros(dim * dim, dtype=complex)
-    out[(dim * index[:, :, None, None] + index[block][:, None, :, :]).ravel()] = values.ravel()
+    out[_dense_entries(space)] = values.ravel()
     return out.reshape(dim, dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _dense_entries(space: HilbertSpace) -> np.ndarray:
+    """Flat dim x dim entry of each ``pair_gate`` product second[i, r, j] * first[flipped[i, j], c], by (i, r, j, c).
+
+    It depends only on the block layout, which the space's atom count fixes
+    (``hamiltonians._block_layout``), so it is built once per space; the
+    array is read-only.
+    """
+    index, _, flipped = _block_layout(space, (0, 1) if space.atom_dim == 2 else (0, 2, 1))[1]
+    entries = (space.dim * index[:, :, None, None] + index[flipped // index.shape[1]][:, None, :, :]).ravel()
+    entries.flags.writeable = False
+    return entries
 
 
 def rotation_matrix(gp: GateParams, atom_sign: int = +1, phase_offset: float = 0.0) -> np.ndarray:

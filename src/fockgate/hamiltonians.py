@@ -22,8 +22,8 @@ ideal) and triplets {|g,N>, |h,N-1>, |e,N-1>} (full).  The ``*_blocks``
 builders return that structure directly as ``PulseBlocks``: a
 ``BlockLayout`` (the joint row of each block slot, its inverse, and the spin
 flip as a permutation of slots, built once per layout) and a stack of small
-real generators at drive phase 0 (no theta: ``gates.pulse_at`` applies it
-as a diagonal frame); each builder takes one level or an array of levels,
+real generators at drive phase 0 (no theta: ``propagator.block_unitaries``
+applies it as a diagonal frame); each builder takes one level or an array of levels,
 which gives a (..., nb, b, b) stack on one layout.  The ideal pulse writes no
 entry of its own: it is the effective pulse with every entry off the
 selected pair set to zero.  Every layout is a permutation of the joint
@@ -306,8 +306,8 @@ def _block_layout(space: HilbertSpace, atoms: tuple[int, ...]) -> tuple[np.ndarr
     members that the truncation leaves without an exchange partner.  The
     spin flip sends each member to the same Fock level of the swapped atomic
     level (|h> stays).  Every layout ends its atoms with |e>, (0, 1) or
-    (0, 2, 1), so |e> is the last slot of every block: ``gates.pulse_at``
-    frames pulses by that position.
+    (0, 2, 1), so |e> is the last slot of every block:
+    ``propagator.block_unitaries`` frames pulses by that position.
     """
     nf = space.fock_cutoff
     n = np.arange(nf)

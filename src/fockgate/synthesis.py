@@ -52,10 +52,12 @@ execution and calibration build every step's pulses in one
 ``gates.echo_pulses`` call and share one step routine (``_step_runner``):
 it gathers |+> ⊗ osc straight from the oscillator into the block layout
 that every step shares, runs ``gates.echo_slots`` and gathers the joint
-state back by the inverse layout.  Under "full" a plan's stack of triplet
+state back by the inverse layout.  The ``echo_pulses`` call writes every
+step's two pulses in their frames; under "full" a plan's stack of triplet
 layers is diagonalised once per device, cutoff and levels
-(``propagator.SPECTRA``), so a repeated plan or calibration pays only the
-reconstruction.  Only
+(``propagator.SPECTRA`` keeps its projectors while the stack fits its
+budget), so a repeated plan or calibration pays only the reconstruction,
+one contraction over the eigenvalues and the frame.  Only
 under the "ideal" model do gates on disjoint pairs commute: under
 "effective" and "full" every gate puts its own level-dependent dispersive
 phase on the spectator levels.
@@ -322,7 +324,7 @@ def execute_plan(
     (``gates.model_space``).  One ``pulse_generator`` call on the m column
     puts every step's phase-0 blocks into one (steps, nb, b, b) stack on one
     layout, naming the first step past the cutoff, and one ``echo_pulses``
-    call builds every pulse.  The loop then only runs |+> ⊗ osc through each
+    call builds every framed pulse.  The loop then only runs |+> ⊗ osc through each
     gate (``_step_runner``, also calibration's step) and resets the atom;
     the step purities come from the joint states after the loop.  A step
     whose drive phase chi or chi - theta0 is not finite is a ValueError

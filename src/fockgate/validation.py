@@ -136,12 +136,10 @@ def run_validation(
 
     parts = decompose_effective(p, space, m)
     sel = selective_hamiltonian(p, space, m)
+    scale = max_abs(sel)  # relative to the largest entry, so that the check holds in any units
+    residual = max_abs(parts.dispersive + parts.pair_energy + parts.pair_coupling - sel)
     results.append(
-        CheckResult(
-            "decomposition reproduces selective model",
-            max_abs(parts.dispersive + parts.pair_energy + parts.pair_coupling - sel),
-            algebraic,
-        )
+        CheckResult("decomposition reproduces selective model", residual / scale if scale else residual, algebraic)
     )
 
     results.append(

@@ -593,6 +593,15 @@ def test_validate_passes_by_default(tmp_path):
     assert all(item["passed"] for item in report)
 
 
+def test_validate_passes_in_other_units(capsys):
+    # the default device with every rate scaled by 1e150: the decomposition residual is relative to the generator
+    rc = main(["validate", "--model", "all", "--set", "physical.g=1e150", "--set", "physical.omega_l=1e149",
+               "--set", "physical.delta=2e151"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "all 12 checks passed" in out and "nan" not in out
+
+
 def test_validate_self_test_detects_corruption(capsys):
     rc = main(["validate", "--set", "validate.self_test=true"])
     assert rc == 0

@@ -30,7 +30,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import apply_pair_gate, closed_form_states, echo_pulses, pulse_at, pulse_generator, raman_columns
+from fockgate.gates import apply_pair_gate, closed_form_states, echo_pulses, pulse_generator, raman_columns
 from fockgate.gates import run_echo
 from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks
 from fockgate.propagator import Propagator, block_unitaries
@@ -410,10 +410,22 @@ def test_gate_params_reject_overflowing_eta(theta0):
             closed_form_states(HilbertSpace(2, 4), 2, 0.5, theta0, 0.6, 0.8)
 
 
-def test_gate_params_reject_level_beyond_float_range():
-    # eta = m*theta0 takes m as a float, which raised an OverflowError
-    with pytest.raises(ValueError, match=f"^level m = {10**400} must lie in float range$"):
+def test_gate_params_reject_level_beyond_float_range(params):
+    # eta = m*theta0 and sqrt(m) take m as a float, which raised an OverflowError
+    message = f"^level m = {10**400} must lie in float range$"
+    with pytest.raises(ValueError, match=message):
         GateParams(m=10**400, tau=1.0, lam=0.0, theta0=0.0, phi=0.0)
+    with pytest.raises(ValueError, match=message):
+        GateParams.from_raman(params, 10**400, 0.5)
+    with pytest.raises(ValueError, match=message):
+        raman_columns([params], [2, 10**400, 3], 0.5)
+    # the first bad gate in gate order names its error, a level below 1 first
+    with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
+        raman_columns([params], [0, 10**400], 0.5)
+    with pytest.raises(ValueError, match=f"^m must be >= 1, got {-10**400}$"):
+        raman_columns([params], [2, -10**400, 10**400], 0.5)
+    with pytest.raises(ValueError, match=f"^m must be >= 1, got {-10**400}$"):
+        GateParams.from_raman(params, -10**400, 0.5)
 
 
 @pytest.mark.parametrize("name, value", [("phi", np.inf), ("phi", np.nan), ("lam", np.inf)],
@@ -482,8 +494,15 @@ def joint_matrix(index, blocks, space):
     return run_echo(layout, np.array([blocks, second]), np.eye(space.dim, dtype=complex))
 
 
+def row_phases(space, theta):
+    """Z(theta) = e^{-i theta |e><e|} ⊗ I as the diagonal of the joint basis: the dense oracle of the frame."""
+    z = np.ones(space.dim, dtype=complex)
+    z[space.fock_cutoff : 2 * space.fock_cutoff] = np.exp(-1j * theta)
+    return z
+
+
 # the block builders take no drive phase: a pulse at phase theta is the
-# phase-0 pulse in the frame Z(theta) of ``pulse_at``
+# phase-0 pulse in the frame Z(theta), which ``block_unitaries`` writes
 BLOCK_BUILDERS = {
     "ideal": lambda p, space, gp: ideal_blocks(p, space, gp.m),
     "effective": lambda p, space, gp: effective_blocks(p, space, gp.m),
@@ -548,14 +567,14 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     gp = GateParams.from_raman(p, m=m, phi=gp.coupling_element * tau)
 
     blocks = BLOCK_BUILDERS[case](p, space, gp)
-    pulse = block_unitaries(blocks.generator, gp.tau)
     pulses = echo_pulses(blocks.generator, gp.tau, gp.theta0, chi)
+    generator = joint_matrix(blocks.layout.index, blocks.generator, space)
     dense = []
     for angle, framed_pulse in zip((chi, chi - gp.theta0), pulses):
         h = dense_pulse(gp, p, space, model, angle)
-        framed = pulse_at(blocks.generator, angle)
-        assert max_abs(joint_matrix(blocks.layout.index, framed, space) - h) < 1e-15
-        u_blocks = joint_matrix(blocks.layout.index, pulse_at(pulse, angle), space)
+        z = row_phases(space, angle)
+        assert max_abs(z[:, None] * generator * z.conj() - h) < 1e-15
+        u_blocks = joint_matrix(blocks.layout.index, block_unitaries(blocks.generator, gp.tau, angle), space)
         u_expm = expm(-1j * h * gp.tau)
         u_prop = Propagator(h).unitary(gp.tau)
         assert max_abs(u_blocks - u_expm) < 1e-12
@@ -599,9 +618,10 @@ def test_gate_at_the_smallest_cutoff(params, model):
 def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
     """A pulse at theta from the real theta = 0 generator and row phases.
 
-    Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I, built block
-    by block (``pulse_at``) and as dense row phases, equals the eigh of the
-    framed generator and scipy's expm of the dense generator at theta to 1e-12.
+    Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I, written by
+    ``block_unitaries`` and as dense row phases, equals the propagation of
+    the framed generator (complex blocks) and scipy's expm of the dense
+    generator at theta to 1e-12.
     """
     model = case
     cutoff = data.draw(st.integers(3, 16), label="cutoff")
@@ -614,24 +634,24 @@ def test_drive_phase_is_a_diagonal_frame(case, data, phi, theta):
 
     base = BLOCK_BUILDERS[case](p, space, gp)
     assert not np.any(base.generator.imag)
-    b0 = block_unitaries(base.generator, tau)
-    at_theta = pulse_at(base.generator, theta)
-    framed = pulse_at(b0, theta)
+    b = base.generator.shape[-1]
+    z = np.where(np.arange(b) == b - 1, np.exp(-1j * theta), 1.0)  # Z(theta) on one block
+    at_theta = z[:, None] * base.generator * z.conj()
+    framed = joint_matrix(base.layout.index, block_unitaries(base.generator, tau, theta), space)
     eigh_theta = joint_matrix(base.layout.index, block_unitaries(at_theta, tau), space)
-    assert max_abs(joint_matrix(base.layout.index, framed, space) - eigh_theta) < 1e-12
+    assert max_abs(framed - eigh_theta) < 1e-12
 
-    z = np.ones(space.dim, dtype=complex)
-    z[space.fock_cutoff : 2 * space.fock_cutoff] = np.exp(-1j * theta)
-    rows = z[:, None] * joint_matrix(base.layout.index, b0, space) * z.conj()[None, :]
+    rows = row_phases(space, theta)
+    rows = rows[:, None] * joint_matrix(base.layout.index, block_unitaries(base.generator, tau), space) * rows.conj()
     u_expm = expm(-1j * dense * tau)
     assert max_abs(rows - u_expm) < 1e-12
-    assert max_abs(joint_matrix(base.layout.index, framed, space) - u_expm) < 1e-12
+    assert max_abs(framed - u_expm) < 1e-12
     # phases per block row, stacked over two frames, match one call per block and frame
     per_row = theta * np.linspace(-1.0, 1.0, len(base.layout.index))
-    stacked = pulse_at(b0, [per_row, -per_row])
+    stacked = block_unitaries(base.generator, tau, [per_row, -per_row])
     for frame, phases in zip(stacked, (per_row, -per_row)):
         for i, phase in enumerate(phases):
-            assert np.array_equal(frame[i], pulse_at(b0[i : i + 1], phase)[0])
+            assert np.array_equal(frame[i], block_unitaries(base.generator[i : i + 1], tau, phase)[0])
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_BUILDERS))

@@ -182,6 +182,14 @@ def test_block_unitaries_reject_nonfinite_time(rng, t):
 
 
 @pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("theta", [np.nan, [0.5, -np.inf]])
+def test_block_unitaries_reject_nonfinite_drive_phase(rng, size, theta):
+    stack = np.array([random_hermitian(rng, size) for _ in range(2)])
+    with pytest.raises(ValueError, match="drive phase must be finite"):
+        block_unitaries(stack, 0.5, theta)
+
+
+@pytest.mark.parametrize("size", [2, 3])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_block_unitaries_reject_nonfinite_generator(rng, size, bad):
     # the closed form would turn it into NaN unitaries without a word
@@ -217,6 +225,71 @@ def test_closed_form_doublets_match_expm(seed, kind, real, log_scale, reach):
     assert max_abs(block_unitaries(np.array([h, h]), [t, -t])[1] - expm(1j * h * t)) < 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((2, 3)),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.booleans(),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 100.0),
+)
+def test_framed_blocks_match_expm(seed, size, real, count, gates, per_block, log_scale, reach):
+    """Z(theta) exp(-i H t) Z(theta)† from ``block_unitaries`` equals scipy's expm(-i Z H Z† t) to 1e-12.
+
+    Z(theta) puts e^{-i theta} on the last slot.  Real and complex Hermitian
+    doublets and triplets, a time per gate and a drive phase per pulse and
+    gate (or per pulse, gate and block) broadcast over the stack, with
+    ||H||*|t| <= 100 in the spectral norm.
+    """
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, size, 10.0**log_scale) for _ in range(count)])
+    stack = stack.real if real else stack
+    times = reach / max(np.linalg.norm(h, 2) for h in stack) * rng.uniform(-1.0, 1.0, size=(gates, 1))
+    theta = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(2, gates, count if per_block else 1))
+    framed = block_unitaries(stack, times, theta)
+    assert framed.shape == (2, gates, count, size, size)
+    for index in np.ndindex(framed.shape[:-2]):
+        z = np.ones(size, dtype=complex)
+        z[-1] = np.exp(-1j * theta[index[:2]][index[2] if per_block else 0])
+        h = z[:, None] * stack[index[2]] * z.conj()
+        assert max_abs(framed[index] - expm(-1j * h * times[index[1], 0])) < 1e-12
+
+
+def test_doublets_near_the_largest_float():
+    # the kernel halves the diagonal before it adds: h00 + h11 would overflow to inf here
+    h = np.array([[1.6e308, 0.5e308], [0.5e308, 1.2e308]])
+    t = 1e-308
+    framed = block_unitaries(h, t, 0.3)
+    z = np.array([1.0, np.exp(-0.3j)])
+    assert max_abs(framed - z[:, None] * expm(-1j * (h * 1e-8) * (t * 1e8)) * z.conj()) < 1e-12
+
+
+@pytest.mark.parametrize("size, real, factor", [(3, True, (9, 3)), (3, False, (3, 3)), (6, True, (6, 6))])
+def test_spectra_hit_equals_miss(monkeypatch, size, real, factor):
+    """A stack read back from ``SPECTRA`` gives the framed unitaries of its first, diagonalising call, bit for bit.
+
+    A real stack of triplets keeps its projectors (b*b, b) per block, any
+    other stack its eigenvectors; ``nbytes`` counts the key, the
+    eigenvalues and that factor.
+    """
+    count = 4
+    cache = propagator.Spectra()
+    monkeypatch.setattr(propagator, "SPECTRA", cache)
+    rng = np.random.default_rng(size)
+    stack = random_hermitian(rng, size) * rng.uniform(0.5, 2.0, size=(count, 1, 1))
+    stack = stack.real if real else stack
+    times, theta = rng.uniform(-3.0, 3.0, size=(2, 1)), rng.uniform(-3.0, 3.0, size=(3, 2, 1))
+    miss = block_unitaries(stack, times, theta)
+    ((nbytes, (evals, kept)),) = cache.entries.values()
+    assert kept.shape == (count,) + factor
+    assert cache.nbytes == nbytes == stack.nbytes + evals.nbytes + kept.nbytes
+    assert np.array_equal(block_unitaries(stack, times, theta), miss)
+    assert cache.nbytes == nbytes and len(cache.entries) == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-5.0, 5.0))
 def test_real_triplets_match_their_complex_copy(seed, count, t):
@@ -233,7 +306,7 @@ def _triplet_layers(rng, count, nb):
 
 
 def _cached_bytes(cache):
-    """The bytes of every cached stack, its key's bytes, eigenvalues and eigenvectors, as its entry records them."""
+    """The bytes of every cached stack, its key's bytes, eigenvalues and factor, as its entry records them."""
     sizes = [size for size, _ in cache.entries.values()]
     assert sizes == [len(key[2]) + w.nbytes + v.nbytes for key, (_, (w, v)) in cache.entries.items()]
     return sum(sizes)
@@ -253,7 +326,7 @@ def test_spectra_cache_keeps_its_byte_budget(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(a.shape) or eigh(a, *args, **kwargs))
     nb = 1024
-    per_stack = nb * 9 * 8 + nb * 3 * 8 + nb * 9 * 8  # the key's bytes, eigenvalues and eigenvectors
+    per_stack = nb * 9 * 8 + nb * 3 * 8 + nb * 27 * 8  # the key's bytes, eigenvalues and real projectors
     layers = _triplet_layers(np.random.default_rng(3), 3 * propagator.SPECTRA_BUDGET // per_stack, nb)
     first = []
     for H in layers:
@@ -272,7 +345,7 @@ def test_spectra_cache_keeps_its_byte_budget(monkeypatch):
                 array[0] = 0.0
     kept = dict(cache.entries)
     del calls[:]
-    huge = _triplet_layers(np.random.default_rng(4), 1, propagator.SPECTRA_BUDGET // 168 + 1)[0]
+    huge = _triplet_layers(np.random.default_rng(4), 1, propagator.SPECTRA_BUDGET // 312 + 1)[0]  # one block too many
     assert np.array_equal(block_unitaries(huge[:5], 0.3), block_unitaries(huge, 0.3)[:5])
     assert np.array_equal(block_unitaries(huge, 0.3), block_unitaries(huge, 0.3))
     assert calls == [(5, 3, 3)] + 3 * [huge.shape]  # the over-budget stack is diagonalised on every call
