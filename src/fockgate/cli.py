@@ -29,8 +29,7 @@ from .config import (
     target_state,
     to_raman,
 )
-from .gates import MODELS, GateParams, closed_form_check, closed_form_states, echo_pulses, leakage, pair_gate
-from .gates import model_space, pulse_generator, raman_columns, run_echo
+from .gates import MODELS, GateParams, closed_form_samples, closed_form_states, leakage, model_space, pair_gate
 from .spaces import product_state  # noqa: F401  unused; bench/spans.py wraps it here
 from .spaces import fidelity, fock_populations, purity, reduced_oscillator_state
 from .synthesis import _write_json, execute_plan, plan_general_state, save_plan
@@ -68,14 +67,14 @@ def _gate_record(cfg: RunConfig, model: str, config: dict) -> dict:
     p = to_raman(cfg)
     space = model_space(model, cfg.space.fock_cutoff)
     gp = GateParams.from_raman(p, m=cfg.gate.m, phi=cfg.gate.phi)
-    U = pair_gate(gp, p, space, model=model)
     amp = 1.0 / np.sqrt(2.0)
-    psi, fid = closed_form_check(U, gp, space, amp, amp)
+    prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, amp, amp)
+    psi = pair_gate(gp, p, space, model=model) @ prepared
     rho = reduced_oscillator_state(psi, space)
     return {
         "task": "gate",
         "model": model,
-        "fidelity": min(1.0, fid),
+        "fidelity": min(1.0, fidelity(expected, psi, space)),
         "leakage": leakage(psi, gp.m, space),
         "guard_population": float(fock_populations(psi, space)[space.guard_level]),
         "purity": purity(rho),
@@ -103,8 +102,8 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
 
     Common random numbers across grid points: every ratio sees the same
     sampled angles and pair amplitudes (per sample, phi then four normals),
-    so trends are paired comparisons.  The ratios' blocks share one layout,
-    so one echo runs every ratio and sample, a state each.
+    so trends are paired comparisons.  One ``closed_form_samples`` call
+    runs every ratio and sample, a state each.
     """
     rng = np.random.default_rng(cfg.seed)
     draws = np.array([[rng.uniform(*SWEEP_ANGLES), *rng.normal(size=4)] for _ in range(cfg.sweep.samples)])
@@ -114,12 +113,7 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
         warnings.filterwarnings("ignore", "selectivity ratio ", UserWarning)
         devices = [to_raman(cfg, omega_l=ratio * cfg.physical.g) for ratio in cfg.sweep.ratios]
     m, space = cfg.gate.m, model_space(model, cfg.space.fock_cutoff)
-    tau, theta0 = raman_columns(devices, m, phi)  # (ratios, samples)
-    blocks = [pulse_generator(p, space, model, m) for p in devices]
-    generators = np.stack([b.generator for b in blocks])[:, None]  # a ratio's samples share its blocks
-    pulses = echo_pulses(generators, tau, theta0, 0.0)
-    prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
-    psis = run_echo(blocks[0].layout, pulses, prepared[..., None])[..., 0]
+    psis, expected, tau, _ = closed_form_samples(devices, space, model, m, phi, alpha, beta)  # (ratios, samples, ...)
     fids, leaks = fidelity(expected, psis, space), leakage(psis, m, space)
     return [
         {"r": ratio, "model": model, "fidelity": float(f), "leakage": float(leak), "gate_time": float(t)}

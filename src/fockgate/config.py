@@ -11,9 +11,10 @@ sweep drive, or that of ``validation.VALIDATION_GATES`` on any level it
 samples, with a non-finite tau, theta0 or 2*eta, or a pulse-block entry
 (``_block_entries``) that is not finite alone or times such a tau.  So are
 a negative ``physical.delta`` and a ``space.fock_cutoff`` whose (3*cutoff)^2
-complex joint matrix numpy cannot size.  Defaults put the model in both the
-adiabatic (g/delta = 0.05) and selective (|Omega_L|/g = 0.1) regimes; they
-are conventions of this package.
+complex joint matrix numpy cannot size, and a ``pair`` or ``fock`` preset
+whose ``target.n`` breaks the cutoff rule, zero beta or not.  Defaults put
+the model in both the adiabatic (g/delta = 0.05) and selective
+(|Omega_L|/g = 0.1) regimes; they are conventions of this package.
 """
 
 # no `from __future__ import annotations`: _build needs each field's type as a class, not a string
@@ -259,6 +260,11 @@ def validate_config(cfg: RunConfig) -> None:
     _require_finite_pulses(name, max(taus), ph.g, ph.omega_l, ph.delta, nf)
     if cfg.target.amplitudes is not None and not isinstance(cfg.target.amplitudes, list):
         raise ConfigError(f"target.amplitudes: must be a list, got {cfg.target.amplitudes!r}")
+    if cfg.target.amplitudes is None and cfg.target.preset in ("pair", "fock"):
+        try:  # before target_state sizes its n + 1 amplitudes
+            _require_cutoff(HilbertSpace(2, nf), cfg.target.n)
+        except ValueError as exc:
+            raise ConfigError(f"target: target.n = {cfg.target.n} of the {cfg.target.preset} preset; {exc}") from exc
     top = int(np.nonzero(np.abs(target_state(cfg)) > 1e-12)[0][-1])
     try:
         _require_cutoff(HilbertSpace(2, cfg.space.fock_cutoff), top)

@@ -44,11 +44,13 @@ per level and device serves both pulses and every offset and duration.
 (doublets entry by entry from the closed form), and ``echo_slots`` runs
 them on states held in the block layout: pulse, one gather through the
 flip's slots, pulse.  ``run_echo`` gathers joint states into that layout
-and back (``apply_pair_gate``, the sweep, validation's sampled gates);
-plan execution and calibration gather |+> ⊗ osc into it straight from the
-oscillator.  ``pair_gate`` writes the dense unitary from the same pulses,
-the flip's slots naming the first-pulse row of each product, into dense
-entries computed once per space.  ``gate_columns`` holds the gate
+and back (``apply_pair_gate``; ``closed_form_samples``, the one route by
+which ``sweep`` and ``validate`` run sampled gates on several devices and
+score them against ``closed_form_states``); plan execution and calibration
+gather |+> ⊗ osc into it straight from the oscillator.  ``pair_gate``
+writes the dense unitary from the same pulses, the flip's slots naming the
+first-pulse row of each product, into dense entries computed once per
+space.  ``gate_columns`` holds the gate
 arithmetic, tau, theta0 and 2*eta from the angle, for ``raman_columns``
 and the configuration checks.  Every gate exchanges one quantum, on the
 adjacent pair {m-1, m}: adjacent pairs are all that a ladder of
@@ -83,7 +85,7 @@ from .hamiltonians import full_hamiltonian  # noqa: F401  unused; bench/spans.py
 from .hamiltonians import multiquantum_hamiltonian  # noqa: F401  unused; bench/spans.py wraps it here
 from .propagator import Propagator  # noqa: F401  unused; bench/spans.py replaces it here
 from .propagator import block_unitaries
-from .spaces import HilbertSpace, atomic_sigma, fidelity, fock_populations, product_state, project_atom, tensor
+from .spaces import HilbertSpace, atomic_sigma, fock_populations, product_state, project_atom, tensor
 
 MODELS = ("ideal", "effective", "full")
 
@@ -286,8 +288,9 @@ def apply_pair_gate(
 ) -> np.ndarray:
     """The three-step gate pulse(chi) -> flip -> pulse(chi - theta0) applied to x.
 
-    x is a joint state of shape (dim,) or a (dim, k) stack of columns; any
-    other shape is a ValueError.  The gate runs block by block (``run_echo``).
+    x is a finite joint state of shape (dim,) or a (dim, k) stack of
+    columns; another shape or a non-finite amplitude is a ValueError.  The
+    gate runs block by block (``run_echo``).
     model selects the pulse: "ideal" keeps only the pair self-energy and
     resonant coupling (exactly confined to {m-1, m}); "effective" uses the
     eliminated two-level model with all its detuned exchange channels;
@@ -296,6 +299,8 @@ def apply_pair_gate(
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or len(x) != space.dim:
         raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
+    if not np.isfinite(x).all():
+        raise ValueError("state amplitudes must be finite")
     blocks = pulse_generator(p, space, model, gp.m)
     pulses = echo_pulses(blocks.generator, gp.tau, gp.theta0, phase_offset)
     return run_echo(blocks.layout, pulses, x.reshape(space.dim, -1)).reshape(x.shape)
@@ -380,11 +385,13 @@ def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta) -> tupl
 
     m, phi, theta0, alpha and beta broadcast together, one gate each (scalars:
     one (dim,) state each); the map is ``rotation_matrix`` of such a gate for
-    atom |+>.  |alpha|^2 + |beta|^2 off 1 by more than 1e-9, an m at or
-    above fock_cutoff, or a phi, theta0 or 2*eta = 2*(m*theta0) that is not
-    finite (``GateParams``' rule), is a ValueError.
+    atom |+>.  |alpha|^2 + |beta|^2 off 1 by more than 1e-9, an m below 1
+    or at or above fock_cutoff, or a phi, theta0 or 2*eta = 2*(m*theta0)
+    that is not finite (``GateParams``' rules), is a ValueError.
     """
     m, alpha, beta = np.asarray(m), np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    if (m < 1).any():
+        raise ValueError(f"m must be >= 1, got {m[m < 1].flat[0]}")
     if (m >= space.fock_cutoff).any():
         raise ValueError(f"m = {m.max()} lies outside fock_cutoff {space.fock_cutoff}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
@@ -402,21 +409,22 @@ def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta) -> tupl
     return tuple(joint.reshape(osc.shape[:-1] + (space.dim,)))
 
 
-def closed_form_check(
-    U: np.ndarray,
-    gp: GateParams,
-    space: HilbertSpace,
-    alpha: complex,
-    beta: complex,
-) -> tuple[np.ndarray, float]:
-    """Apply U to |+> ⊗ (alpha|m-1> + beta|m>) and score it against the closed form.
+def closed_form_samples(devices: list[RamanParams], space: HilbertSpace, model: str, m, phi, alpha, beta) -> tuple:
+    """Gates (m, phi) on each device run from |+> ⊗ (alpha|m-1> + beta|m>), and their closed-form images.
 
-    Returns the output joint state and its fidelity with |+> ⊗ the pair as
-    ``closed_form_rotation`` maps it under ``gp``.
+    m, phi, alpha and beta broadcast over one sample axis (m a level or a
+    column of levels).  One ``raman_columns`` call, one ``pulse_generator``
+    per device, one ``echo_pulses``, one ``closed_form_states`` and one
+    ``run_echo`` at drive phase 0; the devices' blocks share one layout.
+    Returns the output states and their closed-form images, (devices,
+    samples, dim), and tau and theta0, (devices, samples).
     """
-    prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta)
-    psi = U @ prepared
-    return psi, fidelity(expected, psi, space)
+    tau, theta0 = raman_columns(devices, m, phi)
+    blocks = [pulse_generator(p, space, model, m) for p in devices]
+    shape = (len(devices), -1) + blocks[0].generator.shape[-3:]  # one level: the samples share its blocks
+    pulses = echo_pulses(np.reshape([b.generator for b in blocks], shape), tau, theta0, 0.0)
+    prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
+    return run_echo(blocks[0].layout, pulses, prepared[..., None])[..., 0], expected, tau, theta0
 
 
 class EchoFactors(NamedTuple):

@@ -181,10 +181,3 @@ class Propagator:
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i H t)."""
         return block_unitaries(self.generator[None], t)[0]
-
-    def evolve(self, psi, t: float) -> np.ndarray:
-        """Apply exp(-i H t) to a state vector."""
-        amps = np.asarray(psi, dtype=complex)
-        if amps.shape != self.generator.shape[:1]:
-            raise ValueError(f"state has shape {amps.shape}, expected ({len(self.generator)},)")
-        return self.unitary(t) @ amps

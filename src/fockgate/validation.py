@@ -4,7 +4,8 @@ Each check measures a defect (a max-norm deviation or an infidelity) and
 compares it against a bound.  Bounds are overridable so that a deliberately
 unattainable tolerance demonstrates the reporting path, and a self-test mode
 corrupts the dispersive phase to prove the closed-form equivalence check has
-teeth.
+teeth.  That check runs its sampled gates through ``gates.closed_form_samples``,
+as the sweep does; only the corrupted reference is built again.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from .gates import (
     GateParams,
     atom_minus,
     atom_plus,
+    closed_form_samples,
     closed_form_states,
     combined_echo_coupling,
     echo_factors,
-    echo_pulses,
     pair_gate,
-    raman_columns,
-    run_echo,
     spin_flip,
 )
 from .hamiltonians import (
@@ -33,7 +32,6 @@ from .hamiltonians import (
     decompose_effective,
     effective_hamiltonian,
     full_hamiltonian,
-    ideal_blocks,
     selective_hamiltonian,
 )
 from .propagator import Propagator
@@ -179,16 +177,15 @@ def run_validation(
     )
 
     # closed-form equivalence on sampled gates (per gate: level, phi, four normals), all in one
-    # echo of ideal blocks, which share one layout; the self-test corrupts the reference only
+    # closed_form_samples call; the self-test corrupts the reference only
     draws = [(rng.integers(1, min(VALIDATION_GATES[1], nf - 2) + 1), rng.uniform(*VALIDATION_GATES[0]),
               rng.normal(size=4)) for _ in range(24)]
     levels, phis, z = (np.array(column) for column in zip(*draws))
     alpha, beta = (z / np.linalg.norm(z, axis=1, keepdims=True)).view(complex).T  # z0 + i z1, z2 + i z3
-    (tau,), (theta0,) = raman_columns([p], levels, phis)
-    blocks = ideal_blocks(p, space, levels)
-    pulses = echo_pulses(blocks.generator, tau, theta0, 0.0)
-    prepared, expected = closed_form_states(space, levels, phis, -theta0 if corrupt_theta0 else theta0, alpha, beta)
-    fids = fidelity(expected, run_echo(blocks.layout, pulses, prepared[..., None])[..., 0], space)
+    psis, expected, _, theta0 = closed_form_samples([p], space, "ideal", levels, phis, alpha, beta)
+    if corrupt_theta0:
+        _, expected = closed_form_states(space, levels, phis, -theta0, alpha, beta)
+    fids = fidelity(expected, psis, space)
     worst = max(0.0, float(np.max(1.0 - fids)))
     results.append(
         CheckResult("closed-form rotation infidelity", worst, tol["closed_form_infidelity"])

@@ -18,7 +18,7 @@ from fockgate.config import (
     load_config,
     target_state,
 )
-from fockgate.gates import GateParams, closed_form_check, closed_form_states, leakage, model_space, pair_gate
+from fockgate.gates import GateParams, closed_form_states, leakage, model_space, pair_gate
 from fockgate.hamiltonians import RamanParams
 from fockgate.config import to_raman
 from fockgate.spaces import HilbertSpace, fidelity
@@ -265,6 +265,16 @@ def test_gate_command_config_error(capsys):
         (["gate", "--set", f"space.fock_cutoff={2**62}"], "space.fock_cutoff: the largest joint matrix"),
         # a negative detuning gives a negative coupling, so gates of negative duration
         (["sweep", "--set", "physical.delta=-20", "--set", "sweep.ratios=[0.1]"], "physical.delta: must be > 0"),
+        # a pair or fock target past the cutoff is named before its n + 1 amplitudes are allocated
+        *(
+            ([command, "--set", f"target.n={n}"], f"target: target.n = {n} of the pair preset; fock_cutoff 12")
+            for command in ("gate", "sweep", "synthesize", "validate")
+            for n in (10**12, 2**63 - 2)
+        ),
+        (["gate", "--set", "target.preset=fock", "--set", f"target.n={2**63 - 2}"], "of the fock preset; fock_cutoff"),
+        # a zero beta leaves the pair target at |0>, but its n must still respect the cutoff
+        (["synthesize", "--set", "target.n=11", "--set", "target.beta=0"],
+         "target: target.n = 11 of the pair preset; fock_cutoff 12 too small"),
     ],
 )
 def test_non_finite_or_non_integer_input_is_config_error(argv, field, tmp_path, monkeypatch, capsys):
@@ -409,7 +419,7 @@ def test_sweep_gate_time_scaling(tmp_path):
 )
 def test_sweep_point_matches_dense_gate_per_sample(model, ratio, seed, m, samples, others, at):
     # each grid point of the batched sweep against the per-sample route: the same
-    # draws in the same order, one dense pair_gate and closed_form_check per sample
+    # draws in the same order, one dense pair_gate per sample, scored by closed_form_states
     ratios = others[:at] + [ratio] + others[at:]
     cfg = load_config(None, [f"gate.m={m}", f"sweep.samples={samples}", f"seed={seed}", f"sweep.ratios={ratios}"])
     rows = _sweep_rows(cfg, model)
@@ -426,10 +436,11 @@ def test_sweep_point_matches_dense_gate_per_sample(model, ratio, seed, m, sample
             z = rng.normal(size=4)
             nrm = np.hypot(abs(complex(z[0], z[1])), abs(complex(z[2], z[3])))
             gp = GateParams.from_raman(p, m=cfg.gate.m, phi=phi)
-            psi, fid = closed_form_check(
-                pair_gate(gp, p, space, model), gp, space, complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
+            prepared, expected = closed_form_states(
+                space, gp.m, gp.phi, gp.theta0, complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
             )
-            fids.append(fid)
+            psi = pair_gate(gp, p, space, model) @ prepared
+            fids.append(fidelity(expected, psi, space))
             leaks.append(leakage(psi, gp.m, space))
             times.append(gp.tau)
         assert abs(row["fidelity"] - np.mean(fids)) < 1e-12
@@ -448,18 +459,18 @@ def _count_calls(monkeypatch, calls, module, name):
 
 
 def test_sweep_and_validate_run_their_samples_in_one_batch(monkeypatch, capsys):
-    # one echo per model for the whole sweep grid and one for validate's sampled gates;
-    # pair_gate (which calls gates.echo_pulses) only in validate's unitarity and purity checks
+    # one closed_form_samples call, so one echo, per model for the whole sweep grid and one for
+    # validate's sampled gates; pair_gate only in validate's unitarity and purity checks
     calls = collections.Counter()
-    for module, name in [(cli, "echo_pulses"), (cli, "pair_gate"), (validation, "echo_pulses"),
+    for module, name in [(cli, "closed_form_samples"), (cli, "pair_gate"), (validation, "closed_form_samples"),
                          (validation, "pair_gate"), (gates, "echo_pulses")]:
         _count_calls(monkeypatch, calls, module, name)
     assert main(["sweep", "--model", "all"]) == 0
-    assert calls == {"fockgate.cli.echo_pulses": 3}
+    assert calls == {"fockgate.cli.closed_form_samples": 3, "fockgate.gates.echo_pulses": 3}
     calls.clear()
     assert main(["validate"]) == 0
-    assert calls == {"fockgate.validation.echo_pulses": 1, "fockgate.validation.pair_gate": 3,
-                     "fockgate.gates.echo_pulses": 3}
+    assert calls == {"fockgate.validation.closed_form_samples": 1, "fockgate.validation.pair_gate": 3,
+                     "fockgate.gates.echo_pulses": 4}
 
 
 def test_sweep_warns_nothing_at_large_ratio():
@@ -470,16 +481,19 @@ def test_sweep_warns_nothing_at_large_ratio():
         assert main(["sweep", "--model", "all"]) == 0
 
 
-@pytest.mark.parametrize("where, category", [("to_raman", UserWarning), ("run_echo", RuntimeWarning)])
-def test_sweep_passes_other_warnings_on(monkeypatch, where, category):
+@pytest.mark.parametrize("module, where, category", [
+    pytest.param(cli, "to_raman", UserWarning, id="to_raman-UserWarning"),
+    pytest.param(gates, "run_echo", RuntimeWarning, id="run_echo-RuntimeWarning"),  # inside closed_form_samples
+])
+def test_sweep_passes_other_warnings_on(monkeypatch, module, where, category):
     # only the selectivity warning is filtered, and only while the devices are built
-    original = getattr(cli, where)
+    original = getattr(module, where)
 
     def warns(*args, **kwargs):
         warnings.warn("something else", category)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, where, warns)
+    monkeypatch.setattr(module, where, warns)
     with pytest.warns(category, match="something else"):
         assert main(["sweep", "--model", "ideal", "--set", "sweep.ratios=[0.5]"]) == 0
 

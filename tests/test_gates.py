@@ -14,7 +14,6 @@ from fockgate import (
     RamanParams,
     atom_minus,
     atom_plus,
-    closed_form_check,
     closed_form_rotation,
     combined_echo_coupling,
     decompose_effective,
@@ -30,8 +29,8 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import apply_pair_gate, closed_form_states, echo_pulses, pulse_generator, raman_columns
-from fockgate.gates import run_echo
+from fockgate.gates import apply_pair_gate, closed_form_samples, closed_form_states, echo_pulses, pulse_generator
+from fockgate.gates import raman_columns, run_echo
 from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks
 from fockgate.propagator import Propagator, block_unitaries
 from fockgate.spaces import fidelity, max_abs
@@ -137,33 +136,39 @@ def test_closed_form_includes_global_phase(params, space):
     assert_allclose(out, ref, atol=1e-11)
 
 
-def test_closed_form_check_scores_against_reference(params, space, rng):
-    # psi is the gate applied to |+> ⊗ the pair input.  A reference with the
-    # dispersive phase negated differs by e^{2i theta0} on the lower level, so
-    # it scores 1 - 4 |c_lo|^2 |c_hi|^2 sin^2(theta0)
+def test_closed_form_states_score_against_reference(params, space, rng):
+    # U applied to the prepared |+> ⊗ pair input scores 1 against the closed-form image.
+    # A reference with the dispersive phase negated differs by e^{2i theta0} on the
+    # lower level, so it scores 1 - 4 |c_lo|^2 |c_hi|^2 sin^2(theta0)
     gp = GateParams.from_raman(params, m=2, phi=0.67)  # theta0 near 3*pi/2
     U = expm_gate(gp, params, space)
     alphas, betas = random_pair_amplitudes(rng, 5)
     for alpha, beta in zip(alphas, betas):
-        psi, fid = closed_form_check(U, gp, space, alpha, beta)
-        assert_allclose(psi, U @ pair_input(space, atom_plus(2), alpha, beta, 2), atol=1e-14)
-        assert fid == pytest.approx(1.0, abs=1e-10)
+        prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta)
+        assert_allclose(prepared, pair_input(space, atom_plus(2), alpha, beta, 2), atol=1e-15)
+        assert fidelity(expected, U @ prepared, space) == pytest.approx(1.0, abs=1e-10)
         lo, hi = np.abs(closed_form_rotation(alpha, beta, gp)) ** 2
-        prepared, corrupt = closed_form_states(space, 2, gp.phi, -gp.theta0, alpha, beta)
+        _, corrupt = closed_form_states(space, 2, gp.phi, -gp.theta0, alpha, beta)
         bad = fidelity(corrupt, U @ prepared, space)
         assert bad == pytest.approx(1.0 - 4.0 * lo * hi * np.sin(gp.theta0) ** 2, abs=1e-10)
 
 
-def test_closed_form_check_rejects_level_outside_cutoff(params, space):
+def test_closed_form_states_reject_level_outside_cutoff(params, space):
     # a pair level at or above fock_cutoff has no basis state to carry it
-    U = np.eye(space.dim)
     for m in (space.fock_cutoff, space.fock_cutoff + 3):
         gp = GateParams.from_raman(params, m=m, phi=0.4)
         with pytest.raises(ValueError, match="fock_cutoff"):
-            closed_form_check(U, gp, space, 0.6, 0.8)
+            closed_form_states(space, gp.m, gp.phi, gp.theta0, 0.6, 0.8)
     gp = GateParams.from_raman(params, m=space.fock_cutoff - 1, phi=0.4)
-    _, fid = closed_form_check(U, gp, space, 1.0, 0.0)
-    assert np.isfinite(fid)
+    prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, 1.0, 0.0)
+    assert np.isfinite(fidelity(expected, prepared, space))
+
+
+@pytest.mark.parametrize("m, named", [(0, 0), (-1, -1), ([2, 0, 3], 0), ([1, -5, 0], -5)])
+def test_closed_form_states_reject_level_below_one(space, m, named):
+    # no pair {m-1, m} below m = 1: the first such level is named, as GateParams names it
+    with pytest.raises(ValueError, match=rf"^m must be >= 1, got {named}$"):
+        closed_form_states(space, m, 0.4, 0.01, 0.6, 0.8)
 
 
 def test_phase_only_gate_at_zero_angle(params, space):
@@ -677,6 +682,18 @@ def test_non_finite_drive_phase_rejected(params, phase):
         apply_pair_gate(gp, params, space, np.ones(space.dim), "ideal", phase_offset=phase)
 
 
+@pytest.mark.parametrize("model", ["ideal", "effective"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_apply_pair_gate_rejects_non_finite_state(params, model, bad):
+    gp = GateParams.from_raman(params, m=2, phi=0.4)
+    space = HilbertSpace(2, 6)
+    for shape in ((space.dim,), (space.dim, 3)):
+        x = np.ones(shape, dtype=complex)
+        x[(1,) * len(shape)] = bad
+        with pytest.raises(ValueError, match="state amplitudes must be finite"):
+            apply_pair_gate(gp, params, space, x, model)
+
+
 @pytest.mark.parametrize("length", [11, 13, 15])
 def test_apply_pair_gate_rejects_wrong_state_length(params, length):
     gp = GateParams.from_raman(params, m=2, phi=0.4)
@@ -710,6 +727,38 @@ def test_one_echo_runs_a_batch_of_gates(model, seed, count):
     out = run_echo(blocks.layout, pulses, states[..., None].copy())[..., 0]
     for gp, chi, x, y in zip(gates, chis, states, out):
         assert max_abs(y - pair_gate(gp, p, space, model, chi) @ x) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["ideal", "effective", "full"]), st.data())
+def test_closed_form_samples_match_dense_gates_per_sample(model, data):
+    """Several devices and a column of levels in one call equal the dense gates one by one.
+
+    Each output is ``pair_gate`` on the prepared |+> ⊗ (alpha|m-1> + beta|m>)
+    and each image ``closed_form_states`` of that one gate, to 1e-12; each
+    angle is cut so that ||H||*tau <= 100 on every device.
+    """
+    cutoff = data.draw(st.integers(3, 10), label="cutoff")
+    ratios = data.draw(st.lists(st.sampled_from([0.02, 0.05, 0.1, 0.2]), min_size=2, max_size=3), label="ratios")
+    count = data.draw(st.integers(1, 5), label="samples")
+    levels = np.array(data.draw(st.lists(st.integers(1, cutoff - 2), min_size=count, max_size=count), label="levels"))
+    fractions = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count), label="fractions"))
+    alpha, beta = random_pair_amplitudes(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), count)
+    devices = [RamanParams(g=1.0, omega_l=r, delta=20.0) for r in ratios]
+    space = HilbertSpace(3 if model == "full" else 2, cutoff)
+    reach = np.array([[np.linalg.norm(dense_pulse(gp, p, space, model, 0.0), 2) * gp.tau  # ||H||*tau at phi = 1
+                       for gp in (GateParams.from_raman(p, m=m, phi=1.0) for m in levels.tolist())] for p in devices])
+    phi = fractions * 100.0 / reach.max(axis=0)
+
+    psis, expected, tau, theta0 = closed_form_samples(devices, space, model, levels, phi, alpha, beta)
+    assert psis.shape == expected.shape == (len(devices), count, space.dim)
+    for i, p in enumerate(devices):
+        for j, m in enumerate(levels.tolist()):
+            gp = GateParams.from_raman(p, m=m, phi=phi[j])
+            prepared, image = closed_form_states(space, m, gp.phi, gp.theta0, alpha[j], beta[j])
+            assert (tau[i, j], theta0[i, j]) == (gp.tau, gp.theta0)
+            assert max_abs(psis[i, j] - pair_gate(gp, p, space, model) @ prepared) < 1e-12
+            assert max_abs(expected[i, j] - image) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
