@@ -28,7 +28,7 @@ import numpy as np
 
 from .gates import MODELS, gate_columns
 from .hamiltonians import RamanParams, _require_cutoff
-from .spaces import HilbertSpace
+from .spaces import HilbertSpace, normalize
 from .validation import VALIDATION_GATES, check_tolerances
 
 MODEL_CHOICES = MODELS + ("all",)
@@ -306,12 +306,10 @@ def target_state(cfg: RunConfig) -> np.ndarray:
             f"target.preset: {t.preset!r} is not one of ('vacuum', 'fock', 'pair') "
             "and no amplitude list was given"
         )
-    nrm = np.linalg.norm(amps)
+    unit, nrm = normalize(amps)
     if nrm == 0:
         raise ConfigError("target: amplitudes are all zero")
-    if not math.isfinite(nrm):
-        raise ConfigError("target: amplitudes too large to normalize")
-    return amps / nrm
+    return unit
 
 
 def to_raman(cfg: RunConfig, omega_l: float | None = None) -> RamanParams:

@@ -23,7 +23,10 @@ the exchange term lambda*(e^{i theta}|g><e| a† + h.c.):
 
 A common offset chi added to both pulse phases steers the rotation axis: the
 transfer amplitudes pick up e^{+-i chi}.  The state-synthesis compiler uses
-that knob for phase bookkeeping.
+that knob for phase bookkeeping.  ``rotation_matrix`` writes the closed form
+as a 2x2 matrix for either atomic input and any chi; ``closed_form_states``
+writes a batch of pair inputs and their images under it (atom |+>, chi = 0)
+as joint states.
 
 The spin flip is modeled as an instantaneous sigma_x on {g, e}.  For
 near-degenerate level pairs (e.g. hyperfine partners) the same echo can be
@@ -58,7 +61,7 @@ two-by-two rotations needs to reach any oscillator state or unitary
 (Reck et al., PRL 73, 58 (1994); Law and Eberly, PRL 76, 1055 (1996)).
 The dense builders serve as the
 oracle in validation and the tests; ``Propagator`` runs the same
-``block_unitaries`` on one dense block.
+``block_unitaries`` on one dense block, at drive phase 0.
 """
 
 from __future__ import annotations
@@ -366,20 +369,6 @@ def _rotated(m, phi, theta0, alpha, beta, atom_sign: int = +1, chi: float = 0.0)
     return echo * np.exp(1j * theta0) * (c * alpha + s / offset * beta), echo * (s * offset * alpha + c * beta)
 
 
-def closed_form_rotation(
-    alpha: complex,
-    beta: complex,
-    gp: GateParams,
-    atom_sign: int = +1,
-    phase_offset: float = 0.0,
-) -> np.ndarray:
-    """Final (c_{m-1}, c_m) for pair input alpha|m-1> + beta|m>."""
-    nrm = abs(alpha) ** 2 + abs(beta) ** 2
-    if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
-    return rotation_matrix(gp, atom_sign, phase_offset) @ np.array([alpha, beta], dtype=complex)
-
-
 def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     """|+> ⊗ (alpha|m-1> + beta|m>) and |+> ⊗ the pair as the closed form maps it, as (..., dim) stacks.
 
@@ -396,12 +385,13 @@ def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta) -> tupl
         raise ValueError(f"m = {m.max()} lies outside fock_cutoff {space.fock_cutoff}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
         doubled = 2 * (m * np.asarray(theta0))
+        nrm = np.hypot(np.abs(alpha), np.abs(beta))  # inf only past the float range, unlike |alpha|^2
+        off = np.abs(nrm * nrm - 1.0)
     for name, value in (("phi", phi), ("theta0", theta0), ("2*eta", doubled)):  # the closed form's e^{-2i eta}
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
-    nrm = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-    if not (np.abs(nrm - 1.0) <= 1e-9).all():
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
+    if not (off <= 1e-9).all():
+        raise ValueError(f"sqrt(|alpha|^2 + |beta|^2) = {nrm}, expected 1")
     amps = np.array(np.broadcast_arrays(alpha, beta, *_rotated(m, phi, theta0, alpha, beta)))[..., None]
     levels = np.arange(space.fock_cutoff)  # the pair's levels of each gate, as masks
     osc = (levels == (m - 1)[..., None]) * amps[0::2] + (levels == m[..., None]) * amps[1::2]

@@ -21,7 +21,8 @@ generators keep their eigenvectors: at b = 24 their projectors are 24 times
 larger and a miss builds them in about the time of the eigh itself.
 
 ``Propagator`` checks and symmetrizes one dense generator and exponentiates
-it as a stack of one block, so dense and block propagation share one path.
+it as a stack of one block at theta = 0, so dense and block propagation
+share one path.
 """
 
 from __future__ import annotations
@@ -83,12 +84,13 @@ class Spectra:
 SPECTRA = Spectra()
 
 
-def block_unitaries(generators: np.ndarray, t, theta=None) -> np.ndarray:
+def block_unitaries(generators: np.ndarray, t, theta=0.0) -> np.ndarray:
     """Z(theta) exp(-i H t) Z(theta)† of every block of a (..., b, b) Hermitian stack, Z(theta) = e^{-i theta} on the last slot.
 
     t and theta broadcast against the stack's leading axes, and the result
-    takes the broadcast shape; theta None is no frame.  The last slot of
-    every pulse block is |e>, so theta is the drive phase.  A doublet is
+    takes the broadcast shape.  The last slot of every pulse block is |e>,
+    so theta is the drive phase; the default theta = 0 frames by ones,
+    which leaves every entry as it is (``Propagator``).  A doublet is
     written entry by entry from its closed form: with a and d the mean and
     half difference of its diagonal (halves first: no overflow near the
     largest float), w = sqrt(d^2 + |h01|^2) and s = t sinc(wt/pi), the
@@ -106,10 +108,9 @@ def block_unitaries(generators: np.ndarray, t, theta=None) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"time must be finite, got {t}")
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-        if not np.isfinite(theta).all():
-            raise ValueError(f"drive phase must be finite, got {theta}")
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"drive phase must be finite, got {theta}")
     b = H.shape[-1]
     if b == 2:
         return _doublets(H, t, theta)
@@ -119,8 +120,6 @@ def block_unitaries(generators: np.ndarray, t, theta=None) -> np.ndarray:
         U = (factor @ phases.view(float).reshape(phases.shape + (2,))).view(complex).reshape(phases.shape[:-1] + (b, b))
     else:
         U = (factor * phases[..., None, :]) @ np.swapaxes(factor, -1, -2).conj()
-    if theta is None:
-        return U
     z = np.exp(-1j * theta)[..., None]
     frame = np.ones(theta.shape + (b, b), dtype=complex)  # z_i conj(z_j): z on the last row, conj(z) on the last column
     frame[..., -1, :-1], frame[..., :-1, -1] = z, z.conj()
@@ -138,7 +137,7 @@ def _projectors(evecs: np.ndarray) -> np.ndarray:
     return (evecs[..., :, None, :] * evecs[..., None, :, :]).reshape(evecs.shape[:-2] + (b * b, b))
 
 
-def _doublets(H: np.ndarray, t: np.ndarray, theta) -> np.ndarray:
+def _doublets(H: np.ndarray, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``block_unitaries`` of a (..., 2, 2) stack, written entry by entry from the closed form."""
     half0, half1 = 0.5 * H[..., 0, 0], 0.5 * H[..., 1, 1]
     a, d = (half0 + half1).real, (half0 - half1).real
@@ -146,12 +145,12 @@ def _doublets(H: np.ndarray, t: np.ndarray, theta) -> np.ndarray:
     wt = np.hypot(d, np.abs(h01)) * t
     s = t * np.sinc(wt / np.pi)
     e = np.exp(-1j * (a * t))
-    out = np.empty((e.shape if theta is None else np.broadcast_shapes(e.shape, theta.shape)) + (2, 2), dtype=complex)
+    out = np.empty(np.broadcast_shapes(e.shape, theta.shape) + (2, 2), dtype=complex)
     cos, isd = np.cos(wt), 1j * (s * d)
     np.multiply(e, cos - isd, out=out[..., 0, 0])
     np.multiply(e, cos + isd, out=out[..., 1, 1])
     off = (-1j * s) * e
-    frame = 1.0 if theta is None else np.exp(1j * theta)
+    frame = np.exp(1j * theta)
     np.multiply(off * h01, frame, out=out[..., 0, 1])
     np.multiply(off * H[..., 1, 0], np.conj(frame), out=out[..., 1, 0])
     return out

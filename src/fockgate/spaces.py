@@ -10,6 +10,7 @@ the truncation is biting and results should not be trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +152,6 @@ def reduced_oscillator_state(psi, space: HilbertSpace) -> np.ndarray:
     return np.einsum("an,am->nm", mat, mat.conj())
 
 
-def reduced_atom_state(psi, space: HilbertSpace) -> np.ndarray:
-    """Density matrix of the atom after tracing out the oscillator (same purity for a pure state)."""
-    mat = _amplitudes(psi, space).reshape(space.atom_dim, space.fock_cutoff)
-    return mat @ mat.conj().T
-
-
 def purity(rho: np.ndarray):
     """Tr(rho^2) of a density matrix (a float), or of each matrix of a (..., d, d) stack (an array)."""
     rho = np.asarray(rho)
@@ -176,3 +171,22 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 
 def max_abs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat))) if mat.size else 0.0
+
+
+def normalize(v) -> tuple[np.ndarray, float]:
+    """v / |v| and |v| of a finite complex vector, with no overflow, underflow or warning on the way.
+
+    v is first scaled, exactly, by the power of two that puts its largest
+    real or imaginary part in [0.5, 1), so the norm of the scaled vector is
+    in range; |v| is inf only where it passes the largest float, and an
+    all-zero v is returned as it is, with norm 0.
+    """
+    parts = np.ascontiguousarray(v, dtype=complex).view(float)
+    e = math.frexp(np.abs(parts).max(initial=0.0))[1]  # 0 for an all-zero v
+    scaled = np.ldexp(parts, -e).view(complex)
+    nrm = float(np.linalg.norm(scaled))
+    unit = scaled / nrm if nrm else scaled
+    try:
+        return unit, math.ldexp(nrm, e)
+    except OverflowError:
+        return unit, math.inf

@@ -77,7 +77,7 @@ import numpy as np
 from .gates import GateParams, atom_plus, echo_pulses, echo_slots, induced_oscillator_unitary, pair_gate, pulse_generator
 from .gates import raman_columns
 from .hamiltonians import BlockLayout, RamanParams
-from .spaces import HilbertSpace, purity
+from .spaces import HilbertSpace, normalize, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
 
 LEDGER_MODELS = ("ideal", "effective")
@@ -181,7 +181,7 @@ def _checked_target(target) -> np.ndarray:
     t = np.array(target, dtype=complex)
     if t.ndim != 1 or not np.isfinite(t).all():
         raise ValueError(f"target must be a finite 1-d state, got shape {t.shape}")
-    nrm = float(np.linalg.norm(t))
+    nrm = normalize(t)[1]
     if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError(f"target norm {nrm} != 1")
     return t
@@ -278,11 +278,11 @@ def plan_superposition(
     the starting point: calibration moves them (by up to about 0.2 rad at
     |Omega_L|/g = 0.1) along with the pulse phases, on the same n pairs.
     """
-    if n < 0 or (n == 0 and abs(beta) > 0):
+    if n < 0 or (n == 0 and beta != 0):
         raise ValueError(f"cannot place the excited component at level n={n}")
-    nrm = abs(alpha) ** 2 + abs(beta) ** 2
-    if not math.isclose(nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, expected 1")
+    nrm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)  # no overflow, unlike abs(alpha) ** 2
+    if not math.isclose(nrm * nrm, 1.0, rel_tol=0.0, abs_tol=1e-9):
+        raise ValueError(f"sqrt(|alpha|^2 + |beta|^2) = {nrm}, expected 1")
     target = np.zeros(n + 1, dtype=complex)
     target[0] = alpha
     if n > 0:

@@ -16,7 +16,6 @@ from fockgate import (
     RamanParams,
     atom_minus,
     atom_plus,
-    closed_form_rotation,
     combined_echo_coupling,
     commutation_check,
     decompose_effective,
@@ -36,6 +35,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
+from fockgate.gates import closed_form_states
 from fockgate.spaces import fidelity, max_abs
 
 from conftest import dense_pulse, expm_gate
@@ -89,7 +89,7 @@ def test_a01_closed_form_oracle_equivalence():
         gp = GateParams.from_raman(p, m=m, phi=phi)
         U = expm_gate(gp, p, space)
         out = U @ pair_input(space, atom_plus(2), alpha, beta, m)
-        expect = pair_input(space, atom_plus(2), *closed_form_rotation(alpha, beta, gp), m)
+        _, expect = closed_form_states(space, m, gp.phi, gp.theta0, alpha, beta)
         worst = min(worst, fidelity(expect, out, space))
     verdict(
         "A1 closed-form oracle equivalence",

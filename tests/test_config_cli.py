@@ -102,6 +102,23 @@ def test_target_amplitude_list():
     assert amps[2] == pytest.approx(0.8j)
 
 
+def test_target_state_normalises_any_finite_nonzero_list(capsys):
+    # the amplitudes are scaled by a power of two before the norm: no overflow, no RuntimeWarning, and a
+    # subnormal list is not all zero; huge amplitudes synthesize as their plain counterparts do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for huge, plain in (("[1e308,1e308]", "[1,1]"), ("[1e200,[0,1e200]]", "[1,[0,1]]"), ("[1e-320]", "[1]")):
+            amps = [target_state(load_config(None, [f"target.amplitudes={a}"])) for a in (huge, plain)]
+            np.testing.assert_allclose(amps[0], amps[1], rtol=1e-15)
+            printed = []
+            for amplitudes in (huge, plain):
+                assert main(["synthesize", "--set", f"target.amplitudes={amplitudes}"]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1]
+        pair = target_state(load_config(None, ["target.alpha=[1e308,0]"]))
+        assert pair[0] == 1.0 and 0.0 < pair[3].real < 1e-307
+
+
 def test_target_support_guard(capsys):
     # support may reach cutoff - 2; the guard level itself stays reserved
     load_config(None, ["target.preset=fock", "target.n=10"])

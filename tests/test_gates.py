@@ -14,7 +14,6 @@ from fockgate import (
     RamanParams,
     atom_minus,
     atom_plus,
-    closed_form_rotation,
     combined_echo_coupling,
     decompose_effective,
     echo_factors,
@@ -123,7 +122,7 @@ def test_closed_form_matches_brute_force(params, space, rng):
         gp = GateParams.from_raman(params, m=m, phi=phi)
         U = expm_gate(gp, params, space)
         out = U @ pair_input(space, atom_plus(2), alpha, beta, m)
-        ref = embed_pair(space, atom_plus(2), closed_form_rotation(alpha, beta, gp), m)
+        _, ref = closed_form_states(space, m, gp.phi, gp.theta0, alpha, beta)
         assert_allclose(out, ref, atol=1e-10)
 
 
@@ -132,7 +131,7 @@ def test_closed_form_includes_global_phase(params, space):
     gp = GateParams.from_raman(params, m=3, phi=0.7)
     U = pair_gate(gp, params, space, "ideal")
     out = U @ pair_input(space, atom_plus(2), 0.6, 0.8j, 3)
-    ref = embed_pair(space, atom_plus(2), closed_form_rotation(0.6, 0.8j, gp), 3)
+    _, ref = closed_form_states(space, 3, gp.phi, gp.theta0, 0.6, 0.8j)
     assert_allclose(out, ref, atol=1e-11)
 
 
@@ -147,7 +146,7 @@ def test_closed_form_states_score_against_reference(params, space, rng):
         prepared, expected = closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta)
         assert_allclose(prepared, pair_input(space, atom_plus(2), alpha, beta, 2), atol=1e-15)
         assert fidelity(expected, U @ prepared, space) == pytest.approx(1.0, abs=1e-10)
-        lo, hi = np.abs(closed_form_rotation(alpha, beta, gp)) ** 2
+        lo, hi = np.abs(rotation_matrix(gp) @ [alpha, beta]) ** 2
         _, corrupt = closed_form_states(space, 2, gp.phi, -gp.theta0, alpha, beta)
         bad = fidelity(corrupt, U @ prepared, space)
         assert bad == pytest.approx(1.0 - 4.0 * lo * hi * np.sin(gp.theta0) ** 2, abs=1e-10)
@@ -175,17 +174,17 @@ def test_phase_only_gate_at_zero_angle(params, space):
     # phi = 0 leaves the populations alone; the lower pair level picks up the
     # dispersive phase
     gp = GateParams.from_raman(params, m=2, phi=0.0)
-    pair = closed_form_rotation(0.8, 0.6, gp)
+    pair = rotation_matrix(gp) @ [0.8, 0.6]
     assert_allclose(pair, [0.8, 0.6], atol=1e-12)
     gp_t = GateParams.from_raman(params, m=2, phi=params.coupling * np.sqrt(2) * 50.0)  # tau = 50
-    pair_t = closed_form_rotation(1.0, 0.0, replace(gp_t, phi=0.0, lam=0.0))
+    pair_t = rotation_matrix(replace(gp_t, phi=0.0, lam=0.0)) @ [1.0, 0.0]
     assert pair_t[0] == pytest.approx(np.exp(-2j * gp_t.eta) * np.exp(1j * gp_t.theta0))
     assert pair_t[1] == pytest.approx(0.0)
 
 
 def test_quarter_rotation_swaps_with_i(params):
     gp = replace(GateParams.from_raman(params, m=2, phi=0.5 * np.pi), theta0=0.0)
-    pair = closed_form_rotation(0.6, 0.8, gp)
+    pair = rotation_matrix(gp) @ [0.6, 0.8]
     assert_allclose(pair, [-1j * 0.8, -1j * 0.6], atol=1e-12)
 
 
@@ -204,9 +203,7 @@ def test_minus_input_matches_gate(params, space, rng):
     U = pair_gate(gp, params, space, "ideal")
     for alpha, beta in zip(alphas, betas):
         out = U @ pair_input(space, atom_minus(2), alpha, beta, 2)
-        ref = embed_pair(
-            space, atom_minus(2), closed_form_rotation(alpha, beta, gp, atom_sign=-1), 2
-        )
+        ref = embed_pair(space, atom_minus(2), rotation_matrix(gp, atom_sign=-1) @ [alpha, beta], 2)
         assert_allclose(out, ref, atol=1e-11)
 
 
@@ -215,16 +212,50 @@ def test_phase_offset_steers_transfer_phase(params, space):
     chi = 1.1
     U = pair_gate(gp, params, space, "ideal", phase_offset=chi)
     out = U @ pair_input(space, atom_plus(2), 1.0, 0.0, 1)
-    ref = embed_pair(
-        space, atom_plus(2), closed_form_rotation(1.0, 0.0, gp, phase_offset=chi), 1
-    )
+    ref = embed_pair(space, atom_plus(2), rotation_matrix(gp, phase_offset=chi) @ [1.0, 0.0], 1)
     assert_allclose(out, ref, atol=1e-11)
 
 
-def test_closed_form_rejects_unnormalized(params):
+def test_closed_form_rejects_unnormalized(params, space):
+    # the norm is taken without overflow or underflow: every such pair is a ValueError, with no RuntimeWarning
     gp = GateParams.from_raman(params, m=1, phi=0.3)
-    with pytest.raises(ValueError):
-        closed_form_rotation(1.0, 1.0, gp)
+    for alpha, beta in ((1.0, 1.0), (1e200, 0.0), (1e308, 1e308j), (1e-320, 0.0), ([0.6, 1e200], 0.8)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="expected 1"):
+            warnings.simplefilter("error")
+            closed_form_states(space, gp.m, gp.phi, gp.theta0, alpha, beta)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 6),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.005, 0.2),
+    st.sampled_from([+1, -1]),
+    st.floats(-2.0 * np.pi, 2.0 * np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_rotation_matrix_forms(m, phi, omega_l, atom_sign, chi, mix, relative):
+    """``rotation_matrix`` at atom |+> and chi = 0 maps a pair as ``closed_form_states`` does; at
+    atom sign s = +-1 and any chi it is s e^{-2i eta} diag(e^{i theta0}, 1) D K(s phi) D†, with
+    D = diag(1, e^{i chi}) and K(phi) = [[cos phi, -i sin phi], [-i sin phi, cos phi]]."""
+    p = RamanParams(g=1.0, omega_l=omega_l, delta=20.0)
+    gp = GateParams.from_raman(p, m=m, phi=phi)
+    space = HilbertSpace(2, m + 2)
+    alpha, beta = np.cos(mix), np.sin(mix) * np.exp(1j * relative)
+    prepared, expected = closed_form_states(space, m, gp.phi, gp.theta0, alpha, beta)
+    assert_allclose(prepared, pair_input(space, atom_plus(2), alpha, beta, m), atol=1e-15)
+    assert_allclose(expected, embed_pair(space, atom_plus(2), rotation_matrix(gp) @ [alpha, beta], m), atol=1e-12)
+    cos, sin = np.cos(atom_sign * gp.phi), np.sin(atom_sign * gp.phi)
+    D = np.diag([1.0, np.exp(1j * chi)])
+    form = atom_sign * np.exp(-2j * gp.eta) * np.diag([np.exp(1j * gp.theta0), 1.0]) @ D
+    form = form @ np.array([[cos, -1j * sin], [-1j * sin, cos]]) @ D.conj()
+    R = rotation_matrix(gp, atom_sign, chi)
+    assert_allclose(R, form, atol=1e-12)
+    # |-> flips the rotation sense and carries the flip's -1: R(-) = -Z R(+) Z, Z = diag(1, -1)
+    Z = np.diag([1.0, -1.0])
+    assert_allclose(rotation_matrix(gp, -atom_sign, chi), -Z @ R @ Z, atol=1e-12)
+    assert_allclose(R.conj().T @ R, np.eye(2), atol=1e-12)
 
 
 # ---- disentanglement -------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from fockgate import (
     reduced_oscillator_state,
     tensor,
 )
-from fockgate.spaces import fock_populations, project_atom, reduced_atom_state
+from fockgate.spaces import fock_populations, normalize, project_atom
 
 st_cutoff = st.integers(2, 16)
 
@@ -260,8 +262,27 @@ def test_atom_and_oscillator_purities_agree(da, nf, seed, product):
     else:
         psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
-    atom_side = purity(reduced_atom_state(psi, space))
-    assert reduced_atom_state(psi, space).shape == (da, da)
+    # the atom's reduced state is the oscillator's of the state with the factors swapped
+    swapped = psi.reshape(da, nf).T.ravel()
+    rho_atom = reduced_oscillator_state(swapped, HilbertSpace(nf, da))
+    assert_allclose(rho_atom, psi.reshape(da, nf) @ psi.reshape(da, nf).conj().T, atol=1e-15)
+    atom_side = purity(rho_atom)
     assert atom_side == pytest.approx(purity(reduced_oscillator_state(psi, space)), abs=1e-12)
     if product:
         assert atom_side == pytest.approx(1.0, abs=1e-12)
+
+
+def test_normalize_takes_any_finite_norm_without_warning():
+    # scaled by a power of two first: huge and subnormal vectors normalise as their plain counterparts do
+    # (each huge or subnormal input below is the plain vector times the scale, exactly or to an ulp)
+    cases = [(scale, plain) for scale in (1e200, 1e308, 2.0**-1070) for plain in ([1.0, 1.0], [0.75, 1j], [1.0])]
+    cases += [(1e-320, [1.0, 1.0]), (1e-320, [1.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale, plain in cases:
+            unit, nrm = normalize(np.array(plain) * scale)
+            assert_allclose(unit, normalize(plain)[0], rtol=1e-15)
+            assert nrm == pytest.approx(scale * np.linalg.norm(plain), rel=1e-15 if scale > 1e-300 else 1e-3)
+        assert normalize([1.7e308, 1.7e308j, 1.7e308])[1] == np.inf  # the norm itself passes the largest float
+        unit, nrm = normalize(np.zeros(3))
+        assert nrm == 0.0 and not unit.any()

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -125,8 +126,11 @@ def test_effective_phase_model_beats_ideal_bookkeeping_when_selective():
 def test_infeasible_superposition_rejected(params):
     with pytest.raises(ValueError):
         plan_superposition(0.6, 0.8, 0, params)
-    with pytest.raises(ValueError):
-        plan_superposition(0.9, 0.8, 2, params)
+    # an unnormalized pair is a ValueError: its norm is taken with no OverflowError and no RuntimeWarning
+    for alpha, beta in ((0.9, 0.8), (1e200, 0.0), (1e308, 0.0), (1e308, 1e308j), (1e-320, 0.0)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="expected 1"):
+            warnings.simplefilter("error")
+            plan_superposition(alpha, beta, 2, params)
 
 
 # ---- calibrated phase model ---------------------------------------------------
@@ -334,8 +338,11 @@ def test_zero_ground_amplitude(params):
 
 
 def test_unnormalized_target_rejected(params):
-    with pytest.raises(ValueError, match="norm"):
-        plan_general_state(np.array([1.0, 1.0]), params)
+    # the norm is taken without overflow or underflow, and with no RuntimeWarning
+    for target in ([1.0, 1.0], [1e200, 1e200], [1e308, 1e308], [1e308j, 1e308], [1e-320]):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="norm"):
+            warnings.simplefilter("error")
+            plan_general_state(np.array(target), params)
 
 
 # ---- execution ----------------------------------------------------------------
