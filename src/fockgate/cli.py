@@ -97,13 +97,12 @@ def cmd_gate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
-    """One row per drive ratio of one model: mean closed-form fidelity, leakage and gate time over the samples.
+def _sweep_rows(cfg: RunConfig) -> list[dict]:
+    """One row per model and drive ratio: mean closed-form fidelity, leakage and gate time over the samples.
 
-    Common random numbers across grid points: every ratio sees the same
-    sampled angles and pair amplitudes (per sample, phi then four normals),
-    so trends are paired comparisons.  One ``closed_form_samples`` call
-    runs every ratio and sample, a state each.
+    Common random numbers: every grid point of every model sees the same sampled angles and pair
+    amplitudes (per sample, phi then four normals), so trends are paired comparisons.  Draws and
+    devices are made once; one ``closed_form_samples`` call per block layout runs its models' grid.
     """
     rng = np.random.default_rng(cfg.seed)
     draws = np.array([[rng.uniform(*SWEEP_ANGLES), *rng.normal(size=4)] for _ in range(cfg.sweep.samples)])
@@ -112,22 +111,21 @@ def _sweep_rows(cfg: RunConfig, model: str) -> list[dict]:
     with warnings.catch_warnings():  # large ratios trip the selectivity warning, by design of the scan
         warnings.filterwarnings("ignore", "selectivity ratio ", UserWarning)
         devices = [to_raman(cfg, omega_l=ratio * cfg.physical.g) for ratio in cfg.sweep.ratios]
-    m, space = cfg.gate.m, model_space(model, cfg.space.fock_cutoff)
-    psis, expected, tau, _ = closed_form_samples(devices, space, model, m, phi, alpha, beta)  # (ratios, samples, ...)
-    fids, leaks = fidelity(expected, psis, space), leakage(psis, m, space)
-    return [
-        {"r": ratio, "model": model, "fidelity": float(f), "leakage": float(leak), "gate_time": float(t)}
-        for ratio, f, leak, t in zip(cfg.sweep.ratios, fids.mean(axis=1), leaks.mean(axis=1), tau.mean(axis=1))
-    ]
+    m, layouts, rows = cfg.gate.m, {}, []
+    for model in _models(cfg):  # the models of one space share its block layout
+        layouts.setdefault(model_space(model, cfg.space.fock_cutoff), []).append(model)
+    for space, models in layouts.items():
+        outputs, expected, tau, _ = closed_form_samples(devices, space, models, m, phi, alpha, beta)
+        for model, psis in zip(models, outputs):  # (ratios, samples, dim), scored alone: summed as in a one-model run
+            fids, leaks = fidelity(expected, psis, space).mean(axis=1), leakage(psis, m, space).mean(axis=1)
+            rows += [{"r": r, "model": model, "fidelity": float(f), "leakage": float(x), "gate_time": float(t)}
+                     for r, f, x, t in zip(cfg.sweep.ratios, fids, leaks, tau.mean(axis=1))]
+    return rows
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    rows = [row for model in _models(cfg) for row in _sweep_rows(cfg, model)]
     header = ["r", "model", "fidelity", "leakage", "gate_time"]
-    table = [
-        [_fmt(row["r"]), row["model"], _fmt(row["fidelity"]), _fmt(row["leakage"]), _fmt(row["gate_time"])]
-        for row in rows
-    ]
+    table = [[row[key] if key == "model" else _fmt(row[key]) for key in header] for row in _sweep_rows(cfg)]
     for cells in [header] + table:
         print(",".join(cells))
     out = _out_dir(cfg)

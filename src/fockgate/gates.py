@@ -37,31 +37,30 @@ variant is noted here but not modeled.
 Both pulses are propagated by excitation-number blocks
 (``hamiltonians.PulseBlocks``, whose layout is a permutation of the joint
 basis) and the flip is a permutation of the blocks' slots
-(``hamiltonians.BlockLayout``).  The drive phase
-theta enters only the g-e (or h-e) coupling, so a pulse at theta is
-Z(theta) B Z(theta)† with Z(theta) = e^{-i theta |e><e|} ⊗ I and
-B = exp(-i H0 tau) from the real theta = 0 generator H0: one block stack
-per level and device serves both pulses and every offset and duration.
-``echo_pulses`` builds the framed pulses of one gate or a batch in one
-``propagator.block_unitaries`` call, which writes each pulse in its frame
-(doublets entry by entry from the closed form), and ``echo_slots`` runs
-them on states held in the block layout: pulse, one gather through the
-flip's slots, pulse.  ``run_echo`` gathers joint states into that layout
-and back (``apply_pair_gate``; ``closed_form_samples``, the one route by
-which ``sweep`` and ``validate`` run sampled gates on several devices and
-score them against ``closed_form_states``); plan execution and calibration
-gather |+> ⊗ osc into it straight from the oscillator.  ``pair_gate``
-writes the dense unitary from the same pulses, the flip's slots naming the
-first-pulse row of each product, into dense entries computed once per
-space.  ``gate_columns`` holds the gate
-arithmetic, tau, theta0 and 2*eta from the angle, for ``raman_columns``
-and the configuration checks.  Every gate exchanges one quantum, on the
-adjacent pair {m-1, m}: adjacent pairs are all that a ladder of
-two-by-two rotations needs to reach any oscillator state or unitary
-(Reck et al., PRL 73, 58 (1994); Law and Eberly, PRL 76, 1055 (1996)).
-The dense builders serve as the
-oracle in validation and the tests; ``Propagator`` runs the same
-``block_unitaries`` on one dense block, at drive phase 0.
+(``hamiltonians.BlockLayout``).  The drive phase theta enters only the g-e
+(or h-e) coupling, so a pulse at theta is Z(theta) B Z(theta)† with
+Z(theta) = e^{-i theta |e><e|} ⊗ I and B = exp(-i H0 tau) from the real
+theta = 0 generator H0: one block stack per level and device serves both
+pulses and every offset and duration.  ``echo_pulses`` builds the framed
+pulses of one gate or a batch in one ``propagator.block_unitaries`` call,
+which writes each pulse in its frame (doublets entry by entry from the
+closed form), and ``echo_slots`` runs them on states held in the block
+layout: pulse, one gather through the flip's slots, pulse.  ``run_echo``
+gathers joint states into that layout and back (``apply_pair_gate``;
+``closed_form_samples``, the one route by which ``sweep`` and ``validate``
+run sampled gates on several devices, a pass per block layout, and score
+them against ``closed_form_states``); plan execution and calibration gather
+|+> ⊗ osc into it straight from the oscillator.  ``pair_gate`` writes the
+dense unitary from the same pulses, the flip's slots naming the first-pulse
+row of each product, into dense entries computed once per space.
+``gate_columns`` holds the gate arithmetic, tau, theta0 and 2*eta from the
+angle, for ``raman_columns`` and the configuration checks.  Every gate
+exchanges one quantum, on the adjacent pair {m-1, m}: adjacent pairs are
+all that a ladder of two-by-two rotations needs to reach any oscillator
+state or unitary (Reck et al., PRL 73, 58 (1994); Law and Eberly, PRL 76,
+1055 (1996)).  The dense builders serve as the oracle in validation and the
+tests; ``Propagator`` runs the same ``block_unitaries`` on one dense block,
+at drive phase 0.
 """
 
 from __future__ import annotations
@@ -392,27 +391,29 @@ def closed_form_states(space: HilbertSpace, m, phi, theta0, alpha, beta) -> tupl
             raise ValueError(f"{name} must be finite, got {value}")
     if not (off <= 1e-9).all():
         raise ValueError(f"sqrt(|alpha|^2 + |beta|^2) = {nrm}, expected 1")
-    amps = np.array(np.broadcast_arrays(alpha, beta, *_rotated(m, phi, theta0, alpha, beta)))[..., None]
+    amps = np.empty((4,) + np.broadcast(m, phi, theta0, alpha, beta).shape + (1,), dtype=complex)  # filled in place
+    amps[0, ..., 0], amps[1, ..., 0] = alpha, beta
+    amps[2, ..., 0], amps[3, ..., 0] = _rotated(m, phi, theta0, alpha, beta)
     levels = np.arange(space.fock_cutoff)  # the pair's levels of each gate, as masks
     osc = (levels == (m - 1)[..., None]) * amps[0::2] + (levels == m[..., None]) * amps[1::2]
     joint = atom_plus(space.atom_dim)[:, None] * osc[..., None, :]
     return tuple(joint.reshape(osc.shape[:-1] + (space.dim,)))
 
 
-def closed_form_samples(devices: list[RamanParams], space: HilbertSpace, model: str, m, phi, alpha, beta) -> tuple:
-    """Gates (m, phi) on each device run from |+> ⊗ (alpha|m-1> + beta|m>), and their closed-form images.
+def closed_form_samples(devices: list[RamanParams], space: HilbertSpace, models, m, phi, alpha, beta) -> tuple:
+    """Gates (m, phi) of each model on each device run from |+> ⊗ (alpha|m-1> + beta|m>), and their closed-form images.
 
-    m, phi, alpha and beta broadcast over one sample axis (m a level or a
-    column of levels).  One ``raman_columns`` call, one ``pulse_generator``
-    per device, one ``echo_pulses``, one ``closed_form_states`` and one
-    ``run_echo`` at drive phase 0; the devices' blocks share one layout.
-    Returns the output states and their closed-form images, (devices,
-    samples, dim), and tau and theta0, (devices, samples).
+    The models share ``space``, so one block layout (``ideal`` and ``effective``, or ``full``);
+    m, phi, alpha and beta broadcast over one sample axis (m a level or a column of levels).
+    One pass: one ``raman_columns`` call, one ``pulse_generator`` per model and device, one
+    ``echo_pulses`` (on tau[None] and theta0[None], so the models axis misses its pulse axis),
+    one ``closed_form_states`` and one ``run_echo``.  Returns the output states (models,
+    devices, samples, dim), their images (devices, samples, dim), and tau and theta0 (devices, samples).
     """
     tau, theta0 = raman_columns(devices, m, phi)
-    blocks = [pulse_generator(p, space, model, m) for p in devices]
-    shape = (len(devices), -1) + blocks[0].generator.shape[-3:]  # one level: the samples share its blocks
-    pulses = echo_pulses(np.reshape([b.generator for b in blocks], shape), tau, theta0, 0.0)
+    blocks = [pulse_generator(p, space, model, m) for model in models for p in devices]
+    shape = (len(models), len(devices), -1) + blocks[0].generator.shape[-3:]  # one level: the samples share its blocks
+    pulses = echo_pulses(np.reshape([b.generator for b in blocks], shape), tau[None], theta0[None], 0.0)
     prepared, expected = closed_form_states(space, m, phi, theta0, alpha, beta)
     return run_echo(blocks[0].layout, pulses, prepared[..., None])[..., 0], expected, tau, theta0
 

@@ -183,9 +183,10 @@ def normalize(v) -> tuple[np.ndarray, float]:
     """
     parts = np.ascontiguousarray(v, dtype=complex).view(float)
     e = math.frexp(np.abs(parts).max(initial=0.0))[1]  # 0 for an all-zero v
-    scaled = np.ldexp(parts, -e).view(complex)
-    nrm = float(np.linalg.norm(scaled))
-    unit = scaled / nrm if nrm else scaled
+    scaled = np.ldexp(parts, -e)
+    nrm = float(np.linalg.norm(scaled.view(complex)))
+    # float parts / nrm: exact +-1 for one nonzero real amplitude (complex / float multiplies by a rounded 1/nrm)
+    unit = (scaled / nrm if nrm else scaled).view(complex)
     try:
         return unit, math.ldexp(nrm, e)
     except OverflowError:

@@ -182,7 +182,7 @@ def run_validation(
               rng.normal(size=4)) for _ in range(24)]
     levels, phis, z = (np.array(column) for column in zip(*draws))
     alpha, beta = (z / np.linalg.norm(z, axis=1, keepdims=True)).view(complex).T  # z0 + i z1, z2 + i z3
-    psis, expected, _, theta0 = closed_form_samples([p], space, "ideal", levels, phis, alpha, beta)
+    psis, expected, _, theta0 = closed_form_samples([p], space, ("ideal",), levels, phis, alpha, beta)
     if corrupt_theta0:
         _, expected = closed_form_states(space, levels, phis, -theta0, alpha, beta)
     fids = fidelity(expected, psis, space)

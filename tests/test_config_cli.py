@@ -438,8 +438,9 @@ def test_sweep_point_matches_dense_gate_per_sample(model, ratio, seed, m, sample
     # each grid point of the batched sweep against the per-sample route: the same
     # draws in the same order, one dense pair_gate per sample, scored by closed_form_states
     ratios = others[:at] + [ratio] + others[at:]
-    cfg = load_config(None, [f"gate.m={m}", f"sweep.samples={samples}", f"seed={seed}", f"sweep.ratios={ratios}"])
-    rows = _sweep_rows(cfg, model)
+    cfg = load_config(None, [f"gate.m={m}", f"sweep.samples={samples}", f"seed={seed}", f"sweep.ratios={ratios}",
+                             f"model={json.dumps(model)}"])
+    rows = _sweep_rows(cfg)
     space = model_space(model, cfg.space.fock_cutoff)
     assert [(row["r"], row["model"]) for row in rows] == [(r, model) for r in ratios]
     for r, row in zip(ratios, rows):
@@ -465,6 +466,23 @@ def test_sweep_point_matches_dense_gate_per_sample(model, ratio, seed, m, sample
         assert row["gate_time"] == float(np.mean(times))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    m=st.integers(1, 9),
+    samples=st.integers(1, 6),
+    ratios=st.lists(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]), min_size=1, max_size=4),
+)
+def test_sweep_of_all_models_equals_the_single_model_sweeps(seed, m, samples, ratios):
+    # ideal and effective run as one batch on the doublet layout, full alone: every row equals, bit for bit,
+    # the row of that model's own sweep at the same draws
+    common = [f"gate.m={m}", f"sweep.samples={samples}", f"seed={seed}", f"sweep.ratios={ratios}"]
+    rows = _sweep_rows(load_config(None, common + ['model="all"']))
+    single = [row for model in ("ideal", "effective", "full")
+              for row in _sweep_rows(load_config(None, common + [f"model={json.dumps(model)}"]))]
+    assert rows == single
+
+
 def _count_calls(monkeypatch, calls, module, name):
     original = getattr(module, name)
 
@@ -476,14 +494,15 @@ def _count_calls(monkeypatch, calls, module, name):
 
 
 def test_sweep_and_validate_run_their_samples_in_one_batch(monkeypatch, capsys):
-    # one closed_form_samples call, so one echo, per model for the whole sweep grid and one for
-    # validate's sampled gates; pair_gate only in validate's unitarity and purity checks
+    # one closed_form_samples call, so one echo, per block layout for the whole sweep grid (ideal and
+    # effective together, full alone) and one for validate's sampled gates; pair_gate only in
+    # validate's unitarity and purity checks
     calls = collections.Counter()
     for module, name in [(cli, "closed_form_samples"), (cli, "pair_gate"), (validation, "closed_form_samples"),
                          (validation, "pair_gate"), (gates, "echo_pulses")]:
         _count_calls(monkeypatch, calls, module, name)
     assert main(["sweep", "--model", "all"]) == 0
-    assert calls == {"fockgate.cli.closed_form_samples": 3, "fockgate.gates.echo_pulses": 3}
+    assert calls == {"fockgate.cli.closed_form_samples": 2, "fockgate.gates.echo_pulses": 2}
     calls.clear()
     assert main(["validate"]) == 0
     assert calls == {"fockgate.validation.closed_form_samples": 1, "fockgate.validation.pair_gate": 3,

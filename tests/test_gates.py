@@ -781,7 +781,7 @@ def test_closed_form_samples_match_dense_gates_per_sample(model, data):
                        for gp in (GateParams.from_raman(p, m=m, phi=1.0) for m in levels.tolist())] for p in devices])
     phi = fractions * 100.0 / reach.max(axis=0)
 
-    psis, expected, tau, theta0 = closed_form_samples(devices, space, model, levels, phi, alpha, beta)
+    (psis,), expected, tau, theta0 = closed_form_samples(devices, space, (model,), levels, phi, alpha, beta)
     assert psis.shape == expected.shape == (len(devices), count, space.dim)
     for i, p in enumerate(devices):
         for j, m in enumerate(levels.tolist()):

@@ -286,3 +286,17 @@ def test_normalize_takes_any_finite_norm_without_warning():
         assert normalize([1.7e308, 1.7e308j, 1.7e308])[1] == np.inf  # the norm itself passes the largest float
         unit, nrm = normalize(np.zeros(3))
         assert nrm == 0.0 and not unit.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False).filter(bool), size=st.integers(1, 4), data=st.data())
+def test_normalize_makes_one_real_amplitude_exactly_unit(x, size, data):
+    # the parts are divided by the norm, so one nonzero real amplitude, subnormal or huge, becomes exactly +-1
+    at = data.draw(st.integers(0, size - 1), label="at")
+    v = np.zeros(size)
+    v[at] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit, nrm = normalize(v)
+    assert unit[at] == np.sign(x) and nrm == abs(x)
+    assert not np.delete(unit, at).any()
