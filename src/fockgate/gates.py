@@ -44,13 +44,13 @@ theta = 0 generator H0: one block stack per level and device serves both
 pulses and every offset and duration.  ``echo_pulses`` builds the framed
 pulses of one gate or a batch in one ``propagator.block_unitaries`` call,
 which writes each pulse in its frame (doublets entry by entry from the
-closed form), and ``echo_slots`` runs them on states held in the block
-layout: pulse, one gather through the flip's slots, pulse.  ``run_echo``
-gathers joint states into that layout and back (``apply_pair_gate``;
-``closed_form_samples``, the one route by which ``sweep`` and ``validate``
-run sampled gates on several devices, a pass per block layout, and score
-them against ``closed_form_states``); plan execution and calibration gather
-|+> ⊗ osc into it straight from the oscillator.  ``pair_gate`` writes the
+closed form).  ``run_echo``, the one route from joint states into the
+block layout and back, runs them: pulse, one gather through the flip's
+slots, pulse.  Its callers are ``closed_form_samples``, the one route by
+which ``sweep`` and ``validate`` run sampled gates on several devices, a
+pass per block layout, and score them against ``closed_form_states``, and
+plan execution and calibration, which run |+> ⊗ osc through it one step
+at a time (``synthesis._step_runner``).  ``pair_gate`` writes the
 dense unitary from the same pulses, the flip's slots naming the first-pulse
 row of each product, into dense entries computed once per space.
 ``gate_columns`` holds the gate arithmetic, tau, theta0 and 2*eta from the
@@ -115,8 +115,7 @@ class GateParams:
     k: ClassVar[int] = 1
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
+        _require_integer("m", self.m)
         try:
             eta = self.eta
         except OverflowError:  # m * theta0 takes m as a float
@@ -152,6 +151,12 @@ class GateParams:
         """Gate at angle phi on device p, tau and theta0 from ``raman_columns``."""
         tau, theta0 = (column.item() for column in raman_columns([p], m, phi))
         return cls(m=m, tau=tau, lam=p.coupling, theta0=theta0, phi=phi)
+
+
+def _require_integer(name: str, value) -> None:
+    """A ValueError naming ``name`` unless value is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def gate_columns(lam, rate, m, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,56 +261,20 @@ def echo_pulses(generator: np.ndarray, tau, theta0, chi) -> np.ndarray:
     return block_unitaries(generator, np.asarray(tau, dtype=float)[..., None], theta[..., None])
 
 
-def echo_slots(pulses: np.ndarray, flipped: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """pulse -> flip -> pulse on states in the block layout: (..., nb, b, k) slots in, a new such array out.
-
-    ``pulses`` is an ``echo_pulses`` array (2, ..., nb, b, b) and ``flipped``
-    its layout's flip: each pulse is one batched b x b product, and the flip
-    one gather of the slots between them.
-    """
-    first = pulses[0] @ slots
-    return pulses[1] @ first.reshape(first.shape[:-3] + (-1, first.shape[-1]))[..., flipped, :]
-
-
 def run_echo(layout: BlockLayout, pulses: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The echo ``pulses`` on ``layout`` applied to joint states ``states``, shape (..., dim, k), as a new array.
 
-    O(dim * b^2) per column.  The leading axes of ``states`` are the gate
-    axes of ``pulses``.  The states are gathered into the block layout, run
-    through ``echo_slots`` and gathered back by the inverse layout; no
-    joint-space matrix is built.
+    The one route from joint states into the block layout and back.
+    ``pulses`` is an ``echo_pulses`` array (2, ..., nb, b, b) whose gate
+    axes are the leading axes of ``states``.  The states are gathered into
+    the layout, each pulse is one batched b x b product, the flip one
+    gather of the slots between them, and the inverse layout gathers the
+    result back: O(dim * b^2) per column, and no joint-space matrix.
     """
     index, inverse, flipped = layout
-    out = echo_slots(pulses, flipped, states[..., index, :])
+    first = pulses[0] @ states[..., index, :]
+    out = pulses[1] @ first.reshape(first.shape[:-3] + (-1, first.shape[-1]))[..., flipped, :]
     return out.reshape(out.shape[:-3] + (-1, out.shape[-1]))[..., inverse, :]
-
-
-def apply_pair_gate(
-    gp: GateParams,
-    p: RamanParams,
-    space: HilbertSpace,
-    x: np.ndarray,
-    model: str = "ideal",
-    phase_offset: float = 0.0,
-) -> np.ndarray:
-    """The three-step gate pulse(chi) -> flip -> pulse(chi - theta0) applied to x.
-
-    x is a finite joint state of shape (dim,) or a (dim, k) stack of
-    columns; another shape or a non-finite amplitude is a ValueError.  The
-    gate runs block by block (``run_echo``).
-    model selects the pulse: "ideal" keeps only the pair self-energy and
-    resonant coupling (exactly confined to {m-1, m}); "effective" uses the
-    eliminated two-level model with all its detuned exchange channels;
-    "full" keeps the explicit third level.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2) or len(x) != space.dim:
-        raise ValueError(f"state has shape {x.shape}, expected ({space.dim},) or ({space.dim}, k)")
-    if not np.isfinite(x).all():
-        raise ValueError("state amplitudes must be finite")
-    blocks = pulse_generator(p, space, model, gp.m)
-    pulses = echo_pulses(blocks.generator, gp.tau, gp.theta0, phase_offset)
-    return run_echo(blocks.layout, pulses, x.reshape(space.dim, -1)).reshape(x.shape)
 
 
 def pair_gate(
@@ -315,8 +284,13 @@ def pair_gate(
     model: str = "ideal",
     phase_offset: float = 0.0,
 ) -> np.ndarray:
-    """Dense unitary of ``apply_pair_gate``, written entry by entry from the blocks.
+    """Dense unitary of the gate pulse(chi) -> flip -> pulse(chi - theta0), written entry by entry from the blocks.
 
+    chi is ``phase_offset``.  model selects the pulse: "ideal" keeps only
+    the pair self-energy and resonant coupling (exactly confined to
+    {m-1, m}); "effective" uses the eliminated two-level model with all its
+    detuned exchange channels; "full" keeps the explicit third level.  On
+    states, ``run_echo`` applies the same pulses without this matrix.
     U = B2 F B1 with block-diagonal pulses B1, B2 and the flip F.  Row s of
     F B1 is the B1 row of slot flipped[s], nonzero only on the columns of
     one B1 block, so each B2 block contributes b^3 products.  The flip
@@ -409,7 +383,11 @@ def closed_form_samples(devices: list[RamanParams], space: HilbertSpace, models,
     ``echo_pulses`` (on tau[None] and theta0[None], so the models axis misses its pulse axis),
     one ``closed_form_states`` and one ``run_echo``.  Returns the output states (models,
     devices, samples, dim), their images (devices, samples, dim), and tau and theta0 (devices, samples).
+    No devices, or no models, is a ValueError.
     """
+    for name, given in (("devices", devices), ("models", models)):
+        if not len(given):
+            raise ValueError(f"{name} must not be empty")
     tau, theta0 = raman_columns(devices, m, phi)
     blocks = [pulse_generator(p, space, model, m) for model in models for p in devices]
     shape = (len(models), len(devices), -1) + blocks[0].generator.shape[-3:]  # one level: the samples share its blocks
@@ -460,9 +438,11 @@ def combined_echo_coupling(gp: GateParams, space: HilbertSpace, angle: float) ->
 def leakage(psi: np.ndarray, m: int, space: HilbertSpace):
     """Population outside the Fock pair {m-1, m}, summed over atomic levels.
 
-    A float for one joint state (dim,), an array for a (..., dim) stack.  A
-    pair outside the space (m < 1 or m >= fock_cutoff) is a ValueError.
+    A float for one joint state (dim,), an array for a (..., dim) stack.  An
+    m that is not an integer, or a pair outside the space (m < 1 or
+    m >= fock_cutoff), is a ValueError.
     """
+    _require_integer("m", m)
     if m < 1 or m >= space.fock_cutoff:
         raise ValueError(f"pair {{{m - 1}, {m}}} lies outside the Fock levels 0..{space.fock_cutoff - 1}")
     pops = fock_populations(psi, space)

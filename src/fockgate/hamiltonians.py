@@ -236,13 +236,6 @@ def decompose_effective(
     return SelectiveParts(dispersive, pair_energy, pair_coupling)
 
 
-def effective_detuning(n: int, m: int, p: RamanParams) -> float:
-    """Detuning g^2*(n-m)/delta of doublet {|g,n>, |e,n-1>}; zero at n = m."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return p.dispersive_rate * (n - m)
-
-
 def _require_doublet(quanta: int, m: int, space: HilbertSpace):
     if quanta < 1:
         raise ValueError(f"quanta must be >= 1, got {quanta}")

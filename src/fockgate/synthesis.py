@@ -50,9 +50,8 @@ post-selected on finding the atom in |+> after every gate, and the product
 of ``step_atom_overlaps`` is the probability of that outcome.  Plan
 execution and calibration build every step's pulses in one
 ``gates.echo_pulses`` call and share one step routine (``_step_runner``):
-it gathers |+> ⊗ osc straight from the oscillator into the block layout
-that every step shares, runs ``gates.echo_slots`` and gathers the joint
-state back by the inverse layout.  The ``echo_pulses`` call writes every
+it runs |+> ⊗ osc through ``gates.run_echo`` on the block layout that
+every step shares and keeps the <+| branch.  The ``echo_pulses`` call writes every
 step's two pulses in their frames; under "full" a plan's stack of triplet
 layers is diagonalised once per device, cutoff and levels
 (``propagator.SPECTRA`` keeps its projectors while the stack fits its
@@ -74,8 +73,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gates import GateParams, atom_plus, echo_pulses, echo_slots, induced_oscillator_unitary, pair_gate, pulse_generator
-from .gates import raman_columns
+from .gates import GateParams, atom_plus, echo_pulses, induced_oscillator_unitary, pair_gate, pulse_generator
+from .gates import _require_integer, raman_columns, run_echo
 from .hamiltonians import BlockLayout, RamanParams
 from .spaces import HilbertSpace, normalize, purity
 from .spaces import reduced_oscillator_state  # noqa: F401  unused; bench/spans.py wraps it here
@@ -132,8 +131,9 @@ class CircuitPlan:
         if given[0].ndim != 1 or any(a.shape != given[0].shape for a in given):
             raise ValueError(f"plan columns must be 1-d and of one length, got shapes {[a.shape for a in given]}")
         integral = given[0].dtype.kind in "iu" or given[0].size == 0
-        m, phi, tau, theta0, lam, chi = columns = [a.astype(np.int64 if i == 0 and integral else float)
-                                                   for i, a in enumerate(given)]
+        # an m column of another kind stays as given: every row is built below, naming a level past float range
+        m, phi, tau, theta0, lam, chi = columns = [given[0].astype(np.int64) if integral else given[0],
+                                                   *(a.astype(float) for a in given[1:])]
         first = 0
         if integral:
             element = np.sqrt(np.where(m >= 1, m, np.nan))
@@ -278,6 +278,7 @@ def plan_superposition(
     the starting point: calibration moves them (by up to about 0.2 rad at
     |Omega_L|/g = 0.1) along with the pulse phases, on the same n pairs.
     """
+    _require_integer("n", n)
     if n < 0 or (n == 0 and beta != 0):
         raise ValueError(f"cannot place the excited component at level n={n}")
     nrm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)  # no overflow, unlike abs(alpha) ** 2
@@ -295,17 +296,14 @@ def _step_runner(layout: BlockLayout, space: HilbertSpace):
 
     ``step(pulses, i, osc)`` runs step i of ``pulses``, an ``echo_pulses``
     array on ``layout``, the one layout of every step, on |+> ⊗ osc for a
-    (fock_cutoff, k) stack osc.  It gathers the joint state's slots straight
-    from osc and returns the (dim, k) joint states and their <+| branch.
+    (fock_cutoff, k) stack osc, by ``run_echo``.  It returns the (dim, k)
+    joint states and their <+| branch.
     """
     plus = atom_plus(space.atom_dim)
     bra = plus.conj()
-    atoms, levels = np.divmod(layout.index, space.fock_cutoff)
-    weights = plus[atoms][..., None]  # the |+> amplitude of each slot
 
     def step(pulses: np.ndarray, i: int, osc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = echo_slots(pulses[:, i], layout.flipped, weights * osc[levels])
-        joint = out.reshape(-1, osc.shape[1])[layout.inverse]
+        joint = run_echo(layout, pulses[:, i], (plus[:, None, None] * osc).reshape(-1, osc.shape[1]))
         return joint, (bra @ joint.reshape(len(bra), -1)).reshape(osc.shape)
 
     return step

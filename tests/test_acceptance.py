@@ -35,7 +35,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import closed_form_states
+from fockgate.gates import closed_form_samples, closed_form_states
 from fockgate.spaces import fidelity, max_abs
 
 from conftest import dense_pulse, expm_gate
@@ -96,6 +96,22 @@ def test_a01_closed_form_oracle_equivalence():
         worst >= 1.0 - 1e-9,
         f"worst fidelity over 200 samples = {worst:.3e} (bound 1-1e-9)",
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a01_closed_form_over_devices(data):
+    """A1 over devices, levels, angles and pair inputs: the block path and the expm oracle reach the closed form."""
+    p = selective_device(data)
+    space = HilbertSpace(2, data.draw(st.integers(3, 12), label="cutoff"))
+    m = data.draw(st.integers(1, space.fock_cutoff - 2), label="m")
+    gp = drawn_gate(data, p, space, m)
+    alpha, beta = random_pair(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    prepared, expect = closed_form_states(space, m, gp.phi, gp.theta0, alpha, beta)
+    (((block,),),), _, _, _ = closed_form_samples([p], space, ("ideal",), m, gp.phi, alpha, beta)
+    oracle = expm_gate(gp, p, space) @ prepared
+    for out in (block, oracle):
+        assert fidelity(expect, out, space) >= 1.0 - 1e-9
 
 
 def test_a02_disentanglement():

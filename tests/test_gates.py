@@ -28,7 +28,7 @@ from fockgate import (
     spin_flip,
     tensor,
 )
-from fockgate.gates import apply_pair_gate, closed_form_samples, closed_form_states, echo_pulses, pulse_generator
+from fockgate.gates import closed_form_samples, closed_form_states, echo_pulses, pulse_generator
 from fockgate.gates import raman_columns, run_echo
 from fockgate.hamiltonians import BlockLayout, effective_blocks, full_blocks, ideal_blocks
 from fockgate.propagator import Propagator, block_unitaries
@@ -311,6 +311,14 @@ def test_leakage_rejects_pair_outside_space(m):
     with pytest.raises(ValueError, match=re.escape(f"pair {{{m - 1}, {m}}} lies outside the Fock levels 0..5")):
         leakage(psi, m, space)
     assert leakage(psi, 5, space) == 0.0 and leakage(psi, 2, space) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, True])
+def test_leakage_rejects_a_level_that_is_not_an_integer(m):
+    # 1.5 was an IndexError from numpy's indexing
+    space = HilbertSpace(2, 6)
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+        leakage(np.ones(space.dim), m, space)
 
 
 def test_full_model_agrees_with_effective(params):
@@ -624,8 +632,7 @@ def test_block_path_matches_dense_oracles(case, data, phi, chi):
     assert max_abs(U - dense[1] @ flip @ dense[0]) < 1e-12
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     states = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
-    assert max_abs(apply_pair_gate(gp, p, space, states, model, chi) - U @ states) < 1e-12
-    assert max_abs(apply_pair_gate(gp, p, space, states[:, 0], model, chi) - U @ states[:, 0]) < 1e-12
+    assert max_abs(run_echo(blocks.layout, pulses, states) - U @ states) < 1e-12
 
 
 @pytest.mark.parametrize("model", ["ideal", "effective", "full"])
@@ -641,7 +648,9 @@ def test_gate_at_the_smallest_cutoff(params, model):
     U = pair_gate(gp, params, space, model, 0.4)
     assert max_abs(U - expm_gate(gp, params, space, model, 0.4)) < 1e-12
     states = np.random.default_rng(3).normal(size=(space.dim, 2)).astype(complex)
-    assert max_abs(apply_pair_gate(gp, params, space, states, model, 0.4) - U @ states) < 1e-12
+    blocks = pulse_generator(params, space, model, 1)
+    pulses = echo_pulses(blocks.generator, gp.tau, gp.theta0, 0.4)
+    assert max_abs(run_echo(blocks.layout, pulses, states) - U @ states) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,30 +719,7 @@ def test_non_finite_drive_phase_rejected(params, phase):
     with pytest.raises(ValueError, match="drive phase must be finite"):
         pair_gate(gp, params, space, "effective", phase_offset=phase)
     with pytest.raises(ValueError, match="drive phase must be finite"):
-        apply_pair_gate(gp, params, space, np.ones(space.dim), "ideal", phase_offset=phase)
-
-
-@pytest.mark.parametrize("model", ["ideal", "effective"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_apply_pair_gate_rejects_non_finite_state(params, model, bad):
-    gp = GateParams.from_raman(params, m=2, phi=0.4)
-    space = HilbertSpace(2, 6)
-    for shape in ((space.dim,), (space.dim, 3)):
-        x = np.ones(shape, dtype=complex)
-        x[(1,) * len(shape)] = bad
-        with pytest.raises(ValueError, match="state amplitudes must be finite"):
-            apply_pair_gate(gp, params, space, x, model)
-
-
-@pytest.mark.parametrize("length", [11, 13, 15])
-def test_apply_pair_gate_rejects_wrong_state_length(params, length):
-    gp = GateParams.from_raman(params, m=2, phi=0.4)
-    space = HilbertSpace(2, 6)
-    for x in (np.ones(length), np.ones((length, 3))):
-        with pytest.raises(ValueError, match=r"expected \(12,\) or \(12, k\)"):
-            apply_pair_gate(gp, params, space, x)
-    with pytest.raises(ValueError, match=r"expected \(12,\) or \(12, k\)"):
-        apply_pair_gate(gp, params, space, np.ones((12, 2, 2)))
+        echo_pulses(pulse_generator(params, space, "ideal", 2).generator, gp.tau, gp.theta0, phase)
 
 
 @settings(max_examples=30, deadline=None)
@@ -790,6 +776,15 @@ def test_closed_form_samples_match_dense_gates_per_sample(model, data):
             assert (tau[i, j], theta0[i, j]) == (gp.tau, gp.theta0)
             assert max_abs(psis[i, j] - pair_gate(gp, p, space, model) @ prepared) < 1e-12
             assert max_abs(expected[i, j] - image) < 1e-12
+
+
+def test_closed_form_samples_rejects_no_devices_or_no_models(params):
+    # each was an IndexError at blocks[0]
+    space = HilbertSpace(2, 6)
+    with pytest.raises(ValueError, match="^devices must not be empty$"):
+        closed_form_samples([], space, ("ideal",), 1, 0.5, 1.0, 0.0)
+    with pytest.raises(ValueError, match="^models must not be empty$"):
+        closed_form_samples([params], space, (), 1, 0.5, 1.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,6 @@ from fockgate import (
     annihilation,
     creation,
     decompose_effective,
-    effective_detuning,
     effective_hamiltonian,
     full_hamiltonian,
     multiquantum_hamiltonian,
@@ -232,25 +231,6 @@ def test_pair_energy_values(space):
     assert parts.pair_energy[space.index("g", 2), space.index("g", 2)] == pytest.approx(2 * rate)
     assert parts.pair_energy[space.index("e", 1), space.index("e", 1)] == pytest.approx(2 * rate)
     assert parts.pair_energy[space.index("e", 2), space.index("e", 2)] == pytest.approx(2 * rate)
-
-
-# ---- effective detuning ----------------------------------------------------
-
-
-def test_effective_detuning_zero_at_selected():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
-    assert effective_detuning(3, 3, p) == 0.0
-
-
-def test_effective_detuning_value():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=10.0)
-    assert effective_detuning(3, 2, p) == pytest.approx(0.1)
-
-
-def test_detuning_to_coupling_ratio_is_inverse_selectivity():
-    p = RamanParams(g=1.0, omega_l=0.1, delta=20.0)
-    ratio = abs(effective_detuning(3, 2, p)) / p.coupling
-    assert ratio == pytest.approx(p.g / p.omega_l)
 
 
 # ---- multiquantum coupling -------------------------------------------------

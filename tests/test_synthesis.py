@@ -126,6 +126,10 @@ def test_effective_phase_model_beats_ideal_bookkeeping_when_selective():
 def test_infeasible_superposition_rejected(params):
     with pytest.raises(ValueError):
         plan_superposition(0.6, 0.8, 0, params)
+    # a level that is not an integer was a TypeError from np.zeros
+    for n in (2.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            plan_superposition(0.6, 0.8, n, params)
     # an unnormalized pair is a ValueError: its norm is taken with no OverflowError and no RuntimeWarning
     for alpha, beta in ((0.9, 0.8), (1e200, 0.0), (1e308, 0.0), (1e308, 1e308j), (1e-320, 0.0)):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="expected 1"):
@@ -609,6 +613,14 @@ def test_plan_level_beyond_int64_is_named(params):
         plan = CircuitPlan(m=np.array([2], dtype=kind), phi=[gate.phi], tau=[gate.tau],
                            theta0=[gate.theta0], lam=[gate.lam], chi=[0.0])
         assert plan.m.dtype == np.int64 and plan.m.tolist() == [2]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_plan_level_beyond_float_is_named(sign):
+    # a Python integer past float range in an object array raised an OverflowError in a cast to float
+    m = sign * 10**400
+    with pytest.raises(ValueError, match=f"^plan step 0: level m = {m} must lie in float range"):
+        CircuitPlan(m=np.array([m], dtype=object), phi=[0.5], tau=[1.0], theta0=[0.1], lam=[0.5], chi=[0.0])
 
 
 @pytest.mark.parametrize("field", ["k", "phase_correction"])  # lam: test_plan_without_lam_derives_it
